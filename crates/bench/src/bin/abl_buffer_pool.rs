@@ -1,4 +1,4 @@
-//! **A4 — ablation**: buffer pool on/off (§7: "our structures perform
+//! **A4 — ablation**: CLOCK buffer pool on/off (§7: "our structures perform
 //! better with caching, especially because the root tends to be cached at
 //! all times" — all headline numbers are measured with caching off).
 
@@ -14,7 +14,7 @@ fn main() {
     let (scale, bs) = Scale::from_args();
     let stream = concentrated(scale.base_elements / 2, scale.insert_elements / 2);
     let mut table = Table::new(
-        "Ablation: LRU buffer pool size vs amortized update cost (concentrated)",
+        "Ablation: CLOCK buffer pool size vs amortized update cost (concentrated)",
         &[
             "scheme",
             "pool blocks",

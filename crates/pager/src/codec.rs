@@ -69,6 +69,14 @@ impl VecWriter {
         Self::default()
     }
 
+    /// Empty writer with room for `capacity` bytes before it reallocates.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Consume the writer, yielding the accumulated bytes.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {

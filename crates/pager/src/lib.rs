@@ -7,7 +7,7 @@
 //! measures performance as the *number of 8 KB block I/Os with main-memory
 //! caching turned off*. This crate provides the equivalent substrate: a
 //! [`Pager`] that owns an in-memory array of fixed-size byte blocks, counts
-//! every read and write, and optionally interposes an LRU buffer pool (the
+//! every read and write, and optionally interposes a CLOCK buffer pool (the
 //! paper's experiments run with the pool disabled, but §7 notes the structures
 //! only improve with caching — ablation A4 in `DESIGN.md` measures that).
 //!
@@ -35,7 +35,7 @@ pub mod codec;
 /// Deterministic faulty-disk plans for the [`FaultInjector`] seam.
 pub mod fault;
 mod file;
-/// Buffer pool with selectable eviction policy (LRU / CLOCK).
+/// Buffer pool with second-chance CLOCK eviction.
 pub mod pool;
 mod stats;
 mod table;
@@ -46,7 +46,7 @@ pub mod vfs;
 pub use codec::{crc32, Reader, VecWriter, Writer};
 pub use fault::{splitmix64, FaultEvent, FaultPlan, FaultPlanConfig, FaultSite, ReadFault};
 pub use file::{recover_image, FileError};
-pub use pool::{BufferPool, PoolPinned, PoolPolicy, PoolStats};
+pub use pool::{BufferPool, PoolPinned, PoolStats};
 pub use stats::IoStats;
 pub use table::ShardStats;
 pub use vfs::{sector_floor, FaultFile, FileFaultPlan, RawFile, SECTOR_SIZE};
@@ -100,9 +100,6 @@ pub struct PagerConfig {
     /// Capacity of the buffer pool in blocks. `0` disables caching — the
     /// setting used for all paper experiments.
     pub pool_capacity: usize,
-    /// Eviction policy of the buffer pool ([`PoolPolicy::Clock`] by
-    /// default; [`PoolPolicy::Lru`] kept for the A-series ablations).
-    pub pool_policy: PoolPolicy,
     /// Back the blocks with this file instead of memory (extension beyond
     /// the paper's simulated setup: real disk I/O, same accounting).
     pub file: Option<std::path::PathBuf>,
@@ -113,7 +110,6 @@ impl Default for PagerConfig {
         Self {
             block_size: DEFAULT_BLOCK_SIZE,
             pool_capacity: 0,
-            pool_policy: PoolPolicy::Clock,
             file: None,
         }
     }
@@ -125,22 +121,13 @@ impl PagerConfig {
         Self {
             block_size,
             pool_capacity: 0,
-            pool_policy: PoolPolicy::Clock,
             file: None,
         }
     }
 
-    /// Enable a buffer pool holding `capacity` blocks (CLOCK eviction
-    /// unless overridden with [`PagerConfig::with_pool_policy`]).
+    /// Enable a CLOCK buffer pool holding `capacity` blocks.
     pub fn with_pool(mut self, capacity: usize) -> Self {
         self.pool_capacity = capacity;
-        self
-    }
-
-    /// Select the buffer-pool eviction policy (ablation knob: LRU vs the
-    /// scan-resistant CLOCK second-chance sweep).
-    pub fn with_pool_policy(mut self, policy: PoolPolicy) -> Self {
-        self.pool_policy = policy;
         self
     }
 
@@ -153,16 +140,12 @@ impl PagerConfig {
     }
 }
 
-/// One block's before/after images inside a transaction record.
-///
-/// `before` is `None` when the block was freshly allocated inside the same
-/// transaction (there is no prior committed image to fall back to).
+/// One block's after-image inside a transaction record. The log is
+/// no-steal and redo-only, so the after-image is all recovery replays.
 #[derive(Clone, Debug)]
 pub struct TxnFrame {
     /// The block this frame describes.
     pub block: BlockId,
-    /// Committed image prior to this transaction, if the block existed.
-    pub before: Option<Box<[u8]>>,
     /// Image the transaction commits.
     pub after: Box<[u8]>,
 }
@@ -489,20 +472,13 @@ impl Drop for TxnScope {
     }
 }
 
-/// A buffered dirty block inside the open transaction.
-struct TxnEntry {
-    before: Option<Box<[u8]>>,
-    data: Box<[u8]>,
-}
-
 /// In-flight transaction state. Only populated while a journal is attached;
 /// without one, [`TxnScope`] is pure depth bookkeeping and every pager call
 /// behaves exactly as in the unjournaled seed.
 #[derive(Default)]
 struct TxnState {
     depth: u32,
-    cache: std::collections::BTreeMap<u32, TxnEntry>,
-    fresh: std::collections::BTreeSet<u32>,
+    cache: std::collections::BTreeMap<u32, Box<[u8]>>,
     freed: Vec<BlockId>,
     metas: std::collections::BTreeMap<String, Vec<u8>>,
 }
@@ -618,6 +594,28 @@ struct PagerInner {
     snap: SnapState,
     /// Next backend slot the incremental scrubber will examine.
     scrub_cursor: usize,
+}
+
+impl PagerInner {
+    /// Coordinator state of a new pager over `backend`: empty free list,
+    /// zeroed counters, no journal, fault injector, transaction or pins.
+    fn new(backend: Backend, pool: BufferPool) -> Self {
+        PagerInner {
+            backend,
+            free: Vec::new(),
+            stats: IoStats::default(),
+            pool,
+            journal: None,
+            fault: None,
+            txn: TxnState::default(),
+            overlay: Overlay::default(),
+            retry: RetryPolicy::default(),
+            degraded: None,
+            degraded_entries: 0,
+            snap: SnapState::default(),
+            scrub_cursor: 0,
+        }
+    }
 }
 
 /// Classified backend read failure, consumed by the pager's checked read
@@ -816,21 +814,10 @@ impl Pager {
         Arc::new(Pager {
             block_size: config.block_size,
             table,
-            inner: Mutex::new(PagerInner {
+            inner: Mutex::new(PagerInner::new(
                 backend,
-                free: Vec::new(),
-                stats: IoStats::default(),
-                pool: BufferPool::new(config.pool_capacity, config.pool_policy),
-                journal: None,
-                fault: None,
-                txn: TxnState::default(),
-                overlay: Overlay::default(),
-                retry: RetryPolicy::default(),
-                degraded: None,
-                degraded_entries: 0,
-                snap: SnapState::default(),
-                scrub_cursor: 0,
-            }),
+                BufferPool::new(config.pool_capacity),
+            )),
             view: None,
         })
     }
@@ -849,19 +836,8 @@ impl Pager {
             block_size: image.block_size,
             table: TableRef::clone(&table),
             inner: Mutex::new(PagerInner {
-                backend: Backend::Memory(table),
                 free,
-                stats: IoStats::default(),
-                pool: BufferPool::disabled(),
-                journal: None,
-                fault: None,
-                txn: TxnState::default(),
-                overlay: Overlay::default(),
-                retry: RetryPolicy::default(),
-                degraded: None,
-                degraded_entries: 0,
-                snap: SnapState::default(),
-                scrub_cursor: 0,
+                ..PagerInner::new(Backend::Memory(table), BufferPool::disabled())
             }),
             view: None,
         })
@@ -953,7 +929,6 @@ impl Pager {
         inner.txn.depth = inner.txn.depth.saturating_sub(1);
         if inner.txn.depth == 0 {
             inner.txn.cache.clear();
-            inner.txn.fresh.clear();
             inner.txn.freed.clear();
             inner.txn.metas.clear();
         }
@@ -1052,20 +1027,14 @@ impl Pager {
     /// `"pager"` meta blob.
     fn drain_txn(inner: &mut PagerInner) -> TxnRecord {
         let cache = std::mem::take(&mut inner.txn.cache);
-        let fresh = std::mem::take(&mut inner.txn.fresh);
         let freed = std::mem::take(&mut inner.txn.freed);
         let mut metas: Vec<(String, Vec<u8>)> =
             std::mem::take(&mut inner.txn.metas).into_iter().collect();
         let frames: Vec<TxnFrame> = cache
             .into_iter()
-            .map(|(raw, entry)| TxnFrame {
+            .map(|(raw, after)| TxnFrame {
                 block: BlockId(raw),
-                before: if fresh.contains(&raw) {
-                    None
-                } else {
-                    entry.before
-                },
-                after: entry.data,
+                after,
             })
             .collect();
         let mut meta = codec::VecWriter::new();
@@ -1248,10 +1217,10 @@ impl Pager {
     }
 
     /// One backend block read under the fault injector and the retry
-    /// policy. `consult_faults` is `false` on bookkeeping peeks (before-image
-    /// capture) so they cannot shift the fault plan's deterministic attempt
-    /// counters. A checksum mismatch — whether injected bit rot or found on
-    /// the media — goes through [`Pager::repair_block`].
+    /// policy. `consult_faults` is `false` on snapshot reads so they cannot
+    /// shift the fault plan's deterministic attempt counters. A checksum
+    /// mismatch — whether injected bit rot or found on the media — goes
+    /// through [`Pager::repair_block`].
     fn read_block_checked(
         inner: &mut PagerInner,
         id: BlockId,
@@ -1364,19 +1333,8 @@ impl Pager {
             block_size,
             table: Arc::new(PageTable::new()),
             inner: Mutex::new(PagerInner {
-                backend: Backend::File(store),
                 free,
-                stats: IoStats::default(),
-                pool: BufferPool::disabled(),
-                journal: None,
-                fault: None,
-                txn: TxnState::default(),
-                overlay: Overlay::default(),
-                retry: RetryPolicy::default(),
-                degraded: None,
-                degraded_entries: 0,
-                snap: SnapState::default(),
-                scrub_cursor: 0,
+                ..PagerInner::new(Backend::File(store), BufferPool::disabled())
             }),
             view: None,
         }))
@@ -1395,21 +1353,6 @@ impl Pager {
         inner.backend.is_allocated(id)
             && !inner.txn.freed.contains(&id)
             && !inner.overlay.freed.contains(&id)
-    }
-
-    /// Uncharged peek at a block's current committed-or-buffered content,
-    /// used only to capture before-images (bookkeeping, not a paper I/O).
-    /// Skips fault consultation — bookkeeping must not advance the fault
-    /// plan — but still read-repairs media corruption it trips over.
-    fn peek(
-        inner: &mut PagerInner,
-        id: BlockId,
-        block_size: usize,
-    ) -> Result<Box<[u8]>, PagerError> {
-        if let Some(data) = inner.overlay.frames.get(&id.0) {
-            return Ok(data.clone());
-        }
-        Self::read_block_checked(inner, id, block_size, false)
     }
 
     /// Allocate a zeroed block. Recycles freed ids first so the file stays
@@ -1449,14 +1392,10 @@ impl Pager {
             BlockId(codec::usize_to_u32(idx).unwrap_or(u32::MAX))
         };
         if inner.journal.is_some() {
-            inner.txn.fresh.insert(id.0);
-            inner.txn.cache.insert(
-                id.0,
-                TxnEntry {
-                    before: None,
-                    data: vec![0u8; self.block_size].into_boxed_slice(),
-                },
-            );
+            inner
+                .txn
+                .cache
+                .insert(id.0, vec![0u8; self.block_size].into_boxed_slice());
         }
         id
     }
@@ -1497,7 +1436,6 @@ impl Pager {
                 "double free or out-of-range free of {id:?}"
             );
             inner.txn.cache.remove(&id.0);
-            inner.txn.fresh.remove(&id.0);
             inner.txn.freed.push(id);
             return;
         }
@@ -1554,8 +1492,8 @@ impl Pager {
                 Self::txn_is_allocated(&inner, id),
                 "read of unallocated {id:?}"
             );
-            if let Some(entry) = inner.txn.cache.get(&id.0) {
-                return Ok(entry.data.clone());
+            if let Some(data) = inner.txn.cache.get(&id.0) {
+                return Ok(data.clone());
             }
             if let Some(data) = inner.overlay.frames.get(&id.0) {
                 return Ok(data.clone());
@@ -1624,19 +1562,10 @@ impl Pager {
             );
             inner.stats.writes += 1;
             trace_record(TraceCounter::BlockWrite, 1);
-            let boxed = data.to_vec().into_boxed_slice();
-            if let Some(entry) = inner.txn.cache.get_mut(&id.0) {
-                entry.data = boxed;
-            } else {
-                let before = Some(Self::peek(&mut inner, id, self.block_size)?);
-                inner.txn.cache.insert(
-                    id.0,
-                    TxnEntry {
-                        before,
-                        data: boxed,
-                    },
-                );
-            }
+            inner
+                .txn
+                .cache
+                .insert(id.0, data.to_vec().into_boxed_slice());
             return Ok(());
         }
         assert!(
@@ -1997,21 +1926,10 @@ impl Pager {
         let view = Arc::new(Pager {
             block_size: self.block_size,
             table: TableRef::clone(&table),
-            inner: Mutex::new(PagerInner {
-                backend: Backend::Memory(table),
-                free: Vec::new(),
-                stats: IoStats::default(),
-                pool: pool::BufferPool::disabled(),
-                fault: None,
-                journal: None,
-                txn: TxnState::default(),
-                overlay: Overlay::default(),
-                retry: RetryPolicy::default(),
-                degraded: None,
-                degraded_entries: 0,
-                snap: SnapState::default(),
-                scrub_cursor: 0,
-            }),
+            inner: Mutex::new(PagerInner::new(
+                Backend::Memory(table),
+                BufferPool::disabled(),
+            )),
             view: Some(SnapshotRef {
                 base: Arc::clone(self),
                 epoch,
@@ -2414,10 +2332,6 @@ mod tests {
         assert_eq!(records.len(), 1, "one logical op = one record");
         let rec = &records[0];
         assert_eq!(rec.frames.len(), 2);
-        assert!(
-            rec.frames.iter().all(|f| f.before.is_none()),
-            "fresh allocs"
-        );
         assert_eq!(rec.frames[0].after[0], 7, "last write wins");
         assert_eq!(
             rec.metas.last().map(|(n, _)| n.as_str()),
@@ -2431,7 +2345,9 @@ mod tests {
     }
 
     #[test]
-    fn journaled_write_captures_before_image() {
+    fn journaled_blind_overwrite_heals_a_rotted_block() {
+        // MockJournal has no repair source, so a read of the rotted block
+        // would fail; an overwrite that never reads it must not.
         let p = pager(64);
         let j = MockJournal::new(1);
         p.attach_journal(j.clone());
@@ -2441,14 +2357,15 @@ mod tests {
             p.write(id, &[5u8; 64]);
             id
         };
+        p.corrupt_block(id, 3, 0xFF);
         {
             let _txn = p.txn();
-            p.write(id, &[6u8; 64]);
+            p.try_write(id, &[6u8; 64])
+                .expect("blind overwrite commits");
         }
-        let records = j.records();
-        let before = records[1].frames[0].before.as_ref().expect("has before");
-        assert_eq!(before[0], 5);
-        assert_eq!(records[1].frames[0].after[0], 6);
+        assert_eq!(j.records()[1].frames[0].after[0], 6);
+        assert_eq!(p.read(id)[0], 6, "the after-image replaced the rot");
+        assert_eq!(p.health(), Health::Ok);
     }
 
     #[test]
@@ -2906,7 +2823,6 @@ mod tests {
         let p = Pager::new(PagerConfig {
             block_size: 64,
             pool_capacity: 2,
-            pool_policy: PoolPolicy::Clock,
             file: None,
         });
         let id = p.alloc();
@@ -2928,7 +2844,6 @@ mod tests {
         let p = Pager::new(PagerConfig {
             block_size: 64,
             pool_capacity: 2,
-            pool_policy: PoolPolicy::Clock,
             file: None,
         });
         let id = p.alloc();

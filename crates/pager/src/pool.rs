@@ -1,24 +1,19 @@
-//! A small buffer pool with selectable eviction policy.
+//! A small buffer pool with second-chance CLOCK eviction.
 //!
 //! The paper's experiments run with caching *off*, but §7 notes the
 //! structures only improve with caching ("especially because the root tends
 //! to be cached at all times"). Ablation A4 quantifies that with this pool.
 //!
-//! Two policies, selectable via [`PoolPolicy`] so the A-series ablations
-//! can compare them head-to-head:
+//! Frames sit on a ring; a hit sets the frame's reference bit, the sweep
+//! clears reference bits as it passes and evicts the first unreferenced,
+//! unpinned frame, replacing it *in place* and parking the hand just after
+//! it. New frames enter with the reference bit **clear**, so a one-pass
+//! bulk load recycles its own ring slots instead of flushing the resident
+//! working set (scan resistance).
 //!
-//! * [`PoolPolicy::Lru`] — the original least-recently-used stamp scan.
-//! * [`PoolPolicy::Clock`] (default) — a second-chance CLOCK sweep. Frames
-//!   sit on a ring; a hit sets the frame's reference bit, the sweep clears
-//!   reference bits as it passes and evicts the first unreferenced,
-//!   unpinned frame, replacing it *in place* and parking the hand just
-//!   after it. New frames enter with the reference bit **clear**, so a
-//!   one-pass bulk load recycles its own ring slots instead of flushing
-//!   the resident working set (scan resistance).
-//!
-//! Both policies treat pinned frames as structurally ineligible: the
-//! victim search never considers them, so evicting a pinned frame is
-//! impossible rather than merely checked.
+//! Pinned frames are structurally ineligible: the sweep never considers
+//! them, so evicting a pinned frame is impossible rather than merely
+//! checked.
 
 use crate::BlockId;
 use std::collections::HashMap;
@@ -32,23 +27,9 @@ pub struct PoolStats {
     pub misses: u64,
 }
 
-/// Buffer-pool eviction policy (the A-series ablation knob).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PoolPolicy {
-    /// Least-recently-used: evict the unpinned frame with the oldest
-    /// access stamp.
-    Lru,
-    /// Second-chance CLOCK sweep: scan-resistant (new frames start
-    /// unreferenced), one reference bit of history per frame.
-    #[default]
-    Clock,
-}
-
 struct Frame {
     data: Box<[u8]>,
     dirty: bool,
-    /// Logical access time for LRU eviction.
-    stamp: u64,
     /// Pin count: a pinned frame is never an eviction victim.
     pins: u32,
     /// CLOCK reference bit: set on access, cleared by a passing sweep.
@@ -72,34 +53,29 @@ type SlotEvict = Result<(usize, Option<(BlockId, Box<[u8]>)>), PoolPinned>;
 /// Pool of block copies. Capacity 0 disables it entirely.
 pub struct BufferPool {
     capacity: usize,
-    policy: PoolPolicy,
     frames: HashMap<BlockId, Frame>,
-    /// Frame ids in CLOCK ring order (also tracked under LRU so policy is
-    /// switch-safe and discard/evict share one bookkeeping path).
+    /// Frame ids in CLOCK ring order.
     ring: Vec<BlockId>,
     /// CLOCK hand: index into `ring` where the next sweep starts.
     hand: usize,
-    clock: u64,
     stats: PoolStats,
 }
 
 impl BufferPool {
     /// Pool with room for `capacity` frames (0 disables caching).
-    pub fn new(capacity: usize, policy: PoolPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            policy,
             frames: HashMap::with_capacity(capacity),
             ring: Vec::with_capacity(capacity),
             hand: 0,
-            clock: 0,
             stats: PoolStats::default(),
         }
     }
 
     /// The canonical disabled pool (capacity 0).
     pub fn disabled() -> Self {
-        Self::new(0, PoolPolicy::default())
+        Self::new(0)
     }
 
     /// Configured frame capacity.
@@ -118,21 +94,14 @@ impl BufferPool {
         self.stats = PoolStats::default();
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
     /// Look up a block; counts a hit/miss when the pool is enabled. A hit
-    /// refreshes the LRU stamp and sets the CLOCK reference bit.
+    /// sets the frame's reference bit.
     pub fn get(&mut self, id: BlockId) -> Option<Box<[u8]>> {
         if self.capacity == 0 {
             return None;
         }
-        let stamp = self.tick();
         match self.frames.get_mut(&id) {
             Some(frame) => {
-                frame.stamp = stamp;
                 frame.referenced = true;
                 self.stats.hits += 1;
                 Some(frame.data.clone())
@@ -162,20 +131,15 @@ impl BufferPool {
         if self.capacity == 0 {
             return Ok(None);
         }
-        let stamp = self.tick();
         if let Some(frame) = self.frames.get_mut(&id) {
-            // In-place update: an access, so it refreshes recency state.
+            // In-place update: an access, so it sets the reference bit.
             frame.data = data;
             frame.dirty = frame.dirty || dirty;
-            frame.stamp = stamp;
             frame.referenced = true;
             return Ok(None);
         }
         let evicted = if self.frames.len() >= self.capacity {
-            let (slot, evicted) = match self.policy {
-                PoolPolicy::Lru => self.evict_lru()?,
-                PoolPolicy::Clock => self.evict_clock()?,
-            };
+            let (slot, evicted) = self.evict_clock()?;
             // Replace the victim in place; the hand parks just past it so
             // the new frame gets a full lap before the sweep returns.
             self.ring[slot] = id;
@@ -190,7 +154,6 @@ impl BufferPool {
             Frame {
                 data,
                 dirty,
-                stamp,
                 pins: 0,
                 // New frames start unreferenced: a one-pass scan cannot
                 // displace the referenced working set (scan resistance).
@@ -198,23 +161,6 @@ impl BufferPool {
             },
         );
         Ok(evicted)
-    }
-
-    /// Evict the least-recently-used *unpinned* frame. Returns its ring
-    /// slot (for in-place replacement) and its dirty payload, if any.
-    fn evict_lru(&mut self) -> SlotEvict {
-        let victim = self
-            .frames
-            .iter()
-            .filter(|(_, f)| f.pins == 0)
-            .min_by_key(|(_, f)| f.stamp)
-            .map(|(id, _)| *id)
-            .ok_or(PoolPinned)?;
-        let slot = self.ring.iter().position(|r| *r == victim).unwrap_or(0);
-        let Some(frame) = self.frames.remove(&victim) else {
-            return Ok((slot, None));
-        };
-        Ok((slot, frame.dirty.then_some((victim, frame.data))))
     }
 
     /// One CLOCK sweep: starting at the hand, skip pinned frames (their
@@ -363,19 +309,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut pool = BufferPool::new(2, PoolPolicy::Lru);
-        pool.insert_clean(BlockId(1), blk(1)).expect("room");
-        pool.insert_clean(BlockId(2), blk(2)).expect("room");
-        pool.get(BlockId(1)); // 2 is now LRU
-        assert_eq!(pool.insert_clean(BlockId(3), blk(3)), Ok(None)); // clean eviction
-        assert!(pool.get(BlockId(2)).is_none());
-        assert!(pool.get(BlockId(1)).is_some());
-    }
-
-    #[test]
     fn clock_gives_referenced_frames_a_second_chance() {
-        let mut pool = BufferPool::new(2, PoolPolicy::Clock);
+        let mut pool = BufferPool::new(2);
         pool.insert_clean(BlockId(1), blk(1)).expect("room");
         pool.insert_clean(BlockId(2), blk(2)).expect("room");
         pool.get(BlockId(1)); // sets 1's reference bit
@@ -387,13 +322,12 @@ mod tests {
 
     #[test]
     fn clock_is_scan_resistant() {
-        let mut pool = BufferPool::new(3, PoolPolicy::Clock);
+        let mut pool = BufferPool::new(3);
         pool.insert_clean(BlockId(1), blk(1)).expect("room");
         pool.insert_clean(BlockId(2), blk(2)).expect("room");
         pool.get(BlockId(1)); // hot frame
                               // One-pass scan of fresh blocks: each enters unreferenced and the
-                              // sweep recycles the scan's own slots, never the hot frame (LRU
-                              // would evict block 1 on the scan's last insert — oldest stamp).
+                              // sweep recycles the scan's own slots, never the hot frame.
         for b in 10..13u32 {
             pool.insert_clean(BlockId(b), blk(1)).expect("unpinned");
         }
@@ -405,17 +339,15 @@ mod tests {
 
     #[test]
     fn dirty_eviction_returns_data() {
-        for policy in [PoolPolicy::Lru, PoolPolicy::Clock] {
-            let mut pool = BufferPool::new(1, policy);
-            pool.insert_dirty(BlockId(1), blk(9)).expect("room");
-            let evicted = pool.insert_clean(BlockId(2), blk(2)).expect("unpinned");
-            assert_eq!(evicted.map(|(id, d)| (id, d[0])), Some((BlockId(1), 9)));
-        }
+        let mut pool = BufferPool::new(1);
+        pool.insert_dirty(BlockId(1), blk(9)).expect("room");
+        let evicted = pool.insert_clean(BlockId(2), blk(2)).expect("unpinned");
+        assert_eq!(evicted.map(|(id, d)| (id, d[0])), Some((BlockId(1), 9)));
     }
 
     #[test]
     fn reinsert_merges_dirty_flag() {
-        let mut pool = BufferPool::new(2, PoolPolicy::Clock);
+        let mut pool = BufferPool::new(2);
         pool.insert_dirty(BlockId(1), blk(1)).expect("room");
         pool.insert_clean(BlockId(1), blk(2)).expect("in place"); // stays dirty
         let dirty = pool.take_dirty();
@@ -426,52 +358,46 @@ mod tests {
 
     #[test]
     fn discard_drops_without_writeback() {
-        for policy in [PoolPolicy::Lru, PoolPolicy::Clock] {
-            let mut pool = BufferPool::new(2, policy);
-            pool.insert_dirty(BlockId(1), blk(1)).expect("room");
-            pool.discard(BlockId(1));
-            assert!(pool.take_dirty().is_empty());
-            // The freed slot is reusable and the ring stays consistent.
-            pool.insert_clean(BlockId(2), blk(2)).expect("room");
-            pool.insert_clean(BlockId(3), blk(3)).expect("room");
-            pool.insert_clean(BlockId(4), blk(4)).expect("unpinned");
-        }
+        let mut pool = BufferPool::new(2);
+        pool.insert_dirty(BlockId(1), blk(1)).expect("room");
+        pool.discard(BlockId(1));
+        assert!(pool.take_dirty().is_empty());
+        // The freed slot is reusable and the ring stays consistent.
+        pool.insert_clean(BlockId(2), blk(2)).expect("room");
+        pool.insert_clean(BlockId(3), blk(3)).expect("room");
+        pool.insert_clean(BlockId(4), blk(4)).expect("unpinned");
     }
 
     #[test]
     fn pinned_frame_is_never_the_eviction_victim() {
-        for policy in [PoolPolicy::Lru, PoolPolicy::Clock] {
-            let mut pool = BufferPool::new(2, policy);
-            pool.insert_clean(BlockId(1), blk(1)).expect("room");
-            pool.insert_clean(BlockId(2), blk(2)).expect("room");
-            assert!(pool.pin(BlockId(1)));
-            // Block 1 is first in sweep/LRU order, but the pin redirects
-            // eviction onto block 2.
-            assert_eq!(pool.insert_clean(BlockId(3), blk(3)), Ok(None));
-            assert!(pool.get(BlockId(1)).is_some());
-            assert!(pool.get(BlockId(2)).is_none());
-        }
+        let mut pool = BufferPool::new(2);
+        pool.insert_clean(BlockId(1), blk(1)).expect("room");
+        pool.insert_clean(BlockId(2), blk(2)).expect("room");
+        assert!(pool.pin(BlockId(1)));
+        // Block 1 is first in sweep order, but the pin redirects eviction
+        // onto block 2.
+        assert_eq!(pool.insert_clean(BlockId(3), blk(3)), Ok(None));
+        assert!(pool.get(BlockId(1)).is_some());
+        assert!(pool.get(BlockId(2)).is_none());
     }
 
     #[test]
     fn full_pool_of_pinned_frames_rejects_inserts() {
-        for policy in [PoolPolicy::Lru, PoolPolicy::Clock] {
-            let mut pool = BufferPool::new(2, policy);
-            pool.insert_clean(BlockId(1), blk(1)).expect("room");
-            pool.insert_clean(BlockId(2), blk(2)).expect("room");
-            assert!(pool.pin(BlockId(1)));
-            assert!(pool.pin(BlockId(2)));
-            assert_eq!(pool.insert_clean(BlockId(3), blk(3)), Err(PoolPinned));
-            assert_eq!(pool.pinned_ids().len(), 2);
-            assert!(pool.unpin(BlockId(2)));
-            assert!(!pool.is_pinned(BlockId(2)));
-            assert_eq!(pool.insert_clean(BlockId(3), blk(3)), Ok(None));
-        }
+        let mut pool = BufferPool::new(2);
+        pool.insert_clean(BlockId(1), blk(1)).expect("room");
+        pool.insert_clean(BlockId(2), blk(2)).expect("room");
+        assert!(pool.pin(BlockId(1)));
+        assert!(pool.pin(BlockId(2)));
+        assert_eq!(pool.insert_clean(BlockId(3), blk(3)), Err(PoolPinned));
+        assert_eq!(pool.pinned_ids().len(), 2);
+        assert!(pool.unpin(BlockId(2)));
+        assert!(!pool.is_pinned(BlockId(2)));
+        assert_eq!(pool.insert_clean(BlockId(3), blk(3)), Ok(None));
     }
 
     #[test]
     fn pin_requires_residency_and_unpin_balances() {
-        let mut pool = BufferPool::new(2, PoolPolicy::Clock);
+        let mut pool = BufferPool::new(2);
         assert!(!pool.pin(BlockId(7)), "absent block cannot be pinned");
         pool.insert_clean(BlockId(7), blk(7)).expect("room");
         assert!(pool.pin(BlockId(7)));

@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use boxes_pager::{BlockId, BufferPool, PoolPolicy};
+use boxes_pager::{BlockId, BufferPool};
 use proptest::prelude::*;
 
 /// Naive second-chance simulation: what `pool.rs` must behave like.
@@ -124,7 +124,7 @@ fn block(id: u32) -> Box<[u8]> {
 /// Drive pool and model through one trace, asserting victim agreement,
 /// residency agreement, and the pinned-victim impossibility at every step.
 fn run_trace(capacity: usize, steps: &[Step]) {
-    let mut pool = BufferPool::new(capacity, PoolPolicy::Clock);
+    let mut pool = BufferPool::new(capacity);
     let mut model = NaiveClock::new(capacity);
     // Pins the model believes are held (mirrors pool pin/unpin returns).
     let mut pinned: HashSet<u32> = HashSet::new();

@@ -12,9 +12,8 @@
 //!   committed state are checked against the linearization the schedule
 //!   defines.
 //! * **Leg B (unjournaled, CLOCK pool)** — writers, readers and an evictor
-//!   (flush / clear-pool) interleave over a tiny buffer pool in both
-//!   [`PoolPolicy`] modes; a plain map is the oracle since the scheduler
-//!   serializes the ops.
+//!   (flush / clear-pool) interleave over a tiny buffer pool; a plain map
+//!   is the oracle since the scheduler serializes the ops.
 //! * **Leg C (free-running stress)** — 8 snapshot readers (4 pinned to
 //!   disjoint shard sets, 4 overlapping the full range) hammer the sharded
 //!   table while a writer republished every block 8 times; readers must
@@ -33,19 +32,19 @@ use boxes_audit::Auditable;
 use boxes_core::sched::Scheduler;
 use boxes_pager::{
     codec, lock_unpoisoned, splitmix64, BlockId, Journal, JournalAck, Pager, PagerConfig,
-    PoolPolicy, SharedPager, TxnRecord,
+    SharedPager, TxnRecord,
 };
 
 const BS: usize = 64;
 
 /// Leg A runs this many seeds per `sync_every` value (two values → ×2).
 const LEG_A_SEEDS: usize = 70;
-/// Leg B runs this many seeds per pool policy (two policies → ×2).
-const LEG_B_SEEDS: usize = 40;
+/// Leg B runs this many seeds.
+const LEG_B_SEEDS: usize = 80;
 /// Scheduled legs A + B; the rig's acceptance bar is ≥ 200.
 const LEG_A_SCHEDULES: usize = LEG_A_SEEDS * 2;
 /// See [`LEG_A_SCHEDULES`].
-const LEG_B_SCHEDULES: usize = LEG_B_SEEDS * 2;
+const LEG_B_SCHEDULES: usize = LEG_B_SEEDS;
 
 /// Seeds for the free-running stress leg (Leg C).
 const STRESS_SEEDS: [u64; 2] = [0x5e55_1001, 0xbeef];
@@ -377,7 +376,7 @@ fn leg_a_journaled_schedules_agree_with_serial_oracle() {
 }
 
 // ---------------------------------------------------------------------------
-// Leg B: unjournaled CLOCK/LRU pool under interleaved eviction pressure
+// Leg B: unjournaled CLOCK pool under interleaved eviction pressure
 // ---------------------------------------------------------------------------
 
 const B_BLOCKS: usize = 16;
@@ -388,12 +387,8 @@ const B_EVICTOR_OPS: usize = 4;
 
 /// One seeded Leg B schedule: 2 writers + 2 readers + 1 evictor over a
 /// 4-frame pool; a plain map is the oracle.
-fn leg_b_schedule(seed: u64, policy: PoolPolicy) {
-    let pager = Pager::new(
-        PagerConfig::with_block_size(BS)
-            .with_pool(B_POOL)
-            .with_pool_policy(policy),
-    );
+fn leg_b_schedule(seed: u64) {
+    let pager = Pager::new(PagerConfig::with_block_size(BS).with_pool(B_POOL));
     let ids: Vec<BlockId> = (0..B_BLOCKS).map(|_| pager.alloc()).collect();
     let model: Arc<Mutex<HashMap<u32, u8>>> =
         Arc::new(Mutex::new(ids.iter().map(|id| (id.0, 0u8)).collect()));
@@ -435,7 +430,7 @@ fn leg_b_schedule(seed: u64, policy: PoolPolicy) {
                             let data = pager.read(id);
                             assert!(
                                 data.iter().all(|b| *b == want),
-                                "pooled read of {id:?} diverged (want {want}, {policy:?})"
+                                "pooled read of {id:?} diverged (want {want})"
                             );
                         }
                         _ => {
@@ -459,7 +454,7 @@ fn leg_b_schedule(seed: u64, policy: PoolPolicy) {
         let data = pager.read(*id);
         assert!(
             data.iter().all(|b| *b == want),
-            "post-flush state of {id:?} diverged ({policy:?})"
+            "post-flush state of {id:?} diverged"
         );
     }
     drop(m);
@@ -479,11 +474,9 @@ fn leg_b_schedule(seed: u64, policy: PoolPolicy) {
 }
 
 #[test]
-fn leg_b_pool_schedules_agree_with_map_oracle_under_both_policies() {
+fn leg_b_pool_schedules_agree_with_map_oracle() {
     for i in 0..LEG_B_SEEDS {
-        let seed = splitmix64(0xB0_0000 + codec::usize_to_u64(i));
-        leg_b_schedule(seed, PoolPolicy::Clock);
-        leg_b_schedule(seed, PoolPolicy::Lru);
+        leg_b_schedule(splitmix64(0xB0_0000 + codec::usize_to_u64(i)));
     }
 }
 
@@ -597,12 +590,10 @@ fn leg_c_stress_readers_stay_pinned_and_report_latch_traffic() {
              \"shard_acquisitions\": {acquisitions}, \"shard_contended\": {contended}}}"
         ));
     }
-    let (latch_acquired, latch_contended) = boxes_trace::latch::latch_totals();
     let report = format!(
-        "{{\n  \"schema\": \"boxes-latch/1\",\n  \"shard_count\": 16,\n  \
+        "{{\n  \"schema\": \"boxes-latch/2\",\n  \"shard_count\": 16,\n  \
          \"scheduled_legs\": {{\"leg_a\": {LEG_A_SCHEDULES}, \"leg_b\": {LEG_B_SCHEDULES}, \
-         \"minimum\": 200}},\n  \"stress\": [\n{}\n  ],\n  \
-         \"latch_trace\": {{\"acquired\": {latch_acquired}, \"contended\": {latch_contended}}}\n}}\n",
+         \"minimum\": 200}},\n  \"stress\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     // CARGO_TARGET_TMPDIR is <workspace>/target/tmp for integration tests;

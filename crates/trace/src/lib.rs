@@ -54,10 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Per-shard latch contention tallies (side channel, not in the
-/// deterministic [`TraceReport`]).
-pub mod latch;
-
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -561,7 +557,6 @@ pub fn record(kind: Counter, n: u64) {
 /// reset between spans — on a single thread, with no reader threads mid-op
 /// — not inside one.
 pub fn reset() {
-    latch::reset_latches();
     with_tracer(|t| {
         let capacity = t.event_capacity;
         let next_id = t.next_id;

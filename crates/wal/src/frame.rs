@@ -3,9 +3,13 @@
 //! ```text
 //! record := magic u32 | lsn u64 | body_len u32 | body | crc32 u32
 //! body   := n_frames u32 | frame*  | n_freed u32 | u32*  | n_metas u32 | meta*
-//! frame  := block u32 | has_before u8 | [before: block_size] | after: block_size
+//! frame  := block u32 | after: block_size
 //! meta   := name_len u16 | name | data_len u32 | data
 //! ```
+//!
+//! A frame holds only the block's after-image: the log is no-steal (nothing
+//! uncommitted ever reaches the backend) and redo-only, so there is nothing
+//! to undo and no before-image to keep.
 //!
 //! The CRC covers everything from the magic through the end of the body, so
 //! a record is only accepted when completely and correctly on "disk". Two
@@ -22,7 +26,7 @@ use boxes_pager::{BlockId, TxnFrame};
 
 /// Magic opening a commit record (one logical operation's dirty blocks).
 pub const MAGIC_COMMIT: u32 = 0x5743_4D54; // "WCMT"
-/// Magic opening a checkpoint record (full meta fold, no frames).
+/// Magic opening a checkpoint record (full image and meta fold).
 pub const MAGIC_CKPT: u32 = 0x5743_4B50; // "WCKP"
 /// Bytes of record header before the body: magic + lsn + body_len.
 pub const HEADER_SIZE: usize = 16;
@@ -32,8 +36,9 @@ pub const HEADER_SIZE: usize = 16;
 pub enum RecordKind {
     /// One committed logical operation: frames + frees + changed metas.
     Commit,
-    /// Checkpoint: the complete meta fold at a point where the backend had
-    /// every earlier record applied; earlier log content is truncated away.
+    /// Checkpoint: the complete image and meta fold at a point where the
+    /// backend had every earlier record applied; earlier log content is
+    /// truncated away.
     Checkpoint,
 }
 
@@ -44,7 +49,7 @@ pub struct Record {
     pub kind: RecordKind,
     /// Log sequence number, strictly increasing across both kinds.
     pub lsn: u64,
-    /// Before/after images of the blocks this operation dirtied.
+    /// After-images of the blocks this operation dirtied.
     pub frames: Vec<TxnFrame>,
     /// Blocks the operation freed.
     pub freed: Vec<BlockId>,
@@ -102,44 +107,49 @@ pub enum DecodeStep {
     TornTail,
 }
 
-/// Encode `record` for appending to the log.
-pub fn encode(record: &Record, block_size: usize) -> Vec<u8> {
-    let mut body = VecWriter::new();
-    body.u32(codec::usize_to_u32(record.frames.len()).unwrap_or(u32::MAX));
-    for frame in &record.frames {
-        body.u32(frame.block.0);
-        match &frame.before {
-            Some(before) => {
-                debug_assert_eq!(before.len(), block_size);
-                body.u8(1);
-                body.bytes(before);
-            }
-            None => body.u8(0),
-        }
-        debug_assert_eq!(frame.after.len(), block_size);
-        body.bytes(&frame.after);
-    }
-    body.u32(codec::usize_to_u32(record.freed.len()).unwrap_or(u32::MAX));
-    for id in &record.freed {
-        body.u32(id.0);
-    }
-    body.u32(codec::usize_to_u32(record.metas.len()).unwrap_or(u32::MAX));
-    for (name, data) in &record.metas {
-        body.u16(codec::usize_to_u16(name.len()).unwrap_or(u16::MAX));
-        body.bytes(name.as_bytes());
-        body.u32(codec::usize_to_u32(data.len()).unwrap_or(u32::MAX));
-        body.bytes(data);
-    }
-    let body = body.into_bytes();
-    let mut out = VecWriter::new();
-    out.u32(match record.kind {
+/// Encode one record for appending to the log, straight from the caller's
+/// borrowed parts: header, body and CRC go into a single buffer sized up
+/// front, so no after-image is copied more than once.
+pub fn encode(
+    kind: RecordKind,
+    lsn: u64,
+    frames: &[TxnFrame],
+    freed: &[BlockId],
+    metas: &[(&str, &[u8])],
+    block_size: usize,
+) -> Vec<u8> {
+    let frames_len: usize = frames.iter().map(|f| 4 + f.after.len()).sum();
+    let metas_len: usize = metas
+        .iter()
+        .map(|(name, data)| 2 + name.len() + 4 + data.len())
+        .sum();
+    let body_len = 4 + frames_len + 4 + 4 * freed.len() + 4 + metas_len;
+    let mut out = VecWriter::with_capacity(HEADER_SIZE + body_len + 4);
+    out.u32(match kind {
         RecordKind::Commit => MAGIC_COMMIT,
         RecordKind::Checkpoint => MAGIC_CKPT,
     });
-    out.u64(record.lsn);
-    out.u32(codec::usize_to_u32(body.len()).unwrap_or(u32::MAX));
-    out.bytes(&body);
+    out.u64(lsn);
+    out.u32(codec::usize_to_u32(body_len).unwrap_or(u32::MAX));
+    out.u32(codec::usize_to_u32(frames.len()).unwrap_or(u32::MAX));
+    for frame in frames {
+        debug_assert_eq!(frame.after.len(), block_size);
+        out.u32(frame.block.0);
+        out.bytes(&frame.after);
+    }
+    out.u32(codec::usize_to_u32(freed.len()).unwrap_or(u32::MAX));
+    for id in freed {
+        out.u32(id.0);
+    }
+    out.u32(codec::usize_to_u32(metas.len()).unwrap_or(u32::MAX));
+    for (name, data) in metas {
+        out.u16(codec::usize_to_u16(name.len()).unwrap_or(u16::MAX));
+        out.bytes(name.as_bytes());
+        out.u32(codec::usize_to_u32(data.len()).unwrap_or(u32::MAX));
+        out.bytes(data);
+    }
     let mut out = out.into_bytes();
+    debug_assert_eq!(out.len(), HEADER_SIZE + body_len);
     let crc = codec::crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -162,10 +172,6 @@ impl<'a> Rd<'a> {
             .ok_or_else(|| format!("body underrun at offset {}", self.pos))?;
         self.pos = end;
         Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, String> {
@@ -232,27 +238,12 @@ pub fn decode_at(log: &[u8], pos: usize, block_size: usize) -> Result<DecodeStep
     let mut frames = Vec::with_capacity(n_frames.min(1024));
     for _ in 0..n_frames {
         let block = BlockId(rd.u32().map_err(&corrupt)?);
-        let has_before = rd.u8().map_err(&corrupt)?;
-        let before = if has_before != 0 {
-            Some(
-                rd.take(block_size)
-                    .map_err(&corrupt)?
-                    .to_vec()
-                    .into_boxed_slice(),
-            )
-        } else {
-            None
-        };
         let after = rd
             .take(block_size)
             .map_err(&corrupt)?
             .to_vec()
             .into_boxed_slice();
-        frames.push(TxnFrame {
-            block,
-            before,
-            after,
-        });
+        frames.push(TxnFrame { block, after });
     }
     let n_freed = codec::u32_to_usize(rd.u32().map_err(&corrupt)?);
     let mut freed = Vec::with_capacity(n_freed.min(1024));
@@ -298,12 +289,10 @@ mod tests {
             frames: vec![
                 TxnFrame {
                     block: BlockId(3),
-                    before: Some(vec![1u8; block_size].into_boxed_slice()),
                     after: vec![2u8; block_size].into_boxed_slice(),
                 },
                 TxnFrame {
                     block: BlockId(9),
-                    before: None,
                     after: vec![7u8; block_size].into_boxed_slice(),
                 },
             ],
@@ -312,10 +301,26 @@ mod tests {
         }
     }
 
+    fn encode_record(rec: &Record, block_size: usize) -> Vec<u8> {
+        let metas: Vec<(&str, &[u8])> = rec
+            .metas
+            .iter()
+            .map(|(name, data)| (name.as_str(), data.as_slice()))
+            .collect();
+        encode(
+            rec.kind,
+            rec.lsn,
+            &rec.frames,
+            &rec.freed,
+            &metas,
+            block_size,
+        )
+    }
+
     #[test]
     fn roundtrip() {
         let rec = sample(32);
-        let bytes = encode(&rec, 32);
+        let bytes = encode_record(&rec, 32);
         match decode_at(&bytes, 0, 32).expect("decode") {
             DecodeStep::Complete(out, next) => {
                 assert_eq!(next, bytes.len());
@@ -323,18 +328,46 @@ mod tests {
                 assert_eq!(out.lsn, 42);
                 assert_eq!(out.frames.len(), 2);
                 assert_eq!(out.frames[0].block, BlockId(3));
-                assert!(out.frames[0].before.as_ref().is_some_and(|b| b[0] == 1));
-                assert_eq!(out.frames[1].before, None);
+                assert_eq!(out.frames[0].after, rec.frames[0].after);
+                assert_eq!(out.frames[1].after, rec.frames[1].after);
                 assert_eq!(out.freed, vec![BlockId(5)]);
-                assert_eq!(out.metas[0].0, "lidf");
+                assert_eq!(out.metas, rec.metas);
             }
             other => panic!("expected Complete, got {other:?}"),
         }
     }
 
     #[test]
+    fn commit_is_exactly_header_after_images_frees_metas_and_crc() {
+        let mut rec = sample(32);
+        rec.metas.push(("pager".to_string(), vec![1; 12]));
+        for (block_size, frames) in [(32usize, 2usize), (64, 0), (64, 5)] {
+            rec.frames = (0..frames)
+                .map(|i| TxnFrame {
+                    block: BlockId(u32::try_from(i).expect("small")),
+                    after: vec![1u8; block_size].into_boxed_slice(),
+                })
+                .collect();
+            let metas: usize = rec
+                .metas
+                .iter()
+                .map(|(name, data)| 2 + name.len() + 4 + data.len())
+                .sum();
+            let expected = HEADER_SIZE
+                + 4
+                + frames * (4 + block_size)
+                + 4
+                + 4 * rec.freed.len()
+                + 4
+                + metas
+                + 4;
+            assert_eq!(encode_record(&rec, block_size).len(), expected);
+        }
+    }
+
+    #[test]
     fn every_truncation_point_is_a_torn_tail_not_corruption() {
-        let bytes = encode(&sample(32), 32);
+        let bytes = encode_record(&sample(32), 32);
         for cut in 1..bytes.len() {
             match decode_at(&bytes[..cut], 0, 32) {
                 Ok(DecodeStep::TornTail) => {}
@@ -345,8 +378,7 @@ mod tests {
 
     #[test]
     fn full_length_bitflip_is_loud_corruption() {
-        let rec = sample(32);
-        let clean = encode(&rec, 32);
+        let clean = encode_record(&sample(32), 32);
         for &victim in &[0usize, 5, HEADER_SIZE + 3, clean.len() - 5] {
             let mut bytes = clean.clone();
             bytes[victim] ^= 0x40;
@@ -359,11 +391,11 @@ mod tests {
 
     #[test]
     fn clean_end_and_chained_records() {
-        let a = encode(&sample(16), 16);
+        let a = encode_record(&sample(16), 16);
         let mut b_rec = sample(16);
         b_rec.kind = RecordKind::Checkpoint;
         b_rec.lsn = 43;
-        let b = encode(&b_rec, 16);
+        let b = encode_record(&b_rec, 16);
         let mut log = a.clone();
         log.extend_from_slice(&b);
         let DecodeStep::Complete(_, next) = decode_at(&log, 0, 16).expect("first") else {

@@ -8,9 +8,11 @@
 //! log ([`Wal`]): every logical operation's dirty blocks arrive as one
 //! [`TxnRecord`](boxes_pager::TxnRecord) (a W-BOX respace or B-BOX rip is
 //! one atomic record, however many blocks it rewrites), are encoded as
-//! checksummed frames with before/after images ([`frame`]), and are made
-//! durable at explicit sync barriers before the pager applies anything to
-//! the backend — the write-ahead invariant.
+//! checksummed frames of `{block id, after-image}` ([`frame`]), and are
+//! made durable at explicit sync barriers before the pager applies anything
+//! to the backend — the write-ahead invariant. Nothing uncommitted ever
+//! reaches the backend (no-steal), so recovery is redo-only and the log
+//! carries no before-images.
 //!
 //! [`crashpoint`] provides deterministic seeded crash injection at every
 //! WAL/page write boundary (including torn block writes), and [`recover`]

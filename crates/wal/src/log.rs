@@ -38,7 +38,7 @@ use boxes_pager::codec;
 use boxes_pager::{lock_unpoisoned, BlockId, Journal, JournalAck, TxnFrame, TxnRecord};
 
 use crate::crashpoint::CrashClock;
-use crate::frame::{self, Record, RecordKind};
+use crate::frame::{self, RecordKind};
 use crate::store::{FileLogStore, LogStore, MemLogStore, StoreError};
 
 /// Tuning for a [`Wal`].
@@ -238,27 +238,25 @@ impl Journal for Wal {
         // Meta dedup: only log blobs whose value changed since the last
         // record that carried them; the fold keeps the authoritative merge
         // for checkpoints.
-        let metas: Vec<(String, Vec<u8>)> = record
-            .metas
-            .iter()
-            .filter(|(name, data)| inner.fold.get(name) != Some(data))
-            .cloned()
-            .collect();
+        let mut metas: Vec<(&str, &[u8])> = Vec::new();
         for (name, data) in &record.metas {
-            inner.fold.insert(name.clone(), data.clone());
+            if inner.fold.get(name) != Some(data) {
+                inner.fold.insert(name.clone(), data.clone());
+                metas.push((name, data));
+            }
         }
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        let rec = Record {
-            kind: RecordKind::Commit,
+        let bytes = frame::encode(
+            RecordKind::Commit,
             lsn,
-            frames: record.frames.clone(),
-            freed: record.freed.clone(),
-            metas,
-        };
-        let bytes = frame::encode(&rec, self.block_size);
+            &record.frames,
+            &record.freed,
+            &metas,
+            self.block_size,
+        );
         inner.stats.records += 1;
-        inner.stats.frames += codec::usize_to_u64(rec.frames.len());
+        inner.stats.frames += codec::usize_to_u64(record.frames.len());
         inner.stats.appended_bytes += codec::usize_to_u64(bytes.len());
         boxes_trace::record(boxes_trace::Counter::WalAppend, 1);
         if inner.store.append(&bytes).is_err() {
@@ -334,21 +332,26 @@ impl Journal for Wal {
         };
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        let rec = Record {
-            kind: RecordKind::Checkpoint,
+        let frames: Vec<TxnFrame> = images
+            .into_iter()
+            .map(|(raw, after)| TxnFrame {
+                block: BlockId(raw),
+                after,
+            })
+            .collect();
+        let metas: Vec<(&str, &[u8])> = inner
+            .fold
+            .iter()
+            .map(|(name, data)| (name.as_str(), data.as_slice()))
+            .collect();
+        let bytes = frame::encode(
+            RecordKind::Checkpoint,
             lsn,
-            frames: images
-                .into_iter()
-                .map(|(raw, after)| TxnFrame {
-                    block: BlockId(raw),
-                    before: None,
-                    after,
-                })
-                .collect(),
-            freed: Vec::new(),
-            metas: inner.fold.clone().into_iter().collect(),
-        };
-        let bytes = frame::encode(&rec, self.block_size);
+            &frames,
+            &[],
+            &metas,
+            self.block_size,
+        );
         // Atomic log rotation: the new durable log is just the checkpoint
         // record. On a file store this is write-side-file + fsync + rename
         // (+ parent-dir fsync); a rotation failure keeps the old log, which

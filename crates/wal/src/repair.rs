@@ -57,27 +57,21 @@ pub fn latest_image(log: &[u8], block_size: usize, id: BlockId) -> Option<Box<[u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode, Record, RecordKind};
+    use crate::frame::{encode, RecordKind};
     use boxes_pager::TxnFrame;
 
     const BS: usize = 32;
 
     fn commit(lsn: u64, writes: &[(u32, u8)], freed: &[u32]) -> Vec<u8> {
-        let rec = Record {
-            kind: RecordKind::Commit,
-            lsn,
-            frames: writes
-                .iter()
-                .map(|&(block, fill)| TxnFrame {
-                    block: BlockId(block),
-                    before: None,
-                    after: vec![fill; BS].into_boxed_slice(),
-                })
-                .collect(),
-            freed: freed.iter().map(|&b| BlockId(b)).collect(),
-            metas: Vec::new(),
-        };
-        encode(&rec, BS)
+        let frames: Vec<TxnFrame> = writes
+            .iter()
+            .map(|&(block, fill)| TxnFrame {
+                block: BlockId(block),
+                after: vec![fill; BS].into_boxed_slice(),
+            })
+            .collect();
+        let freed: Vec<BlockId> = freed.iter().map(|&b| BlockId(b)).collect();
+        encode(RecordKind::Commit, lsn, &frames, &freed, &[], BS)
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! # File layout
 //!
 //! ```text
-//! header (16 bytes): magic "BOXWAL01" | block_size u64 LE
+//! header (16 bytes): magic "BOXWAL02" | block_size u64 LE
 //! record stream    : exactly the frame encoding of crate::frame
 //! ```
 //!
@@ -29,8 +29,10 @@ use std::path::{Path, PathBuf};
 use boxes_pager::codec;
 use boxes_pager::RawFile;
 
-/// Magic bytes opening every WAL file (versioned).
-pub const WAL_MAGIC: [u8; 8] = *b"BOXWAL01";
+/// Magic bytes opening every WAL file (versioned). Version 02 frames carry
+/// after-images only; a version 01 log (before-images too) is refused with
+/// [`StoreError::BadHeader`].
+pub const WAL_MAGIC: [u8; 8] = *b"BOXWAL02";
 /// Bytes of file header before the first record: record offsets reported by
 /// [`LogStore::durable_len`] are relative to this.
 pub const HEADER_SIZE: u64 = 16;
@@ -394,6 +396,15 @@ mod tests {
         match FileLogStore::open(&path, 64) {
             Err(StoreError::BadHeader(_)) => {}
             other => panic!("expected BadHeader, got {other:?}"),
+        }
+        // A well-formed header of the previous format version, whose frames
+        // carried before-images, is refused too.
+        let mut v1 = b"BOXWAL01".to_vec();
+        v1.extend_from_slice(&64u64.to_le_bytes());
+        std::fs::write(&path, v1).expect("write v1 header");
+        match FileLogStore::open(&path, 64) {
+            Err(StoreError::BadHeader(_)) => {}
+            other => panic!("expected BadHeader for a BOXWAL01 log, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }
