@@ -1,5 +1,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::as_conversions,
+        clippy::let_underscore_must_use,
+        clippy::mem_forget,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 //! Typed, non-panicking structural auditing for every storage layer of the
 //! BOXes reproduction.
 //!
@@ -170,6 +187,7 @@ impl fmt::Display for Violation {
 
 /// The outcome of one audit pass: every violation found, in discovery order.
 #[derive(Clone, Debug, Default)]
+#[must_use = "a dropped audit report is a skipped invariant check"]
 pub struct AuditReport {
     violations: Vec<Violation>,
 }
@@ -251,7 +269,6 @@ impl fmt::Display for AuditReport {
 pub trait Auditable {
     /// Inspect every invariant and report all violations found. Must not
     /// panic, even when the underlying storage is corrupted.
-    #[must_use]
     fn audit(&self) -> AuditReport;
 }
 

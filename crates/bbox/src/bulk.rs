@@ -6,6 +6,11 @@
 //! edge of each level and is repaired by balancing the last two siblings —
 //! equivalent to the paper's "borrow from or merge with left siblings".
 
+#![expect(
+    clippy::expect_used,
+    reason = "the bulk-load pyramid is seeded with the leaf level, so last() is Some by construction"
+)]
+
 use crate::node::{ChildEntry, Node};
 use crate::tree::BBox;
 use boxes_lidf::{BlockPtrRecord, Lid};

@@ -12,6 +12,11 @@
 //! id plus an 8-byte size field (Figure 4's "optional size fields" — always
 //! present in the layout, only *maintained* when ordinal support is on).
 
+#![expect(
+    clippy::panic,
+    reason = "node-kind projections and decode are documented contract panics; auditors use try_decode"
+)]
+
 use boxes_lidf::Lid;
 use boxes_pager::codec::{usize_to_u16, usize_to_u64};
 use boxes_pager::{BlockId, Reader, Writer};

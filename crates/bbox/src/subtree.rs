@@ -9,6 +9,15 @@
 //!   repair the seams. Tree cost O(B·log_B N); LIDF reclamation is batched
 //!   (O(N′/B) when the records are clustered, as after a bulk insert).
 
+#![expect(
+    clippy::expect_used,
+    reason = "descent invariants: the root-to-leaf path is non-empty and every visited child's parent range is recorded"
+)]
+#![expect(
+    clippy::as_conversions,
+    reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+)]
+
 use crate::node::{ChildEntry, Node};
 use crate::tree::BBox;
 use boxes_lidf::Lid;

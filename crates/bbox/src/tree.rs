@@ -1,5 +1,14 @@
 //! The B-BOX tree: lookup, compare, insert, delete (§5).
 
+#![expect(
+    clippy::unreachable,
+    reason = "the B-BOX root covers the whole label space (Thm 4.4 setup), so covering-node lookups cannot miss"
+)]
+#![expect(
+    clippy::as_conversions,
+    reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+)]
+
 use crate::config::BBoxConfig;
 use crate::label::{ceil_log2, PathLabel};
 use crate::node::{ChildEntry, Node};

@@ -1,5 +1,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::as_conversions,
+        clippy::let_underscore_must_use,
+        clippy::mem_forget,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 //! Reducing the cost of indirection (§6 of the paper): caching + logging.
 //!
 //! Dereferencing a LID costs random I/Os, which §6 neutralizes in two steps:
@@ -433,6 +450,10 @@ impl CacheStats {
     }
 
     /// Fraction of resolutions that avoided I/O.
+    #[expect(
+        clippy::as_conversions,
+        reason = "a reporting ratio: precision loss above 2^53 resolutions is irrelevant"
+    )]
     pub fn avoidance_rate(&self) -> f64 {
         let total = self.hits + self.replays + self.full;
         if total == 0 {

@@ -10,6 +10,11 @@
 //! caching"; `invalidated` entries (multi-leaf reorganizations) are rare —
 //! "on average only one in Θ(B) updates affects more than one leaf".
 
+#![expect(
+    clippy::expect_used,
+    reason = "path labels have >= 1 component by construction (root label is non-empty)"
+)]
+
 use boxes_audit::{AuditReport, Auditable, Violation, ViolationKind};
 use boxes_bbox::{BBox, BBoxChange};
 use boxes_cache::{

@@ -1,5 +1,10 @@
 //! Element-centric labeling API: the layer an XML query processor talks to.
 
+#![expect(
+    clippy::expect_used,
+    reason = "label/unlabel are paired by the driver contract: every looked-up element was labeled first"
+)]
+
 use crate::driver::partner_map;
 use crate::scheme::{LabelingScheme, OrdinalScheme};
 use boxes_lidf::Lid;

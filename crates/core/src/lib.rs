@@ -1,5 +1,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::as_conversions,
+        clippy::let_underscore_must_use,
+        clippy::mem_forget,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 //! # BOXes — order-based labeling for dynamic XML data
 //!
 //! A production-quality Rust reproduction of

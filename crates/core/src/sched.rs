@@ -9,7 +9,7 @@
 //! *is* the serialization order: the interleaving rig can assert the
 //! sharded pager's results against a serial model replayed in the same
 //! order, for hundreds of seeds, bit-for-bit reproducibly (no wall clock,
-//! no OS-scheduler dependence — rule BX007 holds).
+//! no OS-scheduler dependence).
 //!
 //! An actor that finishes early (fewer ops than scripted, or an aborted
 //! leg) calls [`Scheduler::retire`]; its remaining scripted turns are

@@ -1,5 +1,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::as_conversions,
+        clippy::let_underscore_must_use,
+        clippy::mem_forget,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 //! The Immutable Label ID File (LIDF) — §3 of the paper.
 //!
 //! Dynamic labeling schemes move label values around, but references to
@@ -178,6 +195,10 @@ impl<R: Record> Lidf<R> {
     /// Serialize the in-memory directory and counters — everything needed to
     /// [`Lidf::reopen`] over a recovered pager. Journaled mutators stage this
     /// blob as the `"lidf"` meta of their WAL record.
+    #[expect(
+        clippy::expect_used,
+        reason = "save_state serializes the block directory count; the pager caps allocation far below 2^32 blocks, so the overflow arm is unreachable"
+    )]
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = VecWriter::new();
         w.u64(self.slots);

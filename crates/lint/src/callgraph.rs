@@ -347,7 +347,10 @@ const KEYWORDS: [&str; 14] = [
     "break", "continue",
 ];
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the call extractor threads its file, caller and resolution tables explicitly"
+)]
 fn extract_calls(
     file: &SourceFile,
     caller: &FnItem,

@@ -5,16 +5,16 @@
 //!
 //! ```toml
 //! # Per-rule policy: paths where the rule simply does not apply.
-//! [rules.BX003]
+//! [rules.BX008]
 //! allow_paths = ["xtask/src"]
 //!
 //! # Point suppressions: every entry must carry a justification and must
 //! # still match at least one finding, or the gate errors (stale baseline).
 //! [[allow]]
-//! rule = "BX003"
-//! path = "crates/pager/src/codec.rs"
-//! contains = "block underrun"
-//! justification = "contract panic pinned by a should_panic test"
+//! rule = "BX008"
+//! path = "crates/pager/src/lib.rs"
+//! contains = "let _ = f.write_torn"
+//! justification = "corruption injection: both outcomes are acceptable"
 //! ```
 //!
 //! `allow_paths` entries are prefix matches on workspace-relative paths and
@@ -26,45 +26,25 @@
 //!
 //! ```toml
 //! [limits]
-//! max_baselined = 212   # gate fails if the suppressed total exceeds this
+//! max_baselined = 212   # gate fails if the baselined total exceeds this
 //! ```
 //!
-//! BX018 (the sync-readiness ratchet) has its own `[[ratchet]]` table —
-//! like `[[allow]]` but with no `rule` key, no budget headroom, and the
-//! same stale-checking:
-//!
-//! ```toml
-//! [[ratchet]]
-//! path = "crates/trace/src/lib.rs"
-//! contains = "static STACK"
-//! justification = "per-thread span stack is the design"
-//! ```
+//! The baselined total is the `[[allow]]`ed findings plus the `#[expect]`ed
+//! library sites of the budgeted clippy lints (see
+//! [`check_budget`](crate::check_budget)).
 
 use std::collections::BTreeMap;
 
 /// One `[[allow]]` suppression entry.
 #[derive(Clone, Debug)]
 pub struct AllowEntry {
-    /// Rule ID, e.g. `BX003`.
+    /// Rule ID, e.g. `BX008`.
     pub rule: String,
     /// Workspace-relative file path the suppression applies to.
     pub path: String,
     /// Optional substring the offending source line must contain.
     pub contains: Option<String>,
     /// Why this finding is acceptable. Mandatory.
-    pub justification: String,
-    /// Line in `lint.toml` where the entry starts (for error reporting).
-    pub line_no: usize,
-}
-
-/// One `[[ratchet]]` entry: a deliberate sync-readiness survivor (BX018).
-#[derive(Clone, Debug)]
-pub struct RatchetEntry {
-    /// Workspace-relative file path of the surviving site.
-    pub path: String,
-    /// Optional substring the site's declaration must contain.
-    pub contains: Option<String>,
-    /// Why the site survives the Send/Sync burn-down. Mandatory.
     pub justification: String,
     /// Line in `lint.toml` where the entry starts (for error reporting).
     pub line_no: usize,
@@ -77,10 +57,8 @@ pub struct Config {
     pub rule_allow_paths: BTreeMap<String, Vec<String>>,
     /// All `[[allow]]` point suppressions.
     pub allows: Vec<AllowEntry>,
-    /// All `[[ratchet]]` sync-readiness survivors (BX018 only).
-    pub ratchets: Vec<RatchetEntry>,
-    /// `[limits] max_baselined` — hard ceiling on the suppressed-finding
-    /// total. `None` means uncapped.
+    /// `[limits] max_baselined` — hard ceiling on the baselined total.
+    /// `None` means uncapped.
     pub max_baselined: Option<usize>,
 }
 
@@ -105,7 +83,6 @@ enum Section {
     None,
     Rule(String),
     Allow(usize),
-    Ratchet(usize),
     Limits,
 }
 
@@ -130,15 +107,6 @@ impl Config {
                             line_no,
                         });
                         section = Section::Allow(cfg.allows.len() - 1);
-                    }
-                    "ratchet" => {
-                        cfg.ratchets.push(RatchetEntry {
-                            path: String::new(),
-                            contains: None,
-                            justification: String::new(),
-                            line_no,
-                        });
-                        section = Section::Ratchet(cfg.ratchets.len() - 1);
                     }
                     other => {
                         return Err(ConfigError {
@@ -228,26 +196,6 @@ impl Config {
                         }
                     }
                 }
-                Section::Ratchet(i) => {
-                    let s = parse_string(value).ok_or_else(|| ConfigError {
-                        line: line_no,
-                        message: format!("`{key}` must be a quoted string"),
-                    })?;
-                    let Some(entry) = cfg.ratchets.get_mut(*i) else {
-                        continue;
-                    };
-                    match key {
-                        "path" => entry.path = s,
-                        "contains" => entry.contains = Some(s),
-                        "justification" => entry.justification = s,
-                        _ => {
-                            return Err(ConfigError {
-                                line: line_no,
-                                message: format!("unknown key `{key}` in [[ratchet]]"),
-                            });
-                        }
-                    }
-                }
             }
         }
         for entry in &cfg.allows {
@@ -264,24 +212,6 @@ impl Config {
                         "[[allow]] for {} in {} has no justification — every \
                          suppression must say why",
                         entry.rule, entry.path
-                    ),
-                });
-            }
-        }
-        for entry in &cfg.ratchets {
-            if entry.path.is_empty() {
-                return Err(ConfigError {
-                    line: entry.line_no,
-                    message: "[[ratchet]] entry needs a `path`".to_string(),
-                });
-            }
-            if entry.justification.trim().is_empty() {
-                return Err(ConfigError {
-                    line: entry.line_no,
-                    message: format!(
-                        "[[ratchet]] for {} has no justification — every surviving \
-                         sync-readiness site must say why it stays",
-                        entry.path
                     ),
                 });
             }
@@ -412,20 +342,23 @@ mod tests {
     fn parses_rules_and_allows() {
         let text = r#"
 # policy
-[rules.BX003]
+[rules.BX008]
 allow_paths = ["xtask/src", "crates/bench/src"]
 
 [[allow]]
-rule = "BX003"
-path = "crates/pager/src/codec.rs"
-contains = "block underrun"
-justification = "contract panic pinned by should_panic test"
+rule = "BX008"
+path = "crates/pager/src/lib.rs"
+contains = "let _ = f.write_torn"
+justification = "corruption injection: both outcomes are acceptable"
 "#;
         let cfg = Config::parse(text).expect("valid config");
-        assert!(cfg.rule_allows_path("BX003", "xtask/src/main.rs"));
-        assert!(!cfg.rule_allows_path("BX003", "crates/pager/src/lib.rs"));
+        assert!(cfg.rule_allows_path("BX008", "xtask/src/main.rs"));
+        assert!(!cfg.rule_allows_path("BX008", "crates/pager/src/lib.rs"));
         assert_eq!(cfg.allows.len(), 1);
-        assert_eq!(cfg.allows[0].contains.as_deref(), Some("block underrun"));
+        assert_eq!(
+            cfg.allows[0].contains.as_deref(),
+            Some("let _ = f.write_torn")
+        );
     }
 
     #[test]
@@ -457,28 +390,9 @@ justification = "contract panic pinned by should_panic test"
     }
 
     #[test]
-    fn ratchet_entries_parse_and_validate() {
-        let text = "[[ratchet]]\npath = \"crates/trace/src/lib.rs\"\n\
-                    contains = \"static STACK\"\n\
-                    justification = \"per-thread span stack is the design\"\n";
-        let cfg = Config::parse(text).expect("valid");
-        assert_eq!(cfg.ratchets.len(), 1);
-        assert_eq!(cfg.ratchets[0].contains.as_deref(), Some("static STACK"));
-        let missing = "[[ratchet]]\npath = \"crates/x/src/lib.rs\"\n";
-        let err = Config::parse(missing).expect_err("must reject");
-        assert!(err.message.contains("justification"));
-        let no_path = "[[ratchet]]\njustification = \"why\"\n";
-        let err = Config::parse(no_path).expect_err("must reject");
-        assert!(err.message.contains("path"));
-        let bad_key = "[[ratchet]]\npath = \"a\"\nrule = \"BX018\"\njustification = \"x\"\n";
-        let err = Config::parse(bad_key).expect_err("must reject");
-        assert!(err.message.contains("unknown key"));
-    }
-
-    #[test]
     fn comments_and_escapes() {
-        let text = "[rules.BX002] # io\nallow_paths = [\"a#b\"] # trailing\n";
+        let text = "[rules.BX020] # io\nallow_paths = [\"a#b\"] # trailing\n";
         let cfg = Config::parse(text).expect("valid");
-        assert_eq!(cfg.rule_allow_paths["BX002"], vec!["a#b".to_string()]);
+        assert_eq!(cfg.rule_allow_paths["BX020"], vec!["a#b".to_string()]);
     }
 }

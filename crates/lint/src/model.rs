@@ -3,26 +3,11 @@
 //! Rules do not get an AST — they get a [`SourceFile`]: the full token
 //! stream, a *significant* (comment-free) view of it, bracket matching,
 //! a per-token test-code mask (`#[cfg(test)]` / `#[test]` regions), and an
-//! item-context map that says which tokens sit at item-declaration level and
-//! under what kind of scope (module, inherent impl, trait impl, …). That is
+//! item-level mask that says which tokens sit at item-declaration level
+//! (module, impl, trait or type bodies — not function bodies). That is
 //! enough to express every BX rule precisely without type information.
 
 use crate::lexer::{lex, Token, TokenKind};
-
-/// What kind of scope an item-level token sits in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scope {
-    /// File top level or a `mod` body.
-    Module,
-    /// An `impl Type { … }` block (no trait).
-    InherentImpl,
-    /// An `impl Trait for Type { … }` block.
-    TraitImpl,
-    /// A `trait { … }` body.
-    Trait,
-    /// A `struct`/`enum`/`union` body (field declarations).
-    DataBody,
-}
 
 /// A lexed source file plus the derived structure the rules consume.
 pub struct SourceFile {
@@ -40,8 +25,8 @@ pub struct SourceFile {
     pub close_of: Vec<Option<usize>>,
     /// Per significant token: matching opener for `)`/`]`/`}`.
     pub open_of: Vec<Option<usize>>,
-    /// Per significant token: `Some(scope)` when at item-declaration level.
-    pub item_ctx: Vec<Option<Scope>>,
+    /// Per significant token: does it sit at item-declaration level?
+    pub item_level: Vec<bool>,
     /// Byte offset of each line start (line `n` is `line_starts[n-1]`).
     line_starts: Vec<usize>,
 }
@@ -65,7 +50,7 @@ impl SourceFile {
             in_test: vec![false; sig.len()],
             close_of: vec![None; sig.len()],
             open_of: vec![None; sig.len()],
-            item_ctx: vec![None; sig.len()],
+            item_level: vec![false; sig.len()],
             line_starts: Vec::new(),
             sig,
         };
@@ -80,7 +65,7 @@ impl SourceFile {
             .collect();
         file.match_brackets();
         file.mark_test_regions();
-        file.map_item_contexts();
+        file.map_item_levels();
         file
     }
 
@@ -229,49 +214,25 @@ impl SourceFile {
         }
     }
 
-    /// Classify the scope a `{` opens, from the header tokens since the last
-    /// statement boundary.
-    fn classify_header(&self, header: &[usize]) -> Option<Scope> {
+    /// Does the `{` after these header tokens (since the last statement
+    /// boundary) open a scope that holds items: a module, impl, trait, or
+    /// type body? Function bodies, match arms, plain blocks, initializers
+    /// and macro bodies do not.
+    fn opens_item_scope(&self, header: &[usize]) -> bool {
         let texts: Vec<&str> = header.iter().map(|&si| self.stext(si)).collect();
-        if texts.contains(&"fn") {
-            return None; // function body: opaque to item rules
-        }
-        if texts.contains(&"impl") {
-            // `for` at angle-bracket depth 0 distinguishes a trait impl;
-            // `->` must not count its `>` against the depth.
-            let mut depth = 0i32;
-            for w in 0..texts.len() {
-                match texts[w] {
-                    "<" => depth += 1,
-                    ">" if w == 0 || texts[w - 1] != "-" => depth -= 1,
-                    "for" if depth <= 0 => return Some(Scope::TraitImpl),
-                    _ => {}
-                }
-            }
-            return Some(Scope::InherentImpl);
-        }
-        if texts.contains(&"mod") {
-            return Some(Scope::Module);
-        }
-        if texts.contains(&"trait") {
-            return Some(Scope::Trait);
-        }
-        if texts
-            .iter()
-            .any(|t| *t == "struct" || *t == "enum" || *t == "union")
-        {
-            return Some(Scope::DataBody);
-        }
-        None // match arms, plain blocks, initializers, macro bodies, …
+        !texts.contains(&"fn")
+            && texts
+                .iter()
+                .any(|t| matches!(*t, "impl" | "mod" | "trait" | "struct" | "enum" | "union"))
     }
 
     /// Walk the file, recording for every token whether it sits at
-    /// item-declaration level and under which scope. Function bodies and
-    /// unclassifiable braces are opaque.
-    fn map_item_contexts(&mut self) {
-        let mut ctx = vec![None; self.slen()];
-        let mut work: Vec<(usize, usize, Scope)> = vec![(0, self.slen(), Scope::Module)];
-        while let Some((mut i, end, scope)) = work.pop() {
+    /// item-declaration level. Function bodies and unclassifiable braces
+    /// are opaque.
+    fn map_item_levels(&mut self) {
+        let mut level = vec![false; self.slen()];
+        let mut work: Vec<(usize, usize)> = vec![(0, self.slen())];
+        while let Some((mut i, end)) = work.pop() {
             let mut header: Vec<usize> = Vec::new();
             while i < end {
                 match self.stext(i) {
@@ -282,8 +243,8 @@ impl SourceFile {
                             .copied()
                             .flatten()
                             .unwrap_or(end.saturating_sub(1));
-                        if let Some(inner) = self.classify_header(&header) {
-                            work.push((i + 1, close.min(end), inner));
+                        if self.opens_item_scope(&header) {
+                            work.push((i + 1, close.min(end)));
                         }
                         i = close + 1;
                         header.clear();
@@ -299,8 +260,8 @@ impl SourceFile {
                         i = self.close_of.get(i).copied().flatten().unwrap_or(i) + 1;
                     }
                     _ => {
-                        if let Some(slot) = ctx.get_mut(i) {
-                            *slot = Some(scope);
+                        if let Some(slot) = level.get_mut(i) {
+                            *slot = true;
                         }
                         header.push(i);
                         i += 1;
@@ -308,114 +269,8 @@ impl SourceFile {
                 }
             }
         }
-        self.item_ctx = ctx;
+        self.item_level = level;
     }
-
-    /// What precedes the item whose first token (after attributes and
-    /// qualifiers) is at sig-index `si`: whether a doc comment is attached
-    /// and which attribute idents appear.
-    pub fn leading_trivia(&self, si: usize) -> LeadingTrivia {
-        let mut out = LeadingTrivia::default();
-        let Some(&raw_start) = self.sig.get(si) else {
-            return out;
-        };
-        let mut r = raw_start;
-        while r > 0 {
-            r -= 1;
-            let Some(tok) = self.tokens.get(r) else { break };
-            let text = tok.text(&self.text);
-            match tok.kind {
-                TokenKind::LineComment => {
-                    if text.starts_with("///") {
-                        out.has_doc = true;
-                    }
-                }
-                TokenKind::BlockComment => {
-                    if text.starts_with("/**") {
-                        out.has_doc = true;
-                    }
-                }
-                TokenKind::Ident => {
-                    // Visibility and qualifier keywords between attributes
-                    // and the item keyword.
-                    if !matches!(
-                        text,
-                        "pub"
-                            | "const"
-                            | "async"
-                            | "unsafe"
-                            | "extern"
-                            | "crate"
-                            | "in"
-                            | "self"
-                            | "super"
-                            | "default"
-                    ) {
-                        break;
-                    }
-                }
-                TokenKind::Str => {} // the ABI string of `extern "C"`
-                TokenKind::Punct => match text {
-                    ")" => {
-                        // pub(crate) / pub(in path): jump to the opener.
-                        let mut depth = 1usize;
-                        while r > 0 && depth > 0 {
-                            r -= 1;
-                            match self.tokens.get(r).map(|t| t.text(&self.text)) {
-                                Some(")") => depth += 1,
-                                Some("(") => depth -= 1,
-                                _ => {}
-                            }
-                        }
-                    }
-                    "]" => {
-                        // An attribute: collect its idents, jump past `#`.
-                        let mut depth = 1usize;
-                        let close = r;
-                        while r > 0 && depth > 0 {
-                            r -= 1;
-                            match self.tokens.get(r).map(|t| t.text(&self.text)) {
-                                Some("]") => depth += 1,
-                                Some("[") => depth -= 1,
-                                _ => {}
-                            }
-                        }
-                        for k in r..close {
-                            if let Some(t) = self.tokens.get(k) {
-                                if t.kind == TokenKind::Ident {
-                                    out.attr_idents.push(t.text(&self.text).to_string());
-                                }
-                            }
-                        }
-                        // Step over the `#` (and a possible `!`, which marks
-                        // an inner attribute — those belong to the enclosing
-                        // scope, so stop there).
-                        if r > 0 && self.tokens.get(r - 1).map(|t| t.text(&self.text)) == Some("!")
-                        {
-                            break;
-                        }
-                        r = r.saturating_sub(1); // the `#`
-                    }
-                    _ => break,
-                },
-                _ => break,
-            }
-        }
-        if out.attr_idents.iter().any(|a| a == "doc") {
-            out.has_doc = true;
-        }
-        out
-    }
-}
-
-/// Doc/attribute information preceding an item (see
-/// [`SourceFile::leading_trivia`]).
-#[derive(Default)]
-pub struct LeadingTrivia {
-    /// A `///` or `/** */` doc comment (or `#[doc …]` attribute) is attached.
-    pub has_doc: bool,
-    /// Every identifier appearing in the item's outer attributes.
-    pub attr_idents: Vec<String>,
 }
 
 #[cfg(test)]
@@ -433,19 +288,14 @@ mod tests {
     }
 
     #[test]
-    fn trait_impl_vs_inherent() {
-        let src = "impl Foo { fn a() {} }\nimpl Bar for Foo { fn b() {} }";
+    fn impl_bodies_hold_items() {
+        let src = "impl Foo { fn a() {} }\nimpl<T> Bar for Foo<T> { fn b() {} }";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        let mut scopes = Vec::new();
-        for i in 0..f.slen() {
-            if f.stext(i) == "fn" {
-                scopes.push(f.item_ctx[i]);
-            }
-        }
-        assert_eq!(
-            scopes,
-            vec![Some(Scope::InherentImpl), Some(Scope::TraitImpl)]
-        );
+        let fns: Vec<bool> = (0..f.slen())
+            .filter(|&i| f.stext(i) == "fn")
+            .map(|i| f.item_level[i])
+            .collect();
+        assert_eq!(fns, vec![true, true]);
     }
 
     #[test]
@@ -454,19 +304,8 @@ mod tests {
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
         for i in 0..f.slen() {
             if f.stext(i) == "pub" {
-                assert_eq!(f.item_ctx[i], None);
+                assert!(!f.item_level[i]);
             }
         }
-    }
-
-    #[test]
-    fn leading_doc_detection() {
-        let src = "/// documented\n#[must_use]\npub fn x() {}\npub fn y() {}";
-        let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        let pubs: Vec<usize> = (0..f.slen()).filter(|&i| f.stext(i) == "pub").collect();
-        let first = f.leading_trivia(pubs[0]);
-        assert!(first.has_doc);
-        assert!(first.attr_idents.iter().any(|a| a == "must_use"));
-        assert!(!f.leading_trivia(pubs[1]).has_doc);
     }
 }

@@ -3,7 +3,7 @@
 /// One lint finding.
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
-    /// Stable rule ID (`BX001`…`BX006`).
+    /// Stable rule ID, e.g. `BX001`.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -34,15 +34,12 @@ pub struct Outcome {
     pub unsuppressed: Vec<Diagnostic>,
     /// Findings matched by an `[[allow]]` entry.
     pub suppressed: Vec<Diagnostic>,
-    /// BX018 findings matched by a `[[ratchet]]` entry — deliberate
-    /// sync-readiness survivors, outside the `max_baselined` budget.
-    pub ratcheted: Vec<Diagnostic>,
     /// `lint.toml` lines of `[[allow]]` entries that matched nothing.
     pub stale_allows: Vec<String>,
-    /// `lint.toml` lines of `[[ratchet]]` entries that matched nothing —
-    /// the site was retired, so the entry must go too.
-    pub stale_ratchets: Vec<String>,
-    /// Baseline-budget violations: the suppressed total exceeded
+    /// Library sites of the budgeted clippy lints that `#[expect]`
+    /// attributes cover (set by [`check_budget`](crate::check_budget)).
+    pub expected_sites: usize,
+    /// Baseline-budget violations: the baselined total exceeded
     /// `[limits] max_baselined` — the baseline may only shrink.
     pub budget_violations: Vec<String>,
     /// Number of files scanned.
@@ -50,9 +47,9 @@ pub struct Outcome {
     /// Wall-clock milliseconds the lint pass took (set by the driver;
     /// zero when unmeasured).
     pub lint_pass_ms: u128,
-    /// Wall-clock milliseconds the lock-set analysis and lock-order export
-    /// took (set by the driver; zero when unmeasured).
-    pub lock_analysis_ms: u128,
+    /// The lock-order graph of the linted workspace as JSON
+    /// (`target/lock-order.json`); empty for single-file lints.
+    pub lock_order: String,
 }
 
 impl Outcome {
@@ -60,7 +57,6 @@ impl Outcome {
     pub fn is_clean(&self) -> bool {
         self.unsuppressed.is_empty()
             && self.stale_allows.is_empty()
-            && self.stale_ratchets.is_empty()
             && self.budget_violations.is_empty()
     }
 
@@ -69,10 +65,6 @@ impl Outcome {
         let mut out = String::from("{\n");
         push_kv_num(&mut out, 1, "files_scanned", self.files_scanned, true);
         out.push_str(&format!("  \"lint_pass_ms\": {},\n", self.lint_pass_ms));
-        out.push_str(&format!(
-            "  \"lock_analysis_ms\": {},\n",
-            self.lock_analysis_ms
-        ));
         push_kv_num(
             &mut out,
             1,
@@ -81,7 +73,7 @@ impl Outcome {
             true,
         );
         push_kv_num(&mut out, 1, "suppressed_count", self.suppressed.len(), true);
-        push_kv_num(&mut out, 1, "ratcheted_count", self.ratcheted.len(), true);
+        push_kv_num(&mut out, 1, "expected_sites", self.expected_sites, true);
         out.push_str("  \"budget_violations\": [");
         for (i, s) in self.budget_violations.iter().enumerate() {
             if i > 0 {
@@ -98,17 +90,8 @@ impl Outcome {
             out.push_str(&json_string(s));
         }
         out.push_str("],\n");
-        out.push_str("  \"stale_ratchets\": [");
-        for (i, s) in self.stale_ratchets.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(s));
-        }
-        out.push_str("],\n");
         push_diag_array(&mut out, "unsuppressed", &self.unsuppressed, true);
-        push_diag_array(&mut out, "suppressed", &self.suppressed, true);
-        push_diag_array(&mut out, "ratcheted", &self.ratcheted, false);
+        push_diag_array(&mut out, "suppressed", &self.suppressed, false);
         out.push_str("}\n");
         out
     }
@@ -171,12 +154,12 @@ mod tests {
     fn json_escapes_and_structure() {
         let outcome = Outcome {
             unsuppressed: vec![Diagnostic {
-                rule: "BX003",
+                rule: "BX008",
                 path: "crates/x/src/lib.rs".to_string(),
                 line: 3,
                 col: 7,
-                message: "panic in \"library\" code".to_string(),
-                snippet: "x.unwrap();".to_string(),
+                message: "discarded in \"library\" code".to_string(),
+                snippet: "let _ = p.try_write(id, &b);".to_string(),
             }],
             suppressed: Vec::new(),
             stale_allows: vec!["lint.toml:12".to_string()],

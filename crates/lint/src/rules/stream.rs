@@ -1,4 +1,4 @@
-//! The token-stream rule family (BX001–BX009, BX020).
+//! The token-stream rule family (BX001, BX008, BX020).
 //!
 //! Every rule here is a pure function over one [`SourceFile`] — no types,
 //! no cross-file knowledge (the call-graph family lives in
@@ -9,61 +9,21 @@
 //! | ID    | Invariant                                                        |
 //! |-------|------------------------------------------------------------------|
 //! | BX001 | pager I/O (`read/write/alloc/free`) only in designated modules   |
-//! | BX002 | `std::fs` only behind the pager's file backend (and tooling)     |
-//! | BX003 | no `unwrap/expect/panic!/unreachable!` in non-test library code  |
-//! | BX004 | no `as` casts to integer types — use `try_from`/`From` helpers   |
-//! | BX005 | `AuditReport`/`IoStats` producers are `#[must_use]`, never dropped |
-//! | BX006 | every `pub` item carries a doc comment                           |
-//! | BX007 | no wall-clock time (`std::time`) in library code — determinism   |
 //! | BX008 | pager/WAL I/O `Result`s are handled, never `let _ =` / `.ok();`  |
-//! | BX009 | trace spans are bound to named locals, never dropped or leaked   |
 //! | BX020 | raw file writes only in blessed store modules; renames fsync first |
-
-use std::collections::BTreeSet;
 
 use super::{chain_start, is_ident, preceded_by_path_sep, push};
 use crate::lexer::TokenKind;
-use crate::model::{Scope, SourceFile};
+use crate::model::SourceFile;
 use crate::report::Diagnostic;
-
-const INT_TYPES: [&str; 12] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
 
 const PAGER_METHODS: [&str; 4] = ["read", "write", "alloc", "free"];
 
-/// Type names whose producers must be `#[must_use]` (BX005).
-const REPORT_TYPES: [&str; 2] = ["AuditReport", "IoStats"];
-
 /// Run every rule against one file.
-pub fn run_all(file: &SourceFile, must_use_fns: &BTreeSet<String>, out: &mut Vec<Diagnostic>) {
+pub fn run_all(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     bx001_pager_discipline(file, out);
-    bx002_filesystem_access(file, out);
-    bx003_panic_freedom(file, out);
-    bx004_integer_casts(file, out);
-    bx005_must_use(file, must_use_fns, out);
-    bx006_public_docs(file, out);
-    bx007_wall_clock(file, out);
     bx008_io_result_discipline(file, out);
-    bx009_span_discipline(file, out);
     bx020_durable_file_discipline(file, out);
-}
-
-/// Collect the names of functions in `file` that return one of the
-/// [`REPORT_TYPES`] — the name set BX005's discard check consumes.
-pub fn collect_report_fns(file: &SourceFile) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for si in 0..file.slen() {
-        if file.stext(si) != "fn" || file.item_ctx[si].is_none() {
-            continue;
-        }
-        if let Some((name, _, returns_report)) = fn_signature(file, si) {
-            if returns_report {
-                names.insert(name);
-            }
-        }
-    }
-    names
 }
 
 /// BX001: pager entry points (`read`/`write`/`alloc`/`free`) may only be
@@ -108,341 +68,6 @@ fn bx001_pager_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 format!(
                     "direct pager `{name}()` call outside a designated I/O module — \
                      block transfers must stay accounted"
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// BX002: the only module allowed to touch the filesystem is the pager's
-/// file backend (plus tooling crates, via `allow_paths`). Everything else
-/// must go through `Pager` so I/O stays measurable.
-fn bx002_filesystem_access(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for si in 0..file.slen() {
-        if file.in_test[si] {
-            continue;
-        }
-        if is_ident(file, si, "std")
-            && file.stext(si + 1) == ":"
-            && file.stext(si + 2) == ":"
-            && is_ident(file, si + 3, "fs")
-        {
-            push(
-                file,
-                si,
-                "BX002",
-                "`std::fs` outside the pager file backend — disk access must flow \
-                 through `Pager`"
-                    .to_string(),
-                out,
-            );
-        }
-    }
-}
-
-/// BX003: library code must be panic-free. `unwrap`/`expect` calls and
-/// `panic!`/`unreachable!` invocations outside `#[cfg(test)]` regions are
-/// findings; documented contract panics get baseline entries instead.
-fn bx003_panic_freedom(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for si in 0..file.slen() {
-        if file.in_test[si] {
-            continue;
-        }
-        let text = file.stext(si);
-        let is_method = matches!(text, "unwrap" | "expect")
-            && si >= 1
-            && file.stext(si - 1) == "."
-            && file.stext(si + 1) == "("
-            && !call_returns_try(file, si + 1);
-        let is_macro = matches!(text, "panic" | "unreachable") && file.stext(si + 1) == "!";
-        if (is_method || is_macro) && file.stok(si).map(|t| t.kind) == Some(TokenKind::Ident) {
-            let form = if is_macro {
-                format!("`{text}!`")
-            } else {
-                format!("`.{text}()`")
-            };
-            push(
-                file,
-                si,
-                "BX003",
-                format!(
-                    "{form} in non-test library code — return a typed error or baseline \
-                         with a documented invariant"
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// A call whose close paren is immediately followed by `?` returns
-/// `Result`/`Option` and is propagated, so it cannot be the panicking
-/// `Option::expect`/`Result::unwrap` — it is a caller-defined method that
-/// happens to share the name (e.g. a parser's `self.expect("<")?`).
-fn call_returns_try(file: &SourceFile, open: usize) -> bool {
-    file.close_of
-        .get(open)
-        .copied()
-        .flatten()
-        .is_some_and(|close| file.stext(close + 1) == "?")
-}
-
-/// BX004: `as` casts to integer types silently truncate or sign-flip, which
-/// voids the paper's label-bit accounting (Thm 4.4 / Thm 5.1). Use
-/// `From`/`TryFrom` or the checked helpers in `pager::codec`; provably-safe
-/// casts get per-file baseline entries.
-fn bx004_integer_casts(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for si in 0..file.slen() {
-        if file.in_test[si] {
-            continue;
-        }
-        if is_ident(file, si, "as") && INT_TYPES.contains(&file.stext(si + 1)) {
-            push(
-                file,
-                si,
-                "BX004",
-                format!(
-                    "`as {}` cast — use `From`/`TryFrom` (or a checked codec helper) so \
-                     truncation cannot silently corrupt labels or offsets",
-                    file.stext(si + 1)
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// Decode the signature starting at the `fn` keyword at sig-index `si`.
-/// Returns `(name, name_si, returns_report_type)`.
-fn fn_signature(file: &SourceFile, si: usize) -> Option<(String, usize, bool)> {
-    let name_si = si + 1;
-    let name_tok = file.stok(name_si)?;
-    if name_tok.kind != TokenKind::Ident {
-        return None;
-    }
-    let name = file.stext(name_si).to_string();
-    // Skip generics, find the parameter list.
-    let mut j = name_si + 1;
-    if file.stext(j) == "<" {
-        let mut depth = 1i32;
-        j += 1;
-        while j < file.slen() && depth > 0 {
-            match file.stext(j) {
-                "<" => depth += 1,
-                ">" if file.stext(j.wrapping_sub(1)) != "-" => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    if file.stext(j) != "(" {
-        return None;
-    }
-    let close = file.close_of[j]?;
-    // Return type: scan from after `)` to the body/terminator.
-    let mut returns_report = false;
-    if file.stext(close + 1) == "-" && file.stext(close + 2) == ">" {
-        let mut k = close + 3;
-        while k < file.slen() {
-            match file.stext(k) {
-                "{" | ";" | "where" => break,
-                t if REPORT_TYPES.contains(&t) => {
-                    returns_report = true;
-                    break;
-                }
-                _ => k += 1,
-            }
-        }
-    }
-    Some((name, name_si, returns_report))
-}
-
-/// BX005: any function returning `AuditReport`/`IoStats` must be
-/// `#[must_use]` (trait impls inherit the trait's attribute and are
-/// skipped), and call sites must consume the value — a dropped report is an
-/// unchecked invariant.
-fn bx005_must_use(file: &SourceFile, must_use_fns: &BTreeSet<String>, out: &mut Vec<Diagnostic>) {
-    // Declarations.
-    for si in 0..file.slen() {
-        if file.in_test[si] || file.stext(si) != "fn" {
-            continue;
-        }
-        let Some(scope) = file.item_ctx[si] else {
-            continue;
-        };
-        if scope == Scope::TraitImpl {
-            continue;
-        }
-        let Some((name, _, returns_report)) = fn_signature(file, si) else {
-            continue;
-        };
-        if !returns_report {
-            continue;
-        }
-        let trivia = file.leading_trivia(si);
-        if !trivia.attr_idents.iter().any(|a| a == "must_use") {
-            push(
-                file,
-                si,
-                "BX005",
-                format!("`{name}` returns an audit/I/O report but is not `#[must_use]`"),
-                out,
-            );
-        }
-    }
-    // Call-site discards: `<chain>.name(…);` as a bare statement.
-    for si in 0..file.slen() {
-        if file.in_test[si] {
-            continue;
-        }
-        let name = file.stext(si);
-        if !must_use_fns.contains(name)
-            || file.stok(si).map(|t| t.kind) != Some(TokenKind::Ident)
-            || file.stext(si + 1) != "("
-        {
-            continue;
-        }
-        let Some(close) = file.close_of[si + 1] else {
-            continue;
-        };
-        if file.stext(close + 1) != ";" {
-            continue;
-        }
-        if is_discarded_statement(file, si) {
-            push(
-                file,
-                si,
-                "BX005",
-                format!(
-                    "result of `{name}()` is discarded — audit/I/O reports must be \
-                         consumed"
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// Walk left from the call ident at `si` to the start of its receiver chain
-/// and report whether the whole expression is a bare statement.
-fn is_discarded_statement(file: &SourceFile, si: usize) -> bool {
-    match chain_start(file, si) {
-        Some(0) => true,
-        Some(start) => matches!(file.stext(start - 1), ";" | "{" | "}"),
-        None => false, // malformed; be conservative
-    }
-}
-
-/// BX006: every `pub` item in library code carries a doc comment
-/// (token-aware replacement for the old regex sweep; `pub(crate)` and
-/// re-exports are out of scope, as are trait-impl members).
-fn bx006_public_docs(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for si in 0..file.slen() {
-        if file.in_test[si] || file.stext(si) != "pub" {
-            continue;
-        }
-        if !matches!(
-            file.item_ctx[si],
-            Some(Scope::Module) | Some(Scope::InherentImpl) | Some(Scope::DataBody)
-        ) {
-            continue;
-        }
-        // Restricted visibility (`pub(crate)`, `pub(in …)`) is not public API.
-        if file.stext(si + 1) == "(" {
-            continue;
-        }
-        // Re-exports inherit the target's docs.
-        if file.stext(si + 1) == "use" {
-            continue;
-        }
-        if file.leading_trivia(si).has_doc {
-            continue;
-        }
-        // Name the item for the message: first ident after the item keyword.
-        let mut j = si + 1;
-        let mut keyword = "";
-        let mut name = String::new();
-        while j < file.slen() && j < si + 8 {
-            let t = file.stext(j);
-            if matches!(
-                t,
-                "fn" | "struct"
-                    | "enum"
-                    | "union"
-                    | "trait"
-                    | "mod"
-                    | "const"
-                    | "static"
-                    | "type"
-                    | "macro"
-            ) {
-                keyword = file.stext(j);
-                name = file.stext(j + 1).to_string();
-                break;
-            }
-            j += 1;
-        }
-        let what = if keyword.is_empty() {
-            // A `pub` field inside a struct body.
-            format!("field `{}`", file.stext(si + 1))
-        } else {
-            format!("{keyword} `{name}`")
-        };
-        push(
-            file,
-            si,
-            "BX006",
-            format!("public {what} has no doc comment"),
-            out,
-        );
-    }
-}
-
-/// Clock types whose constructors introduce nondeterminism (BX007).
-const CLOCK_TYPES: [&str; 2] = ["SystemTime", "Instant"];
-
-/// BX007: scheme and library crates must be deterministic — crash-recovery
-/// sweeps, the semantic lint, and every experiment replay the same seeded
-/// workload and demand identical results, so wall-clock reads
-/// (`std::time`, `SystemTime::…`, `Instant::…`) are banned outside the
-/// timing harnesses (`crates/bench`, `xtask`, via `allow_paths`).
-fn bx007_wall_clock(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for si in 0..file.slen() {
-        if file.in_test[si] {
-            continue;
-        }
-        if is_ident(file, si, "std")
-            && file.stext(si + 1) == ":"
-            && file.stext(si + 2) == ":"
-            && is_ident(file, si + 3, "time")
-        {
-            push(
-                file,
-                si,
-                "BX007",
-                "`std::time` in library code — clocks are nondeterministic; take \
-                 timings in the bench/xtask harnesses only"
-                    .to_string(),
-                out,
-            );
-            continue;
-        }
-        // Bare `SystemTime::…` / `Instant::…` after an earlier import.
-        let name = file.stext(si);
-        if CLOCK_TYPES.contains(&name)
-            && file.stok(si).map(|t| t.kind) == Some(TokenKind::Ident)
-            && !preceded_by_path_sep(file, si)
-            && file.stext(si + 1) == ":"
-            && file.stext(si + 2) == ":"
-        {
-            push(
-                file,
-                si,
-                "BX007",
-                format!(
-                    "`{name}::…` in library code — wall-clock reads break seeded \
-                     reproducibility; pass counters or ticks in instead"
                 ),
                 out,
             );
@@ -532,81 +157,8 @@ fn bx008_io_result_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// BX009: a `boxes_trace::OpSpan` is an RAII guard — its I/O attribution
-/// window is its lexical lifetime. A constructor result that is not bound
-/// to a *named* local is a bug either way it can go wrong: a bare
-/// `OpSpan::op(…);` statement or a `let _ = OpSpan::op(…)` binding drops
-/// the span immediately (the operation's I/O lands in the parent span or
-/// unattributed), while `mem::forget` leaks the frame and skews every
-/// enclosing span until thread exit. `let _span = …` style bindings (a
-/// named local, even underscore-prefixed) are the idiom and pass.
-fn bx009_span_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for si in 0..file.slen() {
-        if file.in_test[si] {
-            continue;
-        }
-        let name = file.stext(si);
-        if file.stok(si).map(|t| t.kind) != Some(TokenKind::Ident) || file.stext(si + 1) != "(" {
-            continue;
-        }
-        // `mem::forget(…)` in library code: leaks any RAII guard; with a
-        // span argument it silently corrupts the attribution stack.
-        if name == "forget" && preceded_by_path_sep(file, si) && file.stext(si - 3) == "mem" {
-            push(
-                file,
-                si,
-                "BX009",
-                "`mem::forget` in library code — leaking an RAII guard (e.g. a trace \
-                 span) corrupts the attribution stack for the rest of the thread"
-                    .to_string(),
-                out,
-            );
-            continue;
-        }
-        // `OpSpan::op(…)` / `OpSpan::phase(…)` not bound to a named local.
-        if !matches!(name, "op" | "phase")
-            || !preceded_by_path_sep(file, si)
-            || file.stext(si - 3) != "OpSpan"
-        {
-            continue;
-        }
-        let Some(close) = file.close_of[si + 1] else {
-            continue;
-        };
-        if file.stext(close + 1) != ";" {
-            continue; // the span flows onward: returned, stored, passed
-        }
-        let opspan = si - 3;
-        let discarded = if opspan == 0 {
-            true // file starts with the bare constructor statement
-        } else {
-            let prev = file.stext(opspan - 1);
-            // Bare statement …; OpSpan::op(…);
-            matches!(prev, ";" | "{" | "}")
-                // `let _ = OpSpan::op(…);` — the wildcard drops immediately.
-                || (prev == "="
-                    && opspan >= 3
-                    && file.stext(opspan - 2) == "_"
-                    && file.stext(opspan - 3) == "let")
-        };
-        if discarded {
-            push(
-                file,
-                si,
-                "BX009",
-                format!(
-                    "`OpSpan::{name}(…)` is not bound to a named local — the span \
-                     closes immediately and attributes nothing; use `let _span = …` \
-                     so it covers the operation"
-                ),
-                out,
-            );
-        }
-    }
-}
-
 /// Raw `File` write methods that bypass the accounted store layer (BX020).
-/// `std::fs::write` itself is already caught by BX002's `std::fs` ban.
+/// `std::fs::write` itself is a `disallowed-methods` entry in clippy.toml.
 const RAW_WRITE_METHODS: [&str; 3] = ["write_all", "write_at", "write_all_at"];
 
 /// Fsync spellings that make a just-written replacement file durable:
@@ -674,7 +226,7 @@ fn bx020_durable_file_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 fn rename_preceded_by_sync(file: &SourceFile, si: usize) -> bool {
     let Some(fn_si) = (0..si)
         .rev()
-        .find(|&j| file.stext(j) == "fn" && file.item_ctx[j].is_some())
+        .find(|&j| file.stext(j) == "fn" && file.item_level[j])
     else {
         return false;
     };
@@ -691,9 +243,8 @@ mod tests {
 
     fn lint(src: &str) -> Vec<Diagnostic> {
         let file = SourceFile::parse("crates/x/src/lib.rs", src);
-        let fns = collect_report_fns(&file);
         let mut out = Vec::new();
-        run_all(&file, &fns, &mut out);
+        run_all(&file, &mut out);
         out
     }
 
@@ -705,66 +256,6 @@ mod tests {
     fn bx001_fires_on_pager_receiver_only() {
         let diags = lint("fn f(p: &mut Pager) { p.pager.read(id); buf.read(x); }");
         assert_eq!(rules_of(&diags), vec!["BX001"]);
-    }
-
-    #[test]
-    fn bx003_skips_unwrap_or_else() {
-        let diags = lint("fn f() { x.unwrap_or_else(|| 0); y.unwrap(); }");
-        assert_eq!(rules_of(&diags), vec!["BX003"]);
-    }
-
-    #[test]
-    fn bx003_skips_propagated_expect_method() {
-        // `self.expect("<")?` returns Result — a caller-defined method that
-        // shares the name, not the panicking Option/Result combinator.
-        let diags = lint("fn f() -> Result<(), E> { self.expect(\"<\")?; Ok(()) }");
-        assert!(diags.is_empty(), "{diags:?}");
-        let diags = lint("fn g() { self.expect(\"<\"); }");
-        assert_eq!(rules_of(&diags), vec!["BX003"]);
-    }
-
-    #[test]
-    fn bx004_ignores_non_integer_as() {
-        let diags = lint("fn f(x: &dyn Any) { let y = x as &dyn Other; let z = n as u32; }");
-        assert_eq!(rules_of(&diags), vec!["BX004"]);
-    }
-
-    #[test]
-    fn bx005_discard_vs_use() {
-        let src = "fn stats() -> IoStats { s }\n\
-                   fn g() { h.stats(); let keep = h.stats(); keep.reads; }";
-        let diags = lint(src);
-        // One decl finding (stats not must_use) + one discard finding.
-        let bx005: Vec<_> = diags.iter().filter(|d| d.rule == "BX005").collect();
-        assert_eq!(bx005.len(), 2);
-        assert!(bx005.iter().any(|d| d.message.contains("discarded")));
-    }
-
-    #[test]
-    fn bx006_requires_docs_on_pub_only() {
-        let src = "/// ok\npub fn documented() {}\npub fn bare() {}\nfn private() {}";
-        let diags = lint(src);
-        assert_eq!(rules_of(&diags), vec!["BX006"]);
-        assert!(diags[0].message.contains("bare"));
-    }
-
-    #[test]
-    fn bx007_fires_on_clock_reads_only() {
-        let diags = lint(
-            "use std::time::Instant;\n\
-             fn f() { let t = Instant::now(); let d = Duration::from_secs(1); }",
-        );
-        // Once for the import path, once for the bare `Instant::now()`.
-        assert_eq!(rules_of(&diags), vec!["BX007", "BX007"]);
-        let clean = lint("fn g(ticks: u64) -> u64 { ticks + 1 }");
-        assert!(clean.is_empty(), "{clean:?}");
-    }
-
-    #[test]
-    fn bx007_skips_non_clock_instant_mentions() {
-        // A type *named* in a signature without `::` access is not a read.
-        let diags = lint("fn h(deadline: Instant) {}");
-        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
@@ -801,33 +292,6 @@ mod tests {
     fn bx008_fires_on_path_call_discards() {
         let diags = lint("fn f() { let _ = Pager::open_file(\"db\", 64); }");
         assert_eq!(rules_of(&diags), vec!["BX008"]);
-    }
-
-    #[test]
-    fn bx009_fires_on_unbound_spans_and_forget() {
-        let diags = lint(
-            "fn f() {\n\
-               OpSpan::op(\"W-BOX\", \"insert\");\n\
-               let _ = OpSpan::phase(\"split\");\n\
-               mem::forget(guard);\n\
-             }",
-        );
-        assert_eq!(rules_of(&diags), vec!["BX009", "BX009", "BX009"]);
-        assert!(diags[0].message.contains("closes immediately"));
-        assert!(diags[2].message.contains("mem::forget"));
-    }
-
-    #[test]
-    fn bx009_skips_bound_and_flowing_spans() {
-        let diags = lint(
-            "fn f() -> OpSpan {\n\
-               let _span = OpSpan::op(\"W-BOX\", \"insert\");\n\
-               let _p = OpSpan::phase(\"split\");\n\
-               keep(OpSpan::phase(\"merge\"));\n\
-               OpSpan::op(\"B-BOX\", \"lookup\")\n\
-             }",
-        );
-        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
@@ -876,7 +340,7 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n  fn f() { x.unwrap(); let y = z as u8; }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n  fn f(p: &Pager) { p.pager.read(id); let _ = p.try_write(id, &b); }\n}";
         assert!(lint(src).is_empty());
     }
 }

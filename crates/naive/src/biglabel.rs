@@ -31,7 +31,10 @@ impl PartialOrd for BigLabel {
     }
 }
 
-#[allow(clippy::should_implement_trait)]
+#[expect(
+    clippy::should_implement_trait,
+    reason = "named add/sub/half keep the fixed-width label arithmetic visible at call sites"
+)]
 impl BigLabel {
     /// The value 0.
     pub const ZERO: BigLabel = BigLabel([0; 5]);

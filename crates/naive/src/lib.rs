@@ -1,5 +1,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::as_conversions,
+        clippy::let_underscore_must_use,
+        clippy::mem_forget,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 //! The naive-k gap-relabeling baseline (§1, §2, §7 of the paper).
 //!
 //! Labels live directly in the label file: each record stores the label
@@ -151,6 +168,10 @@ impl NaiveLabeling {
     /// Serialize the in-memory header (slot allocator, free list, counters)
     /// — everything [`NaiveLabeling::reopen`] needs beyond the label file
     /// itself. The mirror is derived state and deliberately excluded.
+    #[expect(
+        clippy::expect_used,
+        reason = "the pager caps allocation far below 2^32 blocks, so the free list and the directory fit their u32 count fields"
+    )]
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = boxes_pager::VecWriter::new();
         w.u64(self.slots);
@@ -257,6 +278,10 @@ impl NaiveLabeling {
         self.journaled(|t| t.bulk_load_impl(count))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "blocks is non-empty after setup: relabel_all always allocates at least one block"
+    )]
     fn bulk_load_impl(&mut self, count: usize) -> Vec<Lid> {
         assert!(self.is_empty(), "bulk_load on a non-empty scheme");
         let gap = self.config.gap();

@@ -15,6 +15,11 @@
 //! return a typed [`CastOverflow`] or saturate to a value that can only
 //! trip a bounds check, never alias a valid index.
 
+#![expect(
+    clippy::expect_used,
+    reason = "Reader/Writer block under/overrun is a codec contract violation, pinned by a should_panic test"
+)]
+
 use std::fmt;
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), hand-rolled so the

@@ -7,7 +7,7 @@
 //! stalls, and silent bit rot. Every decision is a pure function of the plan
 //! seed and the attempt counter (the same SplitMix64 mixer the WAL's
 //! [`CrashClock`] uses), so a chaos sweep replays bit-for-bit — no wall
-//! clock, no OS entropy (BX007).
+//! clock, no OS entropy.
 //!
 //! The fault taxonomy:
 //!

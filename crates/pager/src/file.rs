@@ -18,6 +18,15 @@
 //! wrong block size, a short/partial slot on disk — are typed
 //! [`FileError`]s rather than unspecified behavior.
 
+#![expect(
+    clippy::panic,
+    reason = "backing-file open/seek/read/write failures are fatal by design — the store is documented as not crash-safe"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the pager's file backend owns disk access: it is the paper's disk model, under the accounted layer"
+)]
+
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::Path;

@@ -1,5 +1,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::as_conversions,
+        clippy::let_underscore_must_use,
+        clippy::mem_forget,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 //! Simulated block device with I/O accounting — the storage substrate for the
 //! BOXes reproduction.
 //!
@@ -419,7 +436,7 @@ impl PagerError {
 
 /// Bounded-retry policy for transient disk faults. Backoff is measured in
 /// deterministic ticks (doubling per retry from `backoff_base`), never wall
-/// clock — sweeps must replay bit-for-bit (BX007).
+/// clock — sweeps must replay bit-for-bit.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Retries after the first failed attempt. `0` = fail immediately.
@@ -635,6 +652,10 @@ enum Backend {
     File(file::FileStore),
 }
 
+#[expect(
+    clippy::panic,
+    reason = "torn writes of unallocated blocks are caller contract violations, and file-backend write failures are fatal by design: FileStore is not crash-safe"
+)]
 impl Backend {
     fn len(&self) -> usize {
         match self {
@@ -703,6 +724,10 @@ impl Backend {
                         // vanished mid-corruption there is no media left to
                         // damage and the fault evaporates, so either outcome
                         // is acceptable (BX008 suppressed in lint.toml).
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "corruption-injection primitive — a vanished slot means nothing left to damage; success and failure are both acceptable outcomes"
+                        )]
                         let _ = f.write_torn(id.index(), &data);
                     }
                 }
@@ -801,6 +826,10 @@ impl Pager {
         lock_unpoisoned(&self.inner)
     }
     /// Create a pager with the given configuration.
+    #[expect(
+        clippy::panic,
+        reason = "a pager file that cannot be created is fatal at setup, before any labeled data exists"
+    )]
     pub fn new(config: PagerConfig) -> SharedPager {
         assert!(config.block_size >= 16, "block size unreasonably small");
         let table: TableRef = Arc::new(PageTable::new());
@@ -1025,6 +1054,10 @@ impl Pager {
     /// Drain the buffered transaction into a record, appending the pager's
     /// own allocator state (post-apply backend length and free list) as the
     /// `"pager"` meta blob.
+    #[expect(
+        clippy::expect_used,
+        reason = "the pager caps allocation far below 2^32 blocks, so the free list fits its u32 count field"
+    )]
     fn drain_txn(inner: &mut PagerInner) -> TxnRecord {
         let cache = std::mem::take(&mut inner.txn.cache);
         let freed = std::mem::take(&mut inner.txn.freed);
@@ -1171,7 +1204,10 @@ impl Pager {
     /// deterministic exponential tick backoff; a fault that outlives the
     /// budget hands the unwritten image back to the caller. `TearAndCrash`
     /// and `Crash` keep their process-death semantics ([`CrashSignal`]).
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::panic,
+        reason = "TearAndCrash and Crash model process death by raising CrashSignal, which the crash simulator catches"
+    )]
     fn write_block_checked(
         inner: &mut PagerInner,
         id: BlockId,
@@ -1221,6 +1257,10 @@ impl Pager {
     /// shift the fault plan's deterministic attempt counters. A checksum
     /// mismatch — whether injected bit rot or found on the media — goes
     /// through [`Pager::repair_block`].
+    #[expect(
+        clippy::panic,
+        reason = "reading an unallocated block is a caller contract violation documented on Pager::read"
+    )]
     fn read_block_checked(
         inner: &mut PagerInner,
         id: BlockId,
@@ -1362,6 +1402,10 @@ impl Pager {
     /// With a journal attached, panics when called outside a [`TxnScope`]:
     /// every mutation must belong to a recoverable operation. While degraded
     /// (read-only), panics with a typed [`PagerError::Degraded`] payload.
+    #[expect(
+        clippy::panic,
+        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
+    )]
     pub fn alloc(&self) -> BlockId {
         assert!(self.view.is_none(), "snapshot views are read-only");
         let mut inner = self.lock();
@@ -1410,6 +1454,10 @@ impl Pager {
     /// Panics if the block is not currently allocated (double free), or if a
     /// journal is attached and no [`TxnScope`] is open. While degraded
     /// (read-only), panics with a typed [`PagerError::Degraded`] payload.
+    #[expect(
+        clippy::panic,
+        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
+    )]
     pub fn free(&self, id: BlockId) {
         assert!(self.view.is_none(), "snapshot views are read-only");
         let mut inner = self.lock();
@@ -1461,6 +1509,10 @@ impl Pager {
     /// `std::panic::catch_unwind`, like [`CrashSignal`]); use
     /// [`Pager::try_read`] for a `Result` instead. Panics on reads of
     /// unallocated blocks (caller contract violation).
+    #[expect(
+        clippy::panic,
+        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
+    )]
     pub fn read(&self, id: BlockId) -> Box<[u8]> {
         match self.read_impl(id) {
             Ok(data) => data,
@@ -1531,6 +1583,10 @@ impl Pager {
     /// panics with a typed [`PagerError`] payload; use [`Pager::try_write`]
     /// for a `Result`. Panics on writes to unallocated blocks or (journaled)
     /// outside a [`TxnScope`] — contract violations.
+    #[expect(
+        clippy::panic,
+        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
+    )]
     pub fn write(&self, id: BlockId, data: &[u8]) {
         if let Err(err) = self.write_impl(id, data) {
             std::panic::panic_any(err);
@@ -1611,6 +1667,10 @@ impl Pager {
     /// # Panics
     /// Panics with a typed [`PagerError`] payload when a write-back fault
     /// survives the retry budget.
+    #[expect(
+        clippy::panic,
+        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
+    )]
     pub fn flush(&self) {
         let mut inner = self.lock();
         for (id, data) in inner.pool.take_dirty() {
@@ -1627,7 +1687,6 @@ impl Pager {
     }
 
     /// Snapshot of the I/O counters.
-    #[must_use]
     pub fn stats(&self) -> IoStats {
         self.lock().stats
     }

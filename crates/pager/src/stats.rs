@@ -4,6 +4,7 @@
 /// diffs two snapshots to attribute cost to a single operation, mirroring the
 /// per-operation I/O counts reported in the paper's figures.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[must_use = "dropped I/O stats un-measure the experiment"]
 pub struct IoStats {
     /// Block reads that reached the simulated disk.
     pub reads: u64,
@@ -34,7 +35,6 @@ impl IoStats {
 
     /// Counter-wise difference `self - earlier`; use to cost one operation.
     #[inline]
-    #[must_use]
     pub fn since(&self, earlier: &IoStats) -> IoStats {
         IoStats {
             reads: self.reads - earlier.reads,

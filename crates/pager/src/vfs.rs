@@ -17,6 +17,11 @@
 //! (from the cut on, writes are accepted but never persist and every sync
 //! fails — the device is gone).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the fault-injection VFS is a blessed disk surface: it sits under the accounted layer"
+)]
+
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

@@ -1,5 +1,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::as_conversions,
+        clippy::let_underscore_must_use,
+        clippy::mem_forget,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 //! Snapshot-isolated concurrent sessions over the BOXes schemes.
 //!
 //! The paper's structures are maintained by a single mutator (`&mut self`
@@ -322,12 +339,20 @@ impl<S: SessionScheme> WriterSession<'_, S> {
 
 impl<S: SessionScheme> Deref for WriterSession<'_, S> {
     type Target = S;
+    #[expect(
+        clippy::expect_used,
+        reason = "WriterSession.scheme is Some for the whole session lifetime by construction — only Drop takes it, so Deref after Drop is unreachable"
+    )]
     fn deref(&self) -> &S {
         self.scheme.as_ref().expect("scheme present until drop")
     }
 }
 
 impl<S: SessionScheme> DerefMut for WriterSession<'_, S> {
+    #[expect(
+        clippy::expect_used,
+        reason = "WriterSession.scheme is Some for the whole session lifetime by construction — only Drop takes it, so Deref after Drop is unreachable"
+    )]
     fn deref_mut(&mut self) -> &mut S {
         self.scheme.as_mut().expect("scheme present until drop")
     }
@@ -386,7 +411,6 @@ impl<S: SessionScheme> Snapshot<S> {
 
     /// I/O charged to this snapshot so far (the view pager's own counters —
     /// disjoint from the base pager's).
-    #[must_use]
     pub fn io(&self) -> IoStats {
         self.scheme.pager().stats()
     }

@@ -21,7 +21,8 @@
 //!
 //! # Determinism
 //!
-//! There is no wall clock anywhere (lint rule BX007): time is a logical
+//! There is no wall clock anywhere (library code cannot name `Instant` or
+//! `SystemTime`; see `clippy.toml`): time is a logical
 //! tick counter advanced once per recorded event and span transition, so
 //! two runs of the same seeded workload produce byte-identical reports.
 //! Span stacks are *per-thread by key, not thread-local by storage*: the
@@ -53,6 +54,23 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::as_conversions,
+        clippy::let_underscore_must_use,
+        clippy::mem_forget,
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -342,8 +360,8 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// The shared registry, span stacks included: stacks are keyed by
 /// `ThreadId` inside the one mutex-guarded global rather than living in
-/// `thread_local!` storage, so the whole tracer is a single `Sync` value
-/// (sync-readiness rule BX018) and session tallies can be bumped in the
+/// `thread_local!` storage (a disallowed macro in library code), so the
+/// whole tracer is a single `Sync` value and session tallies can be bumped in the
 /// same critical section that attributes an event to a frame.
 #[derive(Default)]
 struct Tracer {
@@ -487,7 +505,8 @@ fn close_span(id: u64) {
 /// RAII span: open at construction, closed (and folded into its parent)
 /// on drop. Bind it to a named local — `let _span = OpSpan::op(...)` —
 /// so it lives for the scope; binding to `_` or leaking it defeats
-/// attribution (lint rule BX009).
+/// attribution (library code denies `clippy::let_underscore_must_use` and
+/// `clippy::mem_forget`).
 #[derive(Debug)]
 #[must_use = "an unbound span closes immediately and attributes nothing"]
 pub struct OpSpan {
@@ -939,9 +958,11 @@ impl TraceReport {
     }
 }
 
+#[expect(
+    clippy::as_conversions,
+    reason = "report rendering only; precision loss above 2^53 is irrelevant"
+)]
 fn to_f64(v: u64) -> f64 {
-    // Report rendering only; precision loss above 2^53 is irrelevant, and
-    // a float target keeps this outside the BX004 integer-cast rule.
     v as f64
 }
 

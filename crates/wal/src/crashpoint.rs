@@ -78,6 +78,10 @@ impl CrashClock {
     }
 
     /// Count one crash point; raises the crash panic when armed for it.
+    #[expect(
+        clippy::panic,
+        reason = "the crash simulator models process death by raising CrashSignal, which run_to_crash catches"
+    )]
     pub fn tick(&self) {
         let now = self.advance();
         if self.armed_at(now) {

@@ -354,8 +354,10 @@ impl Journal for Wal {
         );
         // Atomic log rotation: the new durable log is just the checkpoint
         // record. On a file store this is write-side-file + fsync + rename
-        // (+ parent-dir fsync); a rotation failure keeps the old log, which
-        // is longer but equally valid — not a poisoning event.
+        // (+ parent-dir fsync). A failure before the rename keeps the old
+        // log, which is longer but equally valid — not a poisoning event.
+        // A failed directory fsync after it fails the store's next append
+        // or sync, which poisons the log through the usual path.
         if inner.store.rotate(&bytes).is_err() {
             return;
         }

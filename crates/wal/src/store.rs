@@ -22,6 +22,15 @@
 //! treat them as lost and never retry the sync; see the fsyncgate
 //! discussion on [`LogStore::sync`]).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the file-backed WAL store is a blessed disk surface: it sits under the accounted layer"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the file-backed WAL store is a blessed disk surface: rotation renames its side file over the live log"
+)]
+
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
@@ -107,9 +116,12 @@ pub trait LogStore: Send {
     fn pending_len(&self) -> u64;
 
     /// Atomically replace the whole log with `bytes`, durably — checkpoint
-    /// rotation. On error the old log must remain intact and durable (the
-    /// caller keeps the longer, still-valid log). Only called when the
-    /// pending window is empty.
+    /// rotation. An error before the swap must leave the old log intact
+    /// and durable (the caller keeps the longer, still-valid log). An error
+    /// after it — the swap itself could not be made durable — must fail
+    /// every later `append` and `sync`, so the caller stops acknowledging
+    /// commits a power cut could undo. Only called when the pending window
+    /// is empty.
     fn rotate(&mut self, bytes: &[u8]) -> Result<(), StoreError>;
 }
 
@@ -173,6 +185,13 @@ pub struct FileLogStore {
     synced_len: u64,
     /// File length including appended-but-unsynced bytes.
     appended_len: u64,
+    /// Opens the directory whose fsync makes a rotation's rename durable.
+    /// Tests swap in a handle whose `sync` fails.
+    open_dir: fn(&Path) -> std::io::Result<Box<dyn RawFile>>,
+    /// A rotation renamed the side file over the log but could not fsync
+    /// the directory: a power cut can bring the old log back, so every
+    /// later append and sync fails.
+    rename_unsynced: bool,
 }
 
 impl std::fmt::Debug for FileLogStore {
@@ -218,6 +237,8 @@ impl FileLogStore {
             block_size,
             synced_len: HEADER_SIZE,
             appended_len: HEADER_SIZE,
+            open_dir,
+            rename_unsynced: false,
         })
     }
 
@@ -236,6 +257,8 @@ impl FileLogStore {
             block_size,
             synced_len: len,
             appended_len: len,
+            open_dir,
+            rename_unsynced: false,
         })
     }
 
@@ -250,6 +273,20 @@ impl FileLogStore {
         RawFile::read_exact_at(&file, &mut payload, HEADER_SIZE)?;
         Ok(payload)
     }
+
+    /// Refuse to extend a log whose rotation rename may not be durable.
+    fn check_rename_durable(&self) -> Result<(), StoreError> {
+        if self.rename_unsynced {
+            return Err(StoreError::Io(std::io::Error::other(
+                "the directory fsync after log rotation failed",
+            )));
+        }
+        Ok(())
+    }
+}
+
+fn open_dir(path: &Path) -> std::io::Result<Box<dyn RawFile>> {
+    Ok(Box::new(File::open(path)?))
 }
 
 fn header_bytes(block_size: usize) -> [u8; 16] {
@@ -285,12 +322,14 @@ fn validate_header(file: &dyn RawFile, len: u64, block_size: usize) -> Result<()
 
 impl LogStore for FileLogStore {
     fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        self.check_rename_durable()?;
         self.file.write_all_at(bytes, self.appended_len)?;
         self.appended_len += codec::usize_to_u64(bytes.len());
         Ok(())
     }
 
     fn sync(&mut self) -> Result<(), StoreError> {
+        self.check_rename_durable()?;
         self.file.sync()?;
         self.synced_len = self.appended_len;
         Ok(())
@@ -333,13 +372,18 @@ impl LogStore for FileLogStore {
         self.synced_len = new_len;
         self.appended_len = new_len;
         // Make the rename itself durable by fsyncing the parent directory.
-        // If this fails, either the old or the new file survives a power
-        // cut at the path — both are valid, self-contained logs — so the
-        // rotation still counts as complete for the live handle.
-        if let Some(parent) = self.path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
+        // Later appends go to the new inode, so if the directory entry is
+        // not durable a power cut can bring the old log back and lose every
+        // commit acknowledged after this rotation. A failure here is a
+        // failed fsync: the store refuses every later append and sync,
+        // which poisons the WAL.
+        let parent = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        if let Err(e) = (self.open_dir)(parent).and_then(|dir| dir.sync()) {
+            self.rename_unsynced = true;
+            return Err(e.into());
         }
         Ok(())
     }
@@ -406,6 +450,39 @@ mod tests {
             Err(StoreError::BadHeader(_)) => {}
             other => panic!("expected BadHeader for a BOXWAL01 log, got {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_directory_sync_after_rotation_poisons_the_wal() {
+        use boxes_pager::{FaultFile, FileFaultPlan, Journal, JournalAck, TxnRecord};
+        let path = temp_path("dirsync");
+        let mut store = FileLogStore::create(&path, 64).expect("create");
+        // The directory handle's first fsync fails: the rotation's rename
+        // may not survive a power cut.
+        store.open_dir = |dir| {
+            let plan = FileFaultPlan {
+                fail_sync_at: Some(1),
+                ..FileFaultPlan::default()
+            };
+            Ok(Box::new(FaultFile::new(File::open(dir)?, plan)))
+        };
+        let config = crate::WalConfig {
+            checkpoint_every: 1,
+            ..crate::WalConfig::default()
+        };
+        let wal = crate::Wal::with_store(64, config, None, Box::new(store));
+        let record = TxnRecord::default();
+        assert_eq!(wal.commit(&record), JournalAck::Durable);
+        // Checkpoint: the side file is renamed over the log, then the
+        // directory fsync fails.
+        wal.applied();
+        assert_eq!(
+            wal.commit(&record),
+            JournalAck::Lost,
+            "a commit after an undurable rotation must not be acknowledged"
+        );
+        assert!(wal.poisoned());
         std::fs::remove_file(&path).ok();
     }
 

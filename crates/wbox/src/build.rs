@@ -8,6 +8,15 @@
 //! same single-pass I/O pattern the paper gets by keeping the rightmost
 //! spine in memory.
 
+#![expect(
+    clippy::expect_used,
+    reason = "bulk-load level vectors are non-empty by construction (each level emits >= 1 node)"
+)]
+#![expect(
+    clippy::as_conversions,
+    reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+)]
+
 use crate::node::{LeafRecord, WEntry, WNode};
 use crate::tree::WBox;
 use boxes_lidf::{BlockPtrRecord, Lid};

@@ -1,6 +1,11 @@
 //! W-BOX configuration: the branching parameter `a`, leaf parameter `k`,
 //! and maximum fan-out `b` of §4.
 
+#![expect(
+    clippy::expect_used,
+    reason = "config validation panics on construction with impossible a/b/k — fail-fast at setup, never during maintenance"
+)]
+
 use boxes_pager::codec::{usize_to_u32, usize_to_u64};
 
 /// A tree level as a `pow` exponent. Heights are logarithmic in N, so the

@@ -16,6 +16,12 @@
 //! subrange index within this node's range, its weight, and its size (live
 //! count, maintained for ordinal mode).
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+)]
+
 use boxes_lidf::Lid;
 use boxes_pager::codec::{usize_to_u16, usize_to_u64};
 use boxes_pager::{BlockId, Reader, Writer};

@@ -14,6 +14,16 @@
 //!   ancestor whose remaining weight still satisfies the constraint (the
 //!   whole tree in the worst case, O(N/B)).
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "descent invariants: paths reach a leaf and sibling entries exist at the recorded positions"
+)]
+#![expect(
+    clippy::as_conversions,
+    reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+)]
+
 use crate::build::{chunk_records, LeafUnit};
 use crate::node::{LeafRecord, WNode};
 use crate::tree::WBox;

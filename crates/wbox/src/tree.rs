@@ -1,6 +1,16 @@
 //! The W-BOX tree: descent, lookup, insert with weight-balanced splits and
 //! range relabeling, tombstone deletes with global rebuilding (§4).
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "descent meets the root and leaf positions come from position_of_lid on the same leaf"
+)]
+#![expect(
+    clippy::as_conversions,
+    reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+)]
+
 use crate::config::WBoxConfig;
 use crate::node::{LeafRecord, WEntry, WNode};
 use boxes_lidf::{BlockPtrRecord, Lid, Lidf};

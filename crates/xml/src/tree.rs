@@ -5,6 +5,11 @@
 //! elements. Text nodes and attributes are carried along for parser fidelity
 //! but play no role in labeling (labels are assigned to element tags only).
 
+#![expect(
+    clippy::expect_used,
+    reason = "root-removal/orphan-child panics are the documented XmlTree contract (see # Panics-style doc comments)"
+)]
+
 /// Index of an element in an [`XmlTree`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ElementId(pub u32);

@@ -8,6 +8,11 @@
 //! keeps the `ElemRef → (start LID, end LID)` table and replays the stream
 //! against any labeling scheme.
 
+#![expect(
+    clippy::expect_used,
+    reason = "workload generators never pick the root as a deletion victim, so parent() is Some"
+)]
+
 use crate::generate::two_level;
 use crate::tree::XmlTree;
 

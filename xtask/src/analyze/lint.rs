@@ -1,49 +1,62 @@
-//! The source-lint step: drive `boxes-lint` over the workspace, print
-//! human diagnostics, and drop the JSON artifacts in
-//! `target/lint-report.json`, `target/sync-readiness.json`, and
-//! `target/lock-order.json`.
+//! The source-lint step: drive `boxes-lint` over the workspace, count the
+//! `#[expect]`ed clippy sites against the shared budget, print human
+//! diagnostics, and drop the JSON artifacts in `target/lint-report.json`
+//! and `target/lock-order.json`.
 
 use std::path::Path;
 use std::time::Instant;
 
+use boxes_lint::config::Config;
 use boxes_lint::report::Outcome;
 
-/// Run the BX001–BX020 catalog against the `lint.toml` baseline. Prints
-/// every unsuppressed finding, stale suppression/ratchet, and budget
-/// violation; returns whether the gate is clean. Also writes the lint
-/// report (with pass and lock-analysis runtimes), the BX011
-/// concurrency-readiness inventory, and the BX015 lock-order graph.
+use super::{budget, sweeps};
+
+/// Run the kept BX rules against the `lint.toml` baseline and enforce
+/// `[limits] max_baselined` over their suppressed findings plus the
+/// budgeted clippy sites. Prints every unsuppressed finding, stale
+/// suppression, and budget violation; returns whether the gate is clean.
+/// Also writes the lint report (with the pass runtime) and the BX015
+/// lock-order graph.
 pub(crate) fn run(root: &Path) -> bool {
     let start = Instant::now();
-    let Some(mut outcome) = lint_workspace(root) else {
+    let Some((config, mut outcome)) = lint_workspace(root) else {
         return false;
     };
     outcome.lint_pass_ms = start.elapsed().as_millis();
-    write_analysis_artifacts(root, &mut outcome);
-    write_json_report(root, &outcome);
+    let packages: Vec<String> = sweeps::library_crates(root)
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    let sites = match budget::count_clippy_sites(root, &packages) {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("  lint: {e}");
+            return false;
+        }
+    };
+    boxes_lint::check_budget(&mut outcome, &config, sites);
+    write_artifacts(root, &outcome);
     for d in &outcome.unsuppressed {
         eprintln!("  {}", d.human());
     }
     for stale in &outcome.stale_allows {
         eprintln!("  {stale}");
     }
-    for stale in &outcome.stale_ratchets {
-        eprintln!("  {stale}");
-    }
     for violation in &outcome.budget_violations {
         eprintln!("  {violation}");
     }
     println!(
-        "  lint: {} file(s), {} finding(s) baselined, {} ratcheted, {} unsuppressed, \
-         {} stale suppression(s), {} stale ratchet(s), {} ms (+{} ms lock analysis)",
+        "  lint: {} file(s), {} finding(s) baselined + {} #[expect]ed clippy site(s) \
+         (cap {}), {} unsuppressed, {} stale suppression(s), {} ms",
         outcome.files_scanned,
         outcome.suppressed.len(),
-        outcome.ratcheted.len(),
+        outcome.expected_sites,
+        config
+            .max_baselined
+            .map_or_else(|| "none".to_string(), |m| m.to_string()),
         outcome.unsuppressed.len(),
         outcome.stale_allows.len(),
-        outcome.stale_ratchets.len(),
         outcome.lint_pass_ms,
-        outcome.lock_analysis_ms
     );
     outcome.is_clean()
 }
@@ -71,7 +84,7 @@ pub(crate) fn explain(id: &str) -> bool {
 /// unsuppressed findings. The justification is left as a TODO on purpose —
 /// the gate rejects entries without one, so each must be filled in by hand.
 pub(crate) fn emit_baseline(root: &Path) -> bool {
-    let Some(outcome) = lint_workspace(root) else {
+    let Some((_, outcome)) = lint_workspace(root) else {
         return false;
     };
     if outcome.unsuppressed.is_empty() {
@@ -94,7 +107,7 @@ pub(crate) fn emit_baseline(root: &Path) -> bool {
     true
 }
 
-fn lint_workspace(root: &Path) -> Option<Outcome> {
+fn lint_workspace(root: &Path) -> Option<(Config, Outcome)> {
     let config = match boxes_lint::load_config(root) {
         Ok(c) => c,
         Err(e) => {
@@ -103,7 +116,7 @@ fn lint_workspace(root: &Path) -> Option<Outcome> {
         }
     };
     match boxes_lint::lint_workspace(root, &config) {
-        Ok(o) => Some(o),
+        Ok(o) => Some((config, o)),
         Err(e) => {
             eprintln!("  lint: workspace scan failed: {e}");
             None
@@ -111,40 +124,22 @@ fn lint_workspace(root: &Path) -> Option<Outcome> {
     }
 }
 
-fn write_json_report(root: &Path, outcome: &Outcome) {
+/// Write `target/lint-report.json` and `target/lock-order.json` (the
+/// witnessed lock-order graph BX015 checks for cycles).
+fn write_artifacts(root: &Path, outcome: &Outcome) {
     let dir = root.join("target");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("  lint: cannot create {}: {e}", dir.display());
         return;
     }
-    let path = dir.join("lint-report.json");
-    if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-        eprintln!("  lint: cannot write {}: {e}", path.display());
-    }
-}
-
-/// Write `target/sync-readiness.json` (the shared-state inventory with
-/// reaching public APIs) and `target/lock-order.json` (the witnessed
-/// lock-order graph BX015 checks for cycles). Records the lock-analysis
-/// wall-clock on the outcome so lint-report.json tracks its cost.
-fn write_analysis_artifacts(root: &Path, outcome: &mut Outcome) {
-    let analysis = match boxes_lint::analyze_workspace(root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("  lint: workspace analysis for artifacts failed: {e}");
-            return;
+    let report = outcome.to_json();
+    for (name, text) in [
+        ("lint-report.json", report.as_str()),
+        ("lock-order.json", outcome.lock_order.as_str()),
+    ] {
+        let path = dir.join(name);
+        if let Err(e) = std::fs::write(&path, text) {
+            eprintln!("  lint: cannot write {}: {e}", path.display());
         }
-    };
-    let target = root.join("target");
-    let path = target.join("sync-readiness.json");
-    if let Err(e) = std::fs::write(&path, analysis.sync_readiness_json()) {
-        eprintln!("  lint: cannot write {}: {e}", path.display());
-    }
-    let start = Instant::now();
-    let lock_order = analysis.lock_order_json();
-    outcome.lock_analysis_ms = start.elapsed().as_millis();
-    let path = target.join("lock-order.json");
-    if let Err(e) = std::fs::write(&path, lock_order) {
-        eprintln!("  lint: cannot write {}: {e}", path.display());
     }
 }

@@ -1,7 +1,8 @@
 //! The `analyze` command: orchestration of the workspace static-analysis
 //! gate. The individual passes live in the submodules —
 //! [`sweeps`] (crate-root attribute audits), [`lint`] (the `boxes-lint`
-//! source analyzer), [`semantic`] (auditor-driven workload replay),
+//! source analyzer plus the [`budget`] count of `#[expect]`ed clippy
+//! sites), [`semantic`] (auditor-driven workload replay),
 //! [`crash`] (WAL crash-injection sweeps with recovery verification),
 //! [`chaos`] (seeded faulty-disk sweeps: retry, read-repair, degraded
 //! mode), [`sessions`] (concurrent snapshot-reader stress plus the
@@ -9,6 +10,7 @@
 //! identity checks plus the `trace-report.json` / `BENCH_boxes.json`
 //! artifacts).
 
+mod budget;
 mod chaos;
 mod crash;
 pub(crate) mod crashfile;
@@ -102,7 +104,7 @@ pub(crate) fn analyze(args: &[String]) -> i32 {
         step("cargo clippy", run_clippy(&root));
     }
     step("unsafe-code audit", sweeps::audit_unsafe(&root));
-    step("missing_docs sweep", sweeps::audit_missing_docs(&root));
+    step("crate-root sweep", sweeps::audit_crate_roots(&root));
     step("source lint", lint::run(&root));
     step("semantic lint", semantic::semantic_lint(seed));
     step("crash recovery", crash::crash_recovery_lint(seed));

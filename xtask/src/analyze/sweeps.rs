@@ -1,7 +1,7 @@
 //! Crate-root attribute audits: `#![forbid(unsafe_code)]` everywhere, no
-//! `unsafe` tokens anywhere, and `#![warn(missing_docs)]` on every crate
-//! root. Per-item documentation coverage is enforced token-aware by the
-//! source lint's BX006; these sweeps keep the compiler-level lints pinned.
+//! `unsafe` tokens anywhere, `#![warn(missing_docs)]` on every crate root,
+//! and the library lint policy on every library crate root. rustc and
+//! clippy enforce those lints; these sweeps keep them pinned.
 
 use std::path::{Path, PathBuf};
 
@@ -31,6 +31,32 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// The lint policy every library crate root carries. Matched with
+/// whitespace ignored, so rustfmt's layout of the attribute does not
+/// matter.
+const LIBRARY_POLICY: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, \
+    clippy::expect_used, clippy::panic, clippy::unreachable, clippy::as_conversions, \
+    clippy::let_underscore_must_use, clippy::mem_forget, clippy::disallowed_types, \
+    clippy::disallowed_methods, clippy::disallowed_macros, clippy::allow_attributes, \
+    clippy::allow_attributes_without_reason))]";
+
+/// Library crates as `(package name, crate root)`: every `crates/*`
+/// package except the `boxes-bench` experiment harness.
+pub(crate) fn library_crates(root: &Path) -> Vec<(String, PathBuf)> {
+    let mut libs = Vec::new();
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for entry in entries.flatten() {
+            let name = format!("boxes-{}", entry.file_name().to_string_lossy());
+            let lib = entry.path().join("src/lib.rs");
+            if lib.is_file() && name != "boxes-bench" {
+                libs.push((name, lib));
+            }
+        }
+    }
+    libs.sort();
+    libs
 }
 
 /// Crate roots that must carry the workspace-wide inner attributes.
@@ -83,13 +109,29 @@ pub(crate) fn audit_unsafe(root: &Path) -> bool {
     ok
 }
 
-/// Every crate root opts into the compiler's `missing_docs` lint.
-pub(crate) fn audit_missing_docs(root: &Path) -> bool {
+/// Every crate root opts into the compiler's `missing_docs` lint, and
+/// every library crate root carries [`LIBRARY_POLICY`].
+pub(crate) fn audit_crate_roots(root: &Path) -> bool {
     let mut ok = true;
     for lib in crate_roots(root) {
         let text = std::fs::read_to_string(&lib).unwrap_or_default();
         if !text.contains("#![warn(missing_docs)]") {
             eprintln!("  {} lacks #![warn(missing_docs)]", lib.display());
+            ok = false;
+        }
+    }
+    let policy: String = LIBRARY_POLICY.split_whitespace().collect();
+    for (_, lib) in library_crates(root) {
+        let text = std::fs::read_to_string(&lib).unwrap_or_default();
+        if !text
+            .split_whitespace()
+            .collect::<String>()
+            .contains(&policy)
+        {
+            eprintln!(
+                "  {} lacks the library lint policy {LIBRARY_POLICY}",
+                lib.display()
+            );
             ok = false;
         }
     }

@@ -7,20 +7,23 @@
 //!
 //! 1. `cargo fmt --all --check`;
 //! 2. a curated `cargo clippy` pass with `-D warnings` plus a few
-//!    deny-listed lints (`dbg_macro`, `todo`, `unimplemented`);
+//!    deny-listed lints (`dbg_macro`, `todo`, `unimplemented`); the library
+//!    lint policy (panics, `as` casts, dropped reports, `std::fs`, clocks,
+//!    `!Sync` state, bare `#[allow]`) is denied at each library crate root;
 //! 3. an unsafe-code audit: every crate root must carry
 //!    `#![forbid(unsafe_code)]` and no source file may contain an `unsafe`
 //!    token outside comments;
-//! 4. a `missing_docs` sweep: every crate root must carry
-//!    `#![warn(missing_docs)]`;
-//! 5. the **source lint**: the `boxes-lint` BX001–BX020 rule catalog
-//!    (pager I/O discipline, filesystem containment, panic freedom, cast
-//!    safety, `#[must_use]` reports, public-item docs, lock discipline,
-//!    durable-file discipline) over every crate,
-//!    against the checked-in `lint.toml` baseline. The JSON report lands in
-//!    `target/lint-report.json`. `--lint-only` runs just this step;
-//!    `--baseline` prints suggested suppression entries for the current
-//!    unsuppressed findings.
+//! 4. a crate-root sweep: every crate root must carry
+//!    `#![warn(missing_docs)]` and every library crate root the policy line;
+//! 5. the **source lint**: the `boxes-lint` BX rule catalog (pager I/O
+//!    discipline, swallowed I/O errors, span balance, lock discipline,
+//!    durable-file discipline) over every crate, against the checked-in
+//!    `lint.toml` baseline, plus the site budget: the `[[allow]]`ed
+//!    findings and the `#[expect]`ed clippy panic and cast sites, counted
+//!    by a force-warn clippy pass, must fit `[limits] max_baselined`. The
+//!    JSON report lands in `target/lint-report.json`. `--lint-only` runs
+//!    just this step; `--baseline` prints suggested suppression entries for
+//!    the current unsuppressed findings.
 //! 6. a **semantic lint**: the [`boxes_audit::Auditable`] auditors are run
 //!    over randomized `boxes_xml::workload` update streams after every
 //!    operation, failing on any [`boxes_audit::Violation`]. The run also
