@@ -52,7 +52,7 @@ impl BBox {
     /// Bulk load `count` labels in document order into an empty B-BOX.
     /// O(N/B) I/Os. Returns the LIDs in document order.
     pub fn bulk_load(&mut self, count: usize) -> Vec<Lid> {
-        let _span = boxes_trace::OpSpan::op(self.trace_tag(), "bulk_load");
+        let _span = boxes_trace::OpSpan::op(self.pager().trace(), self.trace_tag(), "bulk_load");
         self.journaled(|t| t.bulk_load_impl(count))
     }
 

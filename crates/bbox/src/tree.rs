@@ -85,7 +85,7 @@ impl BBox {
     /// Create an empty B-BOX on the shared pager.
     pub fn new(pager: SharedPager, config: BBoxConfig) -> Self {
         config.validate();
-        let _span = OpSpan::op(tag_for(&config), "open");
+        let _span = OpSpan::op(pager.trace(), tag_for(&config), "open");
         let txn = pager.txn();
         let lidf = Lidf::new(pager.clone());
         let root = pager.alloc();
@@ -114,7 +114,7 @@ impl BBox {
     /// and the §6 change log — restarts empty; the caching layer realigns
     /// its mod-log to the recovered checkpoint timestamp instead.
     pub fn reopen(pager: SharedPager, config: BBoxConfig, state: &[u8], lidf_state: &[u8]) -> Self {
-        let _span = OpSpan::op(tag_for(&config), "open");
+        let _span = OpSpan::op(pager.trace(), tag_for(&config), "open");
         config.validate();
         let lidf = Lidf::reopen(pager.clone(), lidf_state);
         let mut r = boxes_pager::Reader::new(state);
@@ -386,7 +386,7 @@ impl BBox {
     /// Reconstruct the label of `lid` bottom-up through the back-links
     /// (Theorem 5.2: O(log_B N) I/Os, plus one for the LIDF).
     pub fn lookup(&self, lid: Lid) -> PathLabel {
-        let _span = OpSpan::op(self.trace_tag(), "lookup");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "lookup");
         let leaf_id = self.lidf.read(lid).block;
         let node = self.read_node(leaf_id);
         let mut components = vec![node.position_of_lid(lid) as u32];
@@ -411,7 +411,7 @@ impl BBox {
             self.config.ordinal,
             "ordinal lookup requires BBoxConfig::with_ordinal"
         );
-        let _span = OpSpan::op(self.trace_tag(), "ordinal");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "ordinal");
         let leaf_id = self.lidf.read(lid).block;
         let node = self.read_node(leaf_id);
         let mut count = node.position_of_lid(lid) as u64;
@@ -431,7 +431,7 @@ impl BBox {
     /// their lowest common ancestor — often far cheaper than two lookups
     /// when the labels are close in document order.
     pub fn compare(&self, a: Lid, b: Lid) -> Ordering {
-        let _span = OpSpan::op(self.trace_tag(), "compare");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "compare");
         if a == b {
             return Ordering::Equal;
         }
@@ -465,7 +465,7 @@ impl BBox {
 
     /// Insert the very first label into an empty B-BOX.
     pub fn insert_first(&mut self) -> Lid {
-        let _span = OpSpan::op(self.trace_tag(), "insert");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert");
         self.journaled(|t| t.insert_first_impl())
     }
 
@@ -481,7 +481,7 @@ impl BBox {
 
     /// Insert a new label immediately before `lid_old`. Returns the new LID.
     pub fn insert_before(&mut self, lid_old: Lid) -> Lid {
-        let _span = OpSpan::op(self.trace_tag(), "insert");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert");
         self.journaled(|t| t.insert_before_impl(lid_old))
     }
 
@@ -498,7 +498,7 @@ impl BBox {
     /// Insert a new element (start and end labels) before the tag labeled
     /// `lid`, per §3: end label first, then start label before it.
     pub fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
-        let _span = OpSpan::op(self.trace_tag(), "insert_element");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert_element");
         self.journaled(|t| {
             let end = t.insert_before_impl(lid);
             let start = t.insert_before_impl(end);
@@ -517,7 +517,7 @@ impl BBox {
         }
         // Split: the first half of the records remain on the old leaf while
         // the rest move to a new leaf (whose LIDF records must be updated).
-        let _phase = OpSpan::phase("split");
+        let _phase = OpSpan::phase(self.pager.trace(), "split");
         self.counters.leaf_splits += 1;
         let n = leaf.count();
         let right_lids = leaf.lids_mut().split_off(n.div_ceil(2));
@@ -615,7 +615,7 @@ impl BBox {
     /// entries need their children's back-links rewritten — the O(B) term
     /// of Theorem 5.3.
     pub(crate) fn split_internal(&mut self, parent_id: BlockId, mut p: Node, delta: i64) {
-        let _phase = OpSpan::phase("split");
+        let _phase = OpSpan::phase(self.pager.trace(), "split");
         self.counters.internal_splits += 1;
         let n = p.count();
         let right_entries = p.entries_mut().split_off(n.div_ceil(2));
@@ -654,7 +654,7 @@ impl BBox {
 
     /// Remove the label identified by `lid`, reclaiming its LIDF record.
     pub fn delete(&mut self, lid: Lid) {
-        let _span = OpSpan::op(self.trace_tag(), "delete");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "delete");
         self.journaled(|t| t.delete_impl(lid));
     }
 
@@ -682,7 +682,7 @@ impl BBox {
     /// merges left underfull. `node` is the decoded current state (already
     /// persisted).
     pub(crate) fn rebalance(&mut self, node_id: BlockId, node: Node) {
-        let _phase = OpSpan::phase("merge");
+        let _phase = OpSpan::phase(self.pager.trace(), "merge");
         let mut node_id = node_id;
         let mut node = node;
         loop {

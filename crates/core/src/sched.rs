@@ -1,9 +1,9 @@
 //! Seeded logical-tick scheduler for deterministic interleaving tests.
 //!
-//! The latch-per-frame pager (ROADMAP item 1) is proven by *replaying*
-//! concurrency instead of hoping for it: a [`Scheduler`] owns a seeded
-//! script — a shuffled multiset of actor ids, one entry per operation each
-//! actor will perform — and grants turns strictly in script order. Every
+//! The latch-per-frame pager is proven by *replaying* concurrency instead
+//! of hoping for it: a [`Scheduler`] owns a seeded script — a shuffled
+//! multiset of actor ids, one entry per operation each actor will
+//! perform — and grants turns strictly in script order. Every
 //! actor thread brackets each logical operation with
 //! [`Scheduler::wait_turn`] / [`Scheduler::step_done`], so the schedule
 //! *is* the serialization order: the interleaving rig can assert the

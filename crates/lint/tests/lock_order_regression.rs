@@ -3,8 +3,9 @@
 //! The sharded pager introduced two new lock tiers under the coordinator:
 //! per-shard page-table mutexes (`boxes-pager::Shard.state`) and per-frame
 //! latches (`boxes-pager::Frame.latch`), plus the interleaving scheduler's
-//! leaf mutex (`boxes-core::Scheduler.state`). This test re-analyzes the
-//! *real* workspace and pins down the hierarchy:
+//! leaf mutex (`boxes-core::Scheduler.state`). Each pager's trace adds one
+//! more leaf under the coordinator (`boxes-trace::Trace.inner`). This test
+//! re-analyzes the *real* workspace and pins down the hierarchy:
 //!
 //! * the graph stays **acyclic** — any future code path that takes the
 //!   coordinator while holding a shard (or a shard while holding a frame
@@ -13,6 +14,8 @@
 //!   refactor stops the analyzer from seeing the hierarchy, the proof is
 //!   gone even though the code may still be fine, and that silent loss of
 //!   coverage should fail loudly too;
+//! * the scheduler mutex and the trace lock stay **leaves** — nothing is
+//!   acquired while either is held;
 //! * a negative-control source with a two-lock cycle still makes BX015
 //!   fire, so "no cycles above" means "none found", not "none findable".
 
@@ -68,24 +71,27 @@ fn lock_order_graph_is_acyclic_with_the_sharded_pager_hierarchy() {
         "lock-order graph grew a cycle: {json}"
     );
 
-    // All three new locks are registered.
+    // Every lock of the hierarchy is registered.
     let locks = json_section(&json, "locks");
     for lock in [
         "boxes-pager::Pager.inner",
         "boxes-pager::Shard.state",
         "boxes-pager::Frame.latch",
         "boxes-core::Scheduler.state",
+        "boxes-trace::Trace.inner",
     ] {
         assert!(locks.contains(lock), "lock inventory lost {lock}: {locks}");
     }
 
     // The two-tier hierarchy is witnessed: coordinator → shard and
-    // shard → frame edges both appear with at least one witness site.
+    // shard → frame edges both appear with at least one witness site, and
+    // so does the pager recording into its trace under the coordinator.
     let edges = json_section(&json, "edges");
     for (from, to) in [
         ("boxes-pager::Pager.inner", "boxes-pager::Shard.state"),
         ("boxes-pager::Pager.inner", "boxes-pager::Frame.latch"),
         ("boxes-pager::Shard.state", "boxes-pager::Frame.latch"),
+        ("boxes-pager::Pager.inner", "boxes-trace::Trace.inner"),
     ] {
         let edge = format!("{{\"from\": \"{from}\", \"to\": \"{to}\"");
         assert!(
@@ -94,11 +100,14 @@ fn lock_order_graph_is_acyclic_with_the_sharded_pager_hierarchy() {
         );
     }
 
-    // The scheduler mutex is a leaf: nothing is acquired while holding it.
-    assert!(
-        !edges.contains("\"from\": \"boxes-core::Scheduler.state\""),
-        "scheduler mutex must stay a leaf lock: {edges}"
-    );
+    // The scheduler mutex and the trace lock are leaves: nothing is
+    // acquired while holding either.
+    for leaf in ["boxes-core::Scheduler.state", "boxes-trace::Trace.inner"] {
+        assert!(
+            !edges.contains(&format!("\"from\": \"{leaf}\"")),
+            "{leaf} must stay a leaf lock: {edges}"
+        );
+    }
 }
 
 /// Negative control: an artificial A→B / B→A cycle must still trip BX015,

@@ -274,7 +274,7 @@ impl NaiveLabeling {
     /// Bulk load `count` tags in document order, equally spaced 2^k apart.
     /// O(N/B) I/Os. Returns the LIDs in document order.
     pub fn bulk_load(&mut self, count: usize) -> Vec<Lid> {
-        let _span = OpSpan::op(self.trace_tag(), "bulk_load");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "bulk_load");
         self.journaled(|t| t.bulk_load_impl(count))
     }
 
@@ -316,7 +316,7 @@ impl NaiveLabeling {
 
     /// Current label of `lid`. One I/O.
     pub fn lookup(&self, lid: Lid) -> BigLabel {
-        let _span = OpSpan::op(self.trace_tag(), "lookup");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "lookup");
         self.read_record(lid).0
     }
 
@@ -324,7 +324,7 @@ impl NaiveLabeling {
     /// Returns the new LID. Splits the predecessor gap; triggers a global
     /// relabel when the gap is exhausted.
     pub fn insert_before(&mut self, lid_old: Lid) -> Lid {
-        let _span = OpSpan::op(self.trace_tag(), "insert");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert");
         self.journaled(|t| t.insert_before_impl(lid_old))
     }
 
@@ -347,7 +347,7 @@ impl NaiveLabeling {
     /// Insert a new element (two labels) before the tag labeled `lid`:
     /// end label first, then start label before it (§3).
     pub fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
-        let _span = OpSpan::op(self.trace_tag(), "insert_element");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert_element");
         self.journaled(|t| {
             let end = t.insert_before_impl(lid);
             let start = t.insert_before_impl(end);
@@ -358,7 +358,7 @@ impl NaiveLabeling {
     /// Remove the label identified by `lid`, reclaiming its record. The
     /// successor absorbs the freed gap.
     pub fn delete(&mut self, lid: Lid) {
-        let _span = OpSpan::op(self.trace_tag(), "delete");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "delete");
         self.journaled(|t| t.delete_impl(lid));
     }
 
@@ -377,7 +377,7 @@ impl NaiveLabeling {
     /// The paper defines no bulk path for naive; this loops
     /// `insert_before` (used only for completeness in E7).
     pub fn insert_subtree_before(&mut self, lid: Lid, n_tags: usize) -> Vec<Lid> {
-        let _span = OpSpan::op(self.trace_tag(), "subtree_insert");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "subtree_insert");
         self.journaled(|t| {
             let mut out = Vec::with_capacity(n_tags);
             let mut anchor = lid;
@@ -393,7 +393,7 @@ impl NaiveLabeling {
     /// Delete every label in the inclusive label range of `start`..`end`.
     /// One random I/O per record freed (the paper's O(N′) remark).
     pub fn delete_subtree(&mut self, start: Lid, end: Lid) {
-        let _span = OpSpan::op(self.trace_tag(), "subtree_delete");
+        let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "subtree_delete");
         self.journaled(|t| {
             let lo = t.lookup(start);
             let hi = t.lookup(end);
@@ -409,7 +409,7 @@ impl NaiveLabeling {
     /// with gap 2^k. One sequential read + write of the file (O(N/B));
     /// the sort is free via the in-memory mirror.
     fn relabel(&mut self) {
-        let _phase = OpSpan::phase("relabel");
+        let _phase = OpSpan::phase(self.pager.trace(), "relabel");
         self.relabel_count += 1;
         let gap = self.config.gap();
         // One pass over the (sorted) mirror yields every live slot's rank;

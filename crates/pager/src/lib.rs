@@ -68,7 +68,7 @@ pub use stats::IoStats;
 pub use table::ShardStats;
 pub use vfs::{sector_floor, FaultFile, FileFaultPlan, RawFile, SECTOR_SIZE};
 
-use boxes_trace::{record as trace_record, Counter as TraceCounter};
+use boxes_trace::{Counter as TraceCounter, Trace};
 use std::sync::{Arc, Mutex, MutexGuard};
 use table::{PageTable, TableRef};
 
@@ -247,6 +247,12 @@ pub trait Journal: Send + Sync {
     fn healthy(&self) -> bool {
         true
     }
+
+    /// Record this journal's activity (appends, syncs, checkpoints, log
+    /// replays) into `trace`, the attaching pager's own trace. Called by
+    /// [`Pager::attach_journal`]; a later attach replaces the handle. The
+    /// default records nothing.
+    fn bind_trace(&self, _trace: &Arc<Trace>) {}
 }
 
 /// Decision returned by a [`FaultInjector`] for one backend block write
@@ -779,9 +785,9 @@ impl Backend {
 
 /// An in-memory simulated disk of fixed-size blocks with I/O accounting.
 ///
-/// `Send + Sync`, with a two-tier locking split (ROADMAP item 1): the
-/// coarse `inner` [`Mutex`] is the *coordinator* — alloc/free, epoch
-/// publish, WAL group-commit barriers and all write paths serialize there —
+/// `Send + Sync`, with a two-tier locking split: the coarse `inner`
+/// [`Mutex`] is the *coordinator* — alloc/free, epoch publish, WAL
+/// group-commit barriers and all write paths serialize there —
 /// while the block frames and frozen snapshot versions live in the sharded
 /// [`PageTable`] (per-shard mutexes, per-frame `RwLock` latches). Snapshot
 /// readers resolve pinned-epoch reads entirely inside one shard, so reader
@@ -800,6 +806,10 @@ pub struct Pager {
     /// charge their own stats under their own lock, release it, and only
     /// then take the base pager's lock — sequentially, never nested.
     view: Option<SnapshotRef>,
+    /// This pager's own trace: every I/O it counts is recorded here, and
+    /// schemes on this pager open their spans on it. A snapshot view has
+    /// its own. Its lock is a leaf under `inner`.
+    trace: Arc<Trace>,
 }
 
 /// Shared handle to a [`Pager`]. All data structures in this workspace take
@@ -848,6 +858,7 @@ impl Pager {
                 BufferPool::new(config.pool_capacity),
             )),
             view: None,
+            trace: Trace::new(),
         })
     }
 
@@ -869,6 +880,7 @@ impl Pager {
                 ..PagerInner::new(Backend::Memory(table), BufferPool::disabled())
             }),
             view: None,
+            trace: Trace::new(),
         })
     }
 
@@ -913,6 +925,7 @@ impl Pager {
             "journal requires the buffer pool to be disabled (paper setup)"
         );
         assert_eq!(inner.txn.depth, 0, "journal attached mid-transaction");
+        journal.bind_trace(&self.trace);
         inner.journal = Some(journal);
     }
 
@@ -999,9 +1012,15 @@ impl Pager {
                         frames.insert(frame.block.0, frame.after);
                     }
                     freed.extend(record.freed);
-                    let ok =
-                        Self::apply_frames(&mut inner, &self.table, frames, freed, self.block_size)
-                            .is_ok();
+                    let ok = Self::apply_frames(
+                        &mut inner,
+                        &self.table,
+                        &self.trace,
+                        frames,
+                        freed,
+                        self.block_size,
+                    )
+                    .is_ok();
                     if ok {
                         // Group-commit boundary: log durable, frames applied —
                         // publish a fresh snapshot epoch carrying every staged
@@ -1100,6 +1119,7 @@ impl Pager {
     fn apply_frames(
         inner: &mut PagerInner,
         table: &PageTable,
+        trace: &Trace,
         mut frames: std::collections::BTreeMap<u32, Box<[u8]>>,
         mut freed: Vec<BlockId>,
         block_size: usize,
@@ -1107,7 +1127,7 @@ impl Pager {
         while let Some((raw, data)) = frames.pop_first() {
             let id = BlockId(raw);
             Self::freeze_for_pins(inner, table, id, block_size);
-            if let Err((data, reason)) = Self::write_block_checked(inner, id, data) {
+            if let Err((data, reason)) = Self::write_block_checked(inner, trace, id, data) {
                 frames.insert(raw, data);
                 inner.overlay.frames.append(&mut frames);
                 inner.overlay.freed.append(&mut freed);
@@ -1210,6 +1230,7 @@ impl Pager {
     )]
     fn write_block_checked(
         inner: &mut PagerInner,
+        trace: &Trace,
         id: BlockId,
         data: Box<[u8]>,
     ) -> Result<(), (Box<[u8]>, DegradedReason)> {
@@ -1224,7 +1245,7 @@ impl Pager {
                 WriteFault::Proceed => break,
                 WriteFault::Latency(ticks) => {
                     inner.stats.backoff_ticks += ticks;
-                    trace_record(TraceCounter::BackoffTicks, ticks);
+                    trace.record(TraceCounter::BackoffTicks, ticks);
                     break;
                 }
                 WriteFault::TearAndCrash(prefix) => {
@@ -1245,8 +1266,8 @@ impl Pager {
             retry += 1;
             inner.stats.retries += 1;
             inner.stats.backoff_ticks += policy.backoff_ticks(retry);
-            trace_record(TraceCounter::Retry, 1);
-            trace_record(TraceCounter::BackoffTicks, policy.backoff_ticks(retry));
+            trace.record(TraceCounter::Retry, 1);
+            trace.record(TraceCounter::BackoffTicks, policy.backoff_ticks(retry));
         }
         inner.backend.write(id, data);
         Ok(())
@@ -1263,6 +1284,7 @@ impl Pager {
     )]
     fn read_block_checked(
         inner: &mut PagerInner,
+        trace: &Trace,
         id: BlockId,
         block_size: usize,
         consult_faults: bool,
@@ -1282,7 +1304,7 @@ impl Pager {
                 ReadFault::Proceed => false,
                 ReadFault::Latency(ticks) => {
                     inner.stats.backoff_ticks += ticks;
-                    trace_record(TraceCounter::BackoffTicks, ticks);
+                    trace.record(TraceCounter::BackoffTicks, ticks);
                     false
                 }
                 ReadFault::BitFlip { offset, mask } => {
@@ -1297,7 +1319,9 @@ impl Pager {
                 match inner.backend.try_read(id, block_size) {
                     Ok(data) => return Ok(data),
                     Err(ReadFailure::Unallocated) => panic!("read of unallocated {id:?}"),
-                    Err(ReadFailure::Checksum) => return Self::repair_block(inner, id, block_size),
+                    Err(ReadFailure::Checksum) => {
+                        return Self::repair_block(inner, trace, id, block_size)
+                    }
                     Err(ReadFailure::Io) => {}
                 }
             }
@@ -1310,8 +1334,8 @@ impl Pager {
             retry += 1;
             inner.stats.retries += 1;
             inner.stats.backoff_ticks += policy.backoff_ticks(retry);
-            trace_record(TraceCounter::Retry, 1);
-            trace_record(TraceCounter::BackoffTicks, policy.backoff_ticks(retry));
+            trace.record(TraceCounter::Retry, 1);
+            trace.record(TraceCounter::BackoffTicks, policy.backoff_ticks(retry));
         }
     }
 
@@ -1322,6 +1346,7 @@ impl Pager {
     /// loudly — never a silently wrong answer.
     fn repair_block(
         inner: &mut PagerInner,
+        trace: &Trace,
         id: BlockId,
         block_size: usize,
     ) -> Result<Box<[u8]>, PagerError> {
@@ -1329,8 +1354,9 @@ impl Pager {
         match image {
             Some(data) if data.len() == block_size => {
                 inner.stats.repairs += 1;
-                trace_record(TraceCounter::Repair, 1);
-                if let Err((_, reason)) = Self::write_block_checked(inner, id, data.clone()) {
+                trace.record(TraceCounter::Repair, 1);
+                if let Err((_, reason)) = Self::write_block_checked(inner, trace, id, data.clone())
+                {
                     // The read is still answered from the log image; only
                     // write service is lost.
                     Self::enter_degraded(inner, reason);
@@ -1377,6 +1403,7 @@ impl Pager {
                 ..PagerInner::new(Backend::File(store), BufferPool::disabled())
             }),
             view: None,
+            trace: Trace::new(),
         }))
     }
 
@@ -1384,6 +1411,14 @@ impl Pager {
     #[inline]
     pub fn block_size(&self) -> usize {
         self.block_size
+    }
+
+    /// This pager's trace. Schemes open their spans on it, and every I/O
+    /// the pager counts in [`IoStats`] is recorded in it, so
+    /// `attributed + unattributed` equals this pager's stats delta.
+    #[inline]
+    pub fn trace(&self) -> &Arc<Trace> {
+        &self.trace
     }
 
     /// Whether `id` is allocated from the current transaction's point of
@@ -1413,7 +1448,7 @@ impl Pager {
             std::panic::panic_any(PagerError::Degraded(reason));
         }
         inner.stats.allocs += 1;
-        trace_record(TraceCounter::Alloc, 1);
+        self.trace.record(TraceCounter::Alloc, 1);
         if inner.journal.is_some() {
             assert!(
                 inner.txn.depth > 0,
@@ -1470,7 +1505,7 @@ impl Pager {
             std::panic::panic_any(PagerError::Pinned { block: id });
         }
         inner.stats.frees += 1;
-        trace_record(TraceCounter::Free, 1);
+        self.trace.record(TraceCounter::Free, 1);
         // Drop any cached copy; a dirty cached copy of a freed block is dead
         // data, so it is discarded without a write-back.
         inner.pool.discard(id);
@@ -1539,7 +1574,7 @@ impl Pager {
         let mut inner = self.lock();
         if inner.journal.is_some() {
             inner.stats.reads += 1;
-            trace_record(TraceCounter::BlockRead, 1);
+            self.trace.record(TraceCounter::BlockRead, 1);
             assert!(
                 Self::txn_is_allocated(&inner, id),
                 "read of unallocated {id:?}"
@@ -1550,22 +1585,22 @@ impl Pager {
             if let Some(data) = inner.overlay.frames.get(&id.0) {
                 return Ok(data.clone());
             }
-            return Self::read_block_checked(&mut inner, id, self.block_size, true);
+            return Self::read_block_checked(&mut inner, &self.trace, id, self.block_size, true);
         }
         if let Some(data) = inner.pool.get(id) {
-            trace_record(TraceCounter::CacheHit, 1);
+            self.trace.record(TraceCounter::CacheHit, 1);
             return Ok(data);
         }
-        let data = Self::read_block_checked(&mut inner, id, self.block_size, true)?;
+        let data = Self::read_block_checked(&mut inner, &self.trace, id, self.block_size, true)?;
         inner.stats.reads += 1;
-        trace_record(TraceCounter::BlockRead, 1);
+        self.trace.record(TraceCounter::BlockRead, 1);
         if let Some((evicted, dirty)) = inner
             .pool
             .insert_clean(id, data.clone())
             .map_err(|_| PagerError::Pinned { block: id })?
         {
             Self::freeze_for_pins(&mut inner, &self.table, evicted, self.block_size);
-            Self::write_back(&mut inner, evicted, dirty)?;
+            Self::write_back(&mut inner, &self.trace, evicted, dirty)?;
         }
         Ok(data)
     }
@@ -1617,7 +1652,7 @@ impl Pager {
                 "write to unallocated {id:?}"
             );
             inner.stats.writes += 1;
-            trace_record(TraceCounter::BlockWrite, 1);
+            self.trace.record(TraceCounter::BlockWrite, 1);
             inner
                 .txn
                 .cache
@@ -1630,10 +1665,11 @@ impl Pager {
         );
         if inner.pool.capacity() == 0 {
             inner.stats.writes += 1;
-            trace_record(TraceCounter::BlockWrite, 1);
+            self.trace.record(TraceCounter::BlockWrite, 1);
             Self::freeze_for_pins(&mut inner, &self.table, id, self.block_size);
             let boxed = data.to_vec().into_boxed_slice();
-            if let Err((_, reason)) = Self::write_block_checked(&mut inner, id, boxed) {
+            if let Err((_, reason)) = Self::write_block_checked(&mut inner, &self.trace, id, boxed)
+            {
                 Self::enter_degraded(&mut inner, reason);
                 return Err(PagerError::Degraded(reason));
             }
@@ -1645,15 +1681,20 @@ impl Pager {
             .map_err(|_| PagerError::Pinned { block: id })?
         {
             Self::freeze_for_pins(&mut inner, &self.table, evicted, self.block_size);
-            Self::write_back(&mut inner, evicted, dirty)?;
+            Self::write_back(&mut inner, &self.trace, evicted, dirty)?;
         }
         Ok(())
     }
 
-    fn write_back(inner: &mut PagerInner, id: BlockId, data: Box<[u8]>) -> Result<(), PagerError> {
+    fn write_back(
+        inner: &mut PagerInner,
+        trace: &Trace,
+        id: BlockId,
+        data: Box<[u8]>,
+    ) -> Result<(), PagerError> {
         inner.stats.writes += 1;
-        trace_record(TraceCounter::BlockWrite, 1);
-        if let Err((_, reason)) = Self::write_block_checked(inner, id, data) {
+        trace.record(TraceCounter::BlockWrite, 1);
+        if let Err((_, reason)) = Self::write_block_checked(inner, trace, id, data) {
             // Unjournaled pool write-back has no overlay to park in: the
             // dirty image is lost, which is exactly why the failure is loud.
             Self::enter_degraded(inner, reason);
@@ -1674,7 +1715,7 @@ impl Pager {
     pub fn flush(&self) {
         let mut inner = self.lock();
         for (id, data) in inner.pool.take_dirty() {
-            if let Err(err) = Self::write_back(&mut inner, id, data) {
+            if let Err(err) = Self::write_back(&mut inner, &self.trace, id, data) {
                 std::panic::panic_any(err);
             }
         }
@@ -1732,6 +1773,7 @@ impl Pager {
             if Self::apply_frames(
                 &mut inner,
                 &self.table,
+                &self.trace,
                 overlay.frames,
                 overlay.freed,
                 self.block_size,
@@ -1815,7 +1857,7 @@ impl Pager {
             }
             // Stale checksum: scrub it through the foreground repair path.
             inner.pool.discard(id);
-            match Self::repair_block(&mut inner, id, self.block_size) {
+            match Self::repair_block(&mut inner, &self.trace, id, self.block_size) {
                 Ok(_) => report.repaired += 1,
                 Err(_) => report.failed.push(id),
             }
@@ -1919,9 +1961,11 @@ impl Pager {
     /// Read block `id` as of pinned snapshot `epoch`: the oldest frozen
     /// version still valid at that epoch wins, else the backend image (which
     /// is correct whenever no later write has touched the block). Charges
-    /// nothing here — the snapshot *view* charges its own stats before
-    /// calling. Never consults the fault plan: snapshot reads must not shift
-    /// the deterministic fault-attempt counters of the main session.
+    /// no read here — the snapshot *view* charges its own stats and trace
+    /// before calling — but slow-path retries and repairs land on this
+    /// pager's stats and trace. Never consults the fault plan: snapshot
+    /// reads must not shift the deterministic fault-attempt counters of
+    /// the main session.
     fn snapshot_read_raw(&self, id: BlockId, epoch: u64) -> Result<Box<[u8]>, PagerError> {
         // Fast path: resolve the read inside one shard — frozen version or
         // a checksum-clean live frame — without touching the coordinator.
@@ -1937,7 +1981,7 @@ impl Pager {
             // miss and taking the coordinator.
             return Ok(data);
         }
-        Self::read_block_checked(&mut inner, id, self.block_size, false)
+        Self::read_block_checked(&mut inner, &self.trace, id, self.block_size, false)
     }
 
     /// Whether `id` is readable as of pinned snapshot `epoch`: a covering
@@ -1962,8 +2006,9 @@ impl Pager {
     /// the committed state as of the current published epoch, immune to
     /// concurrent writer progress. Returns the view and the published meta
     /// map at that epoch (for reopening structures over the view). The view
-    /// has its own [`IoStats`] — per-session I/O attribution — and forwards
-    /// block reads to this pager's frozen versions first, backend second.
+    /// has its own [`IoStats`] and its own trace — per-session I/O
+    /// attribution, whatever thread reads through it — and forwards block
+    /// reads to this pager's frozen versions first, backend second.
     /// Dropping the view unpins the epoch.
     ///
     /// # Panics
@@ -1993,6 +2038,7 @@ impl Pager {
                 base: Arc::clone(self),
                 epoch,
             }),
+            trace: Trace::new(),
         });
         (view, metas)
     }
@@ -2003,7 +2049,7 @@ impl Pager {
     fn charge_view_read(&self) {
         let mut inner = self.lock();
         inner.stats.reads += 1;
-        trace_record(TraceCounter::BlockRead, 1);
+        self.trace.record(TraceCounter::BlockRead, 1);
     }
 
     /// Force a group-commit boundary now: ask the journal for a durability
@@ -2044,6 +2090,7 @@ impl Pager {
             let ok = Self::apply_frames(
                 &mut inner,
                 &self.table,
+                &self.trace,
                 overlay.frames,
                 overlay.freed,
                 self.block_size,

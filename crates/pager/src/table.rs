@@ -1,5 +1,5 @@
 //! Sharded page table with per-frame latches — the fine-grained half of the
-//! pager's locking split (ROADMAP item 1).
+//! pager's locking split.
 //!
 //! The coarse `Pager.inner` mutex remains the *coordinator*: alloc/free,
 //! epoch publish, journal group-commit barriers and every write-side code

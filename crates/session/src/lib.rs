@@ -40,10 +40,12 @@
 //! publishes a new epoch at every group-commit boundary automatically, or
 //! on demand with [`WriterSession::publish`].
 //!
-//! Every session carries a [`boxes_trace::TraceSession`], so per-session
-//! I/O attribution survives N threads: the profile gate's accounting
-//! identity (attributed + unattributed == pager I/O delta) holds with
-//! concurrent readers active.
+//! A snapshot's view is a pager of its own, with its own I/O counters and
+//! its own trace (`snap.pager().trace()`), so a snapshot's I/O is
+//! attributed to it whatever thread reads through it; the writer's I/O
+//! lands on the managed pager's trace. The profile gate's accounting
+//! identity (attributed + unattributed == I/O delta) holds pager by pager
+//! with concurrent readers active.
 //!
 //! ```
 //! use boxes_core::{LabelingScheme, WBoxScheme};
@@ -81,7 +83,7 @@ use boxes_core::LabelingScheme;
 use boxes_lidf::{Lidf, Record};
 use boxes_naive::NaiveConfig;
 use boxes_pager::{lock_unpoisoned, IoStats, PagerError, SharedPager};
-use boxes_trace::{OpSpan, TraceSession};
+use boxes_trace::OpSpan;
 use boxes_wbox::WBoxConfig;
 
 /// Why a session could not be opened.
@@ -277,12 +279,9 @@ impl<S: SessionScheme> SessionManager<S> {
             let mut slot = lock_unpoisoned(&self.writer);
             slot.take().ok_or(SessionError::WriterBusy)?
         };
-        let trace = TraceSession::begin("writer");
-        trace.bind_current_thread();
         Ok(WriterSession {
             manager: self,
             scheme: Some(scheme),
-            trace,
         })
     }
 
@@ -291,21 +290,16 @@ impl<S: SessionScheme> SessionManager<S> {
     /// is a fresh reopen over a snapshot-view pager, so lookups on it never
     /// touch (or observe) writer state.
     pub fn snapshot(&self) -> Result<Snapshot<S>, SessionError> {
-        // Begin (and bind) the trace session *before* the reopen so any
-        // I/O the view does while opening is already attributed here.
-        let trace = TraceSession::begin("snapshot");
-        trace.bind_current_thread();
         let (view, metas) = self.pager.snapshot_view();
         let epoch = view.snapshot_epoch().unwrap_or(0);
         let scheme = {
-            let _span = OpSpan::op("session", "open");
+            let _span = OpSpan::op(view.trace(), "session", "open");
             S::open_view(view, &self.config, &metas)?
         };
         Ok(Snapshot {
             scheme,
             epoch,
             metas,
-            trace,
         })
     }
 }
@@ -318,7 +312,6 @@ impl<S: SessionScheme> SessionManager<S> {
 pub struct WriterSession<'a, S: SessionScheme> {
     manager: &'a SessionManager<S>,
     scheme: Option<S>,
-    trace: TraceSession,
 }
 
 impl<S: SessionScheme> WriterSession<'_, S> {
@@ -327,13 +320,8 @@ impl<S: SessionScheme> WriterSession<'_, S> {
     /// published. Use this to make the latest streamed ops visible to
     /// snapshots without waiting for `sync_every` to trip.
     pub fn publish(&self) -> bool {
-        let _span = OpSpan::op("session", "publish");
+        let _span = OpSpan::op(self.manager.pager.trace(), "session", "publish");
         self.manager.pager.publish_barrier()
-    }
-
-    /// This session's trace handle (per-session I/O attribution).
-    pub fn trace(&self) -> &TraceSession {
-        &self.trace
     }
 }
 
@@ -374,7 +362,6 @@ pub struct Snapshot<S: SessionScheme> {
     scheme: S,
     epoch: u64,
     metas: Arc<BTreeMap<String, Vec<u8>>>,
-    trace: TraceSession,
 }
 
 impl<S: SessionScheme> Snapshot<S> {
@@ -410,21 +397,10 @@ impl<S: SessionScheme> Snapshot<S> {
     }
 
     /// I/O charged to this snapshot so far (the view pager's own counters —
-    /// disjoint from the base pager's).
+    /// disjoint from the base pager's). The view's trace,
+    /// `snap.pager().trace()`, attributes the same I/O to spans.
     pub fn io(&self) -> IoStats {
         self.scheme.pager().stats()
-    }
-
-    /// This session's trace handle (per-session I/O attribution).
-    pub fn trace(&self) -> &TraceSession {
-        &self.trace
-    }
-
-    /// Re-bind trace attribution to the calling thread — call this after
-    /// moving the snapshot to another thread so its events keep landing in
-    /// this session's tally.
-    pub fn bind_current_thread(&self) {
-        self.trace.bind_current_thread();
     }
 
     /// The published meta blobs at this snapshot's epoch.
@@ -512,6 +488,29 @@ mod tests {
         assert!(fresh.epoch() > snap.epoch());
         assert_eq!(fresh.len(), 44, "fresh snapshot sees the inserts");
         assert!(snap.io().reads > 0, "snapshot charged its own reads");
+    }
+
+    #[test]
+    fn snapshot_reads_on_the_writer_thread_are_charged_to_the_snapshot() {
+        let m = wbox_manager(1);
+        let lids = {
+            let mut w = m.writer().expect("writer");
+            w.bulk_load_document(&[1, 0, 3, 2])
+        };
+        // The README's order: snapshot, then the writer, then a snapshot
+        // read on the thread that holds the writer.
+        let snap = m.snapshot().expect("snapshot");
+        let w = m.writer().expect("writer");
+        let io0 = snap.io();
+        let snap0 = snap.pager().trace().attributed();
+        let writer0 = w.pager().trace().attributed();
+        let _ = snap.lookup(lids[0]);
+        let reads = snap.io().since(&io0).reads;
+        assert!(reads > 0, "the lookup read through the view");
+        let charged = snap.pager().trace().attributed().since(&snap0).reads;
+        let to_writer = w.pager().trace().attributed().since(&writer0).reads;
+        assert_eq!(charged, reads, "snapshot reads are charged to the snapshot");
+        assert_eq!(to_writer, 0, "no snapshot read is charged to the writer");
     }
 
     #[test]

@@ -5,52 +5,52 @@
 //! update — so the unit of observation here is the logical operation, not
 //! wall-clock time. This crate provides:
 //!
-//! * [`OpSpan`]: an RAII span carrying a scheme tag ("W-BOX", "B-BOX", …)
-//!   and an op or phase label ("insert", "split", "lidf", …). Spans nest;
-//!   the innermost open span owns every counter event recorded while it is
-//!   open, and folds its totals into its parent when it closes.
+//! * [`Trace`]: one pager's trace. Each `Pager` owns one, and its spans,
+//!   its I/O events and its attached WAL's events all land there, so two
+//!   pagers in one process never see each other's accounting.
+//! * [`OpSpan`]: an RAII span on a [`Trace`], carrying a scheme tag
+//!   ("W-BOX", "B-BOX", …) and an op or phase label ("insert", "split",
+//!   "lidf", …). Spans nest; the innermost open span owns every counter
+//!   event recorded while it is open, and folds its totals into its parent
+//!   when it closes.
 //! * [`Counter`]: the event vocabulary — block reads/writes/allocs/frees,
 //!   retries/repairs/backoff ticks, buffer-pool cache hits, WAL
 //!   appends/syncs/checkpoints and log-image replays.
 //! * A bounded ring buffer of [`SpanEvent`]s (closed spans) plus
 //!   per-(scheme, op) aggregates with log2 I/O histograms.
 //! * [`TraceReport`]: a snapshot with human ([`TraceReport::render_text`])
-//!   and JSON ([`TraceReport::to_json`]) export. The JSON string is what
-//!   `cargo xtask analyze --profile-only` writes to
+//!   and JSON ([`TraceReport::to_json`]) export. `cargo xtask analyze
+//!   --profile-only` writes one per traced pager to
 //!   `target/trace-report.json`.
 //!
 //! # Determinism
 //!
 //! There is no wall clock anywhere (library code cannot name `Instant` or
-//! `SystemTime`; see `clippy.toml`): time is a logical
-//! tick counter advanced once per recorded event and span transition, so
-//! two runs of the same seeded workload produce byte-identical reports.
-//! Span stacks are *per-thread by key, not thread-local by storage*: the
-//! mutex-guarded registry keys each stack by `ThreadId`, so a span opened
-//! on one thread attributes only events recorded on that thread, while
-//! every tally, aggregate, and the event ring live in the same global —
-//! a report taken on the main thread accounts for reader threads too and
-//! the identity below holds across threads. Single-threaded runs see the
-//! exact same tick sequence as the old thread-local tracer. On top of the
-//! stacks sits *session attribution*: a [`TraceSession`] handle binds a
-//! thread to a session id, root spans opened on a bound thread inherit
-//! it, and every recorded event is tallied per session — this is what
-//! lets `boxes-session` prove each snapshot's logical I/O separately
-//! while the global identity still closes. This crate deliberately has
-//! zero dependencies so the pager can sit above it.
+//! `SystemTime`; see `clippy.toml`): time is a logical tick counter,
+//! advanced once per recorded event and span transition, so two runs of
+//! the same seeded workload produce byte-identical reports. Within one
+//! trace, span stacks are *per-thread by key, not thread-local by
+//! storage*: the trace's mutex-guarded state keys each stack by
+//! `ThreadId`, so a span opened on one thread attributes only events
+//! recorded on that thread. Threads may share a trace (lookups take
+//! `&self`, so readers can share one scheme). A snapshot view is its own
+//! pager with its own trace, so its I/O is attributed there whatever
+//! thread runs it. This crate deliberately has zero dependencies so the
+//! pager can sit above it.
 //!
 //! # Accounting identity
 //!
 //! Instrumented call sites mirror every `IoStats` increment with a
-//! [`record`] call, so for any interval:
+//! [`Trace::record`] call on the pager's own trace, so for any interval:
 //!
 //! ```text
-//! attributed() + unattributed() == IoStats::since(before) delta
+//! trace.attributed() + trace.unattributed() == pager.stats().since(before)
 //! ```
 //!
 //! holds counter-by-counter, and `unattributed()` stays zero as long as
 //! every pager touch happens under an open span. The `--profile-only`
-//! analyze pass fails if scheme hot paths leak unattributed I/O.
+//! analyze pass checks this pager by pager, and fails if scheme hot paths
+//! leak unattributed I/O.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,7 +75,7 @@
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 
 /// Number of distinct [`Counter`] kinds.
@@ -332,6 +332,7 @@ pub struct SpanEvent {
     pub counters: TraceCounters,
 }
 
+#[derive(Debug)]
 struct Frame {
     id: u64,
     parent: u64,
@@ -340,30 +341,16 @@ struct Frame {
     label: &'static str,
     phase: bool,
     start_tick: u64,
-    /// Owning session id (0 = unbound). Root frames take the opening
-    /// thread's binding; child frames inherit their parent's.
-    session: u64,
     counters: TraceCounters,
 }
 
-/// Per-session tally: label, totals, and whether the RAII handle is
-/// still alive.
-#[derive(Debug, Clone)]
-struct SessionStat {
-    label: &'static str,
-    open: bool,
-    counters: TraceCounters,
-}
-
-/// Default bound on the ring buffer of closed-span events.
+/// Bound on each trace's ring buffer of closed-span events.
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
-/// The shared registry, span stacks included: stacks are keyed by
-/// `ThreadId` inside the one mutex-guarded global rather than living in
-/// `thread_local!` storage (a disallowed macro in library code), so the
-/// whole tracer is a single `Sync` value and session tallies can be bumped in the
-/// same critical section that attributes an event to a frame.
-#[derive(Default)]
+/// The state behind one [`Trace`]'s lock. Span stacks are keyed by
+/// `ThreadId` rather than living in `thread_local!` storage (a disallowed
+/// macro in library code), so the tracer is a single `Sync` value.
+#[derive(Debug, Default)]
 struct Tracer {
     next_id: u64,
     ticks: u64,
@@ -371,18 +358,12 @@ struct Tracer {
     attributed: TraceCounters,
     unattributed: TraceCounters,
     events: VecDeque<SpanEvent>,
-    event_capacity: usize,
     dropped_events: u64,
     ops: BTreeMap<(&'static str, &'static str), OpAgg>,
     phases: BTreeMap<(&'static str, &'static str), OpAgg>,
     out_of_order_closes: u64,
     /// Per-thread span stacks; an entry is removed when its stack drains.
     stacks: HashMap<ThreadId, Vec<Frame>>,
-    /// Thread → session binding installed by [`TraceSession`].
-    bindings: HashMap<ThreadId, u64>,
-    /// Per-session tallies, keyed by session id (ids are 1-based).
-    sessions: BTreeMap<u64, SessionStat>,
-    next_session: u64,
 }
 
 impl Tracer {
@@ -390,49 +371,26 @@ impl Tracer {
         self.ticks = self.ticks.saturating_add(1);
         self.ticks
     }
-}
 
-static TRACER: OnceLock<Mutex<Tracer>> = OnceLock::new();
-
-fn with_tracer<R>(f: impl FnOnce(&mut Tracer) -> R) -> R {
-    let tracer = TRACER.get_or_init(|| {
-        Mutex::new(Tracer {
-            event_capacity: DEFAULT_EVENT_CAPACITY,
-            ..Tracer::default()
-        })
-    });
-    // Recover from poisoning: crash injection panics mid-workload by
-    // design, and the registry's counters stay internally consistent (every
-    // mutation completes before the panic sites in pager/wal code run).
-    let mut guard = match tracer.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    f(&mut guard)
-}
-
-fn open_span(scheme: &'static str, label: &'static str, phase: bool) -> u64 {
-    with_tracer(|t| {
+    fn open(&mut self, scheme: &'static str, label: &'static str, phase: bool) -> u64 {
         let tid = std::thread::current().id();
-        let (parent, depth, scheme, session) = match t.stacks.get(&tid).and_then(|s| s.last()) {
+        let (parent, depth, scheme) = match self.stacks.get(&tid).and_then(|s| s.last()) {
+            // Phase sub-spans inherit the scheme tag they run under.
             Some(top) => {
-                // Phase sub-spans inherit the scheme tag they run under;
-                // every child inherits its parent's session.
                 let s = if phase && scheme.is_empty() {
                     top.scheme
                 } else {
                     scheme
                 };
-                (top.id, top.depth.saturating_add(1), s, top.session)
+                (top.id, top.depth.saturating_add(1), s)
             }
-            // Root spans take the opening thread's session binding.
-            None => (0, 0, scheme, t.bindings.get(&tid).copied().unwrap_or(0)),
+            None => (0, 0, scheme),
         };
-        let start_tick = t.tick();
-        t.next_id = t.next_id.saturating_add(1);
-        t.open_spans = t.open_spans.saturating_add(1);
-        let id = t.next_id;
-        t.stacks.entry(tid).or_default().push(Frame {
+        let start_tick = self.tick();
+        self.next_id = self.next_id.saturating_add(1);
+        self.open_spans = self.open_spans.saturating_add(1);
+        let id = self.next_id;
+        self.stacks.entry(tid).or_default().push(Frame {
             id,
             parent,
             depth,
@@ -440,21 +398,18 @@ fn open_span(scheme: &'static str, label: &'static str, phase: bool) -> u64 {
             label,
             phase,
             start_tick,
-            session,
             counters: TraceCounters::default(),
         });
         id
-    })
-}
+    }
 
-fn close_span(id: u64) {
-    // Spans close LIFO in correct code; tolerate (and count) an
-    // out-of-order close rather than corrupting the stack. A close for a
-    // frame this thread does not own (never possible through the RAII
-    // handle) is ignored.
-    with_tracer(|t| {
+    fn close(&mut self, id: u64) {
+        // Spans close LIFO in correct code; tolerate (and count) an
+        // out-of-order close rather than corrupting the stack. A close for a
+        // frame this thread does not own (never possible through the RAII
+        // handle) is ignored.
         let tid = std::thread::current().id();
-        let Some(stack) = t.stacks.get_mut(&tid) else {
+        let Some(stack) = self.stacks.get_mut(&tid) else {
             return;
         };
         let Some(pos) = stack.iter().rposition(|f| f.id == id) else {
@@ -465,293 +420,177 @@ fn close_span(id: u64) {
         if let Some(parent) = stack.last_mut() {
             parent.counters.merge(&frame.counters);
         }
-        let drained = stack.is_empty();
-        if drained {
-            t.stacks.remove(&tid);
+        if stack.is_empty() {
+            self.stacks.remove(&tid);
         }
-        let end_tick = t.tick();
-        t.open_spans = t.open_spans.saturating_sub(1);
+        let end_tick = self.tick();
+        self.open_spans = self.open_spans.saturating_sub(1);
         if out_of_order {
-            t.out_of_order_closes = t.out_of_order_closes.saturating_add(1);
+            self.out_of_order_closes = self.out_of_order_closes.saturating_add(1);
         }
         let map = if frame.phase {
-            &mut t.phases
+            &mut self.phases
         } else {
-            &mut t.ops
+            &mut self.ops
         };
         map.entry((frame.scheme, frame.label))
             .or_default()
             .absorb(&frame.counters);
-        if t.event_capacity > 0 {
-            if t.events.len() >= t.event_capacity {
-                t.events.pop_front();
-                t.dropped_events = t.dropped_events.saturating_add(1);
-            }
-            t.events.push_back(SpanEvent {
-                id: frame.id,
-                parent: frame.parent,
-                depth: frame.depth,
-                scheme: frame.scheme,
-                label: frame.label,
-                phase: frame.phase,
-                start_tick: frame.start_tick,
-                end_tick,
-                counters: frame.counters,
-            });
+        if self.events.len() >= DEFAULT_EVENT_CAPACITY {
+            self.events.pop_front();
+            self.dropped_events = self.dropped_events.saturating_add(1);
         }
-    });
+        self.events.push_back(SpanEvent {
+            id: frame.id,
+            parent: frame.parent,
+            depth: frame.depth,
+            scheme: frame.scheme,
+            label: frame.label,
+            phase: frame.phase,
+            start_tick: frame.start_tick,
+            end_tick,
+            counters: frame.counters,
+        });
+    }
+
+    fn record(&mut self, kind: Counter, n: u64) {
+        self.tick();
+        let tid = std::thread::current().id();
+        match self.stacks.get_mut(&tid).and_then(|s| s.last_mut()) {
+            Some(top) => {
+                top.counters.bump(kind, n);
+                self.attributed.bump(kind, n);
+            }
+            None => self.unattributed.bump(kind, n),
+        }
+    }
+}
+
+/// One pager's trace: span stacks, attribution tallies, per-(scheme, op)
+/// and per-phase aggregates, and the bounded event ring. Each `Pager` owns
+/// one (shared as `Arc<Trace>` with the spans opened on it and with an
+/// attached WAL), so concurrent pagers never see each other's events.
+///
+/// Its lock is a leaf: no method calls out while holding it.
+#[derive(Debug, Default)]
+pub struct Trace {
+    inner: Mutex<Tracer>,
+}
+
+impl Trace {
+    /// A fresh, empty trace.
+    #[must_use]
+    pub fn new() -> Arc<Trace> {
+        Arc::default()
+    }
+
+    /// Acquire the tracer state. Recovers from poisoning: crash injection
+    /// panics mid-workload by design, and every mutation of the state
+    /// completes before the panic sites in pager/wal code run.
+    fn lock(&self) -> MutexGuard<'_, Tracer> {
+        match self.inner.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Record `n` events of `kind` against the innermost span open on the
+    /// calling thread, or the unattributed tally when none is. The pager
+    /// and the WAL call this at the same sites that bump their own stats.
+    pub fn record(&self, kind: Counter, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.lock().record(kind, n);
+    }
+
+    /// Totals recorded while some span was open.
+    #[must_use]
+    pub fn attributed(&self) -> TraceCounters {
+        self.lock().attributed
+    }
+
+    /// Totals recorded with no span open.
+    #[must_use]
+    pub fn unattributed(&self) -> TraceCounters {
+        self.lock().unattributed
+    }
+
+    /// Number of currently open spans, across all threads.
+    #[must_use]
+    pub fn open_spans(&self) -> usize {
+        usize::try_from(self.lock().open_spans).unwrap_or(usize::MAX)
+    }
+
+    /// Take a [`TraceReport`] snapshot.
+    #[must_use]
+    pub fn report(&self) -> TraceReport {
+        let t = self.lock();
+        TraceReport {
+            ticks: t.ticks,
+            open_spans: t.open_spans,
+            out_of_order_closes: t.out_of_order_closes,
+            dropped_events: t.dropped_events,
+            attributed: t.attributed,
+            unattributed: t.unattributed,
+            ops: t
+                .ops
+                .iter()
+                .map(|(&(s, l), agg)| ((s.to_string(), l.to_string()), agg.clone()))
+                .collect(),
+            phases: t
+                .phases
+                .iter()
+                .map(|(&(s, l), agg)| ((s.to_string(), l.to_string()), agg.clone()))
+                .collect(),
+            events: t.events.iter().cloned().collect(),
+        }
+    }
 }
 
 /// RAII span: open at construction, closed (and folded into its parent)
 /// on drop. Bind it to a named local — `let _span = OpSpan::op(...)` —
 /// so it lives for the scope; binding to `_` or leaking it defeats
 /// attribution (library code denies `clippy::let_underscore_must_use` and
-/// `clippy::mem_forget`).
+/// `clippy::mem_forget`). The span holds its own handle on the trace, so
+/// it borrows nothing from the structure that opened it.
 #[derive(Debug)]
 #[must_use = "an unbound span closes immediately and attributes nothing"]
 pub struct OpSpan {
+    trace: Arc<Trace>,
     id: u64,
 }
 
 impl OpSpan {
-    /// Open a top-level operation span: `scheme` tags which labeling
-    /// scheme runs the primitive, `op` names it ("lookup", "insert",
-    /// "delete", "bulk_load", …).
-    pub fn op(scheme: &'static str, op: &'static str) -> OpSpan {
+    /// Open a top-level operation span on `trace`: `scheme` tags which
+    /// labeling scheme runs the primitive, `op` names it ("lookup",
+    /// "insert", "delete", "bulk_load", …).
+    pub fn op(trace: &Arc<Trace>, scheme: &'static str, op: &'static str) -> OpSpan {
         OpSpan {
-            id: open_span(scheme, op, false),
+            id: trace.lock().open(scheme, op, false),
+            trace: Arc::clone(trace),
         }
     }
 
-    /// Open a phase sub-span ("split", "merge", "respace", "relabel",
-    /// "rebuild", "lidf", …). The scheme tag is inherited from the
-    /// enclosing span.
-    pub fn phase(name: &'static str) -> OpSpan {
+    /// Open a phase sub-span on `trace` ("split", "merge", "respace",
+    /// "relabel", "rebuild", "lidf", …). The scheme tag is inherited from
+    /// the enclosing span.
+    pub fn phase(trace: &Arc<Trace>, name: &'static str) -> OpSpan {
         OpSpan {
-            id: open_span("", name, true),
+            id: trace.lock().open("", name, true),
+            trace: Arc::clone(trace),
         }
     }
 }
 
 impl Drop for OpSpan {
     fn drop(&mut self) {
-        close_span(self.id);
+        self.trace.lock().close(self.id);
     }
 }
 
-/// Record `n` events of `kind` against the innermost span open *on this
-/// thread* (or the global unattributed tally when none is). Called by the
-/// pager and the WAL at the same sites that bump their own stats. The
-/// owning session — the frame's inherited session, or the bare thread
-/// binding when no span is open — is tallied in the same critical
-/// section.
-pub fn record(kind: Counter, n: u64) {
-    if n == 0 {
-        return;
-    }
-    with_tracer(|t| {
-        t.tick();
-        let tid = std::thread::current().id();
-        let session = match t.stacks.get_mut(&tid).and_then(|s| s.last_mut()) {
-            Some(top) => {
-                top.counters.bump(kind, n);
-                t.attributed.bump(kind, n);
-                top.session
-            }
-            None => {
-                t.unattributed.bump(kind, n);
-                t.bindings.get(&tid).copied().unwrap_or(0)
-            }
-        };
-        if session != 0 {
-            if let Some(s) = t.sessions.get_mut(&session) {
-                s.counters.bump(kind, n);
-            }
-        }
-    });
-}
-
-/// Reset the global registry to empty (counters, aggregates, events,
-/// ticks). Open spans survive but their already-recorded counts are gone;
-/// reset between spans — on a single thread, with no reader threads mid-op
-/// — not inside one.
-pub fn reset() {
-    with_tracer(|t| {
-        let capacity = t.event_capacity;
-        let next_id = t.next_id;
-        let open = t.open_spans;
-        let next_session = t.next_session;
-        // Keep live frames so RAII drops of pre-reset spans stay sound,
-        // but zero their partial counts. Bindings and still-open sessions
-        // survive (zeroed) so live TraceSession handles stay meaningful;
-        // closed sessions are dropped with the rest of the tallies.
-        let mut stacks = std::mem::take(&mut t.stacks);
-        for stack in stacks.values_mut() {
-            for f in stack.iter_mut() {
-                f.counters = TraceCounters::default();
-                f.start_tick = 0;
-            }
-        }
-        let bindings = std::mem::take(&mut t.bindings);
-        let mut sessions = std::mem::take(&mut t.sessions);
-        sessions.retain(|_, s| s.open);
-        for s in sessions.values_mut() {
-            s.counters = TraceCounters::default();
-        }
-        *t = Tracer {
-            event_capacity: capacity,
-            next_id,
-            open_spans: open,
-            next_session,
-            stacks,
-            bindings,
-            sessions,
-            ..Tracer::default()
-        };
-    });
-}
-
-/// Totals recorded while some span was open.
-#[must_use]
-pub fn attributed() -> TraceCounters {
-    with_tracer(|t| t.attributed)
-}
-
-/// Totals recorded with no span open.
-#[must_use]
-pub fn unattributed() -> TraceCounters {
-    with_tracer(|t| t.unattributed)
-}
-
-/// Everything recorded: attributed + unattributed. For any interval this
-/// equals the pager's `IoStats::since` delta on the seven shared fields.
-#[must_use]
-pub fn observed() -> TraceCounters {
-    with_tracer(|t| {
-        let mut all = t.attributed;
-        all.merge(&t.unattributed);
-        all
-    })
-}
-
-/// Current logical tick.
-#[must_use]
-pub fn ticks() -> u64 {
-    with_tracer(|t| t.ticks)
-}
-
-/// Number of currently open spans, across all threads.
-#[must_use]
-pub fn open_spans() -> usize {
-    with_tracer(|t| usize::try_from(t.open_spans).unwrap_or(usize::MAX))
-}
-
-/// Replace the bound on the closed-span event ring (0 disables event
-/// capture; aggregates still accumulate).
-pub fn set_event_capacity(capacity: usize) {
-    with_tracer(|t| {
-        t.event_capacity = capacity;
-        while t.events.len() > capacity {
-            t.events.pop_front();
-            t.dropped_events = t.dropped_events.saturating_add(1);
-        }
-    });
-}
-
-/// RAII per-session attribution handle.
-///
-/// `begin` allocates a fresh session id, starts a tally for it, and binds
-/// the *current thread* to it: root spans opened on a bound thread (and
-/// every event they attribute) are tallied against the session, as are
-/// span-less events recorded on the thread. A session follows work across
-/// threads via [`TraceSession::bind_current_thread`]. Dropping the handle
-/// marks the session closed and removes its thread bindings; the tally
-/// itself survives in [`report`]s until the next [`reset`].
-///
-/// One session per thread at a time: binding a thread overwrites any
-/// previous binding, so interleave sessions across threads, not within
-/// one.
-#[derive(Debug)]
-#[must_use = "dropping a session immediately unbinds its threads"]
-pub struct TraceSession {
-    id: u64,
-}
-
-impl TraceSession {
-    /// Start a session and bind the current thread to it.
-    pub fn begin(label: &'static str) -> TraceSession {
-        with_tracer(|t| {
-            t.next_session = t.next_session.saturating_add(1);
-            let id = t.next_session;
-            t.sessions.insert(
-                id,
-                SessionStat {
-                    label,
-                    open: true,
-                    counters: TraceCounters::default(),
-                },
-            );
-            t.bindings.insert(std::thread::current().id(), id);
-            TraceSession { id }
-        })
-    }
-
-    /// The session id (1-based, allocation order; 0 means "no session").
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Bind the calling thread to this session (for work handed across
-    /// threads). Replaces the thread's previous binding, if any.
-    pub fn bind_current_thread(&self) {
-        let id = self.id;
-        with_tracer(|t| {
-            t.bindings.insert(std::thread::current().id(), id);
-        });
-    }
-
-    /// This session's tally so far.
-    #[must_use]
-    pub fn counters(&self) -> TraceCounters {
-        session_counters(self.id).unwrap_or_default()
-    }
-}
-
-impl Drop for TraceSession {
-    fn drop(&mut self) {
-        let id = self.id;
-        with_tracer(|t| {
-            if let Some(s) = t.sessions.get_mut(&id) {
-                s.open = false;
-            }
-            t.bindings.retain(|_, bound| *bound != id);
-        });
-    }
-}
-
-/// Tally of one session by id, if it exists (i.e. began after the last
-/// [`reset`], or was still open across it).
-#[must_use]
-pub fn session_counters(id: u64) -> Option<TraceCounters> {
-    with_tracer(|t| t.sessions.get(&id).map(|s| s.counters))
-}
-
-/// One session's row in a [`TraceReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionTally {
-    /// Session id (1-based, allocation order).
-    pub id: u64,
-    /// Label given to [`TraceSession::begin`].
-    pub label: String,
-    /// Whether the RAII handle was still alive at snapshot time.
-    pub open: bool,
-    /// Counter totals attributed to the session.
-    pub counters: TraceCounters,
-}
-
-/// Immutable snapshot of the tracer: aggregates, global tallies, and the
-/// ring of recent closed spans.
+/// Immutable snapshot of one trace: aggregates, attribution tallies, and
+/// the ring of recent closed spans.
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// Logical tick at snapshot time.
@@ -770,44 +609,8 @@ pub struct TraceReport {
     pub ops: Vec<((String, String), OpAgg)>,
     /// Per-(scheme, phase) aggregates over phase sub-spans.
     pub phases: Vec<((String, String), OpAgg)>,
-    /// Per-session tallies, in session-id order.
-    pub sessions: Vec<SessionTally>,
     /// Most recent closed spans, oldest first.
     pub events: Vec<SpanEvent>,
-}
-
-/// Take a [`TraceReport`] snapshot of the global registry.
-#[must_use]
-pub fn report() -> TraceReport {
-    with_tracer(|t| TraceReport {
-        ticks: t.ticks,
-        open_spans: t.open_spans,
-        out_of_order_closes: t.out_of_order_closes,
-        dropped_events: t.dropped_events,
-        attributed: t.attributed,
-        unattributed: t.unattributed,
-        ops: t
-            .ops
-            .iter()
-            .map(|(&(s, l), agg)| ((s.to_string(), l.to_string()), agg.clone()))
-            .collect(),
-        phases: t
-            .phases
-            .iter()
-            .map(|(&(s, l), agg)| ((s.to_string(), l.to_string()), agg.clone()))
-            .collect(),
-        sessions: t
-            .sessions
-            .iter()
-            .map(|(&id, s)| SessionTally {
-                id,
-                label: s.label.to_string(),
-                open: s.open,
-                counters: s.counters,
-            })
-            .collect(),
-        events: t.events.iter().cloned().collect(),
-    })
 }
 
 fn json_escape_into(s: &str, out: &mut String) {
@@ -856,12 +659,13 @@ fn agg_json_into(scheme: &str, label: &str, agg: &OpAgg, out: &mut String) {
 }
 
 impl TraceReport {
-    /// Serialize the report as a stable single-line JSON document. The
-    /// schema is documented in DESIGN.md ("Observability & tracing").
+    /// Serialize the report as a stable single-line JSON object. The
+    /// profile gate writes one per traced pager into the `boxes-trace/3`
+    /// document documented in DESIGN.md ("Observability & tracing").
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"boxes-trace/2\",\"ticks\":");
+        out.push_str("{\"ticks\":");
         out.push_str(&self.ticks.to_string());
         out.push_str(",\"open_spans\":");
         out.push_str(&self.open_spans.to_string());
@@ -886,21 +690,6 @@ impl TraceReport {
                 out.push(',');
             }
             agg_json_into(s, l, agg, &mut out);
-        }
-        out.push_str("],\"sessions\":[");
-        for (i, s) in self.sessions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"id\":");
-            out.push_str(&s.id.to_string());
-            out.push_str(",\"label\":\"");
-            json_escape_into(&s.label, &mut out);
-            out.push_str("\",\"open\":");
-            out.push_str(if s.open { "true" } else { "false" });
-            out.push_str(",\"counters\":");
-            s.counters.json_into(&mut out);
-            out.push('}');
         }
         out.push_str("],\"events\":[");
         for (i, e) in self.events.iter().enumerate() {
@@ -970,18 +759,6 @@ fn to_f64(v: u64) -> f64 {
 mod tests {
     use super::*;
 
-    /// The registry is global now, so tests that reset and then assert on
-    /// its tallies must not interleave. Each test holds this lock for its
-    /// whole body (poison-recovering: a failed test must not wedge the
-    /// rest of the suite).
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        match LOCK.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     fn io(reads: u64, writes: u64) -> TraceCounters {
         TraceCounters {
             reads,
@@ -992,30 +769,28 @@ mod tests {
 
     #[test]
     fn unattributed_without_span() {
-        let _guard = serial();
-        reset();
-        record(Counter::BlockRead, 2);
-        assert_eq!(unattributed(), io(2, 0));
-        assert!(attributed().is_zero());
+        let trace = Trace::new();
+        trace.record(Counter::BlockRead, 2);
+        assert_eq!(trace.unattributed(), io(2, 0));
+        assert!(trace.attributed().is_zero());
     }
 
     #[test]
     fn innermost_span_owns_events_and_folds_into_parent() {
-        let _guard = serial();
-        reset();
+        let trace = Trace::new();
         {
-            let _op = OpSpan::op("W-BOX", "insert");
-            record(Counter::BlockRead, 1);
+            let _op = OpSpan::op(&trace, "W-BOX", "insert");
+            trace.record(Counter::BlockRead, 1);
             {
-                let _p = OpSpan::phase("split");
-                record(Counter::BlockWrite, 3);
+                let _p = OpSpan::phase(&trace, "split");
+                trace.record(Counter::BlockWrite, 3);
             }
-            record(Counter::BlockWrite, 1);
+            trace.record(Counter::BlockWrite, 1);
         }
-        let r = report();
+        let r = trace.report();
         assert_eq!(r.open_spans, 0);
-        assert_eq!(attributed(), io(1, 4));
-        assert!(unattributed().is_zero());
+        assert_eq!(trace.attributed(), io(1, 4));
+        assert!(trace.unattributed().is_zero());
         // The op aggregate includes the folded-in phase counters.
         let (_, op_agg) = &r.ops[0];
         assert_eq!(op_agg.totals, io(1, 4));
@@ -1031,34 +806,35 @@ mod tests {
 
     #[test]
     fn identity_attributed_plus_unattributed() {
-        let _guard = serial();
-        reset();
-        record(Counter::Alloc, 1);
+        let trace = Trace::new();
+        trace.record(Counter::Alloc, 1);
         {
-            let _op = OpSpan::op("B-BOX", "delete");
-            record(Counter::BlockRead, 5);
-            record(Counter::Retry, 2);
+            let _op = OpSpan::op(&trace, "B-BOX", "delete");
+            trace.record(Counter::BlockRead, 5);
+            trace.record(Counter::Retry, 2);
         }
-        let mut total = attributed();
-        total.merge(&unattributed());
-        assert_eq!(total, observed());
+        let mut total = trace.attributed();
+        total.merge(&trace.unattributed());
         assert_eq!(total.allocs, 1);
         assert_eq!(total.reads, 5);
         assert_eq!(total.retries, 2);
+        assert_eq!(
+            trace.attributed().allocs,
+            0,
+            "the alloc ran outside any span"
+        );
     }
 
     #[test]
     fn ring_buffer_is_bounded() {
-        let _guard = serial();
-        reset();
-        set_event_capacity(4);
-        for _ in 0..10 {
-            let _s = OpSpan::op("LIDF", "read");
+        let trace = Trace::new();
+        for _ in 0..=DEFAULT_EVENT_CAPACITY {
+            let _s = OpSpan::op(&trace, "LIDF", "read");
         }
-        let r = report();
-        assert_eq!(r.events.len(), 4);
-        assert_eq!(r.dropped_events, 6);
-        set_event_capacity(DEFAULT_EVENT_CAPACITY);
+        let r = trace.report();
+        assert_eq!(r.events.len(), DEFAULT_EVENT_CAPACITY);
+        assert_eq!(r.dropped_events, 1);
+        assert_eq!(r.events[0].id, 2, "the oldest span was dropped");
     }
 
     #[test]
@@ -1073,104 +849,54 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_wellformed() {
-        let _guard = serial();
-        reset();
+        let trace = Trace::new();
         {
-            let _op = OpSpan::op("W-BOX", "lookup");
-            record(Counter::BlockRead, 2);
-            record(Counter::CacheHit, 1);
+            let _op = OpSpan::op(&trace, "W-BOX", "lookup");
+            trace.record(Counter::BlockRead, 2);
+            trace.record(Counter::CacheHit, 1);
         }
-        let a = report().to_json();
-        let b = report().to_json();
+        let a = trace.report().to_json();
+        let b = trace.report().to_json();
         assert_eq!(a, b);
-        assert!(a.starts_with("{\"schema\":\"boxes-trace/2\""));
+        assert!(a.starts_with("{\"ticks\":"));
         assert!(a.contains("\"scheme\":\"W-BOX\""));
         assert!(a.contains("\"cache_hits\":1"));
-        assert!(a.contains("\"sessions\":["));
         assert_eq!(a.matches('{').count(), a.matches('}').count());
     }
 
     #[test]
-    fn session_owns_spans_and_bare_events_on_its_thread() {
-        let _guard = serial();
-        reset();
-        let counters = {
-            let session = TraceSession::begin("reader");
-            assert!(session.id() > 0);
-            {
-                let _op = OpSpan::op("W-BOX", "lookup");
-                record(Counter::BlockRead, 3);
-                {
-                    let _p = OpSpan::phase("descend");
-                    record(Counter::CacheHit, 2);
-                }
-            }
-            // Span-less events on a bound thread still land in the
-            // session (and in the global unattributed tally).
-            record(Counter::WalSync, 1);
-            session.counters()
-        };
-        assert_eq!(counters.reads, 3);
-        assert_eq!(counters.cache_hits, 2);
-        assert_eq!(counters.wal_syncs, 1);
-        assert_eq!(unattributed().wal_syncs, 1);
-        let r = report();
-        assert_eq!(r.sessions.len(), 1);
-        assert_eq!(r.sessions[0].label, "reader");
-        assert!(!r.sessions[0].open);
-        assert_eq!(r.sessions[0].counters, counters);
-    }
-
-    #[test]
-    fn sessions_partition_events_across_threads() {
-        let _guard = serial();
-        reset();
-        let a = TraceSession::begin("writer");
-        {
-            let _op = OpSpan::op("W-BOX", "insert");
-            record(Counter::BlockWrite, 4);
-        }
-        let b_id = std::thread::spawn(|| {
-            let b = TraceSession::begin("reader");
-            let _op = OpSpan::op("W-BOX", "lookup");
-            record(Counter::BlockRead, 2);
-            b.id()
+    fn traces_are_independent_across_threads() {
+        let (a, b) = (Trace::new(), Trace::new());
+        let _outer = OpSpan::op(&a, "W-BOX", "insert");
+        a.record(Counter::BlockWrite, 4);
+        let other = Arc::clone(&b);
+        std::thread::spawn(move || {
+            let _op = OpSpan::op(&other, "W-BOX", "lookup");
+            other.record(Counter::BlockRead, 2);
         })
         .join()
         .expect("reader thread");
-        assert_eq!(a.counters(), io(0, 4));
-        assert_eq!(session_counters(b_id), Some(io(2, 0)));
-        // Global identity still closes across both sessions.
-        assert_eq!(observed(), io(2, 4));
-        assert_eq!(open_spans(), 0);
-    }
-
-    #[test]
-    fn unbound_threads_tally_to_no_session() {
-        let _guard = serial();
-        reset();
-        {
-            let _op = OpSpan::op("LIDF", "read");
-            record(Counter::BlockRead, 1);
-        }
-        let r = report();
-        assert!(r.sessions.is_empty());
-        assert_eq!(attributed(), io(1, 0));
+        // A span open on this thread in `a` attributes nothing in `b`.
+        b.record(Counter::BlockRead, 1);
+        assert_eq!(a.attributed(), io(0, 4));
+        assert_eq!(a.open_spans(), 1);
+        assert_eq!(b.attributed(), io(2, 0));
+        assert_eq!(b.unattributed(), io(1, 0));
+        assert_eq!(b.open_spans(), 0);
     }
 
     #[test]
     fn out_of_order_close_is_tolerated() {
-        let _guard = serial();
-        reset();
-        let a = OpSpan::op("W-BOX", "a");
-        let b = OpSpan::op("W-BOX", "b");
-        record(Counter::BlockRead, 1);
+        let trace = Trace::new();
+        let a = OpSpan::op(&trace, "W-BOX", "a");
+        let b = OpSpan::op(&trace, "W-BOX", "b");
+        trace.record(Counter::BlockRead, 1);
         drop(a);
-        record(Counter::BlockWrite, 1);
+        trace.record(Counter::BlockWrite, 1);
         drop(b);
-        let r = report();
+        let r = trace.report();
         assert_eq!(r.open_spans, 0);
         assert_eq!(r.out_of_order_closes, 1);
-        assert_eq!(observed(), io(1, 1));
+        assert_eq!(trace.attributed(), io(1, 1));
     }
 }

@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex};
 
 use boxes_pager::codec;
 use boxes_pager::{lock_unpoisoned, BlockId, Journal, JournalAck, TxnFrame, TxnRecord};
+use boxes_trace::{Counter, Trace};
 
 use crate::crashpoint::CrashClock;
 use crate::frame::{self, RecordKind};
@@ -92,6 +93,18 @@ struct WalInner {
     batches_since_ckpt: u64,
     fold: BTreeMap<String, Vec<u8>>,
     stats: WalStats,
+    /// The attached pager's trace ([`Journal::bind_trace`]); `None` until
+    /// a pager attaches this log.
+    trace: Option<Arc<Trace>>,
+}
+
+impl WalInner {
+    /// Record one `kind` event into the attached pager's trace, if any.
+    fn note(&self, kind: Counter) {
+        if let Some(trace) = &self.trace {
+            trace.record(kind, 1);
+        }
+    }
 }
 
 /// A write-ahead log implementing the pager's [`Journal`] hook, generic
@@ -164,6 +177,7 @@ impl Wal {
                 batches_since_ckpt: 0,
                 fold: BTreeMap::new(),
                 stats: WalStats::default(),
+                trace: None,
             }),
         })
     }
@@ -211,7 +225,7 @@ impl Wal {
         match inner.store.sync() {
             Ok(()) => {
                 inner.stats.syncs += 1;
-                boxes_trace::record(boxes_trace::Counter::WalSync, 1);
+                inner.note(Counter::WalSync);
                 inner.commits_since_sync = 0;
                 JournalAck::Durable
             }
@@ -258,7 +272,7 @@ impl Journal for Wal {
         inner.stats.records += 1;
         inner.stats.frames += codec::usize_to_u64(record.frames.len());
         inner.stats.appended_bytes += codec::usize_to_u64(bytes.len());
-        boxes_trace::record(boxes_trace::Counter::WalAppend, 1);
+        inner.note(Counter::WalAppend);
         if inner.store.append(&bytes).is_err() {
             // The record may be partially on the medium: poison — the
             // decoder will roll the torn tail back at recovery.
@@ -299,6 +313,10 @@ impl Journal for Wal {
 
     fn healthy(&self) -> bool {
         !lock_unpoisoned(&self.inner).poisoned
+    }
+
+    fn bind_trace(&self, trace: &Arc<Trace>) {
+        lock_unpoisoned(&self.inner).trace = Some(Arc::clone(trace));
     }
 
     fn applied(&self) {
@@ -363,7 +381,7 @@ impl Journal for Wal {
         }
         inner.stats.appended_bytes += codec::usize_to_u64(bytes.len());
         inner.stats.checkpoints += 1;
-        boxes_trace::record(boxes_trace::Counter::WalCheckpoint, 1);
+        inner.note(Counter::WalCheckpoint);
         inner.batches_since_ckpt = 0;
     }
 
@@ -376,7 +394,7 @@ impl Journal for Wal {
         let durable = inner.store.durable().ok()?;
         let image = crate::repair::latest_image(&durable, self.block_size, id);
         if image.is_some() {
-            boxes_trace::record(boxes_trace::Counter::WalReplay, 1);
+            inner.note(Counter::WalReplay);
         }
         image
     }

@@ -35,7 +35,7 @@ impl WBox {
     /// Insert `n_tags` new labels immediately before `lid_old` as one bulk
     /// operation. Returns the new LIDs in document order.
     pub fn insert_subtree_before(&mut self, lid_old: Lid, n_tags: usize) -> Vec<Lid> {
-        let _span = OpSpan::op(self.trace_tag(), "subtree_insert");
+        let _span = OpSpan::op(self.pager().trace(), self.trace_tag(), "subtree_insert");
         self.journaled(|t| t.insert_subtree_impl(lid_old, n_tags, None))
     }
 
@@ -43,7 +43,7 @@ impl WBox {
     /// batch) of tag i's partner tag.
     pub fn insert_subtree_before_pairs(&mut self, lid_old: Lid, partner_of: &[usize]) -> Vec<Lid> {
         assert!(self.config().pair, "pair wiring requires pair mode");
-        let _span = OpSpan::op(self.trace_tag(), "subtree_insert");
+        let _span = OpSpan::op(self.pager().trace(), self.trace_tag(), "subtree_insert");
         self.journaled(|t| t.insert_subtree_impl(lid_old, partner_of.len(), Some(partner_of)))
     }
 
@@ -197,7 +197,7 @@ impl WBox {
     /// Delete every label in the inclusive range spanned by `start_lid`
     /// and `end_lid`, reclaiming blocks and LIDF records.
     pub fn delete_subtree(&mut self, start_lid: Lid, end_lid: Lid) {
-        let _span = OpSpan::op(self.trace_tag(), "subtree_delete");
+        let _span = OpSpan::op(self.pager().trace(), self.trace_tag(), "subtree_delete");
         self.journaled(|t| t.delete_subtree_impl(start_lid, end_lid));
     }
 

@@ -1,11 +1,12 @@
 //! Property test of the `boxes-trace` accounting identity: under arbitrary
-//! operation sequences — with and without an injected fault plan — the
-//! trace layer's attributed-plus-unattributed counters must agree
-//! field-for-field with the pager's own [`IoStats`] delta, and nothing a
+//! operation sequences — with and without an injected fault plan — a
+//! pager's own trace must agree field-for-field (attributed plus
+//! unattributed) with that pager's [`IoStats`] delta, and nothing a
 //! scheme hot path does may land unattributed (every public entry point
 //! opens a span, so the innermost-span rule attributes everything,
 //! including the retries, repairs and backoff ticks the fault service
-//! generates mid-operation).
+//! generates mid-operation). The identity is per pager, so it holds
+//! however many tests or threads drive other pagers at the same time.
 
 use boxes_core::bbox::{BBox, BBoxConfig};
 use boxes_core::pager::{
@@ -15,6 +16,7 @@ use boxes_core::wal::{Wal, WalConfig};
 use boxes_core::wbox::{WBox, WBoxConfig};
 use boxes_trace as trace;
 use proptest::prelude::*;
+use std::sync::{Arc, Barrier};
 
 const BS: usize = 512;
 
@@ -46,8 +48,8 @@ struct Mark {
 
 fn mark(pager: &SharedPager) -> Mark {
     Mark {
-        attributed: trace::attributed(),
-        unattributed: trace::unattributed(),
+        attributed: pager.trace().attributed(),
+        unattributed: pager.trace().unattributed(),
         stats: pager.stats(),
     }
 }
@@ -56,12 +58,12 @@ fn mark(pager: &SharedPager) -> Mark {
 /// (pager stats delta) on the seven shared counters and the unattributed
 /// side did not move.
 fn check(label: &str, pager: &SharedPager, before: &Mark) {
-    let un = trace::unattributed().since(&before.unattributed);
+    let un = pager.trace().unattributed().since(&before.unattributed);
     assert!(
         un.is_zero(),
         "{label}: scheme hot path recorded I/O outside any span: {un:?}"
     );
-    let attr = trace::attributed().since(&before.attributed);
+    let attr = pager.trace().attributed().since(&before.attributed);
     let delta = pager.stats().since(&before.stats);
     let pairs = [
         ("reads", attr.reads, delta.reads),
@@ -78,7 +80,7 @@ fn check(label: &str, pager: &SharedPager, before: &Mark) {
             "{label}: identity broken on `{name}` (trace {traced} vs pager {counted})"
         );
     }
-    assert_eq!(trace::open_spans(), 0, "{label}: leaked spans");
+    assert_eq!(pager.trace().open_spans(), 0, "{label}: leaked spans");
 }
 
 /// Run a script against a W-BOX on `pager`, checking the identity after
@@ -178,5 +180,36 @@ proptest! {
             }
             check("bbox/op", &pager, &before);
         }
+    }
+}
+
+// Two threads, each driving a W-BOX on its own pager in lockstep: both
+// ops run between both threads' marks and checks, so an identity scoped
+// wider than the pager would count the other thread's I/O.
+#[test]
+fn identity_is_per_pager_across_threads() {
+    const OPS: usize = 30;
+    let barrier = Arc::new(Barrier::new(2));
+    let workers: Vec<_> = (0..2usize)
+        .map(|t| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let pager = Pager::new(PagerConfig::with_block_size(BS));
+                let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
+                let mut lids = w.bulk_load(60);
+                for i in 0..OPS {
+                    let before = mark(&pager);
+                    barrier.wait();
+                    let anchor = lids[(i * 7 + t) % lids.len()];
+                    lids.push(w.insert_before(anchor));
+                    w.lookup(lids[(i * 3 + t) % lids.len()]);
+                    barrier.wait();
+                    check("wbox/threaded", &pager, &before);
+                }
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().expect("worker thread");
     }
 }

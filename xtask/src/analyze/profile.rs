@@ -1,22 +1,21 @@
 //! The profile/attribution pass: replay seeded workloads through every
 //! scheme with the `boxes-trace` layer live and enforce the **accounting
-//! identity** — every block read/write/alloc/free (and every fault-service
-//! retry, repair and backoff tick) the pager counted must be attributed to
-//! some open operation span. An unattributed I/O means a scheme hot path
-//! reached the pager outside any span, i.e. the observability wiring has a
-//! hole; the gate fails.
+//! identity** pager by pager — every block read/write/alloc/free (and
+//! every fault-service retry, repair and backoff tick) a pager counted
+//! must be attributed to some span open on that pager's own trace. An
+//! unattributed I/O means a scheme hot path reached the pager outside any
+//! span, i.e. the observability wiring has a hole; the gate fails.
 //!
 //! The identity is also enforced with **concurrent sessions**: eight
-//! snapshot readers (each a `boxes-session` reader with its own trace
-//! session) perform fixed lookups while the writer streams — per-session
-//! attributed counters plus unattributed must equal the pager I/O delta
-//! (base pager + every snapshot view) exactly.
+//! snapshot readers perform fixed lookups while the writer streams. The
+//! base pager and each reader's snapshot view are checked separately,
+//! each against its own trace.
 //!
 //! The pass also writes two deterministic artifacts:
 //!
-//! * `target/trace-report.json` — the `boxes-trace/2` span/counter report
-//!   aggregated over every profiled leg (per-op I/O histograms, phase
-//!   totals, per-session tallies, the attribution split);
+//! * `target/trace-report.json` — the `boxes-trace/3` document: one
+//!   span/counter report per traced pager, labelled by leg and role
+//!   (per-op I/O histograms, phase totals, the attribution split);
 //! * `target/BENCH_boxes.json` — the `boxes-bench/2` perf trajectory for a
 //!   reduced lineup (per-op distributions, amortized windows, and the
 //!   multithreaded `concurrent_lookup` scaling rows).
@@ -37,51 +36,77 @@ use boxes_core::wbox::WBoxConfig;
 use boxes_core::xml::workload::{concentrated, scattered, UpdateStream};
 use boxes_core::{BBoxScheme, DocumentDriver, LabelingScheme, NaiveScheme, WBoxScheme};
 use boxes_session::{SessionManager, SessionScheme};
-use boxes_trace as trace;
+use boxes_trace::{TraceCounters, TraceReport};
 
 /// Retry budget for the faulty leg — generous, so in-budget noise never
 /// surfaces as an operation failure.
 const BUDGET: u32 = 8;
 
-/// Snapshot of the trace attribution split, for leg-wise deltas.
-struct TraceMark {
-    attributed: trace::TraceCounters,
-    unattributed: trace::TraceCounters,
+/// One traced pager's final report, for `target/trace-report.json`.
+struct Traced {
+    leg: String,
+    role: String,
+    report: TraceReport,
 }
 
-fn mark() -> TraceMark {
-    TraceMark {
-        attributed: trace::attributed(),
-        unattributed: trace::unattributed(),
+impl Traced {
+    fn of(leg: &str, role: impl Into<String>, pager: &Pager) -> Traced {
+        Traced {
+            leg: leg.into(),
+            role: role.into(),
+            report: pager.trace().report(),
+        }
     }
 }
 
-/// Enforce the identity for one leg: between `before` and now,
+/// Both sides of one pager's identity at a point in time. The default is
+/// a pager's birth: its trace and its stats both start at zero.
+#[derive(Default)]
+struct Mark {
+    attributed: TraceCounters,
+    unattributed: TraceCounters,
+    stats: IoStats,
+}
+
+fn mark(pager: &Pager) -> Mark {
+    Mark {
+        attributed: pager.trace().attributed(),
+        unattributed: pager.trace().unattributed(),
+        stats: pager.stats(),
+    }
+}
+
+/// Enforce the identity for one pager: between `before` and now,
 ///
 /// 1. nothing was recorded outside a span (`unattributed` did not move);
 /// 2. the attributed counters agree field-for-field with the pager's own
 ///    [`IoStats`] delta on the seven shared counters;
-/// 3. every span was closed (RAII discipline — no leaks).
-fn check_identity(label: &str, before: &TraceMark, pager_delta: IoStats) -> Result<(), String> {
-    let un = trace::unattributed().since(&before.unattributed);
+/// 3. every span on the pager's trace was closed (RAII discipline — no
+///    leaks).
+///
+/// The pager must also have done real work: a zero delta would make the
+/// identity vacuous, so it fails too.
+fn check_identity(label: &str, pager: &Pager, before: &Mark) -> Result<(), String> {
+    let trace = pager.trace();
+    let delta = pager.stats().since(&before.stats);
+    if delta.total() == 0 {
+        return Err(format!("{label}: leg did no I/O — identity check vacuous"));
+    }
+    let un = trace.unattributed().since(&before.unattributed);
     if !un.is_zero() {
         return Err(format!(
             "{label}: unattributed I/O (hot path outside any span): {un:?}"
         ));
     }
-    let attr = trace::attributed().since(&before.attributed);
+    let attr = trace.attributed().since(&before.attributed);
     let pairs: [(&str, u64, u64); 7] = [
-        ("reads", attr.reads, pager_delta.reads),
-        ("writes", attr.writes, pager_delta.writes),
-        ("allocs", attr.allocs, pager_delta.allocs),
-        ("frees", attr.frees, pager_delta.frees),
-        ("retries", attr.retries, pager_delta.retries),
-        ("repairs", attr.repairs, pager_delta.repairs),
-        (
-            "backoff_ticks",
-            attr.backoff_ticks,
-            pager_delta.backoff_ticks,
-        ),
+        ("reads", attr.reads, delta.reads),
+        ("writes", attr.writes, delta.writes),
+        ("allocs", attr.allocs, delta.allocs),
+        ("frees", attr.frees, delta.frees),
+        ("retries", attr.retries, delta.retries),
+        ("repairs", attr.repairs, delta.repairs),
+        ("backoff_ticks", attr.backoff_ticks, delta.backoff_ticks),
     ];
     for (name, traced, counted) in pairs {
         if traced != counted {
@@ -91,36 +116,31 @@ fn check_identity(label: &str, before: &TraceMark, pager_delta: IoStats) -> Resu
             ));
         }
     }
-    if trace::open_spans() != 0 {
+    let open = trace.open_spans();
+    if open != 0 {
         return Err(format!(
-            "{label}: {} span(s) left open after the leg (RAII leak)",
-            trace::open_spans()
+            "{label}: {open} span(s) left open after the leg (RAII leak)"
         ));
     }
     Ok(())
 }
 
 /// Build a scheme on `pager`, replay `stream` through the document driver,
-/// and check the identity over the whole leg (construction + bulk load +
-/// every update op). The leg must do real work: a zero pager delta would
-/// make the identity vacuous, so it fails too.
+/// and check the identity over the pager's whole life (construction +
+/// bulk load + every update op).
 fn profile_stream<S: LabelingScheme>(
-    label: &str,
+    leg: &str,
     pager: SharedPager,
     scheme: S,
     stream: &UpdateStream,
+    traced: &mut Vec<Traced>,
 ) -> Result<(), String> {
-    let before = mark();
-    let stats0 = pager.stats();
     let mut driver = DocumentDriver::load(scheme, &stream.base);
     for op in &stream.ops {
         driver.apply(op);
     }
-    let delta = pager.stats().since(&stats0);
-    if delta.total() == 0 {
-        return Err(format!("{label}: leg did no I/O — identity check vacuous"));
-    }
-    check_identity(label, &before, delta)
+    traced.push(Traced::of(leg, "pager", &pager));
+    check_identity(leg, &pager, &Mark::default())
 }
 
 /// Journaled pager for the profiled legs (WAL attached so commit/sync and
@@ -139,10 +159,9 @@ fn journaled_pager(block_size: usize) -> SharedPager {
 
 /// Standalone LIDF leg: the allocator's own phase spans must attribute all
 /// of its I/O even when no scheme-level op span is open.
-fn profile_lidf(seed: u64) -> Result<(), String> {
-    let before = mark();
+fn profile_lidf(seed: u64, traced: &mut Vec<Traced>) -> Result<(), String> {
+    const LEG: &str = "lidf/standalone";
     let pager = Pager::new(PagerConfig::with_block_size(256).with_pool(4));
-    let stats0 = pager.stats();
     let mut lidf: Lidf<BlockPtrRecord> = Lidf::new(pager.clone());
     let mut lids = Vec::new();
     let mut state = seed;
@@ -164,17 +183,14 @@ fn profile_lidf(seed: u64) -> Result<(), String> {
     }
     let mut n = 0u64;
     lidf.scan(|_, _| n += 1);
+    traced.push(Traced::of(LEG, "pager", &pager));
     if n != lids.len() as u64 {
         return Err(format!(
-            "lidf: scan saw {n} live records, expected {}",
+            "{LEG}: scan saw {n} live records, expected {}",
             lids.len()
         ));
     }
-    let delta = pager.stats().since(&stats0);
-    if delta.total() == 0 {
-        return Err("lidf: leg did no I/O — identity check vacuous".into());
-    }
-    check_identity("lidf", &before, delta)
+    check_identity(LEG, &pager, &Mark::default())
 }
 
 /// Faulty leg: in-budget transient errors, latency stalls and bit rot over
@@ -182,10 +198,10 @@ fn profile_lidf(seed: u64) -> Result<(), String> {
 /// fault service generates must be attributed to the operation span that
 /// was open when the fault fired — fault-service I/O is not exempt from
 /// the identity.
-fn profile_faulty(seed: u64) -> Result<(), String> {
+fn profile_faulty(seed: u64, traced: &mut Vec<Traced>) -> Result<(), String> {
+    const LEG: &str = "faulty/wbox";
     let block_size = 1024;
     for derivation in 0..8u64 {
-        let before = mark();
         let pager = journaled_pager(block_size);
         let plan = FaultPlan::new(FaultPlanConfig {
             read_error_rate: 3000,
@@ -202,71 +218,37 @@ fn profile_faulty(seed: u64) -> Result<(), String> {
             budget: BUDGET,
             ..RetryPolicy::default()
         });
-        let stats0 = pager.stats();
         let scheme = WBoxScheme::new(pager.clone(), WBoxConfig::from_block_size(block_size));
         let stream = scattered(120, 80);
         let mut driver = DocumentDriver::load(scheme, &stream.base);
         for op in &stream.ops {
             driver.apply(op);
         }
-        let delta = pager.stats().since(&stats0);
-        check_identity("faulty/wbox", &before, delta)?;
+        traced.push(Traced::of(LEG, format!("derivation-{derivation}"), &pager));
+        check_identity(LEG, &pager, &Mark::default())?;
         // The leg is only meaningful if the plan actually made the fault
         // counters move; a quiet roll retries with a derived seed.
-        if delta.retries > 0 && delta.repairs > 0 {
+        let stats = pager.stats();
+        if stats.retries > 0 && stats.repairs > 0 {
             return Ok(());
         }
     }
-    Err("faulty/wbox: no derivation produced both retries and repairs".into())
+    Err(format!(
+        "{LEG}: no derivation produced both retries and repairs"
+    ))
 }
 
-/// Sum the seven shared counters of two [`IoStats`] deltas.
-fn add_stats(a: &mut IoStats, b: &IoStats) {
-    a.reads += b.reads;
-    a.writes += b.writes;
-    a.allocs += b.allocs;
-    a.frees += b.frees;
-    a.retries += b.retries;
-    a.repairs += b.repairs;
-    a.backoff_ticks += b.backoff_ticks;
-}
-
-/// A spin-yield token relay: participant `p` of `n` acts on every turn
-/// `t` with `t % n == p`, so work interleaves in a fixed round-robin
-/// order. The trace layer allocates span ids and ticks globally; the
-/// relay makes that allocation deterministic while every session stays
-/// *open* concurrently (existence is concurrent, execution is turn-based).
-struct Relay {
-    turn: std::sync::atomic::AtomicU64,
-}
-
-impl Relay {
-    fn wait_for(&self, turn: u64) {
-        use std::sync::atomic::Ordering;
-        while self.turn.load(Ordering::Acquire) != turn {
-            std::thread::yield_now();
-        }
-    }
-
-    fn advance(&self) {
-        use std::sync::atomic::Ordering;
-        self.turn.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Concurrent-session leg: eight reader threads hold open snapshot
-/// sessions — all live at once for the entire leg — and each performs a
-/// fixed lookup batch per relay round while the writer session streams
-/// inserts on this thread. The accounting identity must hold *with
-/// per-session attribution*: nothing lands unattributed, the attributed
-/// delta equals the base pager's delta plus every snapshot view's own
-/// delta, and the session tallies sum exactly to the attributed delta.
-/// The relay keeps trace ticks deterministic, so the leg's spans land
-/// byte-stably in `trace-report.json`.
-fn profile_sessions() -> Result<(), String> {
+/// Concurrent-session leg: eight reader threads each open a snapshot
+/// session, all before the writer starts streaming, then perform a fixed
+/// lookup batch concurrently with the writer's inserts on this thread.
+/// The identity must hold for the base pager (over the leg) and for each
+/// reader's snapshot view (over its whole life), each against its own
+/// trace. Per-pager traces keep every report byte-stable however the
+/// threads interleave.
+fn profile_sessions(traced: &mut Vec<Traced>) -> Result<(), String> {
+    const LEG: &str = "sessions/wbox-readers";
     const READERS: usize = 8;
-    const PARTIES: u64 = READERS as u64 + 1; // the writer is the last participant
-    const ROUNDS: u64 = 5;
+    const ROUNDS: usize = 5;
     const BATCH: usize = 8; // lookups per reader per round
     let block_size = 1024;
     let manager = Arc::new(SessionManager::<WBoxScheme>::create(
@@ -281,71 +263,56 @@ fn profile_sessions() -> Result<(), String> {
         lids
     };
 
-    let before = mark();
-    let base0 = manager.pager().stats();
-    // Claim the writer before spawning readers so trace-session creation
-    // order (hence the report's session ids) is deterministic.
+    let base = Arc::clone(manager.pager());
+    let before = mark(&base);
     let mut writer = manager.writer().map_err(|e| e.to_string())?;
-    let relay = Arc::new(Relay {
-        turn: std::sync::atomic::AtomicU64::new(0),
-    });
+    let opened = Arc::new(Barrier::new(READERS + 1));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let manager = Arc::clone(&manager);
-            let relay = Arc::clone(&relay);
+            let opened = Arc::clone(&opened);
             let lids = lids.clone();
-            std::thread::spawn(move || -> Result<(IoStats, trace::TraceCounters), String> {
-                // Turn r of round 0: open this reader's session. It
-                // stays open across every later round, so all eight
-                // sessions (plus the writer) are live concurrently.
-                relay.wait_for(r as u64);
-                let snap = manager.snapshot().map_err(|e| e.to_string())?;
-                snap.bind_current_thread();
-                relay.advance();
-                for round in 1..=ROUNDS {
-                    relay.wait_for(round * PARTIES + r as u64);
+            std::thread::spawn(move || -> Result<SharedPager, String> {
+                let snap = manager.snapshot().map_err(|e| e.to_string());
+                // Wait even on error, or the writer would wait forever.
+                opened.wait();
+                let snap = snap?;
+                for _ in 0..ROUNDS {
                     for i in 0..BATCH {
                         let _ = snap.lookup(lids[(i * 5 + r) % lids.len()]);
                     }
-                    relay.advance();
                 }
-                Ok((snap.io(), snap.trace().counters()))
+                Ok(Arc::clone(snap.pager()))
             })
         })
         .collect();
 
-    // The writer takes the last turn of each round (self-journaling ops,
-    // so every commit lands inside the op's span).
-    relay.wait_for(READERS as u64);
-    relay.advance();
+    // The writer streams self-journaling ops, so every commit lands
+    // inside the op's span.
+    opened.wait();
     for round in 1..=ROUNDS {
-        relay.wait_for(round * PARTIES + READERS as u64);
         for i in 0..3 {
-            writer.insert_element_before(lids[(round as usize * 3 + i) % lids.len()]);
+            writer.insert_element_before(lids[(round * 3 + i) % lids.len()]);
         }
-        if round == ROUNDS {
-            writer.publish();
-        }
-        relay.advance();
     }
-    let mut session_sum = writer.trace().counters();
+    writer.publish();
     drop(writer);
 
-    let mut pager_delta = manager.pager().stats().since(&base0);
+    let mut views = Vec::new();
     for handle in readers {
-        let (io, tally) = handle
-            .join()
-            .map_err(|_| "reader thread panicked".to_string())??;
-        add_stats(&mut pager_delta, &io);
-        session_sum.merge(&tally);
+        views.push(
+            handle
+                .join()
+                .map_err(|_| "reader thread panicked".to_string())??,
+        );
     }
-    check_identity("sessions/wbox-readers", &before, pager_delta)?;
-    let attributed = trace::attributed().since(&before.attributed);
-    if attributed != session_sum {
-        return Err(format!(
-            "sessions/wbox-readers: per-session tallies do not sum to the \
-             attributed delta: sessions {session_sum:?}, attributed {attributed:?}"
-        ));
+    traced.push(Traced::of(LEG, "base", &base));
+    for (r, view) in views.iter().enumerate() {
+        traced.push(Traced::of(LEG, format!("reader-{r}"), view));
+    }
+    check_identity(&format!("{LEG}/base"), &base, &before)?;
+    for (r, view) in views.iter().enumerate() {
+        check_identity(&format!("{LEG}/reader-{r}"), view, &Mark::default())?;
     }
     Ok(())
 }
@@ -384,7 +351,6 @@ where
                 let lids = lids.clone();
                 std::thread::spawn(move || -> Result<u64, String> {
                     let snap = manager.snapshot().map_err(|e| e.to_string())?;
-                    snap.bind_current_thread();
                     barrier.wait();
                     let io0 = snap.io().total();
                     for i in 0..usize::try_from(LOOKUPS).unwrap_or(0) {
@@ -423,15 +389,27 @@ where
     Ok(legs)
 }
 
-/// Write `target/trace-report.json` from the aggregate tracer state.
-fn write_trace_report(root: &Path) -> Result<(), String> {
-    let report = trace::report();
+/// Write `target/trace-report.json`: the `boxes-trace/3` document, one
+/// report per traced pager labelled by leg and role.
+fn write_trace_report(root: &Path, traced: &[Traced]) -> Result<(), String> {
+    let mut json = String::from("{\"schema\":\"boxes-trace/3\",\"reports\":[");
+    for (i, t) in traced.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        json.push_str(&format!(
+            "{{\"leg\":\"{}\",\"role\":\"{}\",\"trace\":{}}}",
+            t.leg,
+            t.role,
+            t.report.to_json()
+        ));
+    }
+    json.push_str("]}");
     let path = root.join("target").join("trace-report.json");
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).map_err(|e| format!("mkdir {}: {e}", parent.display()))?;
     }
-    std::fs::write(&path, report.to_json())
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
     println!("  profile: wrote {}", path.display());
     Ok(())
 }
@@ -475,9 +453,8 @@ fn write_bench_trajectory(root: &Path) -> Result<(), String> {
 /// Run every attribution leg; prints one line per leg and returns overall
 /// success.
 pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
-    trace::reset();
-
     let mut checks: Vec<(String, Result<(), String>)> = Vec::new();
+    let mut traced = Vec::new();
 
     // Every scheme variant over a seeded stream, journaled.
     let stream_c = concentrated(160, 90);
@@ -491,6 +468,7 @@ pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
             p.clone(),
             WBoxScheme::new(p.clone(), WBoxConfig::from_block_size(1024)),
             &stream_c,
+            &mut traced,
         ),
     ));
     let p = journaled_pager(1024);
@@ -501,6 +479,7 @@ pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
             p.clone(),
             WBoxScheme::new(p.clone(), WBoxConfig::from_block_size_paired(1024)),
             &stream_s,
+            &mut traced,
         ),
     ));
     let p = journaled_pager(1024);
@@ -511,6 +490,7 @@ pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
             p.clone(),
             WBoxScheme::new(p.clone(), WBoxConfig::from_block_size(1024).with_ordinal()),
             &stream_c,
+            &mut traced,
         ),
     ));
     let p = journaled_pager(256);
@@ -521,6 +501,7 @@ pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
             p.clone(),
             BBoxScheme::new(p.clone(), BBoxConfig::from_block_size(256)),
             &stream_c,
+            &mut traced,
         ),
     ));
     let p = journaled_pager(256);
@@ -531,6 +512,7 @@ pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
             p.clone(),
             BBoxScheme::new(p.clone(), BBoxConfig::from_block_size(256).with_ordinal()),
             &stream_s,
+            &mut traced,
         ),
     ));
     let p = journaled_pager(1024);
@@ -541,15 +523,19 @@ pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
             p.clone(),
             NaiveScheme::new(p.clone(), NaiveConfig { extra_bits: 8 }),
             &stream_s,
+            &mut traced,
         ),
     ));
 
     // Allocator and fault-service legs.
-    checks.push(("lidf/standalone".into(), profile_lidf(seed)));
-    checks.push(("faulty/wbox".into(), profile_faulty(seed)));
+    checks.push(("lidf/standalone".into(), profile_lidf(seed, &mut traced)));
+    checks.push(("faulty/wbox".into(), profile_faulty(seed, &mut traced)));
 
-    // Concurrent sessions: the identity with four live snapshot readers.
-    checks.push(("sessions/wbox-readers".into(), profile_sessions()));
+    // Concurrent sessions: the identity with eight live snapshot readers.
+    checks.push((
+        "sessions/wbox-readers".into(),
+        profile_sessions(&mut traced),
+    ));
 
     let mut ok = true;
     for (name, result) in checks {
@@ -562,9 +548,9 @@ pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
         }
     }
 
-    // Artifacts: the span/counter report over everything profiled above,
-    // then the bench trajectory (run last — it is not identity-checked).
-    if let Err(msg) = write_trace_report(root) {
+    // Artifacts: one span/counter report per pager profiled above, then
+    // the bench trajectory (run last — it is not identity-checked).
+    if let Err(msg) = write_trace_report(root, &traced) {
         eprintln!("  profile: trace-report FAILED: {msg}");
         ok = false;
     }

@@ -118,7 +118,6 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
                 loop {
                     let finished = done.load(Ordering::SeqCst);
                     let snap = manager.snapshot().map_err(|e| e.to_string())?;
-                    snap.bind_current_thread();
                     if snap.epoch() < last_epoch {
                         return Err(format!(
                             "epoch went backwards: {} after {last_epoch}",

@@ -33,10 +33,11 @@
 //! 7. a **profile/attribution pass** (`--profile-only` runs just this
 //!    step): seeded workloads are replayed through every scheme with the
 //!    `boxes-trace` span layer live, and the accounting identity is
-//!    enforced — every pager-counted I/O (including fault-service retries,
-//!    repairs and backoff ticks) must be attributed to an open operation
-//!    span, with no spans leaked. The pass writes the deterministic
-//!    `target/trace-report.json` and `target/BENCH_boxes.json` artifacts.
+//!    enforced pager by pager — every I/O a pager counts (including
+//!    fault-service retries, repairs and backoff ticks) must be attributed
+//!    to a span open on that pager's own trace, with no spans leaked. The
+//!    pass writes the deterministic `target/trace-report.json` (one report
+//!    per traced pager) and `target/BENCH_boxes.json` artifacts.
 //! 8. a **process-kill crash matrix** (`--crash-file-only` runs just this
 //!    step): this binary re-execs itself as `xtask crash-child` running a
 //!    file-backed workload, `SIGKILL`s the child at seeded kill points,
