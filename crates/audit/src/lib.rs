@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -117,6 +118,9 @@ pub enum ViolationKind {
     /// pinned against eviction, or a snapshot epoch is still pinned against
     /// version reclamation, after every session should have closed.
     PinLeak,
+    /// A block could not be read: a disk fault survived retry and
+    /// read-repair. The audit records it and goes on instead of unwinding.
+    Unreadable,
 }
 
 impl fmt::Display for ViolationKind {
@@ -169,6 +173,14 @@ impl Violation {
     pub fn actual(mut self, value: impl ToString) -> Self {
         self.actual = value.to_string();
         self
+    }
+
+    /// An [`ViolationKind::Unreadable`] block at `path`, with the I/O
+    /// `error` as the evidence.
+    pub fn unreadable(path: impl Into<String>, error: impl ToString) -> Self {
+        Violation::new(ViolationKind::Unreadable, path)
+            .expected("a readable block")
+            .actual(error)
     }
 }
 

@@ -59,7 +59,14 @@ impl<'a> BAuditor<'a> {
             );
             return None;
         }
-        let node = match Node::try_decode(&self.tree.pager().read(id)) {
+        let bytes = match self.tree.pager().read(id) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                self.push(Violation::unreadable(path, e).at_block(id.0));
+                return None;
+            }
+        };
+        let node = match Node::try_decode(&bytes) {
             Ok(node) => node,
             Err(e) => {
                 self.push(
@@ -110,23 +117,21 @@ impl<'a> BAuditor<'a> {
                         continue;
                     }
                     self.lid_owner.insert(lid, id);
-                    if !self.tree.lidf_ref().is_live(lid) {
-                        self.push(
+                    match self.tree.lidf_ref().read_live(lid) {
+                        Err(e) => self.push(Violation::unreadable(rec_path, e).at_block(id.0)),
+                        Ok(None) => self.push(
                             Violation::new(ViolationKind::LidfMismatch, rec_path)
                                 .at_block(id.0)
                                 .expected(format!("live LIDF record for {lid:?}"))
                                 .actual("slot freed or out of range"),
-                        );
-                    } else {
-                        let pointed = self.tree.lidf_ref().read(lid).block;
-                        if pointed != id {
-                            self.push(
-                                Violation::new(ViolationKind::LidfMismatch, rec_path)
-                                    .at_block(id.0)
-                                    .expected(format!("LIDF points {lid:?} at this leaf"))
-                                    .actual(format!("points at block {}", pointed.0)),
-                            );
-                        }
+                        ),
+                        Ok(Some(rec)) if rec.block != id => self.push(
+                            Violation::new(ViolationKind::LidfMismatch, rec_path)
+                                .at_block(id.0)
+                                .expected(format!("LIDF points {lid:?} at this leaf"))
+                                .actual(format!("points at block {}", rec.block.0)),
+                        ),
+                        Ok(Some(_)) => {}
                     }
                 }
                 Some((usize_to_u64(lids.len()), 1))

@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -44,11 +45,12 @@
 //! use boxes_pager::{Pager, PagerConfig};
 //!
 //! let pager = Pager::new(PagerConfig::with_block_size(256));
-//! let mut bbox = BBox::new(pager, BBoxConfig::from_block_size(256));
-//! let lids = bbox.bulk_load(100);
-//! let new = bbox.insert_before(lids[50]);
-//! assert!(bbox.lookup(lids[49]) < bbox.lookup(new));
-//! assert!(bbox.lookup(new) < bbox.lookup(lids[50]));
+//! let mut bbox = BBox::new(pager, BBoxConfig::from_block_size(256))?;
+//! let lids = bbox.bulk_load(100)?;
+//! let new = bbox.insert_before(lids[50])?;
+//! assert!(bbox.lookup(lids[49])? < bbox.lookup(new)?);
+//! assert!(bbox.lookup(new)? < bbox.lookup(lids[50])?);
+//! # Ok::<(), boxes_pager::PagerError>(())
 //! ```
 
 mod audit;

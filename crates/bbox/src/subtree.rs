@@ -21,7 +21,7 @@
 use crate::node::{ChildEntry, Node};
 use crate::tree::BBox;
 use boxes_lidf::Lid;
-use boxes_pager::BlockId;
+use boxes_pager::{BlockId, IoResult, PagerError};
 use std::collections::HashSet;
 
 impl BBox {
@@ -38,15 +38,15 @@ impl BBox {
 
     /// Insert `n_tags` new labels immediately before `lid_old` as one bulk
     /// operation. Returns the new LIDs in document order.
-    pub fn insert_subtree_before(&mut self, lid_old: Lid, n_tags: usize) -> Vec<Lid> {
+    pub fn insert_subtree_before(&mut self, lid_old: Lid, n_tags: usize) -> IoResult<Vec<Lid>> {
         let _span =
             boxes_trace::OpSpan::op(self.pager().trace(), self.trace_tag(), "subtree_insert");
         self.journaled(|t| t.insert_subtree_before_impl(lid_old, n_tags))
     }
 
-    fn insert_subtree_before_impl(&mut self, lid_old: Lid, n_tags: usize) -> Vec<Lid> {
+    fn insert_subtree_before_impl(&mut self, lid_old: Lid, n_tags: usize) -> IoResult<Vec<Lid>> {
         if n_tags == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let sub_height = self.bulk_height(n_tags);
         if sub_height > self.height() {
@@ -56,8 +56,8 @@ impl BBox {
         }
 
         // Path from the insertion leaf to the root (level 0 first).
-        let leaf_id = self.lidf_read_block(lid_old);
-        let path = self.path_to_root(leaf_id);
+        let leaf_id = self.lidf_read_block(lid_old)?;
+        let path = self.path_to_root(leaf_id)?;
         debug_assert_eq!(path.len(), self.height());
 
         // Bulk reorganizations restructure whole paths: conservatively
@@ -65,7 +65,7 @@ impl BBox {
         self.note_change_all();
 
         // Build T′ (appends its records to the shared LIDF).
-        let (sub_root, built_height, new_lids) = self.build_forest(n_tags);
+        let (sub_root, built_height, new_lids) = self.build_forest(n_tags)?;
         debug_assert_eq!(built_height, sub_height);
         self.add_len(n_tags as i64);
 
@@ -87,19 +87,19 @@ impl BBox {
                     parent: u_node.parent(),
                     lids: right_lids,
                 };
-                self.write_node(*u_id, &reused);
+                self.write_node(*u_id, &reused)?;
                 left_seam.push(None);
                 right_seam.push(Some((*u_id, n)));
             } else {
-                let right_id = self.pager().alloc();
+                let right_id = self.pager().alloc()?;
                 let right = Node::Leaf {
                     parent: u_node.parent(),
                     lids: right_lids,
                 };
-                self.write_node(*u_id, &u_node);
-                self.write_node(right_id, &right);
+                self.write_node(*u_id, &u_node)?;
+                self.write_node(right_id, &right)?;
                 let moved = right.lids().clone();
-                self.lidf_repoint(&moved, right_id);
+                self.lidf_repoint(&moved, right_id)?;
                 left_seam.push(Some((*u_id, u_node.count() as u64)));
                 right_seam.push(Some((right_id, right.count() as u64)));
             }
@@ -130,9 +130,9 @@ impl BBox {
                     parent: v_node.parent(),
                     entries: right_entries,
                 };
-                self.write_node(*v_id, &node);
+                self.write_node(*v_id, &node)?;
                 if let Some((id, _)) = right_seam[level - 1] {
-                    self.set_parent(id, *v_id);
+                    self.set_parent(id, *v_id)?;
                 }
                 left_seam.push(None);
                 right_seam.push(Some((*v_id, rsum)));
@@ -141,17 +141,17 @@ impl BBox {
                     parent: v_node.parent(),
                     entries: left_entries,
                 };
-                self.write_node(*v_id, &left);
+                self.write_node(*v_id, &left)?;
                 // The left seam child from below kept its old block, whose
                 // back-link already names v. Nothing to fix on the left.
-                let right_id = self.pager().alloc();
+                let right_id = self.pager().alloc()?;
                 let right = Node::Internal {
                     parent: v_node.parent(),
                     entries: right_entries,
                 };
-                self.write_node(right_id, &right);
+                self.write_node(right_id, &right)?;
                 for e in right.entries() {
-                    self.set_parent(e.child, right_id);
+                    self.set_parent(e.child, right_id)?;
                 }
                 left_seam.push(Some((*v_id, lsum)));
                 right_seam.push(Some((right_id, rsum)));
@@ -174,14 +174,14 @@ impl BBox {
             if let Some((id, size)) = right_seam[sub_height - 1] {
                 entries.push(ChildEntry { child: id, size });
             }
-            let new_root = self.pager().alloc();
+            let new_root = self.pager().alloc()?;
             let node = Node::Internal {
                 parent: BlockId::INVALID,
                 entries,
             };
-            self.write_node(new_root, &node);
+            self.write_node(new_root, &node)?;
             for e in node.entries() {
-                self.set_parent(e.child, new_root);
+                self.set_parent(e.child, new_root)?;
             }
             let h = self.height();
             self.set_root(new_root, h + 1);
@@ -190,18 +190,18 @@ impl BBox {
             let mut dead: HashSet<BlockId> = HashSet::new();
             for level in (0..sub_height).rev() {
                 if level == sub_height - 1 && !dead.contains(&sub_root) {
-                    self.repair_if_underfull(sub_root);
+                    self.repair_if_underfull(sub_root)?;
                     dead.extend(self.take_freed_log());
                 }
                 for (id, _) in [left_seam[level], right_seam[level]].into_iter().flatten() {
                     if dead.contains(&id) {
                         continue;
                     }
-                    self.repair_if_underfull(id);
+                    self.repair_if_underfull(id)?;
                     dead.extend(self.take_freed_log());
                 }
             }
-            return new_lids;
+            return Ok(new_lids);
         }
         let (w_id, w_node) = &path[sub_height];
         let mut w = w_node.clone();
@@ -220,19 +220,19 @@ impl BBox {
         w.entries_mut().splice(q..=q, replacement);
         // New children of w need their back-links set; if w splits below,
         // split_internal re-fixes whichever half moved.
-        self.set_parent(sub_root, *w_id);
+        self.set_parent(sub_root, *w_id)?;
         if let Some((id, _)) = right_seam[sub_height - 1] {
             if id != path[sub_height - 1].0 {
-                self.set_parent(id, *w_id);
+                self.set_parent(id, *w_id)?;
             }
         }
         if w.count() <= self.config().internal_capacity {
-            self.write_node(*w_id, &w);
+            self.write_node(*w_id, &w)?;
             if self.config().ordinal {
-                self.bump_sizes(w.parent(), *w_id, n_tags as i64);
+                self.bump_sizes(w.parent(), *w_id, n_tags as i64)?;
             }
         } else {
-            self.split_internal(*w_id, w, n_tags as i64);
+            self.split_internal(*w_id, w, n_tags as i64)?;
         }
 
         // ---- repair seams, top-down ---------------------------------------
@@ -241,41 +241,41 @@ impl BBox {
         for level in (0..sub_height).rev() {
             if level == sub_height - 1 && !dead.contains(&sub_root) {
                 // T′'s root may be under-filled for a non-root position.
-                self.repair_if_underfull(sub_root);
+                self.repair_if_underfull(sub_root)?;
                 dead.extend(self.take_freed_log());
             }
             for (id, _) in [left_seam[level], right_seam[level]].into_iter().flatten() {
                 if dead.contains(&id) {
                     continue;
                 }
-                self.repair_if_underfull(id);
+                self.repair_if_underfull(id)?;
                 dead.extend(self.take_freed_log());
             }
         }
-        new_lids
+        Ok(new_lids)
     }
 
     /// Delete every label in the inclusive range spanned by `start_lid` and
     /// `end_lid` (the start/end tags of a subtree root), reclaiming tree
     /// blocks and LIDF records.
-    pub fn delete_subtree(&mut self, start_lid: Lid, end_lid: Lid) {
+    pub fn delete_subtree(&mut self, start_lid: Lid, end_lid: Lid) -> IoResult<()> {
         let _span =
             boxes_trace::OpSpan::op(self.pager().trace(), self.trace_tag(), "subtree_delete");
-        self.journaled(|t| t.delete_subtree_impl(start_lid, end_lid));
+        self.journaled(|t| t.delete_subtree_impl(start_lid, end_lid))
     }
 
-    fn delete_subtree_impl(&mut self, start_lid: Lid, end_lid: Lid) {
+    fn delete_subtree_impl(&mut self, start_lid: Lid, end_lid: Lid) -> IoResult<()> {
         assert_ne!(start_lid, end_lid, "a subtree has two distinct endpoints");
-        let leaf_s = self.lidf_read_block(start_lid);
-        let leaf_e = self.lidf_read_block(end_lid);
+        let leaf_s = self.lidf_read_block(start_lid)?;
+        let leaf_e = self.lidf_read_block(end_lid)?;
         if leaf_s == leaf_e {
-            self.delete_range_within_leaf(leaf_s, start_lid, end_lid);
-            return;
+            self.delete_range_within_leaf(leaf_s, start_lid, end_lid)?;
+            return Ok(());
         }
 
         self.note_change_all();
-        let path_s = self.path_to_root(leaf_s);
-        let path_e = self.path_to_root(leaf_e);
+        let path_s = self.path_to_root(leaf_s)?;
+        let path_e = self.path_to_root(leaf_e)?;
         let meet = (0..path_s.len())
             .find(|&i| path_s[i].0 == path_e[i].0)
             .expect("paths meet at the root");
@@ -298,10 +298,10 @@ impl BBox {
             s_deleted += doomed.len() as u64;
             freed_lids.extend(doomed);
             if s_node.count() == 0 {
-                self.free_node(*s_id);
+                self.free_node(*s_id)?;
                 s_alive.push(None);
             } else {
-                self.write_node(*s_id, &s_node);
+                self.write_node(*s_id, &s_node)?;
                 s_alive.push(Some(*s_id));
             }
 
@@ -313,10 +313,10 @@ impl BBox {
             e_deleted += doomed.len() as u64;
             freed_lids.extend(doomed);
             if e_node.count() == 0 {
-                self.free_node(*e_id);
+                self.free_node(*e_id)?;
                 e_alive.push(None);
             } else {
-                self.write_node(*e_id, &e_node);
+                self.write_node(*e_id, &e_node)?;
                 e_alive.push(Some(*e_id));
             }
         }
@@ -332,7 +332,7 @@ impl BBox {
             let deleted_below = s_deleted;
             let dropped = s_node.entries_mut().split_off(q + 1);
             for e in &dropped {
-                s_deleted += self.free_whole_subtree(e.child, &mut freed_lids);
+                s_deleted += self.free_whole_subtree(e.child, &mut freed_lids)?;
             }
             match s_alive[level - 1] {
                 Some(_) => {
@@ -347,10 +347,10 @@ impl BBox {
                 }
             }
             if s_node.count() == 0 {
-                self.free_node(*s_id);
+                self.free_node(*s_id)?;
                 s_alive.push(None);
             } else {
-                self.write_node(*s_id, &s_node);
+                self.write_node(*s_id, &s_node)?;
                 s_alive.push(Some(*s_id));
             }
 
@@ -362,7 +362,7 @@ impl BBox {
             let kept = e_node.entries_mut().split_off(q);
             let dropped = std::mem::replace(e_node.entries_mut(), kept);
             for e in &dropped {
-                e_deleted += self.free_whole_subtree(e.child, &mut freed_lids);
+                e_deleted += self.free_whole_subtree(e.child, &mut freed_lids)?;
             }
             match e_alive[level - 1] {
                 Some(_) => {
@@ -374,10 +374,10 @@ impl BBox {
                 }
             }
             if e_node.count() == 0 {
-                self.free_node(*e_id);
+                self.free_node(*e_id)?;
                 e_alive.push(None);
             } else {
-                self.write_node(*e_id, &e_node);
+                self.write_node(*e_id, &e_node)?;
                 e_alive.push(Some(*e_id));
             }
         }
@@ -391,7 +391,7 @@ impl BBox {
         // Children strictly between the two paths die entirely.
         let mut middle_deleted: u64 = 0;
         for e in &m.entries()[qs + 1..qe] {
-            middle_deleted += self.free_whole_subtree(e.child, &mut freed_lids);
+            middle_deleted += self.free_whole_subtree(e.child, &mut freed_lids)?;
         }
         let mut survivors: Vec<ChildEntry> = m.entries()[..qs].to_vec();
         if s_alive[meet - 1].is_some() {
@@ -417,33 +417,33 @@ impl BBox {
             // subtree — at least the document root's own tags... but guard
             // anyway by rebuilding an empty leaf if the whole tree emptied).
             let m_parent = m.parent();
-            self.free_node(*m_id);
+            self.free_node(*m_id)?;
             if m_parent.is_invalid() {
                 // Entire tree deleted: reset to a fresh empty leaf.
-                let root = self.pager().alloc();
-                self.write_node(root, &Node::leaf(BlockId::INVALID));
+                let root = self.pager().alloc()?;
+                self.write_node(root, &Node::leaf(BlockId::INVALID))?;
                 self.set_root(root, 1);
             } else {
-                let mut p = self.read_node(m_parent);
+                let mut p = self.read_node(m_parent)?;
                 let pos = p.position_of_child(*m_id);
                 p.entries_mut().remove(pos);
-                self.write_node(m_parent, &p);
+                self.write_node(m_parent, &p)?;
                 if self.config().ordinal {
-                    self.bump_sizes(p.parent(), m_parent, -(total_deleted as i64));
+                    self.bump_sizes(p.parent(), m_parent, -(total_deleted as i64))?;
                 }
-                self.lidf().free_batch(freed_lids);
-                self.finish_subtree_delete_repairs(m_parent, meet, &s_alive, &e_alive);
-                return;
+                self.lidf().free_batch(freed_lids)?;
+                self.finish_subtree_delete_repairs(m_parent, meet, &s_alive, &e_alive)?;
+                return Ok(());
             }
-            self.lidf().free_batch(freed_lids);
-            return;
+            self.lidf().free_batch(freed_lids)?;
+            return Ok(());
         }
-        self.write_node(*m_id, &m);
+        self.write_node(*m_id, &m)?;
         if self.config().ordinal {
-            self.bump_sizes(m.parent(), *m_id, -(total_deleted as i64));
+            self.bump_sizes(m.parent(), *m_id, -(total_deleted as i64))?;
         }
-        self.lidf().free_batch(freed_lids);
-        self.finish_subtree_delete_repairs(*m_id, meet, &s_alive, &e_alive);
+        self.lidf().free_batch(freed_lids)?;
+        self.finish_subtree_delete_repairs(*m_id, meet, &s_alive, &e_alive)
     }
 
     /// Top-down seam repair after a subtree delete: the meet node (or its
@@ -455,49 +455,52 @@ impl BBox {
         meet: usize,
         s_alive: &[Option<BlockId>],
         e_alive: &[Option<BlockId>],
-    ) {
+    ) -> IoResult<()> {
         self.take_freed_log();
         let mut dead: HashSet<BlockId> = HashSet::new();
         let repair = |this: &mut Self, id: BlockId, dead: &mut HashSet<BlockId>| {
             if !dead.contains(&id) {
-                this.repair_if_underfull(id);
+                this.repair_if_underfull(id)?;
                 dead.extend(this.take_freed_log());
             }
+            Ok::<(), PagerError>(())
         };
-        repair(self, top, &mut dead);
+        repair(self, top, &mut dead)?;
         for level in (0..meet).rev() {
             if let Some(id) = s_alive[level] {
-                repair(self, id, &mut dead);
+                repair(self, id, &mut dead)?;
             }
             if let Some(id) = e_alive[level] {
-                repair(self, id, &mut dead);
+                repair(self, id, &mut dead)?;
             }
         }
+        Ok(())
     }
 
     /// Delete an inclusive LID range that lies within a single leaf.
-    fn delete_range_within_leaf(&mut self, leaf_id: BlockId, start: Lid, end: Lid) {
-        let mut leaf = self.read_node(leaf_id);
+    fn delete_range_within_leaf(&mut self, leaf_id: BlockId, start: Lid, end: Lid) -> IoResult<()> {
+        let mut leaf = self.read_node(leaf_id)?;
         let ps = leaf.position_of_lid(start);
         let pe = leaf.position_of_lid(end);
         assert!(ps < pe, "subtree endpoints out of order");
         let doomed: Vec<Lid> = leaf.lids_mut().drain(ps..=pe).collect();
         let n = doomed.len() as i64;
-        self.write_node(leaf_id, &leaf);
-        self.lidf().free_batch(doomed);
+        self.write_node(leaf_id, &leaf)?;
+        self.lidf().free_batch(doomed)?;
         self.add_len(-n);
         if self.config().ordinal {
-            self.bump_sizes(leaf.parent(), leaf_id, -n);
+            self.bump_sizes(leaf.parent(), leaf_id, -n)?;
         }
         if !leaf.parent().is_invalid() && leaf.count() < self.config().min_leaf() {
-            self.rebalance(leaf_id, leaf);
+            self.rebalance(leaf_id, leaf)?;
         }
+        Ok(())
     }
 
     /// Free a whole subtree's blocks, appending its LIDs to `out`; returns
     /// the number of records it held.
-    fn free_whole_subtree(&mut self, id: BlockId, out: &mut Vec<Lid>) -> u64 {
-        let node = self.read_node(id);
+    fn free_whole_subtree(&mut self, id: BlockId, out: &mut Vec<Lid>) -> IoResult<u64> {
+        let node = self.read_node(id)?;
         let mut count = 0;
         match &node {
             Node::Leaf { lids, .. } => {
@@ -506,12 +509,12 @@ impl BBox {
             }
             Node::Internal { entries, .. } => {
                 for e in entries {
-                    count += self.free_whole_subtree(e.child, out);
+                    count += self.free_whole_subtree(e.child, out)?;
                 }
             }
         }
-        self.free_node(id);
-        count
+        self.free_node(id)?;
+        Ok(count)
     }
 }
 
@@ -528,11 +531,11 @@ mod tests {
         if ordinal {
             c = c.with_ordinal();
         }
-        BBox::new(pager, c)
+        BBox::new(pager, c).unwrap()
     }
 
     fn assert_order(b: &BBox, lids: &[Lid]) {
-        let labels: Vec<PathLabel> = lids.iter().map(|&l| b.lookup(l)).collect();
+        let labels: Vec<PathLabel> = lids.iter().map(|&l| b.lookup(l).unwrap()).collect();
         for (i, w) in labels.windows(2).enumerate() {
             assert!(
                 w[0] < w[1],
@@ -548,13 +551,13 @@ mod tests {
     fn subtree_insert_in_the_middle() {
         for ordinal in [false, true] {
             let mut b = make(ordinal);
-            let base = b.bulk_load(500);
-            let sub = b.insert_subtree_before(base[250], 60);
+            let base = b.bulk_load(500).unwrap();
+            let sub = b.insert_subtree_before(base[250], 60).unwrap();
             assert_eq!(b.len(), 560);
             let mut all = base[..250].to_vec();
             all.extend(&sub);
             all.extend(&base[250..]);
-            assert_eq!(b.iter_lids(), all, "ordinal={ordinal}");
+            assert_eq!(b.iter_lids().unwrap(), all, "ordinal={ordinal}");
             assert_order(&b, &all);
             b.validate();
         }
@@ -563,36 +566,36 @@ mod tests {
     #[test]
     fn subtree_insert_at_document_start() {
         let mut b = make(true);
-        let base = b.bulk_load(300);
-        let sub = b.insert_subtree_before(base[0], 40);
+        let base = b.bulk_load(300).unwrap();
+        let sub = b.insert_subtree_before(base[0], 40).unwrap();
         let mut all = sub.clone();
         all.extend(&base);
-        assert_eq!(b.iter_lids(), all);
+        assert_eq!(b.iter_lids().unwrap(), all);
         b.validate();
         for (i, &lid) in all.iter().enumerate().step_by(23) {
-            assert_eq!(b.ordinal_of(lid), i as u64);
+            assert_eq!(b.ordinal_of(lid).unwrap(), i as u64);
         }
     }
 
     #[test]
     fn subtree_insert_at_leaf_boundary() {
         let mut b = make(true);
-        let base = b.bulk_load(700);
+        let base = b.bulk_load(700).unwrap();
         // Leaf capacity 7 and full bulk leaves: index 7 starts a leaf.
-        let sub = b.insert_subtree_before(base[7], 50);
+        let sub = b.insert_subtree_before(base[7], 50).unwrap();
         let mut all = base[..7].to_vec();
         all.extend(&sub);
         all.extend(&base[7..]);
-        assert_eq!(b.iter_lids(), all);
+        assert_eq!(b.iter_lids().unwrap(), all);
         b.validate();
     }
 
     #[test]
     fn subtree_insert_tall_falls_back() {
         let mut b = make(false);
-        let base = b.bulk_load(20);
+        let base = b.bulk_load(20).unwrap();
         // 400 tags need a taller tree than the host: fallback path.
-        let sub = b.insert_subtree_before(base[10], 400);
+        let sub = b.insert_subtree_before(base[10], 400).unwrap();
         assert_eq!(sub.len(), 400);
         assert_eq!(b.len(), 420);
         let mut all = base[..10].to_vec();
@@ -605,19 +608,19 @@ mod tests {
     #[test]
     fn subtree_insert_is_much_cheaper_than_loose_inserts() {
         let mut bulk = make(false);
-        let base = bulk.bulk_load(5_000);
+        let base = bulk.bulk_load(5_000).unwrap();
         let pager = bulk.pager().clone();
         let before = pager.stats();
-        bulk.insert_subtree_before(base[2_500], 1_000);
+        bulk.insert_subtree_before(base[2_500], 1_000).unwrap();
         let bulk_cost = pager.stats().since(&before).total();
         bulk.validate();
 
         let mut loose = make(false);
-        let base = loose.bulk_load(5_000);
+        let base = loose.bulk_load(5_000).unwrap();
         let pager = loose.pager().clone();
         let before = pager.stats();
         for _ in 0..1_000 {
-            loose.insert_before(base[2_500]);
+            loose.insert_before(base[2_500]).unwrap();
         }
         let loose_cost = pager.stats().since(&before).total();
         assert!(
@@ -630,12 +633,12 @@ mod tests {
     fn subtree_delete_middle_range() {
         for ordinal in [false, true] {
             let mut b = make(ordinal);
-            let base = b.bulk_load(500);
-            b.delete_subtree(base[100], base[399]);
+            let base = b.bulk_load(500).unwrap();
+            b.delete_subtree(base[100], base[399]).unwrap();
             assert_eq!(b.len(), 200, "ordinal={ordinal}");
             let mut rest = base[..100].to_vec();
             rest.extend(&base[400..]);
-            assert_eq!(b.iter_lids(), rest);
+            assert_eq!(b.iter_lids().unwrap(), rest);
             assert_order(&b, &rest);
             b.validate();
         }
@@ -644,34 +647,34 @@ mod tests {
     #[test]
     fn subtree_delete_within_one_leaf() {
         let mut b = make(true);
-        let base = b.bulk_load(100);
-        b.delete_subtree(base[1], base[3]);
+        let base = b.bulk_load(100).unwrap();
+        b.delete_subtree(base[1], base[3]).unwrap();
         assert_eq!(b.len(), 97);
         let mut rest = vec![base[0]];
         rest.extend(&base[4..]);
-        assert_eq!(b.iter_lids(), rest);
+        assert_eq!(b.iter_lids().unwrap(), rest);
         b.validate();
     }
 
     #[test]
     fn subtree_delete_prefix_and_suffix() {
         let mut b = make(true);
-        let base = b.bulk_load(400);
-        b.delete_subtree(base[0], base[149]);
+        let base = b.bulk_load(400).unwrap();
+        b.delete_subtree(base[0], base[149]).unwrap();
         b.validate();
-        b.delete_subtree(base[300], base[399]);
+        b.delete_subtree(base[300], base[399]).unwrap();
         b.validate();
         assert_eq!(b.len(), 150);
-        assert_eq!(b.iter_lids(), base[150..300].to_vec());
+        assert_eq!(b.iter_lids().unwrap(), base[150..300].to_vec());
     }
 
     #[test]
     fn subtree_delete_almost_everything() {
         let mut b = make(true);
-        let base = b.bulk_load(600);
-        b.delete_subtree(base[1], base[598]);
+        let base = b.bulk_load(600).unwrap();
+        b.delete_subtree(base[1], base[598]).unwrap();
         assert_eq!(b.len(), 2);
-        assert_eq!(b.iter_lids(), vec![base[0], base[599]]);
+        assert_eq!(b.iter_lids().unwrap(), vec![base[0], base[599]]);
         assert_eq!(b.height(), 1, "tree collapsed to a leaf");
         b.validate();
     }
@@ -679,21 +682,21 @@ mod tests {
     #[test]
     fn subtree_delete_matches_loose_deletes() {
         let mut bulk = make(true);
-        let a = bulk.bulk_load(300);
-        bulk.delete_subtree(a[40], a[259]);
+        let a = bulk.bulk_load(300).unwrap();
+        bulk.delete_subtree(a[40], a[259]).unwrap();
         bulk.validate();
 
         let mut loose = make(true);
-        let b = loose.bulk_load(300);
+        let b = loose.bulk_load(300).unwrap();
         for &lid in &b[40..260] {
-            loose.delete(lid);
+            loose.delete(lid).unwrap();
         }
         loose.validate();
 
         assert_eq!(bulk.len(), loose.len());
         // Same logical document: position i survivors align.
-        let la = bulk.iter_lids();
-        let lb = loose.iter_lids();
+        let la = bulk.iter_lids().unwrap();
+        let lb = loose.iter_lids().unwrap();
         let pos_a: Vec<usize> = la
             .iter()
             .map(|l| a.iter().position(|x| x == l).unwrap())
@@ -708,9 +711,9 @@ mod tests {
     #[test]
     fn subtree_delete_then_reuse_space() {
         let mut b = make(false);
-        let base = b.bulk_load(1000);
+        let base = b.bulk_load(1000).unwrap();
         let blocks_full = b.pager().allocated_blocks();
-        b.delete_subtree(base[10], base[989]);
+        b.delete_subtree(base[10], base[989]).unwrap();
         let blocks_after = b.pager().allocated_blocks();
         // Tree blocks are reclaimed; LIDF blocks persist (their slots are
         // recycled through the free list instead).
@@ -719,7 +722,7 @@ mod tests {
             "blocks reclaimed: {blocks_full} -> {blocks_after}"
         );
         // Freed LIDs are recycled by later inserts.
-        let n = b.insert_before(base[990]);
+        let n = b.insert_before(base[990]).unwrap();
         assert!(n.0 < 1000, "recycled a freed LIDF slot: {n:?}");
         b.validate();
     }
@@ -727,15 +730,15 @@ mod tests {
     #[test]
     fn interleaved_subtree_ops_stay_consistent() {
         let mut b = make(true);
-        let base = b.bulk_load(200);
-        let s1 = b.insert_subtree_before(base[100], 80);
+        let base = b.bulk_load(200).unwrap();
+        let s1 = b.insert_subtree_before(base[100], 80).unwrap();
         b.validate();
-        b.delete_subtree(s1[10], s1[69]);
+        b.delete_subtree(s1[10], s1[69]).unwrap();
         b.validate();
-        let s2 = b.insert_subtree_before(base[150], 30);
+        let s2 = b.insert_subtree_before(base[150], 30).unwrap();
         b.validate();
         assert_eq!(b.len(), 200 + 80 - 60 + 30);
-        let all = b.iter_lids();
+        let all = b.iter_lids().unwrap();
         assert_order(&b, &all);
         let _ = s2;
     }
@@ -752,9 +755,9 @@ mod repro {
         for n in [60usize, 100, 131, 140] {
             for at in (0..n).step_by(1) {
                 let pager = Pager::new(PagerConfig::with_block_size(128));
-                let mut b = BBox::new(pager, BBoxConfig::from_block_size(128));
-                let order = b.bulk_load(n);
-                b.insert_subtree_before(order[at], 1);
+                let mut b = BBox::new(pager, BBoxConfig::from_block_size(128)).unwrap();
+                let order = b.bulk_load(n).unwrap();
+                b.insert_subtree_before(order[at], 1).unwrap();
                 let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.validate()));
                 assert!(ok.is_ok(), "n={n} at={at}");
             }
@@ -764,18 +767,18 @@ mod repro {
     #[test]
     fn minimal_failing_sequence_from_proptest() {
         let pager = Pager::new(PagerConfig::with_block_size(128));
-        let mut b = BBox::new(pager, BBoxConfig::from_block_size(128));
-        let mut order = b.bulk_load(100);
+        let mut b = BBox::new(pager, BBoxConfig::from_block_size(128)).unwrap();
+        let mut order = b.bulk_load(100).unwrap();
         // Insert(45, 31)
         let at = 45 % order.len();
-        let new = b.insert_subtree_before(order[at], 31);
+        let new = b.insert_subtree_before(order[at], 31).unwrap();
         for (j, lid) in new.into_iter().enumerate() {
             order.insert(at + j, lid);
         }
         b.validate();
         // Insert(333, 1)
         let at = 333 % order.len();
-        let new = b.insert_subtree_before(order[at], 1);
+        let new = b.insert_subtree_before(order[at], 1).unwrap();
         for (j, lid) in new.into_iter().enumerate() {
             order.insert(at + j, lid);
         }
@@ -787,13 +790,13 @@ mod repro {
             std::mem::swap(&mut a, &mut c);
         }
         if a != c {
-            b.delete_subtree(order[a], order[c]);
+            b.delete_subtree(order[a], order[c]).unwrap();
             order.drain(a..=c);
         }
         b.validate();
         // Insert(0, 7)
         let at = 0;
-        let new = b.insert_subtree_before(order[at], 7);
+        let new = b.insert_subtree_before(order[at], 7).unwrap();
         for (j, lid) in new.into_iter().enumerate() {
             order.insert(at + j, lid);
         }

@@ -28,23 +28,23 @@ fn ops() -> impl Strategy<Value = Vec<BOp>> {
 }
 
 fn run(mut b: BBox, script: &[BOp], audit_every_op: bool) {
-    let mut order = b.bulk_load(80);
+    let mut order = b.bulk_load(80).unwrap();
     for op in script {
         match *op {
             BOp::Insert(raw) => {
                 let at = raw % order.len();
-                let new = b.insert_before(order[at]);
+                let new = b.insert_before(order[at]).unwrap();
                 order.insert(at, new);
             }
             BOp::Delete(raw) => {
                 if order.len() > 4 {
                     let at = raw % order.len();
-                    b.delete(order.remove(at));
+                    b.delete(order.remove(at)).unwrap();
                 }
             }
             BOp::InsertSubtree(raw, n) => {
                 let at = raw % order.len();
-                let lids = b.insert_subtree_before(order[at], n);
+                let lids = b.insert_subtree_before(order[at], n).unwrap();
                 for (j, lid) in lids.into_iter().enumerate() {
                     order.insert(at + j, lid);
                 }
@@ -61,7 +61,7 @@ fn run(mut b: BBox, script: &[BOp], audit_every_op: bool) {
                 if a == c || c - a + 1 >= order.len() {
                     continue;
                 }
-                b.delete_subtree(order[a], order[c]);
+                b.delete_subtree(order[a], order[c]).unwrap();
                 order.drain(a..=c);
             }
         }
@@ -73,7 +73,7 @@ fn run(mut b: BBox, script: &[BOp], audit_every_op: bool) {
         }
     }
     b.validate();
-    assert_eq!(b.iter_lids(), order);
+    assert_eq!(b.iter_lids().unwrap(), order);
 }
 
 proptest! {
@@ -82,14 +82,14 @@ proptest! {
     #[test]
     fn plain_bbox_invariants(script in ops()) {
         let pager = Pager::new(PagerConfig::with_block_size(128));
-        run(BBox::new(pager, BBoxConfig::from_block_size(128)), &script, false);
+        run(BBox::new(pager, BBoxConfig::from_block_size(128)).unwrap(), &script, false);
     }
 
     #[test]
     fn ordinal_bbox_invariants(script in ops()) {
         let pager = Pager::new(PagerConfig::with_block_size(128));
         run(
-            BBox::new(pager, BBoxConfig::from_block_size(128).with_ordinal()),
+            BBox::new(pager, BBoxConfig::from_block_size(128).with_ordinal()).unwrap(),
             &script,
             false,
         );
@@ -102,7 +102,7 @@ proptest! {
             BBox::new(
                 pager,
                 BBoxConfig::from_block_size(128).with_fill(FillPolicy::Quarter),
-            ),
+            ).unwrap(),
             &script,
             false,
         );
@@ -111,6 +111,6 @@ proptest! {
     #[test]
     fn invariants_hold_after_every_single_op(script in ops()) {
         let pager = Pager::new(PagerConfig::with_block_size(128));
-        run(BBox::new(pager, BBoxConfig::from_block_size(128)), &script, true);
+        run(BBox::new(pager, BBoxConfig::from_block_size(128)).unwrap(), &script, true);
     }
 }

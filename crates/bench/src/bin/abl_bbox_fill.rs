@@ -34,8 +34,8 @@ fn main() {
         let pager = Pager::new(PagerConfig::with_block_size(bs));
         let scheme = BBoxScheme::new(pager, BBoxConfig::from_block_size(bs).with_fill(fill));
         eprint!("  {name} ...");
-        let mut driver = DocumentDriver::load(scheme, &stream.base);
-        let costs = driver.replay(&stream.ops);
+        let mut driver = DocumentDriver::load(scheme, &stream.base).unwrap();
+        let costs = driver.replay(&stream.ops).unwrap();
         let avg = costs.iter().sum::<u64>() as f64 / costs.len() as f64;
         let c = driver.scheme.inner().counters();
         eprintln!(" avg {avg:.2}, counters {c:?}");

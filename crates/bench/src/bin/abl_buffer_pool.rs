@@ -28,9 +28,9 @@ fn main() {
             eprint!("  {which} pool={pool} ...");
             let (avg, hits) = if which == "W-BOX" {
                 let scheme = WBoxScheme::new(pager.clone(), WBoxConfig::from_block_size(bs));
-                let mut d = DocumentDriver::load(scheme, &stream.base);
-                let costs = d.replay(&stream.ops);
-                pager.flush();
+                let mut d = DocumentDriver::load(scheme, &stream.base).unwrap();
+                let costs = d.replay(&stream.ops).unwrap();
+                pager.flush().unwrap();
                 let s = pager.pool_stats();
                 (
                     costs.iter().sum::<u64>() as f64 / costs.len() as f64,
@@ -38,9 +38,9 @@ fn main() {
                 )
             } else {
                 let scheme = BBoxScheme::new(pager.clone(), BBoxConfig::from_block_size(bs));
-                let mut d = DocumentDriver::load(scheme, &stream.base);
-                let costs = d.replay(&stream.ops);
-                pager.flush();
+                let mut d = DocumentDriver::load(scheme, &stream.base).unwrap();
+                let costs = d.replay(&stream.ops).unwrap();
+                pager.flush().unwrap();
                 let s = pager.pool_stats();
                 (
                     costs.iter().sum::<u64>() as f64 / costs.len() as f64,

@@ -33,26 +33,28 @@ fn main() {
     for k in [0usize, 1, 4, 16, 64, 256] {
         for reads_per_update in [1usize, 10, 100] {
             let pager = Pager::new(PagerConfig::with_block_size(bs));
-            let mut wbox = WBox::new(pager, WBoxConfig::from_block_size(bs));
-            let lids = wbox.bulk_load(n_labels);
+            let mut wbox = WBox::new(pager, WBoxConfig::from_block_size(bs)).unwrap();
+            let lids = wbox.bulk_load(n_labels).unwrap();
             let mut cached = CachedWBox::new(wbox, k);
             let mut refs: Vec<CachedRef<u64>> = (0..refs_count).map(|_| CachedRef::new()).collect();
             let probes: Vec<_> = (0..refs_count)
                 .map(|i| lids[(i * 131) % lids.len()])
                 .collect();
             for (r, &lid) in refs.iter_mut().zip(&probes) {
-                cached.lookup(lid, r);
+                cached.lookup(lid, r).unwrap();
             }
             cached.stats = Default::default();
             let mut ri = 0usize;
             for round in 0..rounds {
-                cached.insert_before(lids[(round * 37 + 5) % lids.len()]);
+                cached
+                    .insert_before(lids[(round * 37 + 5) % lids.len()])
+                    .unwrap();
                 for _ in 0..reads_per_update {
                     let i = ri % refs_count;
                     ri += 1;
                     let lid = probes[i];
                     let r = &mut refs[i];
-                    cached.lookup(lid, r);
+                    cached.lookup(lid, r).unwrap();
                 }
             }
             let s = cached.stats;

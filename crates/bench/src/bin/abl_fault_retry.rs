@@ -31,16 +31,6 @@ struct Variant {
 }
 
 fn main() {
-    // Typed pager rejections unwind as `PagerError` panics that the
-    // `try_*` wrappers catch; keep the default hook for real panics but
-    // don't let expected faults spam stderr with backtraces.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !info.payload().is::<PagerError>() {
-            prev(info);
-        }
-    }));
-
     let (scale, bs) = Scale::from_args();
     let base: Vec<usize> = (0..2 * scale.base_elements).map(|i| i ^ 1).collect();
     let variants = [

@@ -83,8 +83,8 @@ fn main() {
         eprint!("  {} ...", v.name);
         let start = Instant::now();
         let scheme = WBoxScheme::new(pager.clone(), WBoxConfig::from_block_size(bs));
-        let mut driver = DocumentDriver::load(scheme, &stream.base);
-        driver.replay(&stream.ops);
+        let mut driver = DocumentDriver::load(scheme, &stream.base).unwrap();
+        driver.replay(&stream.ops).unwrap();
         let replay_ms = start.elapsed().as_secs_f64() * 1e3;
         eprintln!(" {replay_ms:.0} ms");
         let stats = wal.stats();

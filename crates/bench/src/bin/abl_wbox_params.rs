@@ -43,8 +43,8 @@ fn main() {
         let pager = Pager::new(PagerConfig::with_block_size(bs));
         let scheme = WBoxScheme::new(pager, config);
         eprint!("  a={a:<4} k={k:<5} b={b:<4} ...");
-        let mut driver = DocumentDriver::load(scheme, &stream.base);
-        let costs = driver.replay(&stream.ops);
+        let mut driver = DocumentDriver::load(scheme, &stream.base).unwrap();
+        let costs = driver.replay(&stream.ops).unwrap();
         let avg = costs.iter().sum::<u64>() as f64 / costs.len() as f64;
         eprintln!(" avg {avg:.2}");
         table.row(vec![
@@ -55,7 +55,7 @@ fn main() {
             costs.iter().max().copied().unwrap_or(0).to_string(),
             {
                 use boxes_core::LabelingScheme;
-                driver.scheme.label_bits().to_string()
+                driver.scheme.label_bits().unwrap().to_string()
             },
             {
                 use boxes_core::LabelingScheme;

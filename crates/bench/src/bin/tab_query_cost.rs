@@ -29,8 +29,8 @@ fn measure<S: LabelingScheme>(
     ordinal: Option<&dyn Fn(&S, boxes_core::lidf::Lid)>,
 ) -> Row {
     let stream = concentrated(scale.base_elements, scale.insert_elements);
-    let mut driver = DocumentDriver::load(scheme, &stream.base);
-    driver.replay(&stream.ops);
+    let mut driver = DocumentDriver::load(scheme, &stream.base).unwrap();
+    driver.replay(&stream.ops).unwrap();
     let pager = driver.scheme.pager().clone();
     let n = driver.element_count();
     let probes: Vec<usize> = (0..200).map(|i| (i * 997) % n).collect();
@@ -38,7 +38,7 @@ fn measure<S: LabelingScheme>(
     let before = pager.stats();
     for &p in &probes {
         let (s, _) = driver.element(boxes_core::xml::workload::ElemRef(p));
-        driver.scheme.lookup(s);
+        driver.scheme.try_lookup(s).unwrap();
     }
     let single = pager.stats().since(&before).total() as f64 / probes.len() as f64;
 
@@ -82,8 +82,8 @@ fn main() {
             s,
             &scale,
             |s, a, b| {
-                s.lookup(a);
-                s.lookup(b);
+                s.try_lookup(a).unwrap();
+                s.try_lookup(b).unwrap();
             },
             None,
         ));
@@ -96,12 +96,12 @@ fn main() {
             s,
             &scale,
             |s, a, b| {
-                s.lookup(a);
-                s.lookup(b);
+                s.try_lookup(a).unwrap();
+                s.try_lookup(b).unwrap();
             },
             Some(&|s: &WBoxScheme, lid| {
                 use boxes_core::OrdinalScheme;
-                s.ordinal_of(lid);
+                s.ordinal_of(lid).unwrap();
             }),
         ));
     }
@@ -113,7 +113,7 @@ fn main() {
             s,
             &scale,
             |s, a, _| {
-                s.inner().pair_lookup(a);
+                s.inner().pair_lookup(a).unwrap();
             },
             None,
         ));
@@ -126,8 +126,8 @@ fn main() {
             s,
             &scale,
             |s, a, b| {
-                s.lookup(a);
-                s.lookup(b);
+                s.try_lookup(a).unwrap();
+                s.try_lookup(b).unwrap();
             },
             None,
         ));
@@ -140,12 +140,12 @@ fn main() {
             s,
             &scale,
             |s, a, b| {
-                s.lookup(a);
-                s.lookup(b);
+                s.try_lookup(a).unwrap();
+                s.try_lookup(b).unwrap();
             },
             Some(&|s: &BBoxScheme, lid| {
                 use boxes_core::OrdinalScheme;
-                s.ordinal_of(lid);
+                s.ordinal_of(lid).unwrap();
             }),
         ));
     }
@@ -156,8 +156,8 @@ fn main() {
             s,
             &scale,
             |s, a, b| {
-                s.lookup(a);
-                s.lookup(b);
+                s.try_lookup(a).unwrap();
+                s.try_lookup(b).unwrap();
             },
             None,
         ));

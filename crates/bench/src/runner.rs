@@ -105,14 +105,14 @@ fn drive<S: LabelingScheme>(name: String, scheme: S, stream: &UpdateStream) -> R
     let start = Instant::now();
     let pager = scheme.pager().clone();
     let before = pager.stats();
-    let mut driver = DocumentDriver::load(scheme, &stream.base);
-    let costs = driver.replay(&stream.ops);
+    let mut driver = DocumentDriver::load(scheme, &stream.base).expect("bulk load");
+    let costs = driver.replay(&stream.ops).expect("stream replay");
     let total = pager.stats().since(&before);
     RunResult {
         scheme: name,
         costs: costs[stream.measure_from.min(costs.len())..].to_vec(),
         total,
-        label_bits: driver.scheme.label_bits(),
+        label_bits: driver.scheme.label_bits().expect("label bits"),
         blocks_used: pager.allocated_blocks(),
         final_len: driver.scheme.len(),
         elapsed: start.elapsed(),

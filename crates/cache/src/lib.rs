@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -47,11 +48,12 @@
 //! let mut log = ModLog::new(8);
 //! let mut reference = CachedRef::new();
 //! // First access: full lookup, cache primed.
-//! assert_eq!(reference.resolve(&log, || 100u64), Lookup::Full(100));
+//! let lookup = || Ok::<u64, std::convert::Infallible>(100);
+//! assert_eq!(reference.resolve(&log, lookup), Ok(Lookup::Full(100)));
 //! // A logged insertion before label 40 shifts everything ≥ 40 up by 2.
 //! log.record(OrdinalEffect::shift(40, 2));
 //! // The reference replays the effect without any lookup.
-//! assert_eq!(reference.resolve(&log, || unreachable!()), Lookup::Replayed(102));
+//! assert_eq!(reference.resolve(&log, lookup), Ok(Lookup::Replayed(102)));
 //! ```
 
 use std::collections::VecDeque;
@@ -202,15 +204,17 @@ impl<L: Clone> CachedRef<L> {
     /// Resolve the label: serve from cache, replay the log, or fall back to
     /// `full_lookup`. Updates the cache either way (§6: "it replaces the
     /// cached value with the label it obtained, and updates last-cached").
-    pub fn resolve<E: Effect<L>>(
+    /// An error from `full_lookup` is returned and leaves the cache as it
+    /// was.
+    pub fn resolve<E: Effect<L>, Err>(
         &mut self,
         log: &ModLog<E>,
-        full_lookup: impl FnOnce() -> L,
-    ) -> Lookup<L> {
+        full_lookup: impl FnOnce() -> Result<L, Err>,
+    ) -> Result<Lookup<L>, Err> {
         let now = log.last_modified();
         if let Some((value, stamp)) = self.cached.clone() {
             if stamp >= now {
-                return Lookup::Hit(value);
+                return Ok(Lookup::Hit(value));
             }
             if log.covers(stamp) {
                 let mut current = Some(value);
@@ -222,13 +226,13 @@ impl<L: Clone> CachedRef<L> {
                 }
                 if let Some(value) = current {
                     self.cached = Some((value.clone(), now));
-                    return Lookup::Replayed(value);
+                    return Ok(Lookup::Replayed(value));
                 }
             }
         }
-        let value = full_lookup();
+        let value = full_lookup()?;
         self.cached = Some((value.clone(), now));
-        Lookup::Full(value)
+        Ok(Lookup::Full(value))
     }
 
     /// Like [`CachedRef::resolve`] but **without write escalation**: the
@@ -466,38 +470,49 @@ impl CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    /// A full lookup that answers `label`.
+    fn full<L>(label: L) -> impl FnOnce() -> Result<L, Infallible> {
+        move || Ok(label)
+    }
+
+    /// A full lookup the cache must not need.
+    fn unused<L>() -> impl FnOnce() -> Result<L, Infallible> {
+        || unreachable!("served without a lookup")
+    }
 
     #[test]
     fn cold_reference_does_full_lookup_then_hits() {
         let log: ModLog<OrdinalEffect> = ModLog::new(4);
         let mut r = CachedRef::new();
-        assert_eq!(r.resolve(&log, || 7u64), Lookup::Full(7));
-        assert_eq!(r.resolve(&log, || unreachable!()), Lookup::Hit(7));
+        assert_eq!(r.resolve(&log, full(7u64)).unwrap(), Lookup::Full(7));
+        assert_eq!(r.resolve(&log, unused()).unwrap(), Lookup::Hit(7));
     }
 
     #[test]
     fn replay_applies_effects_in_order() {
         let mut log = ModLog::new(4);
         let mut r = CachedRef::new();
-        r.resolve(&log, || 100u64);
+        r.resolve(&log, full(100u64)).unwrap();
         log.record(OrdinalEffect::shift(50, 2)); // 100 → 102
         log.record(OrdinalEffect::shift(200, 2)); // no change
         log.record(OrdinalEffect::shift(0, -1)); // 102 → 101
-        assert_eq!(r.resolve(&log, || unreachable!()), Lookup::Replayed(101));
+        assert_eq!(r.resolve(&log, unused()).unwrap(), Lookup::Replayed(101));
         // And the repaired value is re-cached.
-        assert_eq!(r.resolve(&log, || unreachable!()), Lookup::Hit(101));
+        assert_eq!(r.resolve(&log, unused()).unwrap(), Lookup::Hit(101));
     }
 
     #[test]
     fn log_overflow_forces_full_lookup() {
         let mut log = ModLog::new(2);
         let mut r = CachedRef::new();
-        r.resolve(&log, || 10u64);
+        r.resolve(&log, full(10u64)).unwrap();
         for _ in 0..3 {
             log.record(OrdinalEffect::shift(0, 1));
         }
         // Three modifications, log holds two: cache not covered.
-        assert_eq!(r.resolve(&log, || 13), Lookup::Full(13));
+        assert_eq!(r.resolve(&log, full(13)).unwrap(), Lookup::Full(13));
     }
 
     #[test]
@@ -507,9 +522,9 @@ mod tests {
         for (k, expect_full) in [(0usize, true), (8, false)] {
             let mut log = ModLog::new(k);
             let mut r = CachedRef::new();
-            r.resolve(&log, || 0u64);
+            r.resolve(&log, full(0u64)).unwrap();
             log.record(OrdinalEffect::shift(1_000, 2));
-            let res = r.resolve(&log, || 0);
+            let res = r.resolve(&log, full(0)).unwrap();
             assert_eq!(matches!(res, Lookup::Full(_)), expect_full, "k = {k}");
         }
     }
@@ -535,10 +550,10 @@ mod tests {
     fn invalidation_falls_back_and_recovers() {
         let mut log: ModLog<FlatEffect> = ModLog::new(4);
         let mut r = CachedRef::new();
-        r.resolve(&log, || 15u64);
+        r.resolve(&log, full(15u64)).unwrap();
         log.record(FlatEffect::Invalidate { lo: 10, hi: 20 });
-        assert_eq!(r.resolve(&log, || 99), Lookup::Full(99));
-        assert_eq!(r.resolve(&log, || unreachable!()), Lookup::Hit(99));
+        assert_eq!(r.resolve(&log, full(99)).unwrap(), Lookup::Full(99));
+        assert_eq!(r.resolve(&log, unused()).unwrap(), Lookup::Hit(99));
     }
 
     #[test]
@@ -547,10 +562,10 @@ mod tests {
         // [142857, ∞): +2.
         let mut log = ModLog::new(4);
         let mut r = CachedRef::new();
-        r.resolve(&log, || 142_857u64);
+        r.resolve(&log, full(142_857u64)).unwrap();
         log.record(OrdinalEffect::shift(142_857, 2));
         assert_eq!(
-            r.resolve(&log, || unreachable!()),
+            r.resolve(&log, unused()).unwrap(),
             Lookup::Replayed(142_859)
         );
     }
@@ -599,10 +614,10 @@ mod tests {
         let mut log = ModLog::new(2);
         let mut r = CachedRef::new();
         let mut stats = CacheStats::default();
-        stats.note(&r.resolve(&log, || 5u64));
-        stats.note(&r.resolve(&log, || 5u64));
+        stats.note(&r.resolve(&log, full(5u64)).unwrap());
+        stats.note(&r.resolve(&log, full(5u64)).unwrap());
         log.record(OrdinalEffect::shift(0, 1));
-        stats.note(&r.resolve(&log, || 6u64));
+        stats.note(&r.resolve(&log, full(6u64)).unwrap());
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.replays, 1);
         assert_eq!(stats.full, 1);
@@ -614,13 +629,13 @@ mod tests {
         let mut log = ModLog::new(4);
         let mut r = CachedRef::new();
         assert!(r.resolve_readonly(&log).is_none(), "cold cache");
-        r.resolve(&log, || 50u64);
+        r.resolve(&log, full(50u64)).unwrap();
         log.record(OrdinalEffect::shift(0, 2));
         // Read-only replay succeeds but does not refresh the stamp...
         assert_eq!(r.resolve_readonly(&log), Some(Lookup::Replayed(52)));
         assert_eq!(r.peek(), Some(&50), "cache untouched");
         // ...so a later mutable resolve still replays from the old stamp.
-        assert_eq!(r.resolve(&log, || unreachable!()), Lookup::Replayed(52));
+        assert_eq!(r.resolve(&log, unused()).unwrap(), Lookup::Replayed(52));
         // Once the log overflows, read-only resolution declines.
         for _ in 0..5 {
             log.record(OrdinalEffect::shift(0, 1));
@@ -634,24 +649,24 @@ mod tests {
         // committed modification). The crash destroys the log entries.
         let mut pre = ModLog::new(8);
         let mut early = CachedRef::new();
-        early.resolve(&pre, || 10u64);
+        early.resolve(&pre, full(10u64)).unwrap();
         for _ in 0..3 {
             pre.record(OrdinalEffect::shift(0, 1));
         }
         let mut late = CachedRef::new();
-        late.resolve(&pre, || 13u64);
+        late.resolve(&pre, full(13u64)).unwrap();
         pre.record(OrdinalEffect::shift(0, 1));
         pre.record(OrdinalEffect::shift(0, 1));
         let mut at_commit = CachedRef::new();
-        at_commit.resolve(&pre, || 15u64);
+        at_commit.resolve(&pre, full(15u64)).unwrap();
         // Recovery: resume at the committed clock with no entries.
         let resumed: ModLog<OrdinalEffect> = ModLog::with_clock(8, pre.last_modified());
-        assert_eq!(early.resolve(&resumed, || 99), Lookup::Full(99));
-        assert_eq!(late.resolve(&resumed, || 98), Lookup::Full(98));
+        assert_eq!(early.resolve(&resumed, full(99)).unwrap(), Lookup::Full(99));
+        assert_eq!(late.resolve(&resumed, full(98)).unwrap(), Lookup::Full(98));
         // The reference stamped at the committed clock still hits: its
         // cached value is committed state.
         assert_eq!(
-            at_commit.resolve(&resumed, || unreachable!()),
+            at_commit.resolve(&resumed, unused()).unwrap(),
             Lookup::Hit(15)
         );
     }
@@ -660,14 +675,14 @@ mod tests {
     fn truncate_after_drops_rolled_back_effects() {
         let mut log = ModLog::new(8);
         let mut r = CachedRef::new();
-        r.resolve(&log, || 100u64);
+        r.resolve(&log, full(100u64)).unwrap();
         let committed = log.record(OrdinalEffect::shift(0, 1)); // survives
         log.record(OrdinalEffect::shift(0, 50)); // rolled back by recovery
         log.truncate_after(committed);
         assert_eq!(log.last_modified(), committed);
         assert_eq!(log.len(), 1);
         // Replay applies only the committed effect.
-        assert_eq!(r.resolve(&log, || unreachable!()), Lookup::Replayed(101));
+        assert_eq!(r.resolve(&log, unused()).unwrap(), Lookup::Replayed(101));
     }
 
     #[test]
@@ -681,8 +696,8 @@ mod tests {
     fn cleared_reference_goes_cold() {
         let log: ModLog<OrdinalEffect> = ModLog::new(2);
         let mut r = CachedRef::new();
-        r.resolve(&log, || 1u64);
+        r.resolve(&log, full(1u64)).unwrap();
         r.clear();
-        assert_eq!(r.resolve(&log, || 2), Lookup::Full(2));
+        assert_eq!(r.resolve(&log, full(2)).unwrap(), Lookup::Full(2));
     }
 }

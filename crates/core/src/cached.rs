@@ -21,6 +21,7 @@ use boxes_cache::{
     CacheStats, CachedRef, Effect, FlatEffect, ModLog, OrdinalEffect, PathEffect, Timestamp,
 };
 use boxes_lidf::Lid;
+use boxes_pager::IoResult;
 use boxes_wbox::WBox;
 
 use crate::scheme::OrdinalScheme;
@@ -58,12 +59,13 @@ fn audit_log_order<E>(log: &ModLog<E>, path: &str, report: &mut AuditReport) {
 /// §6 replay-equivalence audit: replay every checkpointed label through the
 /// effects logged since the snapshot; wherever the replay produces a value
 /// (no invalidation hit it), that value must equal the eager lookup. Dead
-/// anchors and snapshots older than the log's horizon are skipped.
+/// anchors and snapshots older than the log's horizon are skipped; an
+/// anchor that cannot be read is reported as unreadable.
 fn audit_replay<L, E>(
     checkpoint: &Checkpoint<L>,
     log: &ModLog<E>,
-    is_live: impl Fn(Lid) -> bool,
-    eager: impl Fn(Lid) -> L,
+    is_live: impl Fn(Lid) -> IoResult<bool>,
+    eager: impl Fn(Lid) -> IoResult<L>,
     path: &str,
     report: &mut AuditReport,
 ) where
@@ -77,26 +79,29 @@ fn audit_replay<L, E>(
         return;
     }
     for (lid, old) in anchors {
-        if !is_live(*lid) {
-            continue;
-        }
-        let mut current = Some(old.clone());
-        for effect in log.since(*stamp) {
-            current = current.and_then(|v| effect.apply(&v));
-            if current.is_none() {
-                break;
+        let mut check = || -> IoResult<()> {
+            if !is_live(*lid)? {
+                return Ok(());
             }
-        }
-        let Some(replayed) = current else {
-            continue; // invalidated: the cache would fall back to a lookup
+            let mut replayed = old.clone();
+            for effect in log.since(*stamp) {
+                let Some(next) = effect.apply(&replayed) else {
+                    return Ok(()); // invalidated: the cache would fall back to a lookup
+                };
+                replayed = next;
+            }
+            let truth = eager(*lid)?;
+            if replayed != truth {
+                report.push(
+                    Violation::new(ViolationKind::ReplayDivergence, format!("{path}/{lid:?}"))
+                        .expected(format!("{truth:?} (eager lookup)"))
+                        .actual(format!("{replayed:?} (log replay)")),
+                );
+            }
+            Ok(())
         };
-        let truth = eager(*lid);
-        if replayed != truth {
-            report.push(
-                Violation::new(ViolationKind::ReplayDivergence, format!("{path}/{lid:?}"))
-                    .expected(format!("{truth:?} (eager lookup)"))
-                    .actual(format!("{replayed:?} (log replay)")),
-            );
+        if let Err(e) = check() {
+            report.push(Violation::unreadable(format!("{path}/{lid:?}"), e));
         }
     }
 }
@@ -128,25 +133,29 @@ impl CachedWBox {
     /// Snapshot the current labels of `lids` together with the log clock.
     /// A later [`Auditable::audit`] replays each snapshot through the
     /// effects logged since and checks the result against the eager lookup.
-    pub fn checkpoint(&mut self, lids: &[Lid]) {
+    pub fn checkpoint(&mut self, lids: &[Lid]) -> IoResult<()> {
         let stamp = self.log.last_modified();
-        let anchors = lids.iter().map(|&l| (l, self.wbox.lookup(l))).collect();
+        let anchors = lids
+            .iter()
+            .map(|&l| Ok((l, self.wbox.lookup(l)?)))
+            .collect::<IoResult<_>>()?;
         self.checkpoint = Some((stamp, anchors));
+        Ok(())
     }
 
     /// Resolve a label through a cached reference.
-    pub fn lookup(&mut self, lid: Lid, cache: &mut CachedRef<u64>) -> u64 {
+    pub fn lookup(&mut self, lid: Lid, cache: &mut CachedRef<u64>) -> IoResult<u64> {
         let wbox = &self.wbox;
-        let result = cache.resolve(&self.log, || wbox.lookup(lid));
+        let result = cache.resolve(&self.log, || wbox.lookup(lid))?;
         self.stats.note(&result);
-        result.value()
+        Ok(result.value())
     }
 
     /// Insert a new label before `lid`, logging its effect.
-    pub fn insert_before(&mut self, lid: Lid) -> Lid {
-        let (l, l_max) = self.wbox.leaf_extent(lid);
+    pub fn insert_before(&mut self, lid: Lid) -> IoResult<Lid> {
+        let (l, l_max) = self.wbox.leaf_extent(lid)?;
         let _ = self.wbox.take_relabel_range(); // clear stale state
-        let new = self.wbox.insert_before(lid);
+        let new = self.wbox.insert_before(lid)?;
         match self.wbox.take_relabel_range() {
             None => {
                 // Single-leaf update: `[l, l_max]: +1`.
@@ -165,24 +174,24 @@ impl CachedWBox {
                 });
             }
         }
-        new
+        Ok(new)
     }
 
     /// Insert an element (two labels) before `lid`, logging both effects.
-    pub fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
-        let end = self.insert_before(lid);
-        let start = self.insert_before(end);
-        (start, end)
+    pub fn insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)> {
+        let end = self.insert_before(lid)?;
+        let start = self.insert_before(end)?;
+        Ok((start, end))
     }
 
     /// Delete the label of `lid`, logging `[l, l_max]: −1`.
-    pub fn delete(&mut self, lid: Lid) {
+    pub fn delete(&mut self, lid: Lid) -> IoResult<()> {
         if let Some((_, anchors)) = &mut self.checkpoint {
             anchors.retain(|(l, _)| *l != lid);
         }
-        let (l, l_max) = self.wbox.leaf_extent(lid);
+        let (l, l_max) = self.wbox.leaf_extent(lid)?;
         let _ = self.wbox.take_relabel_range();
-        self.wbox.delete(lid);
+        self.wbox.delete(lid)?;
         match self.wbox.take_relabel_range() {
             None => {
                 self.log.record(FlatEffect::Shift {
@@ -198,6 +207,7 @@ impl CachedWBox {
                 });
             }
         }
+        Ok(())
     }
 }
 
@@ -243,19 +253,23 @@ impl CachedBBox {
 
     /// Snapshot the current labels of `lids` together with the log clock
     /// (see [`CachedWBox::checkpoint`]).
-    pub fn checkpoint(&mut self, lids: &[Lid]) {
+    pub fn checkpoint(&mut self, lids: &[Lid]) -> IoResult<()> {
         let stamp = self.log.last_modified();
-        let anchors = lids.iter().map(|&l| (l, self.bbox.lookup(l).0)).collect();
+        let anchors = lids
+            .iter()
+            .map(|&l| Ok((l, self.bbox.lookup(l)?.0)))
+            .collect::<IoResult<_>>()?;
         self.checkpoint = Some((stamp, anchors));
+        Ok(())
     }
 
     /// Resolve a label (as its component vector) through a cached
     /// reference.
-    pub fn lookup(&mut self, lid: Lid, cache: &mut CachedRef<Vec<u32>>) -> Vec<u32> {
+    pub fn lookup(&mut self, lid: Lid, cache: &mut CachedRef<Vec<u32>>) -> IoResult<Vec<u32>> {
         let bbox = &self.bbox;
-        let result = cache.resolve(&self.log, || bbox.lookup(lid).0);
+        let result = cache.resolve(&self.log, || Ok(bbox.lookup(lid)?.0))?;
         self.stats.note(&result);
-        result.value()
+        Ok(result.value())
     }
 
     fn log_changes(&mut self, changes: Vec<BBoxChange>) {
@@ -269,12 +283,12 @@ impl CachedBBox {
     }
 
     /// Insert a new label before `lid`, logging its effect.
-    pub fn insert_before(&mut self, lid: Lid) -> Lid {
-        let (label, count) = self.bbox.leaf_extent(lid);
+    pub fn insert_before(&mut self, lid: Lid) -> IoResult<Lid> {
+        let (label, count) = self.bbox.leaf_extent(lid)?;
         let mut prefix = label.0;
         let pos = prefix.pop().expect("labels have at least one component");
         let _ = self.bbox.take_changes();
-        let new = self.bbox.insert_before(lid);
+        let new = self.bbox.insert_before(lid)?;
         let changes = self.bbox.take_changes();
         if changes.is_empty() {
             // Single-leaf update: shift the last component of the leaf's
@@ -288,26 +302,26 @@ impl CachedBBox {
         } else {
             self.log_changes(changes);
         }
-        new
+        Ok(new)
     }
 
     /// Insert an element (two labels) before `lid`, logging both effects.
-    pub fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
-        let end = self.insert_before(lid);
-        let start = self.insert_before(end);
-        (start, end)
+    pub fn insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)> {
+        let end = self.insert_before(lid)?;
+        let start = self.insert_before(end)?;
+        Ok((start, end))
     }
 
     /// Delete the label of `lid`, logging its effect.
-    pub fn delete(&mut self, lid: Lid) {
+    pub fn delete(&mut self, lid: Lid) -> IoResult<()> {
         if let Some((_, anchors)) = &mut self.checkpoint {
             anchors.retain(|(l, _)| *l != lid);
         }
-        let (label, count) = self.bbox.leaf_extent(lid);
+        let (label, count) = self.bbox.leaf_extent(lid)?;
         let mut prefix = label.0;
         let pos = prefix.pop().expect("labels have at least one component");
         let _ = self.bbox.take_changes();
-        self.bbox.delete(lid);
+        self.bbox.delete(lid)?;
         let changes = self.bbox.take_changes();
         if changes.is_empty() {
             self.log.record(PathEffect::ShiftLast {
@@ -319,6 +333,7 @@ impl CachedBBox {
         } else {
             self.log_changes(changes);
         }
+        Ok(())
     }
 }
 
@@ -332,7 +347,7 @@ impl Auditable for CachedBBox {
             &self.checkpoint,
             &self.log,
             |l| self.bbox.is_live(l),
-            |l| self.bbox.lookup(l).0,
+            |l| Ok(self.bbox.lookup(l)?.0),
             "cached-bbox/replay",
             &mut report,
         );
@@ -365,46 +380,48 @@ impl<S: OrdinalScheme> CachedOrdinal<S> {
 
     /// Snapshot the current ordinals of `lids` together with the log clock
     /// (see [`CachedWBox::checkpoint`]).
-    pub fn checkpoint(&mut self, lids: &[Lid]) {
+    pub fn checkpoint(&mut self, lids: &[Lid]) -> IoResult<()> {
         let stamp = self.log.last_modified();
         let anchors = lids
             .iter()
-            .map(|&l| (l, self.scheme.ordinal_of(l)))
-            .collect();
+            .map(|&l| Ok((l, self.scheme.ordinal_of(l)?)))
+            .collect::<IoResult<_>>()?;
         self.checkpoint = Some((stamp, anchors));
+        Ok(())
     }
 
     /// Resolve an ordinal label through a cached reference.
-    pub fn ordinal_of(&mut self, lid: Lid, cache: &mut CachedRef<u64>) -> u64 {
+    pub fn ordinal_of(&mut self, lid: Lid, cache: &mut CachedRef<u64>) -> IoResult<u64> {
         let scheme = &self.scheme;
-        let result = cache.resolve(&self.log, || scheme.ordinal_of(lid));
+        let result = cache.resolve(&self.log, || scheme.ordinal_of(lid))?;
         self.stats.note(&result);
-        result.value()
+        Ok(result.value())
     }
 
     /// Insert a new label before `lid`, logging `[l, ∞): +1`.
-    pub fn insert_before(&mut self, lid: Lid) -> Lid {
-        let l = self.scheme.ordinal_of(lid);
-        let new = self.scheme.insert_before(lid);
+    pub fn insert_before(&mut self, lid: Lid) -> IoResult<Lid> {
+        let l = self.scheme.ordinal_of(lid)?;
+        let new = self.scheme.try_insert_before(lid)?;
         self.log.record(OrdinalEffect::shift(l, 1));
-        new
+        Ok(new)
     }
 
     /// Insert an element before `lid`, logging `[l, ∞): +2` as two steps.
-    pub fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
-        let end = self.insert_before(lid);
-        let start = self.insert_before(end);
-        (start, end)
+    pub fn insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)> {
+        let end = self.insert_before(lid)?;
+        let start = self.insert_before(end)?;
+        Ok((start, end))
     }
 
     /// Delete the label of `lid`, logging `[l, ∞): −1`.
-    pub fn delete(&mut self, lid: Lid) {
+    pub fn delete(&mut self, lid: Lid) -> IoResult<()> {
         if let Some((_, anchors)) = &mut self.checkpoint {
             anchors.retain(|(l, _)| *l != lid);
         }
-        let l = self.scheme.ordinal_of(lid);
-        self.scheme.delete(lid);
+        let l = self.scheme.ordinal_of(lid)?;
+        self.scheme.try_delete(lid)?;
         self.log.record(OrdinalEffect::shift(l, -1));
+        Ok(())
     }
 
     /// Lookup I/O-avoidance rate so far.
@@ -441,50 +458,54 @@ mod tests {
 
     fn wbox() -> WBox {
         let pager = Pager::new(PagerConfig::with_block_size(512));
-        WBox::new(pager, WBoxConfig::small_for_tests())
+        WBox::new(pager, WBoxConfig::small_for_tests()).unwrap()
     }
 
     fn bbox() -> BBox {
         let pager = Pager::new(PagerConfig::with_block_size(256));
-        BBox::new(pager, BBoxConfig::from_block_size(256))
+        BBox::new(pager, BBoxConfig::from_block_size(256)).unwrap()
     }
 
     #[test]
     fn wbox_cached_lookup_replays_single_leaf_inserts() {
         let mut w = wbox();
-        let lids = w.bulk_load(1_000);
+        let lids = w.bulk_load(1_000).unwrap();
         let mut cached = CachedWBox::new(w, 16);
         let probe = lids[500];
         // Bulk-loaded leaves are full, so the very first insert splits;
         // do it before warming the cache.
-        cached.insert_before(probe);
+        cached.insert_before(probe).unwrap();
         let mut r = CachedRef::new();
-        let first = cached.lookup(probe, &mut r);
+        let first = cached.lookup(probe, &mut r).unwrap();
         // Insert right before the probe: the cached label must replay.
-        cached.insert_before(probe);
+        cached.insert_before(probe).unwrap();
         let pager = cached.wbox.pager().clone();
         let before = pager.stats();
-        let second = cached.lookup(probe, &mut r);
+        let second = cached.lookup(probe, &mut r).unwrap();
         assert_eq!(pager.stats().since(&before).total(), 0, "no I/O");
         assert_eq!(second, first + 1, "replayed the +1 shift");
-        assert_eq!(second, cached.wbox.lookup(probe), "agrees with truth");
+        assert_eq!(
+            second,
+            cached.wbox.lookup(probe).unwrap(),
+            "agrees with truth"
+        );
         assert_eq!(cached.stats.replays, 1);
     }
 
     #[test]
     fn wbox_cached_lookup_survives_splits_via_invalidation() {
         let mut w = wbox();
-        let lids = w.bulk_load(1_000);
+        let lids = w.bulk_load(1_000).unwrap();
         let mut cached = CachedWBox::new(w, 64);
         let probe = lids[500];
         let mut r = CachedRef::new();
-        cached.lookup(probe, &mut r);
+        cached.lookup(probe, &mut r).unwrap();
         // Hammer the probe's neighborhood until splits occur.
         for _ in 0..40 {
-            cached.insert_before(probe);
+            cached.insert_before(probe).unwrap();
         }
-        let value = cached.lookup(probe, &mut r);
-        assert_eq!(value, cached.wbox.lookup(probe));
+        let value = cached.lookup(probe, &mut r).unwrap();
+        assert_eq!(value, cached.wbox.lookup(probe).unwrap());
         assert!(cached.stats.full >= 1, "splits forced full lookups");
         cached.wbox.validate();
     }
@@ -492,17 +513,17 @@ mod tests {
     #[test]
     fn wbox_distant_references_replay_through_updates() {
         let mut w = wbox();
-        let lids = w.bulk_load(2_000);
+        let lids = w.bulk_load(2_000).unwrap();
         let mut cached = CachedWBox::new(w, 32);
         let far = lids[1_900];
         let mut r = CachedRef::new();
-        let v0 = cached.lookup(far, &mut r);
+        let v0 = cached.lookup(far, &mut r).unwrap();
         for _ in 0..20 {
-            cached.insert_before(lids[100]);
+            cached.insert_before(lids[100]).unwrap();
         }
         let pager = cached.wbox.pager().clone();
         let before = pager.stats();
-        let v1 = cached.lookup(far, &mut r);
+        let v1 = cached.lookup(far, &mut r).unwrap();
         assert_eq!(v1, v0, "distant label unaffected");
         // Replays and hits are free; a far-away reference should rarely pay.
         assert!(pager.stats().since(&before).total() <= 2);
@@ -511,38 +532,38 @@ mod tests {
     #[test]
     fn bbox_cached_lookup_replays_and_invalidates() {
         let mut b = bbox();
-        let lids = b.bulk_load(500);
+        let lids = b.bulk_load(500).unwrap();
         let mut cached = CachedBBox::new(b, 32);
         let probe = lids[250];
-        cached.insert_before(probe); // full bulk leaf: splits once
+        cached.insert_before(probe).unwrap(); // full bulk leaf: splits once
         let mut r = CachedRef::new();
-        let v0 = cached.lookup(probe, &mut r);
-        cached.insert_before(probe);
-        let v1 = cached.lookup(probe, &mut r);
-        assert_eq!(v1, cached.bbox.lookup(probe).0);
+        let v0 = cached.lookup(probe, &mut r).unwrap();
+        cached.insert_before(probe).unwrap();
+        let v1 = cached.lookup(probe, &mut r).unwrap();
+        assert_eq!(v1, cached.bbox.lookup(probe).unwrap().0);
         assert_ne!(v0, v1);
         assert!(cached.stats.replays >= 1);
         // Force splits; correctness must hold through invalidations.
         for _ in 0..60 {
-            cached.insert_before(probe);
+            cached.insert_before(probe).unwrap();
         }
-        let v2 = cached.lookup(probe, &mut r);
-        assert_eq!(v2, cached.bbox.lookup(probe).0);
+        let v2 = cached.lookup(probe, &mut r).unwrap();
+        assert_eq!(v2, cached.bbox.lookup(probe).unwrap().0);
         cached.bbox.validate();
     }
 
     #[test]
     fn bbox_deletes_replay_too() {
         let mut b = bbox();
-        let lids = b.bulk_load(300);
+        let lids = b.bulk_load(300).unwrap();
         let mut cached = CachedBBox::new(b, 16);
         let probe = lids[120];
         let mut r = CachedRef::new();
-        cached.lookup(probe, &mut r);
+        cached.lookup(probe, &mut r).unwrap();
         // Delete a label earlier in the same leaf.
-        cached.delete(lids[118]);
-        let v = cached.lookup(probe, &mut r);
-        assert_eq!(v, cached.bbox.lookup(probe).0);
+        cached.delete(lids[118]).unwrap();
+        let v = cached.lookup(probe, &mut r).unwrap();
+        assert_eq!(v, cached.bbox.lookup(probe).unwrap().0);
         cached.bbox.validate();
     }
 
@@ -554,19 +575,19 @@ mod tests {
         let mut cached = CachedOrdinal::new(scheme, 8);
         let probe = lids[200];
         let mut r = CachedRef::new();
-        assert_eq!(cached.ordinal_of(probe, &mut r), 200);
+        assert_eq!(cached.ordinal_of(probe, &mut r).unwrap(), 200);
         // Paper's example shape: insert before an element, all ordinals
         // ≥ l shift by 2; the cache replays it.
-        cached.insert_element_before(lids[100]);
+        cached.insert_element_before(lids[100]).unwrap();
         let pager = cached.scheme.pager().clone();
         let before = pager.stats();
-        assert_eq!(cached.ordinal_of(probe, &mut r), 202);
+        assert_eq!(cached.ordinal_of(probe, &mut r).unwrap(), 202);
         assert_eq!(pager.stats().since(&before).total(), 0);
         // Updates beyond the log capacity force a full lookup.
         for _ in 0..9 {
-            cached.insert_before(lids[50]);
+            cached.insert_before(lids[50]).unwrap();
         }
-        assert_eq!(cached.ordinal_of(probe, &mut r), 211);
+        assert_eq!(cached.ordinal_of(probe, &mut r).unwrap(), 211);
         assert!(cached.stats.full >= 1);
         assert!(cached.avoidance_rate() > 0.0);
     }
@@ -574,25 +595,25 @@ mod tests {
     #[test]
     fn read_heavy_workload_mostly_avoids_io() {
         let mut w = wbox();
-        let lids = w.bulk_load(3_000);
+        let lids = w.bulk_load(3_000).unwrap();
         let mut cached = CachedWBox::new(w, 16);
         // Open up the update neighborhood first (full leaves split once).
         for round in 0..20 {
-            cached.insert_before(lids[round * 7 + 1]);
+            cached.insert_before(lids[round * 7 + 1]).unwrap();
         }
         let mut refs: Vec<CachedRef<u64>> = (0..50).map(|_| CachedRef::new()).collect();
         let probes: Vec<_> = (0..50).map(|i| lids[i * 60]).collect();
         // Warm every reference, then measure only steady state.
         for (r, &lid) in refs.iter_mut().zip(&probes) {
-            cached.lookup(lid, r);
+            cached.lookup(lid, r).unwrap();
         }
         cached.stats = CacheStats::default();
         // 10 reads per update, k = 16.
         for round in 0..20 {
-            cached.insert_before(lids[round * 7 + 1]);
+            cached.insert_before(lids[round * 7 + 1]).unwrap();
             for (r, &lid) in refs.iter_mut().zip(&probes).take(10) {
-                let got = cached.lookup(lid, r);
-                assert_eq!(got, cached.wbox.lookup(lid));
+                let got = cached.lookup(lid, r).unwrap();
+                assert_eq!(got, cached.wbox.lookup(lid).unwrap());
             }
         }
         assert!(

@@ -7,7 +7,7 @@
 
 use crate::scheme::LabelingScheme;
 use boxes_lidf::Lid;
-use boxes_pager::IoStats;
+use boxes_pager::{IoResult, IoStats};
 use boxes_xml::tags::{tag_sequence, TagKind};
 use boxes_xml::tree::XmlTree;
 use boxes_xml::workload::{Anchor, ElemRef, Op};
@@ -48,9 +48,9 @@ pub struct DocumentDriver<S: LabelingScheme> {
 
 impl<S: LabelingScheme> DocumentDriver<S> {
     /// Bulk-load `base` into a fresh scheme.
-    pub fn load(mut scheme: S, base: &XmlTree) -> Self {
+    pub fn load(mut scheme: S, base: &XmlTree) -> IoResult<Self> {
         let partner = partner_map(base);
-        let lids = scheme.bulk_load_document(&partner);
+        let lids = scheme.try_bulk_load_document(&partner)?;
         let seq = tag_sequence(base);
         // Elements are numbered in document order of start tags.
         let order = base.document_order();
@@ -65,7 +65,7 @@ impl<S: LabelingScheme> DocumentDriver<S> {
                 TagKind::End => elems[e] = Some((starts[e], lids[i])),
             }
         }
-        DocumentDriver { scheme, elems }
+        Ok(DocumentDriver { scheme, elems })
     }
 
     /// LIDs of an element.
@@ -86,23 +86,23 @@ impl<S: LabelingScheme> DocumentDriver<S> {
     }
 
     /// Apply one operation.
-    pub fn apply(&mut self, op: &Op) {
+    pub fn apply(&mut self, op: &Op) -> IoResult<()> {
         match op {
             Op::InsertElement { anchor } => {
                 let lid = self.anchor_lid(*anchor);
-                let pair = self.scheme.insert_element_before(lid);
+                let pair = self.scheme.try_insert_element_before(lid)?;
                 self.elems.push(Some(pair));
             }
             Op::DeleteElement { elem } => {
                 let (s, e) = self.element(*elem);
-                self.scheme.delete(s);
-                self.scheme.delete(e);
+                self.scheme.try_delete(s)?;
+                self.scheme.try_delete(e)?;
                 self.elems[elem.0] = None;
             }
             Op::InsertSubtree { anchor, tree } => {
                 let lid = self.anchor_lid(*anchor);
                 let partner = partner_map(tree);
-                let lids = self.scheme.insert_subtree_before(lid, &partner);
+                let lids = self.scheme.try_insert_subtree_before(lid, &partner)?;
                 // Register the new elements in document order of the
                 // subtree's start tags.
                 let seq = tag_sequence(tree);
@@ -122,44 +122,45 @@ impl<S: LabelingScheme> DocumentDriver<S> {
             }
             Op::DeleteSubtree { elem, removed } => {
                 let (s, e) = self.element(*elem);
-                self.scheme.delete_subtree(s, e);
+                self.scheme.try_delete_subtree(s, e)?;
                 for r in removed {
                     self.elems[r.0] = None;
                 }
                 self.elems[elem.0] = None;
             }
         }
+        Ok(())
     }
 
     /// Apply a sequence of ops, returning each op's I/O cost.
-    pub fn replay(&mut self, ops: &[Op]) -> Vec<u64> {
+    pub fn replay(&mut self, ops: &[Op]) -> IoResult<Vec<u64>> {
         let pager = self.scheme.pager().clone();
         ops.iter()
             .map(|op| {
                 let before = pager.stats();
-                self.apply(op);
-                pager.stats().since(&before).total()
+                self.apply(op)?;
+                Ok(pager.stats().since(&before).total())
             })
             .collect()
     }
 
     /// Apply a sequence of ops, returning only the aggregate I/O.
-    pub fn replay_total(&mut self, ops: &[Op]) -> IoStats {
+    pub fn replay_total(&mut self, ops: &[Op]) -> IoResult<IoStats> {
         let pager = self.scheme.pager().clone();
         let before = pager.stats();
         for op in ops {
-            self.apply(op);
+            self.apply(op)?;
         }
-        pager.stats().since(&before)
+        Ok(pager.stats().since(&before))
     }
 
     /// Assert that label order equals document order for every live
     /// element (the oracle used by the integration tests).
-    pub fn verify_document_order(&self) {
+    pub fn verify_document_order(&self) -> IoResult<()> {
         let mut labels: Vec<(S::Label, Lid)> = Vec::new();
         for pair in self.elems.iter().flatten() {
-            labels.push((self.scheme.lookup(pair.0), pair.0));
-            labels.push((self.scheme.lookup(pair.1), pair.1));
+            labels.push((self.scheme.try_lookup(pair.0)?, pair.0));
+            labels.push((self.scheme.try_lookup(pair.1)?, pair.1));
         }
         let mut sorted = labels.clone();
         sorted.sort_by(|a, b| a.0.cmp(&b.0));
@@ -170,10 +171,11 @@ impl<S: LabelingScheme> DocumentDriver<S> {
         // ...and nesting must be proper: start < end for each element, and
         // element intervals either nest or are disjoint.
         for pair in self.elems.iter().flatten() {
-            let s = self.scheme.lookup(pair.0);
-            let e = self.scheme.lookup(pair.1);
+            let s = self.scheme.try_lookup(pair.0)?;
+            let e = self.scheme.try_lookup(pair.1)?;
             assert!(s < e, "start/end inverted for {pair:?}");
         }
+        Ok(())
     }
 }
 
@@ -199,11 +201,11 @@ mod tests {
 
     fn drive<S: LabelingScheme>(scheme: S) {
         let stream = concentrated(200, 60);
-        let mut driver = DocumentDriver::load(scheme, &stream.base);
-        let costs = driver.replay(&stream.ops);
+        let mut driver = DocumentDriver::load(scheme, &stream.base).unwrap();
+        let costs = driver.replay(&stream.ops).unwrap();
         assert_eq!(costs.len(), 60);
         assert!(costs.iter().all(|&c| c > 0), "every op costs I/O");
-        driver.verify_document_order();
+        driver.verify_document_order().unwrap();
     }
 
     #[test]
@@ -216,39 +218,42 @@ mod tests {
     #[test]
     fn scattered_stream_keeps_order() {
         let stream = scattered(500, 80);
-        let mut driver = DocumentDriver::load(BBoxScheme::with_block_size(256), &stream.base);
-        driver.replay(&stream.ops);
-        driver.verify_document_order();
+        let mut driver =
+            DocumentDriver::load(BBoxScheme::with_block_size(256), &stream.base).unwrap();
+        driver.replay(&stream.ops).unwrap();
+        driver.verify_document_order().unwrap();
     }
 
     #[test]
     fn churn_stream_with_deletes() {
         let stream = insert_delete_churn_with_prefill(100, 50, 40);
-        let mut driver = DocumentDriver::load(WBoxScheme::with_block_size(1024), &stream.base);
-        driver.replay(&stream.ops);
+        let mut driver =
+            DocumentDriver::load(WBoxScheme::with_block_size(1024), &stream.base).unwrap();
+        driver.replay(&stream.ops).unwrap();
         assert_eq!(driver.scheme.len(), 2 * (101 + 40));
-        driver.verify_document_order();
+        driver.verify_document_order().unwrap();
     }
 
     #[test]
     fn bulk_subtree_stream() {
         let stream = concentrated_bulk(400, 150);
-        let mut driver = DocumentDriver::load(BBoxScheme::with_block_size(256), &stream.base);
-        let total = driver.replay_total(&stream.ops);
+        let mut driver =
+            DocumentDriver::load(BBoxScheme::with_block_size(256), &stream.base).unwrap();
+        let total = driver.replay_total(&stream.ops).unwrap();
         assert!(total.total() > 0);
         assert_eq!(driver.scheme.len(), 2 * (401 + 150));
-        driver.verify_document_order();
+        driver.verify_document_order().unwrap();
     }
 
     #[test]
     fn bulk_insert_beats_element_at_a_time() {
         let single = concentrated(400, 150);
-        let mut d1 = DocumentDriver::load(WBoxScheme::with_block_size(1024), &single.base);
-        let cost_single: u64 = d1.replay(&single.ops).iter().sum();
+        let mut d1 = DocumentDriver::load(WBoxScheme::with_block_size(1024), &single.base).unwrap();
+        let cost_single: u64 = d1.replay(&single.ops).unwrap().iter().sum();
 
         let bulk = concentrated_bulk(400, 150);
-        let mut d2 = DocumentDriver::load(WBoxScheme::with_block_size(1024), &bulk.base);
-        let cost_bulk = d2.replay_total(&bulk.ops).total();
+        let mut d2 = DocumentDriver::load(WBoxScheme::with_block_size(1024), &bulk.base).unwrap();
+        let cost_bulk = d2.replay_total(&bulk.ops).unwrap().total();
         assert!(
             cost_bulk * 2 < cost_single,
             "bulk {cost_bulk} vs single {cost_single}"
@@ -260,10 +265,11 @@ mod tests {
     fn xmark_document_order_stream() {
         let doc = xmark(2_000, 9);
         let stream = boxes_xml::workload::document_order(&doc, 500);
-        let mut driver = DocumentDriver::load(WBoxScheme::with_block_size(1024), &stream.base);
-        let costs = driver.replay(&stream.ops);
+        let mut driver =
+            DocumentDriver::load(WBoxScheme::with_block_size(1024), &stream.base).unwrap();
+        let costs = driver.replay(&stream.ops).unwrap();
         assert_eq!(costs.len(), doc.len() - 1);
-        driver.verify_document_order();
+        driver.verify_document_order().unwrap();
         assert_eq!(driver.scheme.len(), 2 * doc.len() as u64);
     }
 }

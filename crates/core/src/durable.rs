@@ -22,8 +22,8 @@
 //! record:
 //!
 //! ```ignore
-//! let txn = env.pager().txn();
-//! scheme.insert_element_before(anchor);
+//! let txn = env.pager().txn()?;
+//! scheme.try_insert_element_before(anchor)?;
 //! env.pager().txn_meta("harness", || encode_progress(i));
 //! txn.commit();
 //! ```
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use boxes_bbox::BBoxConfig;
 use boxes_lidf::{Lidf, Record};
 use boxes_naive::NaiveConfig;
-use boxes_pager::{CrashSignal, Pager, PagerConfig, SharedPager};
+use boxes_pager::{CrashSignal, IoResult, Pager, PagerConfig, SharedPager};
 use boxes_wal::crashpoint::{ClockFault, CrashClock};
 use boxes_wal::{Recovered, Wal, WalConfig, WalError};
 use boxes_wbox::WBoxConfig;
@@ -87,6 +87,10 @@ impl DurableEnv {
     /// to completion, `None` when the armed crash point fired. Panics that
     /// are *not* the crash signal propagate unchanged — a crash sweep must
     /// never swallow a real bug.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the crash simulator is the one place that catches an unwinding CrashSignal; disk faults are Results"
+    )]
     pub fn run_to_crash<T>(&self, workload: impl FnOnce() -> T) -> Option<T> {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(workload)) {
             Ok(out) => Some(out),
@@ -126,12 +130,11 @@ pub fn reopen_bbox(rec: &Recovered, config: BBoxConfig) -> Option<BBoxScheme> {
 
 /// Reattach a naive-k structure to its recovered state. `None` when the log
 /// held no committed naive structure.
-pub fn reopen_naive(rec: &Recovered, config: NaiveConfig) -> Option<NaiveScheme> {
-    Some(NaiveScheme::reopen(
-        rec.pager.clone(),
-        config,
-        rec.meta("naive")?,
-    ))
+pub fn reopen_naive(rec: &Recovered, config: NaiveConfig) -> IoResult<Option<NaiveScheme>> {
+    let Some(state) = rec.meta("naive") else {
+        return Ok(None);
+    };
+    NaiveScheme::reopen(rec.pager.clone(), config, state).map(Some)
 }
 
 /// Reattach a standalone LIDF to its recovered state. `None` when the log
@@ -168,7 +171,7 @@ mod tests {
         modlog_ts: u64,
         op: impl FnOnce() -> T,
     ) -> T {
-        let txn = pager.txn();
+        let txn = pager.txn().unwrap();
         let out = op();
         pager.txn_meta("harness", || {
             let mut w = boxes_pager::VecWriter::new();
@@ -192,7 +195,7 @@ mod tests {
         let mut lids = s.bulk_load_document(&flat_pairs(base));
         for i in 0..codec::u64_to_index(ops) {
             let anchor = lids[(i * 7) % lids.len()];
-            let (st, en) = s.insert_element_before(anchor);
+            let (st, en) = s.try_insert_element_before(anchor).unwrap();
             lids.push(st);
             lids.push(en);
         }
@@ -209,7 +212,9 @@ mod tests {
             let mut lids = journaled_op(&pager, 0, 0, || s.bulk_load_document(&flat_pairs(BASE)));
             for i in 1..=OPS {
                 let anchor = lids[(codec::u64_to_index(i - 1) * 7) % lids.len()];
-                let (st, en) = journaled_op(&pager, i, i, || s.insert_element_before(anchor));
+                let (st, en) = journaled_op(&pager, i, i, || {
+                    s.try_insert_element_before(anchor).unwrap()
+                });
                 lids.push(st);
                 lids.push(en);
             }
@@ -249,8 +254,8 @@ mod tests {
             assert_eq!(s.len(), oracle.len(), "tick {target}");
             for &lid in &lids {
                 assert_eq!(
-                    s.lookup(lid),
-                    oracle.lookup(lid),
+                    s.try_lookup(lid).unwrap(),
+                    oracle.try_lookup(lid).unwrap(),
                     "tick {target}: label of {lid:?} diverges after recovery"
                 );
             }
@@ -264,20 +269,22 @@ mod tests {
         let env = DurableEnv::new(WBS, WalConfig::default(), SEED);
         let pager = env.pager().clone();
         let mut cached = crate::cached::CachedWBox::new(
-            boxes_wbox::WBox::new(pager.clone(), WBoxConfig::from_block_size(WBS)),
+            boxes_wbox::WBox::new(pager.clone(), WBoxConfig::from_block_size(WBS)).unwrap(),
             8,
         );
-        let lids = journaled_op(&pager, 0, 0, || cached.wbox.bulk_load(40));
+        let lids = journaled_op(&pager, 0, 0, || cached.wbox.bulk_load(40).unwrap());
         let mut stale_ref = CachedRef::new();
-        let stale_label = cached.lookup(lids[30], &mut stale_ref);
+        let stale_label = cached.lookup(lids[30], &mut stale_ref).unwrap();
         for i in 1..=4u64 {
             let anchor = lids[codec::u64_to_index(i) * 3];
             let ts_after = cached.log.last_modified() + 1;
-            journaled_op(&pager, i, ts_after, || cached.insert_before(anchor));
+            journaled_op(&pager, i, ts_after, || {
+                cached.insert_before(anchor).unwrap()
+            });
             assert_eq!(cached.log.last_modified(), ts_after);
         }
         let mut fresh_ref = CachedRef::new();
-        let fresh_label = cached.lookup(lids[30], &mut fresh_ref);
+        let fresh_label = cached.lookup(lids[30], &mut fresh_ref).unwrap();
         assert!(fresh_label > stale_label, "inserts shifted the label");
 
         // "Crash" (no arming needed — just abandon the in-memory state) and
@@ -293,12 +300,12 @@ mod tests {
         // not trust its cache: the effect entries died with the process.
         let wbox = &resumed.wbox;
         let got = stale_ref.resolve(&resumed.log, || wbox.lookup(lids[30]));
-        assert_eq!(got, Lookup::Full(fresh_label));
+        assert_eq!(got, Ok(Lookup::Full(fresh_label)));
         // The freshest reference is stamped exactly at the recovered clock:
         // its cached value is committed state and may be served directly.
         assert_eq!(
-            fresh_ref.resolve(&resumed.log, || unreachable!()),
-            Lookup::Hit(fresh_label)
+            fresh_ref.resolve(&resumed.log, || -> IoResult<u64> { unreachable!() }),
+            Ok(Lookup::Hit(fresh_label))
         );
         let report = resumed.audit();
         assert!(report.is_clean(), "{report}");
@@ -313,21 +320,23 @@ mod tests {
         let mut n = NaiveScheme::new(pager.clone(), NaiveConfig { extra_bits: 8 });
         let b_lids = b.bulk_load_document(&flat_pairs(10));
         let n_lids = n.bulk_load_document(&flat_pairs(10));
-        b.insert_element_before(b_lids[7]);
-        n.insert_element_before(n_lids[7]);
+        b.try_insert_element_before(b_lids[7]).unwrap();
+        n.try_insert_element_before(n_lids[7]).unwrap();
         let rec = env.recover().expect("recover");
         let rb = reopen_bbox(&rec, BBoxConfig::from_block_size(BS)).expect("bbox meta");
-        let rn = reopen_naive(&rec, NaiveConfig { extra_bits: 8 }).expect("naive meta");
+        let rn = reopen_naive(&rec, NaiveConfig { extra_bits: 8 })
+            .unwrap()
+            .expect("naive meta");
         let rl: Lidf<boxes_lidf::BlockPtrRecord> = reopen_lidf(&rec).expect("lidf meta");
         assert_eq!(rb.len(), 22);
         assert_eq!(rn.len(), 22);
         assert!(rb.inner().audit().is_clean());
         assert!(rl.audit().is_clean());
         for &lid in &b_lids {
-            assert_eq!(rb.lookup(lid), b.lookup(lid));
+            assert_eq!(rb.try_lookup(lid).unwrap(), b.try_lookup(lid).unwrap());
         }
         for &lid in &n_lids {
-            assert_eq!(rn.lookup(lid), n.lookup(lid));
+            assert_eq!(rn.try_lookup(lid).unwrap(), n.try_lookup(lid).unwrap());
         }
     }
 

@@ -14,7 +14,7 @@
 //! it. Chaos harnesses use [`flip_byte`] to exercise read-repair and the
 //! others as negative controls proving the audits are not vacuous.
 
-use boxes_pager::{BlockId, SharedPager};
+use boxes_pager::{BlockId, IoResult, SharedPager};
 
 /// Flip one media byte *under* the block checksum: the next read of `block`
 /// sees a CRC mismatch and must read-repair from the WAL or degrade.
@@ -25,10 +25,10 @@ pub fn flip_byte(pager: &SharedPager, block: BlockId, offset: usize, mask: u8) {
 /// Overwrite one byte *through* the pager (checksum-valid): simulates
 /// logically wrong but well-formed data that only a structural audit can
 /// catch — e.g. stamping a bogus node-kind tag onto a tree block.
-pub fn stamp_byte(pager: &SharedPager, block: BlockId, offset: usize, value: u8) {
-    let mut buf = pager.read(block);
+pub fn stamp_byte(pager: &SharedPager, block: BlockId, offset: usize, value: u8) -> IoResult<()> {
+    let mut buf = pager.read(block)?;
     buf[offset] = value;
-    pager.write(block, &buf);
+    pager.write(block, &buf)
 }
 
 /// Zero the tail of a fixed-size slot (checksum-valid): models a torn
@@ -40,13 +40,13 @@ pub fn tear_slot(
     slot_offset: usize,
     slot_size: usize,
     keep: usize,
-) {
+) -> IoResult<()> {
     assert!(keep <= slot_size, "torn prefix exceeds the slot");
-    let mut buf = pager.read(block);
+    let mut buf = pager.read(block)?;
     for b in &mut buf[slot_offset + keep..slot_offset + slot_size] {
         *b = 0;
     }
-    pager.write(block, &buf);
+    pager.write(block, &buf)
 }
 
 /// Copy LIDF slot `src`'s payload over slot `dst`'s (checksum-valid): a
@@ -59,12 +59,12 @@ pub fn redirect_lidf_slot(
     slot_size: usize,
     src: usize,
     dst: usize,
-) {
-    let buf = pager.read(lidf_block);
+) -> IoResult<()> {
+    let buf = pager.read(lidf_block)?;
     let mut out = buf.clone();
     out[dst * slot_size + 1..(dst + 1) * slot_size]
         .copy_from_slice(&buf[src * slot_size + 1..(src + 1) * slot_size]);
-    pager.write(lidf_block, &out);
+    pager.write(lidf_block, &out)
 }
 
 #[cfg(test)]
@@ -75,12 +75,12 @@ mod tests {
     #[test]
     fn flip_byte_is_caught_by_the_checksum() {
         let pager = Pager::new(PagerConfig::with_block_size(64));
-        let id = pager.alloc();
-        pager.write(id, &[7u8; 64]);
+        let id = pager.alloc().unwrap();
+        pager.write(id, &[7u8; 64]).unwrap();
         flip_byte(&pager, id, 3, 0x40);
         // No journal to repair from: the read must fail typed, not return
         // the rotted byte.
-        match pager.try_read(id) {
+        match pager.read(id) {
             Err(PagerError::Corrupt { block }) => assert_eq!(block, id),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -89,11 +89,11 @@ mod tests {
     #[test]
     fn stamp_and_tear_are_checksum_valid() {
         let pager = Pager::new(PagerConfig::with_block_size(64));
-        let id = pager.alloc();
-        pager.write(id, &[7u8; 64]);
-        stamp_byte(&pager, id, 0, 0xEE);
-        tear_slot(&pager, id, 8, 8, 3);
-        let buf = pager.read(id); // no checksum complaint
+        let id = pager.alloc().unwrap();
+        pager.write(id, &[7u8; 64]).unwrap();
+        stamp_byte(&pager, id, 0, 0xEE).unwrap();
+        tear_slot(&pager, id, 8, 8, 3).unwrap();
+        let buf = pager.read(id).unwrap(); // no checksum complaint
         assert_eq!(buf[0], 0xEE);
         assert_eq!(&buf[8..16], &[7, 7, 7, 0, 0, 0, 0, 0]);
     }

@@ -8,6 +8,7 @@
 use crate::driver::partner_map;
 use crate::scheme::{LabelingScheme, OrdinalScheme};
 use boxes_lidf::Lid;
+use boxes_pager::IoResult;
 use boxes_xml::tags::{tag_sequence, TagKind};
 use boxes_xml::tree::{ElementId, XmlTree};
 use std::collections::HashMap;
@@ -23,9 +24,9 @@ pub struct ElementLabeler<S: LabelingScheme> {
 
 impl<S: LabelingScheme> ElementLabeler<S> {
     /// Bulk-load the document into a fresh scheme.
-    pub fn load(mut scheme: S, tree: &XmlTree) -> Self {
+    pub fn load(mut scheme: S, tree: &XmlTree) -> IoResult<Self> {
         let partner = partner_map(tree);
-        let lids = scheme.bulk_load_document(&partner);
+        let lids = scheme.try_bulk_load_document(&partner)?;
         let seq = tag_sequence(tree);
         let mut map: HashMap<ElementId, (Lid, Lid)> = HashMap::with_capacity(tree.len());
         let mut starts: HashMap<ElementId, Lid> = HashMap::new();
@@ -39,7 +40,7 @@ impl<S: LabelingScheme> ElementLabeler<S> {
                 }
             }
         }
-        ElementLabeler { scheme, lids: map }
+        Ok(ElementLabeler { scheme, lids: map })
     }
 
     /// The LIDs of an element's start and end labels.
@@ -48,31 +49,33 @@ impl<S: LabelingScheme> ElementLabeler<S> {
     }
 
     /// The element's current (start, end) labels.
-    pub fn labels(&self, e: ElementId) -> (S::Label, S::Label) {
+    pub fn labels(&self, e: ElementId) -> IoResult<(S::Label, S::Label)> {
         let (s, x) = self.lids(e);
-        (self.scheme.lookup(s), self.scheme.lookup(x))
+        Ok((self.scheme.try_lookup(s)?, self.scheme.try_lookup(x)?))
     }
 
     /// Register an element inserted into the tree as a previous sibling of
     /// `sibling` (mirror of [`XmlTree::insert_before`]).
-    pub fn on_insert_before(&mut self, new: ElementId, sibling: ElementId) {
+    pub fn on_insert_before(&mut self, new: ElementId, sibling: ElementId) -> IoResult<()> {
         let anchor = self.lids(sibling).0;
-        let pair = self.scheme.insert_element_before(anchor);
+        let pair = self.scheme.try_insert_element_before(anchor)?;
         self.lids.insert(new, pair);
+        Ok(())
     }
 
     /// Register an element appended as the last child of `parent`.
-    pub fn on_add_child(&mut self, new: ElementId, parent: ElementId) {
+    pub fn on_add_child(&mut self, new: ElementId, parent: ElementId) -> IoResult<()> {
         let anchor = self.lids(parent).1;
-        let pair = self.scheme.insert_element_before(anchor);
+        let pair = self.scheme.try_insert_element_before(anchor)?;
         self.lids.insert(new, pair);
+        Ok(())
     }
 
     /// Register the deletion of a single element (children were promoted).
-    pub fn on_remove_element(&mut self, e: ElementId) {
+    pub fn on_remove_element(&mut self, e: ElementId) -> IoResult<()> {
         let (s, x) = self.lids.remove(&e).expect("element not labeled");
-        self.scheme.delete(s);
-        self.scheme.delete(x);
+        self.scheme.try_delete(s)?;
+        self.scheme.try_delete(x)
     }
 
     /// Register a bulk subtree insertion: `subtree`'s root becomes the
@@ -84,10 +87,10 @@ impl<S: LabelingScheme> ElementLabeler<S> {
         subtree: &XmlTree,
         ids: &[ElementId],
         sibling: ElementId,
-    ) {
+    ) -> IoResult<()> {
         let anchor = self.lids(sibling).0;
         let partner = partner_map(subtree);
-        let lids = self.scheme.insert_subtree_before(anchor, &partner);
+        let lids = self.scheme.try_insert_subtree_before(anchor, &partner)?;
         let seq = tag_sequence(subtree);
         let order = subtree.document_order();
         let index_of: HashMap<_, _> = order.iter().enumerate().map(|(i, &e)| (e, i)).collect();
@@ -101,24 +104,30 @@ impl<S: LabelingScheme> ElementLabeler<S> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Register a bulk subtree deletion rooted at `root`; `descendants`
     /// lists every removed element (including `root`).
-    pub fn on_remove_subtree(&mut self, root: ElementId, descendants: &[ElementId]) {
+    pub fn on_remove_subtree(
+        &mut self,
+        root: ElementId,
+        descendants: &[ElementId],
+    ) -> IoResult<()> {
         let (s, x) = self.lids(root);
-        self.scheme.delete_subtree(s, x);
+        self.scheme.try_delete_subtree(s, x)?;
         for e in descendants {
             self.lids.remove(e);
         }
+        Ok(())
     }
 
     /// §3's running example: is `desc` a descendant of `anc`? Two lookups
     /// and two comparisons — no tree traversal.
-    pub fn is_descendant(&self, desc: ElementId, anc: ElementId) -> bool {
-        let (as_, ae) = self.labels(anc);
-        let (ds, _) = self.labels(desc);
-        as_ < ds && ds < ae
+    pub fn is_descendant(&self, desc: ElementId, anc: ElementId) -> IoResult<bool> {
+        let (as_, ae) = self.labels(anc)?;
+        let (ds, _) = self.labels(desc)?;
+        Ok(as_ < ds && ds < ae)
     }
 
     /// Containment join: all (ancestor, descendant) pairs between the two
@@ -128,7 +137,7 @@ impl<S: LabelingScheme> ElementLabeler<S> {
         &self,
         ancestors: &[ElementId],
         descendants: &[ElementId],
-    ) -> Vec<(ElementId, ElementId)> {
+    ) -> IoResult<Vec<(ElementId, ElementId)>> {
         #[derive(PartialEq, Eq, PartialOrd, Ord)]
         enum Kind {
             // Variant order makes an ancestor's start sort before a
@@ -140,12 +149,12 @@ impl<S: LabelingScheme> ElementLabeler<S> {
         }
         let mut events: Vec<(S::Label, Kind, ElementId)> = Vec::new();
         for &a in ancestors {
-            let (s, e) = self.labels(a);
+            let (s, e) = self.labels(a)?;
             events.push((s, Kind::AncStart, a));
             events.push((e, Kind::AncEnd, a));
         }
         for &d in descendants {
-            let (s, _) = self.labels(d);
+            let (s, _) = self.labels(d)?;
             events.push((s, Kind::DescStart, d));
         }
         events.sort_by(|x, y| x.0.cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
@@ -167,21 +176,21 @@ impl<S: LabelingScheme> ElementLabeler<S> {
                 }
             }
         }
-        out
+        Ok(out)
     }
 }
 
 impl<S: OrdinalScheme> ElementLabeler<S> {
     /// §3's ordinal-label query: is `e1` the last child of `e2`? True iff
     /// ordinal(l>(e1)) + 1 == ordinal(l>(e2)).
-    pub fn is_last_child(&self, e1: ElementId, e2: ElementId) -> bool {
+    pub fn is_last_child(&self, e1: ElementId, e2: ElementId) -> IoResult<bool> {
         let (_, e1_end) = self.lids(e1);
         let (_, e2_end) = self.lids(e2);
-        self.scheme.ordinal_of(e1_end) + 1 == self.scheme.ordinal_of(e2_end)
+        Ok(self.scheme.ordinal_of(e1_end)? + 1 == self.scheme.ordinal_of(e2_end)?)
     }
 
     /// The exact tag position of the element's start tag in the document.
-    pub fn ordinal_start(&self, e: ElementId) -> u64 {
+    pub fn ordinal_start(&self, e: ElementId) -> IoResult<u64> {
         self.scheme.ordinal_of(self.lids(e).0)
     }
 }
@@ -207,12 +216,12 @@ mod tests {
     #[test]
     fn descendant_checks_match_tree_ground_truth() {
         let tree = xmark(400, 3);
-        let labeler = ElementLabeler::load(WBoxScheme::with_block_size(1024), &tree);
+        let labeler = ElementLabeler::load(WBoxScheme::with_block_size(1024), &tree).unwrap();
         let order = tree.document_order();
         for (i, &a) in order.iter().enumerate().step_by(17) {
             for &d in order.iter().skip(i % 7).step_by(23) {
                 assert_eq!(
-                    labeler.is_descendant(d, a),
+                    labeler.is_descendant(d, a).unwrap(),
                     tree.is_ancestor(a, d),
                     "a={a:?} d={d:?}"
                 );
@@ -223,28 +232,28 @@ mod tests {
     #[test]
     fn mutations_keep_predicates_correct() {
         let mut tree = sample_tree();
-        let mut labeler = ElementLabeler::load(BBoxScheme::with_block_size(256), &tree);
+        let mut labeler = ElementLabeler::load(BBoxScheme::with_block_size(256), &tree).unwrap();
         let order = tree.document_order();
         let (b, c) = (order[1], order[4]);
         // Insert <x> before <c>, then a child <y> under <b>.
         let x = tree.insert_before(c, "x");
-        labeler.on_insert_before(x, c);
+        labeler.on_insert_before(x, c).unwrap();
         let y = tree.add_child(b, "y");
-        labeler.on_add_child(y, b);
-        assert!(labeler.is_descendant(y, b));
-        assert!(!labeler.is_descendant(x, b));
-        assert!(labeler.is_descendant(x, tree.root()));
+        labeler.on_add_child(y, b).unwrap();
+        assert!(labeler.is_descendant(y, b).unwrap());
+        assert!(!labeler.is_descendant(x, b).unwrap());
+        assert!(labeler.is_descendant(x, tree.root()).unwrap());
         // Delete <b> (children promoted to root).
         let d = tree.children(b)[0];
         tree.remove_element(b);
-        labeler.on_remove_element(b);
-        assert!(labeler.is_descendant(d, tree.root()));
+        labeler.on_remove_element(b).unwrap();
+        assert!(labeler.is_descendant(d, tree.root()).unwrap());
     }
 
     #[test]
     fn containment_join_finds_all_pairs() {
         let tree = xmark(600, 8);
-        let labeler = ElementLabeler::load(WBoxScheme::with_block_size(1024), &tree);
+        let labeler = ElementLabeler::load(WBoxScheme::with_block_size(1024), &tree).unwrap();
         let order = tree.document_order();
         // Join all "item" elements against all "keyword" descendants.
         let items: Vec<ElementId> = order
@@ -257,7 +266,7 @@ mod tests {
             .copied()
             .filter(|&e| tree.tag(e) == "keyword")
             .collect();
-        let pairs = labeler.containment_join(&items, &keywords);
+        let pairs = labeler.containment_join(&items, &keywords).unwrap();
         let mut expected: Vec<(ElementId, ElementId)> = Vec::new();
         for &a in &items {
             for &d in &keywords {
@@ -277,7 +286,7 @@ mod tests {
     #[test]
     fn subtree_operations_update_the_mapping() {
         let mut tree = sample_tree();
-        let mut labeler = ElementLabeler::load(WBoxScheme::with_block_size(1024), &tree);
+        let mut labeler = ElementLabeler::load(WBoxScheme::with_block_size(1024), &tree).unwrap();
         let order = tree.document_order();
         let c = order[4];
 
@@ -288,15 +297,15 @@ mod tests {
         // Materialize the same shape in the main tree.
         let p = tree.insert_before(c, "p");
         let q = tree.add_child(p, "q");
-        labeler.on_insert_subtree_before(&sub, &[p, q], c);
-        assert!(labeler.is_descendant(q, p));
-        assert!(!labeler.is_descendant(q, c));
+        labeler.on_insert_subtree_before(&sub, &[p, q], c).unwrap();
+        assert!(labeler.is_descendant(q, p).unwrap());
+        assert!(!labeler.is_descendant(q, c).unwrap());
         let _ = sub_order;
 
         // Cut it back out.
         let removed = tree.remove_subtree(p);
-        labeler.on_remove_subtree(p, &removed);
-        assert!(labeler.is_descendant(c, tree.root()));
+        labeler.on_remove_subtree(p, &removed).unwrap();
+        assert!(labeler.is_descendant(c, tree.root()).unwrap());
         assert_eq!(labeler.scheme.len(), 2 * tree.len() as u64);
     }
 
@@ -307,13 +316,17 @@ mod tests {
         let labeler = ElementLabeler::load(
             BBoxScheme::new(pager, BBoxConfig::from_block_size(256).with_ordinal()),
             &tree,
-        );
+        )
+        .unwrap();
         let order = tree.document_order();
         let (a, b, d, e, c) = (order[0], order[1], order[2], order[3], order[4]);
-        assert!(labeler.is_last_child(c, a), "<c> is <a>'s last child");
-        assert!(labeler.is_last_child(e, b));
-        assert!(!labeler.is_last_child(d, b));
-        assert!(!labeler.is_last_child(b, a));
-        assert_eq!(labeler.ordinal_start(a), 0);
+        assert!(
+            labeler.is_last_child(c, a).unwrap(),
+            "<c> is <a>'s last child"
+        );
+        assert!(labeler.is_last_child(e, b).unwrap());
+        assert!(!labeler.is_last_child(d, b).unwrap());
+        assert!(!labeler.is_last_child(b, a).unwrap());
+        assert_eq!(labeler.ordinal_start(a).unwrap(), 0);
     }
 }

@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -58,11 +59,12 @@
 //!
 //! let stream = scattered(1_000, 100);
 //! let scheme = WBoxScheme::with_block_size(1024);
-//! let mut driver = DocumentDriver::load(scheme, &stream.base);
-//! let costs = driver.replay(&stream.ops);
+//! let mut driver = DocumentDriver::load(scheme, &stream.base)?;
+//! let costs = driver.replay(&stream.ops)?;
 //! assert_eq!(costs.len(), 100);
-//! driver.verify_document_order(); // labels sorted = document order
+//! driver.verify_document_order()?; // labels sorted = document order
 //! let _ = two_level(4);
+//! # Ok::<(), boxes_core::pager::PagerError>(())
 //! ```
 
 /// §6 cached label wrappers (mod-log replay over checkpointed anchors).

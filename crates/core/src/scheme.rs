@@ -3,22 +3,21 @@
 use boxes_bbox::{BBox, BBoxConfig, PathLabel};
 use boxes_lidf::Lid;
 use boxes_naive::{BigLabel, NaiveConfig, NaiveLabeling};
-use boxes_pager::{Health, Pager, PagerConfig, PagerError, SharedPager};
+use boxes_pager::{IoResult, Pager, PagerConfig, SharedPager};
 use boxes_wbox::{WBox, WBoxConfig};
-
-/// Run `op`, converting a [`PagerError`] panic payload (a disk fault that
-/// survived retry and repair, or a degraded-mode rejection) into a typed
-/// error. Any other panic — including [`boxes_pager::CrashSignal`] —
-/// resumes unwinding untouched.
-fn catch_pager_error<T>(op: impl FnOnce() -> T) -> Result<T, PagerError> {
-    PagerError::catch(op)
-}
 
 /// A dynamic order-based labeling scheme (§3's supported operations plus
 /// the bulk operations of §4/§5).
 ///
 /// Implementations own their LIDF and index storage on a shared pager, so
-/// all I/O is visible through [`LabelingScheme::pager`].
+/// all I/O is visible through [`LabelingScheme::pager`]. Every operation
+/// that touches a block returns its disk faults as a typed [`PagerError`],
+/// never a wrong label. While the pager is degraded (read-only), lookups
+/// keep answering and every mutation is rejected with
+/// [`PagerError::Degraded`] by the pager's transaction gate, before any
+/// structure state changes. An error *during* a mutation (the fault that
+/// first degrades the pager) means in-memory state may have run ahead of
+/// disk: recover from the WAL and reopen before mutating again.
 pub trait LabelingScheme {
     /// The label value type (`u64` for W-BOX/naive, [`PathLabel`] for
     /// B-BOX). Ordering agrees with document order.
@@ -28,30 +27,44 @@ pub trait LabelingScheme {
     fn name(&self) -> String;
 
     /// Current label of `lid`.
-    fn lookup(&self, lid: Lid) -> Self::Label;
+    fn try_lookup(&self, lid: Lid) -> IoResult<Self::Label>;
 
     /// Insert one new label immediately before the label of `lid`.
-    fn insert_before(&mut self, lid: Lid) -> Lid;
+    fn try_insert_before(&mut self, lid: Lid) -> IoResult<Lid>;
 
     /// Insert a new element (start and end labels) before the tag labeled
     /// `lid` (§3: end first, then start before it).
-    fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid);
+    fn try_insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)>;
 
     /// Delete the label of `lid`, reclaiming its LIDF record.
-    fn delete(&mut self, lid: Lid);
+    fn try_delete(&mut self, lid: Lid) -> IoResult<()>;
 
     /// Bulk load a fresh document of tags in document order.
     /// `partner_of[i]` is the index of tag i's partner (its element's other
     /// tag) — used by pair-optimized schemes, ignored by the rest.
-    fn bulk_load_document(&mut self, partner_of: &[usize]) -> Vec<Lid>;
+    fn try_bulk_load_document(&mut self, partner_of: &[usize]) -> IoResult<Vec<Lid>>;
+
+    /// [`LabelingScheme::try_bulk_load_document`] for set-up code, where a
+    /// disk fault is fatal.
+    ///
+    /// # Panics
+    /// Panics when the bulk load fails.
+    #[expect(
+        clippy::expect_used,
+        reason = "set-up bulk load on a fresh pager: a disk fault there is fatal like Pager::new's failed file creation; fault drills call try_bulk_load_document"
+    )]
+    fn bulk_load_document(&mut self, partner_of: &[usize]) -> Vec<Lid> {
+        self.try_bulk_load_document(partner_of)
+            .expect("bulk load at set-up")
+    }
 
     /// Bulk-insert a subtree of tags before the tag labeled `lid`;
     /// `partner_of` is relative to the new batch.
-    fn insert_subtree_before(&mut self, lid: Lid, partner_of: &[usize]) -> Vec<Lid>;
+    fn try_insert_subtree_before(&mut self, lid: Lid, partner_of: &[usize]) -> IoResult<Vec<Lid>>;
 
     /// Bulk-delete the contiguous label range between the two tags of a
     /// subtree root (inclusive).
-    fn delete_subtree(&mut self, start: Lid, end: Lid);
+    fn try_delete_subtree(&mut self, start: Lid, end: Lid) -> IoResult<()>;
 
     /// Number of live labels.
     fn len(&self) -> u64;
@@ -62,88 +75,21 @@ pub trait LabelingScheme {
     }
 
     /// Bits required per label right now (the paper's label-length metric).
-    fn label_bits(&self) -> u32;
+    fn label_bits(&self) -> IoResult<u32>;
 
-    /// The shared pager, for I/O accounting and space metrics.
+    /// The shared pager, for I/O accounting, space metrics and
+    /// [`Health`](boxes_pager::Health).
     fn pager(&self) -> &SharedPager;
-
-    /// Service state of the scheme's storage: [`Health::Ok`], or
-    /// [`Health::Degraded`] (read-only) after an unrecoverable disk fault.
-    /// Lookups keep working while degraded; the `try_*` mutators fail fast
-    /// with [`PagerError::Degraded`].
-    fn health(&self) -> Health {
-        self.pager().health()
-    }
-
-    /// Fallible [`LabelingScheme::lookup`]: a disk fault that survives
-    /// retry and read-repair comes back as a typed error, never a wrong
-    /// label.
-    fn try_lookup(&self, lid: Lid) -> Result<Self::Label, PagerError> {
-        catch_pager_error(|| self.lookup(lid))
-    }
-
-    /// Fallible [`LabelingScheme::insert_before`]. While degraded the
-    /// mutation is rejected up front — before any structure state changes —
-    /// so the scheme stays consistent and keeps answering lookups. An error
-    /// *during* the operation (the fault that first degrades the pager)
-    /// means in-memory state may have run ahead of disk: recover from the
-    /// WAL and reopen before mutating again.
-    fn try_insert_before(&mut self, lid: Lid) -> Result<Lid, PagerError> {
-        if let Health::Degraded(reason) = self.health() {
-            return Err(PagerError::Degraded(reason));
-        }
-        catch_pager_error(|| self.insert_before(lid))
-    }
-
-    /// Fallible [`LabelingScheme::insert_element_before`]; degraded-mode
-    /// semantics as [`LabelingScheme::try_insert_before`].
-    fn try_insert_element_before(&mut self, lid: Lid) -> Result<(Lid, Lid), PagerError> {
-        if let Health::Degraded(reason) = self.health() {
-            return Err(PagerError::Degraded(reason));
-        }
-        catch_pager_error(|| self.insert_element_before(lid))
-    }
-
-    /// Fallible [`LabelingScheme::delete`]; degraded-mode semantics as
-    /// [`LabelingScheme::try_insert_before`].
-    fn try_delete(&mut self, lid: Lid) -> Result<(), PagerError> {
-        if let Health::Degraded(reason) = self.health() {
-            return Err(PagerError::Degraded(reason));
-        }
-        catch_pager_error(|| self.delete(lid))
-    }
-
-    /// Fallible [`LabelingScheme::insert_subtree_before`]; degraded-mode
-    /// semantics as [`LabelingScheme::try_insert_before`].
-    fn try_insert_subtree_before(
-        &mut self,
-        lid: Lid,
-        partner_of: &[usize],
-    ) -> Result<Vec<Lid>, PagerError> {
-        if let Health::Degraded(reason) = self.health() {
-            return Err(PagerError::Degraded(reason));
-        }
-        catch_pager_error(|| self.insert_subtree_before(lid, partner_of))
-    }
-
-    /// Fallible [`LabelingScheme::delete_subtree`]; degraded-mode semantics
-    /// as [`LabelingScheme::try_insert_before`].
-    fn try_delete_subtree(&mut self, start: Lid, end: Lid) -> Result<(), PagerError> {
-        if let Health::Degraded(reason) = self.health() {
-            return Err(PagerError::Degraded(reason));
-        }
-        catch_pager_error(|| self.delete_subtree(start, end))
-    }
 }
 
 /// Schemes that can also produce ordinal labels (§3).
 pub trait OrdinalScheme: LabelingScheme {
     /// The exact ordinal position of the tag in the document (0-based).
-    fn ordinal_of(&self, lid: Lid) -> u64;
+    fn ordinal_of(&self, lid: Lid) -> IoResult<u64>;
 
     /// Whether `lid` currently names a live label (audit support: lets the
     /// §6 replay check skip deleted anchors without panicking).
-    fn is_live(&self, lid: Lid) -> bool;
+    fn is_live(&self, lid: Lid) -> IoResult<bool>;
 }
 
 // ---------------------------------------------------------------------------
@@ -163,9 +109,16 @@ impl WBoxScheme {
     }
 
     /// W-BOX on an existing pager with explicit parameters.
+    ///
+    /// # Panics
+    /// Panics when the empty root cannot be written.
+    #[expect(
+        clippy::expect_used,
+        reason = "the empty root is written at set-up, before any labeled data exists: a failed root write is fatal like Pager::new's failed file creation"
+    )]
     pub fn new(pager: SharedPager, config: WBoxConfig) -> Self {
         WBoxScheme {
-            inner: WBox::new(pager, config),
+            inner: WBox::new(pager, config).expect("W-BOX root written at set-up"),
         }
     }
 
@@ -206,23 +159,23 @@ impl LabelingScheme for WBoxScheme {
         }
     }
 
-    fn lookup(&self, lid: Lid) -> u64 {
+    fn try_lookup(&self, lid: Lid) -> IoResult<u64> {
         self.inner.lookup(lid)
     }
 
-    fn insert_before(&mut self, lid: Lid) -> Lid {
+    fn try_insert_before(&mut self, lid: Lid) -> IoResult<Lid> {
         self.inner.insert_before(lid)
     }
 
-    fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
+    fn try_insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)> {
         self.inner.insert_element_before(lid)
     }
 
-    fn delete(&mut self, lid: Lid) {
+    fn try_delete(&mut self, lid: Lid) -> IoResult<()> {
         self.inner.delete(lid)
     }
 
-    fn bulk_load_document(&mut self, partner_of: &[usize]) -> Vec<Lid> {
+    fn try_bulk_load_document(&mut self, partner_of: &[usize]) -> IoResult<Vec<Lid>> {
         if self.inner.config().pair {
             self.inner.bulk_load_pairs(partner_of)
         } else {
@@ -230,7 +183,7 @@ impl LabelingScheme for WBoxScheme {
         }
     }
 
-    fn insert_subtree_before(&mut self, lid: Lid, partner_of: &[usize]) -> Vec<Lid> {
+    fn try_insert_subtree_before(&mut self, lid: Lid, partner_of: &[usize]) -> IoResult<Vec<Lid>> {
         if self.inner.config().pair {
             self.inner.insert_subtree_before_pairs(lid, partner_of)
         } else {
@@ -238,7 +191,7 @@ impl LabelingScheme for WBoxScheme {
         }
     }
 
-    fn delete_subtree(&mut self, start: Lid, end: Lid) {
+    fn try_delete_subtree(&mut self, start: Lid, end: Lid) -> IoResult<()> {
         self.inner.delete_subtree(start, end)
     }
 
@@ -246,8 +199,8 @@ impl LabelingScheme for WBoxScheme {
         self.inner.len()
     }
 
-    fn label_bits(&self) -> u32 {
-        self.inner.label_bits()
+    fn label_bits(&self) -> IoResult<u32> {
+        Ok(self.inner.label_bits())
     }
 
     fn pager(&self) -> &SharedPager {
@@ -256,11 +209,11 @@ impl LabelingScheme for WBoxScheme {
 }
 
 impl OrdinalScheme for WBoxScheme {
-    fn ordinal_of(&self, lid: Lid) -> u64 {
+    fn ordinal_of(&self, lid: Lid) -> IoResult<u64> {
         self.inner.ordinal_of(lid)
     }
 
-    fn is_live(&self, lid: Lid) -> bool {
+    fn is_live(&self, lid: Lid) -> IoResult<bool> {
         self.inner.is_live(lid)
     }
 }
@@ -288,9 +241,16 @@ impl BBoxScheme {
     }
 
     /// B-BOX on an existing pager with explicit parameters.
+    ///
+    /// # Panics
+    /// Panics when the empty root cannot be written.
+    #[expect(
+        clippy::expect_used,
+        reason = "the empty root is written at set-up, before any labeled data exists: a failed root write is fatal like Pager::new's failed file creation"
+    )]
     pub fn new(pager: SharedPager, config: BBoxConfig) -> Self {
         BBoxScheme {
-            inner: BBox::new(pager, config),
+            inner: BBox::new(pager, config).expect("B-BOX root written at set-up"),
         }
     }
 
@@ -330,31 +290,31 @@ impl LabelingScheme for BBoxScheme {
         }
     }
 
-    fn lookup(&self, lid: Lid) -> PathLabel {
+    fn try_lookup(&self, lid: Lid) -> IoResult<PathLabel> {
         self.inner.lookup(lid)
     }
 
-    fn insert_before(&mut self, lid: Lid) -> Lid {
+    fn try_insert_before(&mut self, lid: Lid) -> IoResult<Lid> {
         self.inner.insert_before(lid)
     }
 
-    fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
+    fn try_insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)> {
         self.inner.insert_element_before(lid)
     }
 
-    fn delete(&mut self, lid: Lid) {
+    fn try_delete(&mut self, lid: Lid) -> IoResult<()> {
         self.inner.delete(lid)
     }
 
-    fn bulk_load_document(&mut self, partner_of: &[usize]) -> Vec<Lid> {
+    fn try_bulk_load_document(&mut self, partner_of: &[usize]) -> IoResult<Vec<Lid>> {
         self.inner.bulk_load(partner_of.len())
     }
 
-    fn insert_subtree_before(&mut self, lid: Lid, partner_of: &[usize]) -> Vec<Lid> {
+    fn try_insert_subtree_before(&mut self, lid: Lid, partner_of: &[usize]) -> IoResult<Vec<Lid>> {
         self.inner.insert_subtree_before(lid, partner_of.len())
     }
 
-    fn delete_subtree(&mut self, start: Lid, end: Lid) {
+    fn try_delete_subtree(&mut self, start: Lid, end: Lid) -> IoResult<()> {
         self.inner.delete_subtree(start, end)
     }
 
@@ -362,7 +322,7 @@ impl LabelingScheme for BBoxScheme {
         self.inner.len()
     }
 
-    fn label_bits(&self) -> u32 {
+    fn label_bits(&self) -> IoResult<u32> {
         self.inner.label_bits()
     }
 
@@ -372,11 +332,11 @@ impl LabelingScheme for BBoxScheme {
 }
 
 impl OrdinalScheme for BBoxScheme {
-    fn ordinal_of(&self, lid: Lid) -> u64 {
+    fn ordinal_of(&self, lid: Lid) -> IoResult<u64> {
         self.inner.ordinal_of(lid)
     }
 
-    fn is_live(&self, lid: Lid) -> bool {
+    fn is_live(&self, lid: Lid) -> IoResult<bool> {
         self.inner.is_live(lid)
     }
 }
@@ -415,11 +375,11 @@ impl NaiveScheme {
     /// Reattach to the on-disk image of a previously committed naive-k
     /// structure: `state` is the `"naive"` meta blob recovered from the WAL
     /// (see `boxes_wal::recover`).
-    pub fn reopen(pager: SharedPager, config: NaiveConfig, state: &[u8]) -> Self {
-        NaiveScheme {
+    pub fn reopen(pager: SharedPager, config: NaiveConfig, state: &[u8]) -> IoResult<Self> {
+        Ok(NaiveScheme {
             extra_bits: config.extra_bits,
-            inner: NaiveLabeling::reopen(pager, config, state),
-        }
+            inner: NaiveLabeling::reopen(pager, config, state)?,
+        })
     }
 
     /// The underlying structure.
@@ -440,31 +400,31 @@ impl LabelingScheme for NaiveScheme {
         format!("naive-{}", self.extra_bits)
     }
 
-    fn lookup(&self, lid: Lid) -> BigLabel {
+    fn try_lookup(&self, lid: Lid) -> IoResult<BigLabel> {
         self.inner.lookup(lid)
     }
 
-    fn insert_before(&mut self, lid: Lid) -> Lid {
+    fn try_insert_before(&mut self, lid: Lid) -> IoResult<Lid> {
         self.inner.insert_before(lid)
     }
 
-    fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
+    fn try_insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)> {
         self.inner.insert_element_before(lid)
     }
 
-    fn delete(&mut self, lid: Lid) {
+    fn try_delete(&mut self, lid: Lid) -> IoResult<()> {
         self.inner.delete(lid)
     }
 
-    fn bulk_load_document(&mut self, partner_of: &[usize]) -> Vec<Lid> {
+    fn try_bulk_load_document(&mut self, partner_of: &[usize]) -> IoResult<Vec<Lid>> {
         self.inner.bulk_load(partner_of.len())
     }
 
-    fn insert_subtree_before(&mut self, lid: Lid, partner_of: &[usize]) -> Vec<Lid> {
+    fn try_insert_subtree_before(&mut self, lid: Lid, partner_of: &[usize]) -> IoResult<Vec<Lid>> {
         self.inner.insert_subtree_before(lid, partner_of.len())
     }
 
-    fn delete_subtree(&mut self, start: Lid, end: Lid) {
+    fn try_delete_subtree(&mut self, start: Lid, end: Lid) -> IoResult<()> {
         self.inner.delete_subtree(start, end)
     }
 
@@ -472,8 +432,8 @@ impl LabelingScheme for NaiveScheme {
         self.inner.len()
     }
 
-    fn label_bits(&self) -> u32 {
-        self.inner.label_bits()
+    fn label_bits(&self) -> IoResult<u32> {
+        Ok(self.inner.label_bits())
     }
 
     fn pager(&self) -> &SharedPager {
@@ -491,14 +451,14 @@ mod tests {
         let lids = s.bulk_load_document(&[5, 2, 1, 4, 3, 0]);
         assert_eq!(s.len(), 6);
         // New element before <c>'s start tag.
-        let (ns, ne) = s.insert_element_before(lids[3]);
-        assert!(s.lookup(lids[2]) < s.lookup(ns));
-        assert!(s.lookup(ns) < s.lookup(ne));
-        assert!(s.lookup(ne) < s.lookup(lids[3]));
-        s.delete(ns);
-        s.delete(ne);
+        let (ns, ne) = s.try_insert_element_before(lids[3]).unwrap();
+        assert!(s.try_lookup(lids[2]).unwrap() < s.try_lookup(ns).unwrap());
+        assert!(s.try_lookup(ns).unwrap() < s.try_lookup(ne).unwrap());
+        assert!(s.try_lookup(ne).unwrap() < s.try_lookup(lids[3]).unwrap());
+        s.try_delete(ns).unwrap();
+        s.try_delete(ne).unwrap();
         assert_eq!(s.len(), 6);
-        assert!(s.label_bits() > 0);
+        assert!(s.label_bits().unwrap() > 0);
         assert!(!s.name().is_empty());
     }
 
@@ -541,7 +501,10 @@ mod tests {
                 first.is_ok(),
                 "{name}: the degrading op itself is committed (WAL + overlay)"
             );
-            assert!(!s.health().is_ok(), "{name}: degraded after write death");
+            assert!(
+                !s.pager().health().is_ok(),
+                "{name}: degraded after write death"
+            );
             // Lookups keep answering, and document order is intact.
             let labels: Vec<S::Label> = lids
                 .iter()
@@ -580,10 +543,10 @@ mod tests {
             // returns.
             plan.heal();
             s.pager().try_resume().expect("resume after heal");
-            assert!(s.health().is_ok(), "{name}: healthy after resume");
+            assert!(s.pager().health().is_ok(), "{name}: healthy after resume");
             let again = s.try_insert_before(lids[3]).expect("mutations resume");
-            assert!(s.lookup(inserted) < s.lookup(again));
-            assert!(s.lookup(again) < s.lookup(lids[3]));
+            assert!(s.try_lookup(inserted).unwrap() < s.try_lookup(again).unwrap());
+            assert!(s.try_lookup(again).unwrap() < s.try_lookup(lids[3]).unwrap());
         }
 
         fn env(block_size: usize) -> (SharedPager, std::sync::Arc<FaultPlan>) {
@@ -619,7 +582,7 @@ mod tests {
         let mut w = WBoxScheme::new(pager, WBoxConfig::from_block_size(1024).with_ordinal());
         let lids = w.bulk_load_document(&(0..100).map(|i| i ^ 1).collect::<Vec<_>>());
         for (i, &lid) in lids.iter().enumerate().step_by(13) {
-            assert_eq!(w.ordinal_of(lid), i as u64);
+            assert_eq!(w.ordinal_of(lid).unwrap(), i as u64);
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::scheme::LabelingScheme;
 use boxes_lidf::Lid;
-use boxes_pager::PagerError;
+use boxes_pager::IoResult;
 use std::cmp::Ordering;
 
 /// Read-only order-based label queries (§2's query model: document order
@@ -22,25 +22,20 @@ pub trait LabelView {
     /// Short scheme name for reports (e.g. `"W-BOX"`).
     fn name(&self) -> String;
 
-    /// Current label of `lid`.
-    fn lookup(&self, lid: Lid) -> Self::Label;
-
-    /// Fallible [`LabelView::lookup`]: a disk fault that survives retry and
+    /// Current label of `lid`. A disk fault that survives retry and
     /// read-repair comes back as a typed error, never a wrong label.
-    fn try_lookup(&self, lid: Lid) -> Result<Self::Label, PagerError> {
-        PagerError::catch(|| self.lookup(lid))
-    }
+    fn try_lookup(&self, lid: Lid) -> IoResult<Self::Label>;
 
     /// Document order of the tags labeled `a` and `b`.
-    fn order(&self, a: Lid, b: Lid) -> Ordering {
-        self.lookup(a).cmp(&self.lookup(b))
+    fn order(&self, a: Lid, b: Lid) -> IoResult<Ordering> {
+        Ok(self.try_lookup(a)?.cmp(&self.try_lookup(b)?))
     }
 
     /// Whether the tag labeled `x` falls strictly between the tags labeled
     /// `start` and `end` — the containment test behind ancestor queries.
-    fn contains(&self, start: Lid, end: Lid, x: Lid) -> bool {
-        let xl = self.lookup(x);
-        self.lookup(start) < xl && xl < self.lookup(end)
+    fn contains(&self, start: Lid, end: Lid, x: Lid) -> IoResult<bool> {
+        let xl = self.try_lookup(x)?;
+        Ok(self.try_lookup(start)? < xl && xl < self.try_lookup(end)?)
     }
 
     /// Number of live labels.
@@ -52,7 +47,7 @@ pub trait LabelView {
     }
 
     /// Bits required per label right now (the paper's label-length metric).
-    fn label_bits(&self) -> u32;
+    fn label_bits(&self) -> IoResult<u32>;
 }
 
 impl<S: LabelingScheme> LabelView for S {
@@ -62,11 +57,7 @@ impl<S: LabelingScheme> LabelView for S {
         LabelingScheme::name(self)
     }
 
-    fn lookup(&self, lid: Lid) -> Self::Label {
-        LabelingScheme::lookup(self, lid)
-    }
-
-    fn try_lookup(&self, lid: Lid) -> Result<Self::Label, PagerError> {
+    fn try_lookup(&self, lid: Lid) -> IoResult<Self::Label> {
         LabelingScheme::try_lookup(self, lid)
     }
 
@@ -78,7 +69,7 @@ impl<S: LabelingScheme> LabelView for S {
         LabelingScheme::is_empty(self)
     }
 
-    fn label_bits(&self) -> u32 {
+    fn label_bits(&self) -> IoResult<u32> {
         LabelingScheme::label_bits(self)
     }
 }
@@ -89,7 +80,7 @@ mod tests {
     use crate::scheme::WBoxScheme;
 
     fn view_only(v: &dyn LabelView<Label = u64>, lids: &[Lid]) -> Vec<u64> {
-        lids.iter().map(|&l| v.lookup(l)).collect()
+        lids.iter().map(|&l| v.try_lookup(l).unwrap()).collect()
     }
 
     #[test]
@@ -98,14 +89,21 @@ mod tests {
         let lids = scheme.bulk_load_document(&[2, 3, 1, 0]); // two elements
         let labels = view_only(&scheme, &lids);
         assert!(labels.windows(2).all(|w| w[0] < w[1]), "document order");
-        assert_eq!(LabelView::order(&scheme, lids[0], lids[3]), Ordering::Less);
-        assert!(
+        assert_eq!(
+            LabelView::order(&scheme, lids[0], lids[3]),
+            Ok(Ordering::Less)
+        );
+        assert_eq!(
             LabelView::contains(&scheme, lids[0], lids[3], lids[1]),
+            Ok(true),
             "inner tag sits between the outer element's tags"
         );
-        assert!(!LabelView::contains(&scheme, lids[1], lids[2], lids[0]));
+        assert_eq!(
+            LabelView::contains(&scheme, lids[1], lids[2], lids[0]),
+            Ok(false)
+        );
         assert_eq!(LabelView::len(&scheme), 4);
         assert!(!LabelView::is_empty(&scheme));
-        assert!(LabelView::label_bits(&scheme) > 0);
+        assert!(LabelView::label_bits(&scheme).unwrap() > 0);
     }
 }

@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -46,14 +47,15 @@
 //! let (start, end) = lidf.alloc_pair(
 //!     BlockPtrRecord::new(BlockId(7)),
 //!     BlockPtrRecord::new(BlockId(7)),
-//! );
-//! assert_eq!(lidf.read(start).block, BlockId(7));
-//! let (s, e) = lidf.read_pair(start, end); // one I/O when adjacent
+//! )?;
+//! assert_eq!(lidf.read(start)?.block, BlockId(7));
+//! let (s, e) = lidf.read_pair(start, end)?; // one I/O when adjacent
 //! assert_eq!(s.block, e.block);
+//! # Ok::<(), boxes_pager::PagerError>(())
 //! ```
 
 use boxes_pager::codec::{u32_to_usize, u64_to_index, usize_to_u32, usize_to_u64};
-use boxes_pager::{BlockId, Health, PagerError, Reader, SharedPager, VecWriter, Writer};
+use boxes_pager::{BlockId, IoResult, Reader, SharedPager, VecWriter, Writer};
 
 /// An immutable label ID: the record number of a LIDF record. Never changes
 /// for the lifetime of the label, so it can be duplicated freely in other
@@ -213,15 +215,17 @@ impl<R: Record> Lidf<R> {
 
     /// Run `f` as one journaled operation: every block it dirties commits as
     /// a single atomic WAL record carrying the refreshed `"lidf"` state
-    /// blob. Without an attached journal this is pure scope bookkeeping.
-    fn journaled<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+    /// blob. Without an attached journal this is pure scope bookkeeping. A
+    /// degraded pager rejects the operation before `f` changes anything; an
+    /// error from `f` aborts the scope.
+    fn journaled<T>(&mut self, f: impl FnOnce(&mut Self) -> IoResult<T>) -> IoResult<T> {
         let _lidf = boxes_trace::OpSpan::phase(self.pager.trace(), "lidf");
-        let txn = self.pager.txn();
-        let out = f(self);
+        let txn = self.pager.txn()?;
+        let out = f(self)?;
         let state = self.save_state();
         self.pager.txn_meta("lidf", || state);
         txn.commit();
-        out
+        Ok(out)
     }
 
     /// Records per block for this record type and block size — the paper's
@@ -269,15 +273,15 @@ impl<R: Record> Lidf<R> {
     /// Block holding the next append slot, allocating a fresh one at a
     /// block boundary. `in_block != 0` implies `slots > 0`, which implies a
     /// tail block exists; the fallthrough keeps the path panic-free anyway.
-    fn tail_block(&mut self, in_block: usize) -> BlockId {
+    fn tail_block(&mut self, in_block: usize) -> IoResult<BlockId> {
         if in_block != 0 {
             if let Some(&b) = self.blocks.last() {
-                return b;
+                return Ok(b);
             }
         }
-        let b = self.pager.alloc();
+        let b = self.pager.alloc()?;
         self.blocks.push(b);
-        b
+        Ok(b)
     }
 
     #[inline]
@@ -289,35 +293,35 @@ impl<R: Record> Lidf<R> {
     }
 
     /// Allocate a record, preferring reclaimed slots.
-    pub fn alloc(&mut self, value: R) -> Lid {
+    pub fn alloc(&mut self, value: R) -> IoResult<Lid> {
         self.journaled(|t| t.alloc_impl(value))
     }
 
-    fn alloc_impl(&mut self, value: R) -> Lid {
+    fn alloc_impl(&mut self, value: R) -> IoResult<Lid> {
         if self.free_head != FREE_END {
             let lid = Lid(self.free_head);
             let (block, offset) = self.locate(lid);
-            let mut buf = self.pager.read(block);
+            let mut buf = self.pager.read(block)?;
             let next = Reader::at(&buf, offset + 1).u64();
             self.write_slot(&mut buf, offset, &value);
-            self.pager.write(block, &buf);
+            self.pager.write(block, &buf)?;
             self.free_head = next;
             self.live += 1;
-            return lid;
+            return Ok(lid);
         }
         self.append(value)
     }
 
-    fn append(&mut self, value: R) -> Lid {
+    fn append(&mut self, value: R) -> IoResult<Lid> {
         let lid = Lid(self.slots);
         let in_block = self.tail_in_block();
-        let block = self.tail_block(in_block);
-        let mut buf = self.pager.read(block);
+        let block = self.tail_block(in_block)?;
+        let mut buf = self.pager.read(block)?;
         self.write_slot(&mut buf, in_block * Self::SLOT_SIZE, &value);
-        self.pager.write(block, &buf);
+        self.pager.write(block, &buf)?;
         self.slots += 1;
         self.live += 1;
-        lid
+        Ok(lid)
     }
 
     fn write_slot(&self, buf: &mut [u8], offset: usize, value: &R) {
@@ -329,17 +333,17 @@ impl<R: Record> Lidf<R> {
 
     /// Append many records sequentially, paying one read-modify-write per
     /// touched block — the bulk-loading I/O pattern (O(N/B)).
-    pub fn bulk_append(&mut self, values: &[R]) -> Vec<Lid> {
+    pub fn bulk_append(&mut self, values: &[R]) -> IoResult<Vec<Lid>> {
         self.journaled(|t| t.bulk_append_impl(values))
     }
 
-    fn bulk_append_impl(&mut self, values: &[R]) -> Vec<Lid> {
+    fn bulk_append_impl(&mut self, values: &[R]) -> IoResult<Vec<Lid>> {
         let mut lids = Vec::with_capacity(values.len());
         let mut i = 0;
         while i < values.len() {
             let in_block = self.tail_in_block();
-            let block = self.tail_block(in_block);
-            let mut buf = self.pager.read(block);
+            let block = self.tail_block(in_block)?;
+            let mut buf = self.pager.read(block)?;
             let mut slot = in_block;
             while slot < self.recs_per_block && i < values.len() {
                 self.write_slot(&mut buf, slot * Self::SLOT_SIZE, &values[i]);
@@ -349,75 +353,75 @@ impl<R: Record> Lidf<R> {
                 slot += 1;
                 i += 1;
             }
-            self.pager.write(block, &buf);
+            self.pager.write(block, &buf)?;
         }
-        lids
+        Ok(lids)
     }
 
     /// Allocate two records adjacently when appending (start/end of one
     /// element: a single I/O later retrieves both). Falls back to two
     /// free-list slots when reclaimed space is available.
-    pub fn alloc_pair(&mut self, a: R, b: R) -> (Lid, Lid) {
+    pub fn alloc_pair(&mut self, a: R, b: R) -> IoResult<(Lid, Lid)> {
         self.journaled(|t| t.alloc_pair_impl(a, b))
     }
 
-    fn alloc_pair_impl(&mut self, a: R, b: R) -> (Lid, Lid) {
+    fn alloc_pair_impl(&mut self, a: R, b: R) -> IoResult<(Lid, Lid)> {
         if self.free_head != FREE_END {
-            return (self.alloc_impl(a), self.alloc_impl(b));
+            return Ok((self.alloc_impl(a)?, self.alloc_impl(b)?));
         }
         // Append path: both slots land in the same or consecutive blocks and
         // the two writes to a shared block are coalesced below.
         let in_block = self.tail_in_block();
         if in_block == 0 {
             // Fresh block: create it, write both slots with one RMW.
-            let block = self.tail_block(0);
-            let mut buf = self.pager.read(block);
+            let block = self.tail_block(0)?;
+            let mut buf = self.pager.read(block)?;
             self.write_slot(&mut buf, 0, &a);
             self.write_slot(&mut buf, Self::SLOT_SIZE, &b);
-            self.pager.write(block, &buf);
+            self.pager.write(block, &buf)?;
             let la = Lid(self.slots);
             let lb = Lid(self.slots + 1);
             self.slots += 2;
             self.live += 2;
-            return (la, lb);
+            return Ok((la, lb));
         }
         if in_block + 1 < self.recs_per_block {
             // Both fit in the current tail block: one read-modify-write.
-            let block = self.tail_block(in_block);
-            let mut buf = self.pager.read(block);
+            let block = self.tail_block(in_block)?;
+            let mut buf = self.pager.read(block)?;
             self.write_slot(&mut buf, in_block * Self::SLOT_SIZE, &a);
             self.write_slot(&mut buf, (in_block + 1) * Self::SLOT_SIZE, &b);
-            self.pager.write(block, &buf);
+            self.pager.write(block, &buf)?;
             let la = Lid(self.slots);
             let lb = Lid(self.slots + 1);
             self.slots += 2;
             self.live += 2;
-            (la, lb)
+            Ok((la, lb))
         } else {
-            (self.append(a), self.append(b))
+            Ok((self.append(a)?, self.append(b)?))
         }
     }
 
     /// Read a live record. One I/O.
-    pub fn read(&self, lid: Lid) -> R {
+    pub fn read(&self, lid: Lid) -> IoResult<R> {
         let _lidf = boxes_trace::OpSpan::phase(self.pager.trace(), "lidf");
         let (block, offset) = self.locate(lid);
-        let buf = self.pager.read(block);
+        let buf = self.pager.read(block)?;
         let mut r = Reader::at(&buf, offset);
         assert_eq!(r.u8(), TAG_LIVE, "read of freed {lid:?}");
-        R::decode(&mut r)
+        Ok(R::decode(&mut r))
     }
 
     /// Read two records, paying one I/O when they share a block.
-    pub fn read_pair(&self, a: Lid, b: Lid) -> (R, R) {
+    pub fn read_pair(&self, a: Lid, b: Lid) -> IoResult<(R, R)> {
         let _lidf = boxes_trace::OpSpan::phase(self.pager.trace(), "lidf");
         let (block_a, off_a) = self.locate(a);
         let (block_b, off_b) = self.locate(b);
-        let buf_a = self.pager.read(block_a);
+        let buf_a = self.pager.read(block_a)?;
         let buf_b = if block_a == block_b {
             None
         } else {
-            Some(self.pager.read(block_b))
+            Some(self.pager.read(block_b)?)
         };
         let mut ra = Reader::at(&buf_a, off_a);
         assert_eq!(ra.u8(), TAG_LIVE, "read of freed {a:?}");
@@ -426,38 +430,38 @@ impl<R: Record> Lidf<R> {
         let mut rb = Reader::at(src, off_b);
         assert_eq!(rb.u8(), TAG_LIVE, "read of freed {b:?}");
         let vb = R::decode(&mut rb);
-        (va, vb)
+        Ok((va, vb))
     }
 
     /// Overwrite a live record. One read-modify-write (2 I/Os, caching off).
-    pub fn write(&mut self, lid: Lid, value: R) {
-        self.journaled(|t| t.write_impl(lid, value));
+    pub fn write(&mut self, lid: Lid, value: R) -> IoResult<()> {
+        self.journaled(|t| t.write_impl(lid, value))
     }
 
-    fn write_impl(&mut self, lid: Lid, value: R) {
+    fn write_impl(&mut self, lid: Lid, value: R) -> IoResult<()> {
         let (block, offset) = self.locate(lid);
-        let mut buf = self.pager.read(block);
+        let mut buf = self.pager.read(block)?;
         assert_eq!(
             Reader::at(&buf, offset).u8(),
             TAG_LIVE,
             "write to freed {lid:?}"
         );
         self.write_slot(&mut buf, offset, &value);
-        self.pager.write(block, &buf);
+        self.pager.write(block, &buf)
     }
 
     /// Overwrite many records, reading and writing each touched block once.
     /// This models the batched LIDF maintenance done during BOX leaf splits.
-    pub fn write_batch(&mut self, updates: Vec<(Lid, R)>) {
-        self.journaled(|t| t.write_batch_impl(updates));
+    pub fn write_batch(&mut self, updates: Vec<(Lid, R)>) -> IoResult<()> {
+        self.journaled(|t| t.write_batch_impl(updates))
     }
 
-    fn write_batch_impl(&mut self, mut updates: Vec<(Lid, R)>) {
+    fn write_batch_impl(&mut self, mut updates: Vec<(Lid, R)>) -> IoResult<()> {
         updates.sort_by_key(|(lid, _)| lid.0);
         let mut i = 0;
         while i < updates.len() {
             let (block, _) = self.locate(updates[i].0);
-            let mut buf = self.pager.read(block);
+            let mut buf = self.pager.read(block)?;
             while i < updates.len() {
                 let (b, offset) = self.locate(updates[i].0);
                 if b != block {
@@ -473,18 +477,19 @@ impl<R: Record> Lidf<R> {
                 self.write_slot(&mut buf, offset, &value);
                 i += 1;
             }
-            self.pager.write(block, &buf);
+            self.pager.write(block, &buf)?;
         }
+        Ok(())
     }
 
     /// Reclaim a record, chaining it into the free list.
-    pub fn free(&mut self, lid: Lid) {
-        self.journaled(|t| t.free_impl(lid));
+    pub fn free(&mut self, lid: Lid) -> IoResult<()> {
+        self.journaled(|t| t.free_impl(lid))
     }
 
-    fn free_impl(&mut self, lid: Lid) {
+    fn free_impl(&mut self, lid: Lid) -> IoResult<()> {
         let (block, offset) = self.locate(lid);
-        let mut buf = self.pager.read(block);
+        let mut buf = self.pager.read(block)?;
         assert_eq!(
             Reader::at(&buf, offset).u8(),
             TAG_LIVE,
@@ -493,19 +498,20 @@ impl<R: Record> Lidf<R> {
         let mut w = Writer::at(&mut buf, offset);
         w.u8(TAG_FREE);
         w.u64(self.free_head);
-        self.pager.write(block, &buf);
+        self.pager.write(block, &buf)?;
         self.free_head = lid.0;
         self.live -= 1;
+        Ok(())
     }
 
     /// Reclaim many records, reading and writing each touched block once.
     /// This is the clustered O(N'/B) deletion path the paper describes for
     /// subtree deletes whose LIDF records were allocated together.
-    pub fn free_batch(&mut self, lids: Vec<Lid>) {
-        self.journaled(|t| t.free_batch_impl(lids));
+    pub fn free_batch(&mut self, lids: Vec<Lid>) -> IoResult<()> {
+        self.journaled(|t| t.free_batch_impl(lids))
     }
 
-    fn free_batch_impl(&mut self, mut lids: Vec<Lid>) {
+    fn free_batch_impl(&mut self, mut lids: Vec<Lid>) -> IoResult<()> {
         lids.sort();
         debug_assert!(
             lids.windows(2).all(|w| w[0] != w[1]),
@@ -514,7 +520,7 @@ impl<R: Record> Lidf<R> {
         let mut i = 0;
         while i < lids.len() {
             let (block, _) = self.locate(lids[i]);
-            let mut buf = self.pager.read(block);
+            let mut buf = self.pager.read(block)?;
             while i < lids.len() {
                 let (b, offset) = self.locate(lids[i]);
                 if b != block {
@@ -533,26 +539,37 @@ impl<R: Record> Lidf<R> {
                 self.live -= 1;
                 i += 1;
             }
-            self.pager.write(block, &buf);
+            self.pager.write(block, &buf)?;
         }
+        Ok(())
     }
 
     /// Whether the record is currently live. Costs one I/O (reads the slot).
-    pub fn is_live(&self, lid: Lid) -> bool {
+    pub fn is_live(&self, lid: Lid) -> IoResult<bool> {
         let _lidf = boxes_trace::OpSpan::phase(self.pager.trace(), "lidf");
         if lid.0 >= self.slots {
-            return false;
+            return Ok(false);
         }
         let (block, offset) = self.locate(lid);
-        let buf = self.pager.read(block);
-        Reader::at(&buf, offset).u8() == TAG_LIVE
+        let buf = self.pager.read(block)?;
+        Ok(Reader::at(&buf, offset).u8() == TAG_LIVE)
+    }
+
+    /// The record of `lid` when it is live, `None` when its slot is freed or
+    /// out of range — how an audit follows a possibly dangling LID. Costs
+    /// the reads of [`Lidf::is_live`] and [`Lidf::read`].
+    pub fn read_live(&self, lid: Lid) -> IoResult<Option<R>> {
+        if !self.is_live(lid)? {
+            return Ok(None);
+        }
+        self.read(lid).map(Some)
     }
 
     /// Sequentially scan all live records, one block read per block.
-    pub fn scan(&self, mut f: impl FnMut(Lid, R)) {
+    pub fn scan(&self, mut f: impl FnMut(Lid, R)) -> IoResult<()> {
         let _lidf = boxes_trace::OpSpan::phase(self.pager.trace(), "lidf");
         for (bi, &block) in self.blocks.iter().enumerate() {
-            let buf = self.pager.read(block);
+            let buf = self.pager.read(block)?;
             let base = usize_to_u64(bi) * usize_to_u64(self.recs_per_block);
             for s in 0..self.recs_per_block {
                 let slot = base + usize_to_u64(s);
@@ -565,17 +582,18 @@ impl<R: Record> Lidf<R> {
                 }
             }
         }
+        Ok(())
     }
 
     /// Sequentially rewrite all live records in place: one read and one
     /// write per block. This is the I/O pattern of naive-k's global relabel.
-    pub fn scan_mut(&mut self, f: impl FnMut(Lid, &mut R)) {
-        self.journaled(|t| t.scan_mut_impl(f));
+    pub fn scan_mut(&mut self, f: impl FnMut(Lid, &mut R)) -> IoResult<()> {
+        self.journaled(|t| t.scan_mut_impl(f))
     }
 
-    fn scan_mut_impl(&mut self, mut f: impl FnMut(Lid, &mut R)) {
+    fn scan_mut_impl(&mut self, mut f: impl FnMut(Lid, &mut R)) -> IoResult<()> {
         for (bi, block) in self.blocks.clone().into_iter().enumerate() {
-            let mut buf = self.pager.read(block);
+            let mut buf = self.pager.read(block)?;
             let base = usize_to_u64(bi) * usize_to_u64(self.recs_per_block);
             let mut touched = false;
             for s in 0..self.recs_per_block {
@@ -593,53 +611,15 @@ impl<R: Record> Lidf<R> {
                 }
             }
             if touched {
-                self.pager.write(block, &buf);
+                self.pager.write(block, &buf)?;
             }
         }
+        Ok(())
     }
 
     /// Shared pager handle.
     pub fn pager(&self) -> &SharedPager {
         &self.pager
-    }
-
-    /// Health of the underlying pager: degraded LIDFs still serve reads.
-    #[must_use]
-    pub fn health(&self) -> Health {
-        self.pager.health()
-    }
-
-    /// [`Lidf::read`] with disk faults surfaced as typed errors instead of
-    /// panics. Reads are attempted even while degraded — the overlay and
-    /// read-repair keep them answerable.
-    pub fn try_read(&self, lid: Lid) -> Result<R, PagerError> {
-        PagerError::catch(|| self.read(lid))
-    }
-
-    /// [`Lidf::write`] gated on health: mutating a degraded store fails
-    /// fast before any in-memory state (free chain, live count) can drift
-    /// from the durable image.
-    pub fn try_write(&mut self, lid: Lid, value: R) -> Result<(), PagerError> {
-        if let Health::Degraded(reason) = self.pager.health() {
-            return Err(PagerError::Degraded(reason));
-        }
-        PagerError::catch(|| self.write(lid, value))
-    }
-
-    /// [`Lidf::alloc`] gated on health; see [`Lidf::try_write`].
-    pub fn try_alloc(&mut self, value: R) -> Result<Lid, PagerError> {
-        if let Health::Degraded(reason) = self.pager.health() {
-            return Err(PagerError::Degraded(reason));
-        }
-        PagerError::catch(|| self.alloc(value))
-    }
-
-    /// [`Lidf::free`] gated on health; see [`Lidf::try_write`].
-    pub fn try_free(&mut self, lid: Lid) -> Result<(), PagerError> {
-        if let Health::Degraded(reason) = self.pager.health() {
-            return Err(PagerError::Degraded(reason));
-        }
-        PagerError::catch(|| self.free(lid))
     }
 }
 
@@ -656,9 +636,7 @@ impl<R: Record> boxes_audit::Auditable for Lidf<R> {
         // panic even when the directory itself is corrupt.
         let mut bufs: Vec<Option<Box<[u8]>>> = Vec::with_capacity(self.blocks.len());
         for (bi, &block) in self.blocks.iter().enumerate() {
-            if self.pager.is_allocated(block) {
-                bufs.push(Some(self.pager.read(block)));
-            } else {
+            if !self.pager.is_allocated(block) {
                 report.push(
                     Violation::new(ViolationKind::LidfMismatch, format!("lidf/dir[{bi}]"))
                         .at_block(block.0)
@@ -666,6 +644,16 @@ impl<R: Record> boxes_audit::Auditable for Lidf<R> {
                         .actual("block is unallocated"),
                 );
                 bufs.push(None);
+                continue;
+            }
+            match self.pager.read(block) {
+                Ok(buf) => bufs.push(Some(buf)),
+                Err(e) => {
+                    report.push(
+                        Violation::unreadable(format!("lidf/dir[{bi}]"), e).at_block(block.0),
+                    );
+                    bufs.push(None);
+                }
             }
         }
         let tag_of = |slot: u64| -> Option<u8> {
@@ -785,26 +773,26 @@ mod tests {
     #[test]
     fn alloc_read_write_roundtrip() {
         let mut l = lidf(256);
-        let a = l.alloc(Pair(1, 2));
-        let b = l.alloc(Pair(3, 4));
-        assert_eq!(l.read(a), Pair(1, 2));
-        assert_eq!(l.read(b), Pair(3, 4));
-        l.write(a, Pair(9, 9));
-        assert_eq!(l.read(a), Pair(9, 9));
+        let a = l.alloc(Pair(1, 2)).unwrap();
+        let b = l.alloc(Pair(3, 4)).unwrap();
+        assert_eq!(l.read(a).unwrap(), Pair(1, 2));
+        assert_eq!(l.read(b).unwrap(), Pair(3, 4));
+        l.write(a, Pair(9, 9)).unwrap();
+        assert_eq!(l.read(a).unwrap(), Pair(9, 9));
         assert_eq!(l.len(), 2);
     }
 
     #[test]
     fn free_then_alloc_reuses_slot() {
         let mut l = lidf(256);
-        let a = l.alloc(Pair(1, 1));
-        let _b = l.alloc(Pair(2, 2));
-        l.free(a);
+        let a = l.alloc(Pair(1, 1)).unwrap();
+        let _b = l.alloc(Pair(2, 2)).unwrap();
+        l.free(a).unwrap();
         assert_eq!(l.len(), 1);
-        assert!(!l.is_live(a));
-        let c = l.alloc(Pair(3, 3));
+        assert!(!l.is_live(a).unwrap());
+        let c = l.alloc(Pair(3, 3)).unwrap();
         assert_eq!(c, a, "free slot recycled");
-        assert_eq!(l.read(c), Pair(3, 3));
+        assert_eq!(l.read(c).unwrap(), Pair(3, 3));
     }
 
     #[test]
@@ -814,54 +802,57 @@ mod tests {
         let plan = FaultPlan::new(FaultPlanConfig::quiet(17, 256));
         pager.attach_fault_injector(plan.clone());
         let mut l = Lidf::new(pager);
-        let a = l.try_alloc(Pair(1, 2)).expect("healthy alloc");
-        let b = l.try_alloc(Pair(3, 4)).expect("healthy alloc");
+        let a = l.alloc(Pair(1, 2)).expect("healthy alloc");
+        let b = l.alloc(Pair(3, 4)).expect("healthy alloc");
         plan.fail_all_writes_after(0);
         assert!(
-            matches!(l.try_write(a, Pair(9, 9)), Err(PagerError::Degraded(_))),
+            matches!(
+                l.write(a, Pair(9, 9)),
+                Err(boxes_pager::PagerError::Degraded(_))
+            ),
             "persistent write fault surfaces as a typed degrade"
         );
-        assert!(!l.health().is_ok());
+        assert!(!l.pager().health().is_ok());
         // Reads answer the last durable values; further mutations fail fast.
-        assert_eq!(l.try_read(a).expect("reads survive"), Pair(1, 2));
-        assert_eq!(l.try_read(b).expect("reads survive"), Pair(3, 4));
-        assert!(l.try_alloc(Pair(5, 5)).is_err());
-        assert!(l.try_free(b).is_err());
+        assert_eq!(l.read(a).expect("reads survive"), Pair(1, 2));
+        assert_eq!(l.read(b).expect("reads survive"), Pair(3, 4));
+        assert!(l.alloc(Pair(5, 5)).is_err());
+        assert!(l.free(b).is_err());
         assert_eq!(l.len(), 2, "no in-memory drift from rejected mutations");
         // Disk healed: resume and mutate again.
         plan.heal();
         l.pager().try_resume().expect("resume after heal");
-        assert!(l.health().is_ok());
-        l.try_write(a, Pair(9, 9)).expect("mutations resume");
-        assert_eq!(l.read(a), Pair(9, 9));
+        assert!(l.pager().health().is_ok());
+        l.write(a, Pair(9, 9)).expect("mutations resume");
+        assert_eq!(l.read(a).unwrap(), Pair(9, 9));
     }
 
     #[test]
     fn free_list_is_lifo_chain() {
         let mut l = lidf(256);
-        let lids: Vec<Lid> = (0..5).map(|i| l.alloc(Pair(i, i))).collect();
+        let lids: Vec<Lid> = (0..5).map(|i| l.alloc(Pair(i, i)).unwrap()).collect();
         for &lid in &lids[1..4] {
-            l.free(lid);
+            l.free(lid).unwrap();
         }
         // LIFO: last freed comes back first.
-        assert_eq!(l.alloc(Pair(10, 10)), lids[3]);
-        assert_eq!(l.alloc(Pair(11, 11)), lids[2]);
-        assert_eq!(l.alloc(Pair(12, 12)), lids[1]);
+        assert_eq!(l.alloc(Pair(10, 10)).unwrap(), lids[3]);
+        assert_eq!(l.alloc(Pair(11, 11)).unwrap(), lids[2]);
+        assert_eq!(l.alloc(Pair(12, 12)).unwrap(), lids[1]);
     }
 
     #[test]
     fn pair_allocation_shares_block_when_possible() {
         let mut l = lidf(256); // 15 slots of 17 bytes
-        l.alloc(Pair(0, 0));
+        l.alloc(Pair(0, 0)).unwrap();
         let p = l.pager().clone();
         let before = p.stats();
-        let (a, b) = l.alloc_pair(Pair(1, 1), Pair(2, 2));
+        let (a, b) = l.alloc_pair(Pair(1, 1), Pair(2, 2)).unwrap();
         let d = p.stats().since(&before);
         assert_eq!(b.0, a.0 + 1);
         assert_eq!(d.reads, 1);
         assert_eq!(d.writes, 1);
         let before = p.stats();
-        let (x, y) = l.read_pair(a, b);
+        let (x, y) = l.read_pair(a, b).unwrap();
         assert_eq!((x, y), (Pair(1, 1), Pair(2, 2)));
         assert_eq!(p.stats().since(&before).reads, 1, "adjacent pair: 1 I/O");
     }
@@ -869,21 +860,21 @@ mod tests {
     #[test]
     fn records_span_blocks() {
         let mut l = lidf(64); // 3 slots per 64-byte block (17B slots)
-        let lids: Vec<Lid> = (0..10).map(|i| l.alloc(Pair(i, i * 7))).collect();
+        let lids: Vec<Lid> = (0..10).map(|i| l.alloc(Pair(i, i * 7)).unwrap()).collect();
         assert!(l.blocks_used() >= 3);
         for (i, lid) in lids.iter().enumerate() {
-            assert_eq!(l.read(*lid), Pair(i as u64, i as u64 * 7));
+            assert_eq!(l.read(*lid).unwrap(), Pair(i as u64, i as u64 * 7));
         }
     }
 
     #[test]
     fn scan_visits_live_records_in_order() {
         let mut l = lidf(64);
-        let lids: Vec<Lid> = (0..7).map(|i| l.alloc(Pair(i, 0))).collect();
-        l.free(lids[2]);
-        l.free(lids[5]);
+        let lids: Vec<Lid> = (0..7).map(|i| l.alloc(Pair(i, 0)).unwrap()).collect();
+        l.free(lids[2]).unwrap();
+        l.free(lids[5]).unwrap();
         let mut seen = Vec::new();
-        l.scan(|lid, rec| seen.push((lid, rec.0)));
+        l.scan(|lid, rec| seen.push((lid, rec.0))).unwrap();
         assert_eq!(
             seen,
             vec![
@@ -900,21 +891,21 @@ mod tests {
     fn scan_mut_rewrites_with_one_rw_per_block() {
         let mut l = lidf(64); // 3 slots per block
         for i in 0..9 {
-            l.alloc(Pair(i, 0));
+            l.alloc(Pair(i, 0)).unwrap();
         }
         let p = l.pager().clone();
         let before = p.stats();
-        l.scan_mut(|_, rec| rec.1 = rec.0 * 2);
+        l.scan_mut(|_, rec| rec.1 = rec.0 * 2).unwrap();
         let d = p.stats().since(&before);
         assert_eq!(d.reads as usize, l.blocks_used());
         assert_eq!(d.writes as usize, l.blocks_used());
-        l.scan(|_, rec| assert_eq!(rec.1, rec.0 * 2));
+        l.scan(|_, rec| assert_eq!(rec.1, rec.0 * 2)).unwrap();
     }
 
     #[test]
     fn write_batch_groups_by_block() {
         let mut l = lidf(64); // 3 slots per block
-        let lids: Vec<Lid> = (0..6).map(|i| l.alloc(Pair(i, 0))).collect();
+        let lids: Vec<Lid> = (0..6).map(|i| l.alloc(Pair(i, 0)).unwrap()).collect();
         let p = l.pager().clone();
         let before = p.stats();
         // Two updates in block 0, one in block 1, delivered out of order.
@@ -922,12 +913,13 @@ mod tests {
             (lids[4], Pair(40, 40)),
             (lids[0], Pair(0, 99)),
             (lids[1], Pair(1, 99)),
-        ]);
+        ])
+        .unwrap();
         let d = p.stats().since(&before);
         assert_eq!(d.reads, 2);
         assert_eq!(d.writes, 2);
-        assert_eq!(l.read(lids[4]), Pair(40, 40));
-        assert_eq!(l.read(lids[0]), Pair(0, 99));
+        assert_eq!(l.read(lids[4]).unwrap(), Pair(40, 40));
+        assert_eq!(l.read(lids[0]).unwrap(), Pair(0, 99));
     }
 
     #[test]
@@ -936,16 +928,16 @@ mod tests {
         let p = l.pager().clone();
         let before = p.stats();
         let values: Vec<Pair> = (0..9).map(|i| Pair(i, i)).collect();
-        let lids = l.bulk_append(&values);
+        let lids = l.bulk_append(&values).unwrap();
         let d = p.stats().since(&before);
         assert_eq!(lids.len(), 9);
         assert_eq!(d.reads, 3);
         assert_eq!(d.writes, 3);
         for (i, lid) in lids.iter().enumerate() {
-            assert_eq!(l.read(*lid), Pair(i as u64, i as u64));
+            assert_eq!(l.read(*lid).unwrap(), Pair(i as u64, i as u64));
         }
         // Appending after a bulk load continues in the same slot space.
-        let next = l.alloc(Pair(99, 99));
+        let next = l.alloc(Pair(99, 99)).unwrap();
         assert_eq!(next.0, 9);
     }
 
@@ -953,33 +945,34 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut l = lidf(256);
-        let a = l.alloc(Pair(1, 1));
-        l.free(a);
-        l.free(a);
+        let a = l.alloc(Pair(1, 1)).unwrap();
+        l.free(a).unwrap();
+        l.free(a).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "freed")]
     fn read_of_freed_panics() {
         let mut l = lidf(256);
-        let a = l.alloc(Pair(1, 1));
-        l.free(a);
-        l.read(a);
+        let a = l.alloc(Pair(1, 1)).unwrap();
+        l.free(a).unwrap();
+        l.read(a).unwrap();
     }
 
     #[test]
     fn free_batch_groups_by_block_and_recycles() {
         let mut l = lidf(64); // 3 slots per block
-        let lids: Vec<Lid> = (0..9).map(|i| l.alloc(Pair(i, 0))).collect();
+        let lids: Vec<Lid> = (0..9).map(|i| l.alloc(Pair(i, 0)).unwrap()).collect();
         let p = l.pager().clone();
         let before = p.stats();
-        l.free_batch(vec![lids[4], lids[0], lids[1], lids[5]]);
+        l.free_batch(vec![lids[4], lids[0], lids[1], lids[5]])
+            .unwrap();
         let d = p.stats().since(&before);
         assert_eq!(d.reads, 2, "two blocks touched");
         assert_eq!(d.writes, 2);
         assert_eq!(l.len(), 5);
         // All four slots come back through the free list.
-        let reused: Vec<Lid> = (0..4).map(|i| l.alloc(Pair(100 + i, 0))).collect();
+        let reused: Vec<Lid> = (0..4).map(|i| l.alloc(Pair(100 + i, 0)).unwrap()).collect();
         let mut expected = vec![lids[4], lids[0], lids[1], lids[5]];
         expected.sort();
         let mut got = reused.clone();
@@ -991,18 +984,18 @@ mod tests {
     fn save_state_reopen_roundtrip_in_memory() {
         use boxes_audit::Auditable as _;
         let mut l = lidf(64);
-        let lids: Vec<Lid> = (0..7).map(|i| l.alloc(Pair(i, i))).collect();
-        l.free(lids[2]);
-        l.free(lids[4]);
+        let lids: Vec<Lid> = (0..7).map(|i| l.alloc(Pair(i, i)).unwrap()).collect();
+        l.free(lids[2]).unwrap();
+        l.free(lids[4]).unwrap();
         let state = l.save_state();
         let l2: Lidf<Pair> = Lidf::reopen(l.pager().clone(), &state);
         assert_eq!(l2.len(), 5);
-        assert_eq!(l2.read(lids[1]), Pair(1, 1));
-        assert!(!l2.is_live(lids[2]));
+        assert_eq!(l2.read(lids[1]).unwrap(), Pair(1, 1));
+        assert!(!l2.is_live(lids[2]).unwrap());
         assert!(l2.audit().is_clean(), "{:?}", l2.audit());
         // The free chain survives: recycling continues where it left off.
         let mut l2 = l2;
-        assert_eq!(l2.alloc(Pair(9, 9)), lids[4]);
+        assert_eq!(l2.alloc(Pair(9, 9)).unwrap(), lids[4]);
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -1017,11 +1010,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let pager = Pager::open_file(&path, 64).expect("create");
         let mut l: Lidf<Pair> = Lidf::new(pager);
-        let lids: Vec<Lid> = (0..9).map(|i| l.alloc(Pair(i, i * 3))).collect();
-        l.free(lids[4]);
+        let lids: Vec<Lid> = (0..9).map(|i| l.alloc(Pair(i, i * 3)).unwrap()).collect();
+        l.free(lids[4]).unwrap();
         for (i, lid) in lids.iter().enumerate() {
             if i != 4 {
-                assert_eq!(l.read(*lid), Pair(i as u64, i as u64 * 3));
+                assert_eq!(l.read(*lid).unwrap(), Pair(i as u64, i as u64 * 3));
             }
         }
         let _ = std::fs::remove_file(&path);
@@ -1035,19 +1028,19 @@ mod tests {
         let state = {
             let pager = Pager::open_file(&path, 64).expect("create");
             let mut l: Lidf<Pair> = Lidf::new(pager);
-            let lids: Vec<Lid> = (0..7).map(|i| l.alloc(Pair(i, 100 + i))).collect();
-            l.free(lids[3]);
-            l.write(lids[5], Pair(55, 55));
+            let lids: Vec<Lid> = (0..7).map(|i| l.alloc(Pair(i, 100 + i)).unwrap()).collect();
+            l.free(lids[3]).unwrap();
+            l.write(lids[5], Pair(55, 55)).unwrap();
             l.save_state()
         }; // pager dropped: simulates a clean shutdown
         let pager = Pager::open_file(&path, 64).expect("reopen");
         let mut l: Lidf<Pair> = Lidf::reopen(pager, &state);
         assert_eq!(l.len(), 6);
-        assert_eq!(l.read(Lid(5)), Pair(55, 55));
-        assert_eq!(l.read(Lid(0)), Pair(0, 100));
-        assert!(!l.is_live(Lid(3)));
+        assert_eq!(l.read(Lid(5)).unwrap(), Pair(55, 55));
+        assert_eq!(l.read(Lid(0)).unwrap(), Pair(0, 100));
+        assert!(!l.is_live(Lid(3)).unwrap());
         assert!(l.audit().is_clean(), "{:?}", l.audit());
-        assert_eq!(l.alloc(Pair(9, 9)), Lid(3), "free chain persisted");
+        assert_eq!(l.alloc(Pair(9, 9)).unwrap(), Lid(3), "free chain persisted");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1055,7 +1048,7 @@ mod tests {
     fn block_ptr_record_roundtrip() {
         let p = Pager::new(PagerConfig::with_block_size(128));
         let mut l = Lidf::<BlockPtrRecord>::new(p);
-        let lid = l.alloc(BlockPtrRecord::new(BlockId(1234)));
-        assert_eq!(l.read(lid).block, BlockId(1234));
+        let lid = l.alloc(BlockPtrRecord::new(BlockId(1234))).unwrap();
+        assert_eq!(l.read(lid).unwrap().block, BlockId(1234));
     }
 }

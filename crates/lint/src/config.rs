@@ -5,16 +5,16 @@
 //!
 //! ```toml
 //! # Per-rule policy: paths where the rule simply does not apply.
-//! [rules.BX008]
+//! [rules.BX020]
 //! allow_paths = ["xtask/src"]
 //!
 //! # Point suppressions: every entry must carry a justification and must
 //! # still match at least one finding, or the gate errors (stale baseline).
 //! [[allow]]
-//! rule = "BX008"
-//! path = "crates/pager/src/lib.rs"
-//! contains = "let _ = f.write_torn"
-//! justification = "corruption injection: both outcomes are acceptable"
+//! rule = "BX001"
+//! path = "xtask/src/analyze/semantic.rs"
+//! contains = "pager.write(victim"
+//! justification = "deliberate corruption injection"
 //! ```
 //!
 //! `allow_paths` entries are prefix matches on workspace-relative paths and
@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 /// One `[[allow]]` suppression entry.
 #[derive(Clone, Debug)]
 pub struct AllowEntry {
-    /// Rule ID, e.g. `BX008`.
+    /// Rule ID, e.g. `BX020`.
     pub rule: String,
     /// Workspace-relative file path the suppression applies to.
     pub path: String,
@@ -342,18 +342,18 @@ mod tests {
     fn parses_rules_and_allows() {
         let text = r#"
 # policy
-[rules.BX008]
+[rules.BX020]
 allow_paths = ["xtask/src", "crates/bench/src"]
 
 [[allow]]
-rule = "BX008"
+rule = "BX020"
 path = "crates/pager/src/lib.rs"
 contains = "let _ = f.write_torn"
 justification = "corruption injection: both outcomes are acceptable"
 "#;
         let cfg = Config::parse(text).expect("valid config");
-        assert!(cfg.rule_allows_path("BX008", "xtask/src/main.rs"));
-        assert!(!cfg.rule_allows_path("BX008", "crates/pager/src/lib.rs"));
+        assert!(cfg.rule_allows_path("BX020", "xtask/src/main.rs"));
+        assert!(!cfg.rule_allows_path("BX020", "crates/pager/src/lib.rs"));
         assert_eq!(cfg.allows.len(), 1);
         assert_eq!(
             cfg.allows[0].contains.as_deref(),

@@ -20,8 +20,9 @@ use crate::callgraph::{CallGraph, EdgeKind};
 use crate::lexer::TokenKind;
 use crate::model::SourceFile;
 
-/// Error-type names whose `Result`s BX012 guards.
-pub const IO_ERROR_TYPES: [&str; 2] = ["PagerError", "WalError"];
+/// Error-type names whose `Result`s BX012 guards, plus `IoResult<T>`,
+/// the alias for `Result<T, PagerError>`.
+pub const IO_ERROR_TYPES: [&str; 3] = ["PagerError", "WalError", "IoResult"];
 
 /// What one function's signature and body imply for error flow.
 #[derive(Clone, Copy, Debug, Default)]
@@ -42,7 +43,10 @@ pub fn summarize(graph: &CallGraph, files: &[SourceFile]) -> Vec<FnSummary> {
         .fns
         .iter()
         .map(|f| {
-            let returns_result = f.ret_tokens.iter().any(|t| t == "Result");
+            let returns_result = f
+                .ret_tokens
+                .iter()
+                .any(|t| t == "Result" || t == "IoResult");
             let io_error_direct = returns_result
                 && f.ret_tokens
                     .iter()
@@ -408,9 +412,11 @@ fn raw() -> Result<(), PagerError> { Ok(()) }
 fn wraps() -> Result<u8, PagerError> { raw()?; Ok(1) }
 fn chained() -> Result<u8, MyError> { raw().map_err(MyError::from)?; Ok(1) }
 fn unrelated() -> Result<u8, OtherError> { Ok(1) }
+fn aliased() -> IoResult<u8> { Ok(1) }
 fn consumes() { let _ = raw(); }";
         let (_, g, s) = analysis(src);
         assert!(summary_of(&g, &s, "raw").io_error_direct);
+        assert!(summary_of(&g, &s, "aliased").io_error_direct);
         assert!(summary_of(&g, &s, "wraps").io_result);
         assert!(summary_of(&g, &s, "chained").io_result);
         assert!(!summary_of(&g, &s, "unrelated").io_result);

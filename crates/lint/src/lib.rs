@@ -14,7 +14,7 @@
 //!
 //! Three analysis tiers share that substrate:
 //!
-//! * **Token-stream rules** (BX001, BX008, BX020) are pure per-file
+//! * **Token-stream rules** (BX001, BX020) are pure per-file
 //!   functions.
 //! * **Call-graph rules** (BX010, BX012, BX014) run over an [`Analysis`]:
 //!   an item-level parse ([`parser`]) of every file, a heuristic workspace
@@ -48,6 +48,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -296,19 +297,15 @@ mod tests {
     #[test]
     fn baseline_suppresses_and_detects_stale() {
         let cfg = Config::parse(
-            "[[allow]]\nrule = \"BX008\"\npath = \"crates/a/src/lib.rs\"\n\
-             contains = \"injection\"\njustification = \"deliberate discard\"\n\
+            "[[allow]]\nrule = \"BX020\"\npath = \"crates/a/src/lib.rs\"\n\
+             contains = \"injection\"\njustification = \"deliberate raw write\"\n\
              [[allow]]\nrule = \"BX001\"\npath = \"crates/b/src/lib.rs\"\n\
              justification = \"never matches\"\n",
         )
         .expect("valid config");
         let diags = vec![
-            diag(
-                "BX008",
-                "crates/a/src/lib.rs",
-                "let _ = injection.try_write(id)",
-            ),
-            diag("BX008", "crates/a/src/lib.rs", "let _ = p.try_write(id)"),
+            diag("BX020", "crates/a/src/lib.rs", "injection.write_all(buf)?;"),
+            diag("BX020", "crates/a/src/lib.rs", "file.write_all(buf)?;"),
         ];
         let outcome = apply_baseline(diags, &cfg);
         assert_eq!(outcome.suppressed.len(), 1);

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use super::{chain_start, push, stream};
+use super::{chain_start, push};
 use crate::callgraph::{EdgeKind, FnId};
 use crate::dataflow;
 use crate::report::Diagnostic;
@@ -174,8 +174,7 @@ fn chain_to_sink(
 }
 
 /// BX012: swallowed I/O-error `Result`s, transitively over the summary
-/// fixpoint. Resolved edges only; the BX008 name list is skipped to avoid
-/// double findings on the same call.
+/// fixpoint. Resolved edges only.
 fn bx012(a: &Analysis, out: &mut Vec<Diagnostic>) {
     let g = &a.graph;
     let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -189,9 +188,6 @@ fn bx012(a: &Analysis, out: &mut Vec<Diagnostic>) {
                 continue;
             }
             let callee = &g.fns[e.to];
-            if stream::IO_RESULT_FNS.contains(&callee.name.as_str()) {
-                continue;
-            }
             if !seen.insert((f.file_idx, e.call_si)) {
                 continue;
             }

@@ -3,7 +3,7 @@
 //!
 //! Three rule families share this module's helpers:
 //!
-//! * [`stream`] — BX001, BX008 and BX020, pure functions over one
+//! * [`stream`] — BX001 and BX020, pure functions over one
 //!   [`SourceFile`]'s token stream (no cross-file knowledge).
 //! * [`graph`] — BX010, BX012 and BX014, functions over the
 //!   whole-workspace [`Analysis`](crate::Analysis): call graph plus
@@ -20,7 +20,7 @@
 pub mod graph;
 /// BX015–BX017, BX019: lock-discipline rules over the lock-set analysis.
 pub mod locks;
-/// BX001, BX008, BX020: per-file token-stream rules.
+/// BX001, BX020: per-file token-stream rules.
 pub mod stream;
 
 use crate::lexer::TokenKind;
@@ -28,8 +28,8 @@ use crate::model::SourceFile;
 use crate::report::Diagnostic;
 
 /// All stable rule IDs, in catalog order.
-pub const RULE_IDS: [&str; 10] = [
-    "BX001", "BX008", "BX010", "BX012", "BX014", "BX015", "BX016", "BX017", "BX019", "BX020",
+pub const RULE_IDS: [&str; 9] = [
+    "BX001", "BX010", "BX012", "BX014", "BX015", "BX016", "BX017", "BX019", "BX020",
 ];
 
 /// Rationale and fix recipe for one rule, rendered by
@@ -46,7 +46,7 @@ pub struct RuleDoc {
 }
 
 /// The full rule documentation table.
-pub const RULE_DOCS: [RuleDoc; 10] = [
+pub const RULE_DOCS: [RuleDoc; 9] = [
     RuleDoc {
         id: "BX001",
         title: "pager I/O (`read/write/alloc/free`) only in designated I/O modules",
@@ -55,14 +55,6 @@ pub const RULE_DOCS: [RuleDoc; 10] = [
                     measurements never see.",
         fix: "Route the access through the owning scheme's API. If the module genuinely is \
               a storage module, add it to [rules.BX001] allow_paths with a comment.",
-    },
-    RuleDoc {
-        id: "BX008",
-        title: "pager/WAL I/O `Result`s are handled, never `let _ =` / bare-`;` / `.ok();`",
-        rationale: "A swallowed `PagerError` is a swallowed disk fault: the structure \
-                    silently diverges from media and the next audit reads fiction.",
-        fix: "Propagate with `?`, branch on the value, or park the failure in degraded \
-              mode via the documented gate-first pattern.",
     },
     RuleDoc {
         id: "BX010",
@@ -79,10 +71,9 @@ pub const RULE_DOCS: [RuleDoc; 10] = [
     RuleDoc {
         id: "BX012",
         title: "no swallowed `PagerError`/`WalError` Results, transitively",
-        rationale: "BX008 guards a fixed list of entry-point names; BX012 follows the call \
-                    graph — any function that produces or `?`-propagates an I/O-error \
-                    Result is protected, so wrapping an I/O call in a helper no longer \
-                    hides a swallowed disk fault.",
+        rationale: "BX012 follows the call graph: any function that produces or \
+                    `?`-propagates an I/O-error Result is protected, so wrapping an I/O \
+                    call in a helper cannot hide a swallowed disk fault.",
         fix: "Propagate with `?`, handle both arms meaningfully, or document why the error \
               is ignorable in a [[allow]] justification.",
     },
@@ -168,7 +159,7 @@ pub fn rule_doc(id: &str) -> Option<&'static RuleDoc> {
     RULE_DOCS.iter().find(|d| d.id.eq_ignore_ascii_case(id))
 }
 
-/// Run the token-stream rules (BX001, BX008, BX020) against one file.
+/// Run the token-stream rules (BX001, BX020) against one file.
 pub fn run_all(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     stream::run_all(file, out);
 }

@@ -1,4 +1,4 @@
-//! The token-stream rule family (BX001, BX008, BX020).
+//! The token-stream rule family (BX001, BX020).
 //!
 //! Every rule here is a pure function over one [`SourceFile`] — no types,
 //! no cross-file knowledge (the call-graph family lives in
@@ -9,10 +9,9 @@
 //! | ID    | Invariant                                                        |
 //! |-------|------------------------------------------------------------------|
 //! | BX001 | pager I/O (`read/write/alloc/free`) only in designated modules   |
-//! | BX008 | pager/WAL I/O `Result`s are handled, never `let _ =` / `.ok();`  |
 //! | BX020 | raw file writes only in blessed store modules; renames fsync first |
 
-use super::{chain_start, is_ident, preceded_by_path_sep, push};
+use super::{is_ident, preceded_by_path_sep, push};
 use crate::lexer::TokenKind;
 use crate::model::SourceFile;
 use crate::report::Diagnostic;
@@ -22,7 +21,6 @@ const PAGER_METHODS: [&str; 4] = ["read", "write", "alloc", "free"];
 /// Run every rule against one file.
 pub fn run_all(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     bx001_pager_discipline(file, out);
-    bx008_io_result_discipline(file, out);
     bx020_durable_file_discipline(file, out);
 }
 
@@ -68,88 +66,6 @@ fn bx001_pager_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 format!(
                     "direct pager `{name}()` call outside a designated I/O module — \
                      block transfers must stay accounted"
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// Fallible pager/WAL I/O entry points whose `Result` carries the fault
-/// outcome (BX008). The list is name-based, like every rule here: these
-/// names are unique to the storage stack's typed-error surface. BX012
-/// (the call-graph generalization) skips these names to avoid double
-/// findings on the same line.
-pub(crate) const IO_RESULT_FNS: [&str; 9] = [
-    "try_read",
-    "try_write",
-    "try_alloc",
-    "try_free",
-    "try_resume",
-    "open_file",
-    "write_torn",
-    "recover",
-    "catch",
-];
-
-/// BX008: the `Result` of a pager/WAL I/O call may not be silenced in
-/// library code. `let _ = pager.try_write(…)`, a bare `pager.try_resume();`
-/// statement, and a trailing `.ok();` all throw away the only signal that
-/// the disk is failing or the store degraded — exactly the errors the
-/// retry/repair machinery exists to surface. Branching on the value,
-/// propagating with `?`, or chaining (`.ok().and_then(…)`) are uses.
-fn bx008_io_result_discipline(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for si in 0..file.slen() {
-        if file.in_test[si] {
-            continue;
-        }
-        let name = file.stext(si);
-        if !IO_RESULT_FNS.contains(&name)
-            || file.stok(si).map(|t| t.kind) != Some(TokenKind::Ident)
-            || file.stext(si + 1) != "("
-        {
-            continue;
-        }
-        let Some(close) = file.close_of[si + 1] else {
-            continue;
-        };
-        // Follow one trailing `.ok()`: it converts the error to `None`
-        // without consuming it, so `….ok();` is still a discard.
-        let (end, how) = if file.stext(close + 1) == "."
-            && file.stext(close + 2) == "ok"
-            && file.stext(close + 3) == "("
-        {
-            match file.close_of[close + 3] {
-                Some(ok_close) => (ok_close, "`.ok()`-silenced"),
-                None => continue,
-            }
-        } else {
-            (close, "discarded")
-        };
-        if file.stext(end + 1) != ";" {
-            continue; // the value flows onward: `?`, match, chain, binding
-        }
-        let Some(start) = chain_start(file, si) else {
-            continue;
-        };
-        let discarded = if start == 0 {
-            true
-        } else {
-            let prev = start - 1;
-            matches!(file.stext(prev), ";" | "{" | "}")
-                || (file.stext(prev) == "="
-                    && start >= 3
-                    && file.stext(start - 2) == "_"
-                    && file.stext(start - 3) == "let")
-        };
-        if discarded {
-            push(
-                file,
-                si,
-                "BX008",
-                format!(
-                    "result of I/O call `{name}()` is {how} — handle the error or \
-                     propagate it; a swallowed disk fault degrades silently"
                 ),
                 out,
             );
@@ -259,42 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn bx008_fires_on_silenced_io_results_only() {
-        // Wildcard bind, bare statement, and `.ok();` are all discards.
-        let diags = lint(
-            "fn f(p: &SharedPager) {\n\
-               let _ = p.try_write(id, &buf);\n\
-               p.try_resume();\n\
-               p.try_read(id).ok();\n\
-             }",
-        );
-        assert_eq!(rules_of(&diags), vec!["BX008", "BX008", "BX008"]);
-        assert!(diags[2].message.contains("`.ok()`-silenced"));
-    }
-
-    #[test]
-    fn bx008_skips_consumed_io_results() {
-        let diags = lint(
-            "fn f(p: &SharedPager) -> Result<(), PagerError> {\n\
-               p.try_write(id, &buf)?;\n\
-               if p.try_resume().is_ok() { heal(); }\n\
-               let kept = p.try_read(id).ok();\n\
-               let folded = image_fold(log, bs).ok().and_then(|m| m.remove(&k));\n\
-               match Pager::open_file(path, 64) { Ok(_) => {}, Err(_) => {} }\n\
-               keep(kept, folded);\n\
-               Ok(())\n\
-             }",
-        );
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn bx008_fires_on_path_call_discards() {
-        let diags = lint("fn f() { let _ = Pager::open_file(\"db\", 64); }");
-        assert_eq!(rules_of(&diags), vec!["BX008"]);
-    }
-
-    #[test]
     fn bx020_fires_on_raw_writes_and_unsynced_renames() {
         let diags = lint(
             "fn publish(f: &mut File) -> std::io::Result<()> {\n\
@@ -340,7 +220,7 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n  fn f(p: &Pager) { p.pager.read(id); let _ = p.try_write(id, &b); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n  fn f(p: &Pager) { p.pager.read(id); let _ = p.pager.write(id, &b); }\n}";
         assert!(lint(src).is_empty());
     }
 }

@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -45,10 +46,11 @@
 //!
 //! let pager = Pager::new(PagerConfig::with_block_size(512));
 //! let mut naive = NaiveLabeling::new(pager, NaiveConfig { extra_bits: 4 });
-//! let lids = naive.bulk_load(4);
-//! let mid = naive.insert_before(lids[2]);
-//! assert!(naive.lookup(lids[1]) < naive.lookup(mid));
-//! assert!(naive.lookup(mid) < naive.lookup(lids[2]));
+//! let lids = naive.bulk_load(4)?;
+//! let mid = naive.insert_before(lids[2])?;
+//! assert!(naive.lookup(lids[1])? < naive.lookup(mid)?);
+//! assert!(naive.lookup(mid)? < naive.lookup(lids[2])?);
+//! # Ok::<(), boxes_pager::PagerError>(())
 //! ```
 
 mod biglabel;
@@ -57,7 +59,7 @@ pub use biglabel::BigLabel;
 
 use boxes_lidf::Lid;
 use boxes_pager::codec::{u32_to_usize, u64_to_index, usize_to_u64};
-use boxes_pager::{BlockId, SharedPager};
+use boxes_pager::{BlockId, IoResult, SharedPager};
 use boxes_trace::OpSpan;
 use std::collections::BTreeMap;
 
@@ -144,7 +146,7 @@ impl NaiveLabeling {
     /// depends on k). The sorted label mirror is not serialized — it is
     /// rebuilt here by one sequential scan of the live records, the same
     /// free in-memory sort the paper already grants naive-k.
-    pub fn reopen(pager: SharedPager, config: NaiveConfig, state: &[u8]) -> Self {
+    pub fn reopen(pager: SharedPager, config: NaiveConfig, state: &[u8]) -> IoResult<Self> {
         let mut this = Self::new(pager, config);
         let mut r = boxes_pager::Reader::new(state);
         this.slots = r.u64();
@@ -158,11 +160,11 @@ impl NaiveLabeling {
         for slot in 0..this.slots {
             if !dead.contains(&slot) {
                 let lid = Lid(slot);
-                let (label, _) = this.read_record(lid);
+                let (label, _) = this.read_record(lid)?;
                 this.mirror.insert(label, lid);
             }
         }
-        this
+        Ok(this)
     }
 
     /// Serialize the in-memory header (slot allocator, free list, counters)
@@ -209,13 +211,13 @@ impl NaiveLabeling {
         }
     }
 
-    fn journaled<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        let txn = self.pager.txn();
-        let out = f(self);
+    fn journaled<T>(&mut self, f: impl FnOnce(&mut Self) -> IoResult<T>) -> IoResult<T> {
+        let txn = self.pager.txn()?;
+        let out = f(self)?;
         let state = self.save_state();
         self.pager.txn_meta("naive", || state);
         txn.commit();
-        out
+        Ok(out)
     }
 
     fn locate(&self, lid: Lid) -> (BlockId, usize) {
@@ -226,10 +228,10 @@ impl NaiveLabeling {
         (block, offset)
     }
 
-    fn read_record(&self, lid: Lid) -> (BigLabel, BigLabel) {
+    fn read_record(&self, lid: Lid) -> IoResult<(BigLabel, BigLabel)> {
         let (block, offset) = self.locate(lid);
-        let buf = self.pager.read(block);
-        self.decode_at(&buf, offset)
+        let buf = self.pager.read(block)?;
+        Ok(self.decode_at(&buf, offset))
     }
 
     fn decode_at(&self, buf: &[u8], offset: usize) -> (BigLabel, BigLabel) {
@@ -246,23 +248,23 @@ impl NaiveLabeling {
         gap.write_bytes(&mut buf[offset + lb..offset + 2 * lb]);
     }
 
-    fn write_record(&mut self, lid: Lid, label: BigLabel, gap: BigLabel) {
+    fn write_record(&mut self, lid: Lid, label: BigLabel, gap: BigLabel) -> IoResult<()> {
         let (block, offset) = self.locate(lid);
-        let mut buf = self.pager.read(block);
+        let mut buf = self.pager.read(block)?;
         self.encode_at(&mut buf, offset, label, gap);
-        self.pager.write(block, &buf);
+        self.pager.write(block, &buf)
     }
 
-    fn alloc_slot(&mut self) -> Lid {
+    fn alloc_slot(&mut self) -> IoResult<Lid> {
         if let Some(slot) = self.free.pop() {
-            return Lid(slot);
+            return Ok(Lid(slot));
         }
         let lid = Lid(self.slots);
         if (self.slots).is_multiple_of(usize_to_u64(self.recs_per_block)) {
-            self.blocks.push(self.pager.alloc());
+            self.blocks.push(self.pager.alloc()?);
         }
         self.slots += 1;
-        lid
+        Ok(lid)
     }
 
     fn note_max(&mut self, label: BigLabel) {
@@ -273,7 +275,7 @@ impl NaiveLabeling {
 
     /// Bulk load `count` tags in document order, equally spaced 2^k apart.
     /// O(N/B) I/Os. Returns the LIDs in document order.
-    pub fn bulk_load(&mut self, count: usize) -> Vec<Lid> {
+    pub fn bulk_load(&mut self, count: usize) -> IoResult<Vec<Lid>> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "bulk_load");
         self.journaled(|t| t.bulk_load_impl(count))
     }
@@ -282,7 +284,7 @@ impl NaiveLabeling {
         clippy::expect_used,
         reason = "blocks is non-empty after setup: relabel_all always allocates at least one block"
     )]
-    fn bulk_load_impl(&mut self, count: usize) -> Vec<Lid> {
+    fn bulk_load_impl(&mut self, count: usize) -> IoResult<Vec<Lid>> {
         assert!(self.is_empty(), "bulk_load on a non-empty scheme");
         let gap = self.config.gap();
         let mut lids = Vec::with_capacity(count);
@@ -292,11 +294,11 @@ impl NaiveLabeling {
             let block = {
                 let lid = Lid(self.slots);
                 if lid.0.is_multiple_of(usize_to_u64(self.recs_per_block)) {
-                    self.blocks.push(self.pager.alloc());
+                    self.blocks.push(self.pager.alloc()?);
                 }
                 *self.blocks.last().expect("block exists")
             };
-            let mut buf = self.pager.read(block);
+            let mut buf = self.pager.read(block)?;
             let mut slot = u64_to_index(self.slots % usize_to_u64(self.recs_per_block));
             while slot < self.recs_per_block && i < count {
                 label = label.add(gap);
@@ -308,107 +310,109 @@ impl NaiveLabeling {
                 slot += 1;
                 i += 1;
             }
-            self.pager.write(block, &buf);
+            self.pager.write(block, &buf)?;
         }
         self.note_max(label);
-        lids
+        Ok(lids)
     }
 
     /// Current label of `lid`. One I/O.
-    pub fn lookup(&self, lid: Lid) -> BigLabel {
+    pub fn lookup(&self, lid: Lid) -> IoResult<BigLabel> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "lookup");
-        self.read_record(lid).0
+        Ok(self.read_record(lid)?.0)
     }
 
     /// Insert a new label immediately before the label of `lid_old`.
     /// Returns the new LID. Splits the predecessor gap; triggers a global
     /// relabel when the gap is exhausted.
-    pub fn insert_before(&mut self, lid_old: Lid) -> Lid {
+    pub fn insert_before(&mut self, lid_old: Lid) -> IoResult<Lid> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert");
         self.journaled(|t| t.insert_before_impl(lid_old))
     }
 
-    fn insert_before_impl(&mut self, lid_old: Lid) -> Lid {
-        let (old_label, old_gap) = self.read_record(lid_old);
+    fn insert_before_impl(&mut self, lid_old: Lid) -> IoResult<Lid> {
+        let (old_label, old_gap) = self.read_record(lid_old)?;
         if old_gap.is_one() || old_gap.is_zero() {
-            self.relabel();
+            self.relabel()?;
             return self.insert_before_impl(lid_old);
         }
         let left = old_gap.half();
         let new_label = old_label.sub(left);
         let new_gap = old_gap.sub(left);
-        let new_lid = self.alloc_slot();
-        self.write_record(new_lid, new_label, new_gap);
-        self.write_record(lid_old, old_label, left);
+        let new_lid = self.alloc_slot()?;
+        self.write_record(new_lid, new_label, new_gap)?;
+        self.write_record(lid_old, old_label, left)?;
         self.mirror.insert(new_label, new_lid);
-        new_lid
+        Ok(new_lid)
     }
 
     /// Insert a new element (two labels) before the tag labeled `lid`:
     /// end label first, then start label before it (§3).
-    pub fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
+    pub fn insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert_element");
         self.journaled(|t| {
-            let end = t.insert_before_impl(lid);
-            let start = t.insert_before_impl(end);
-            (start, end)
+            let end = t.insert_before_impl(lid)?;
+            let start = t.insert_before_impl(end)?;
+            Ok((start, end))
         })
     }
 
     /// Remove the label identified by `lid`, reclaiming its record. The
     /// successor absorbs the freed gap.
-    pub fn delete(&mut self, lid: Lid) {
+    pub fn delete(&mut self, lid: Lid) -> IoResult<()> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "delete");
-        self.journaled(|t| t.delete_impl(lid));
+        self.journaled(|t| t.delete_impl(lid))
     }
 
-    fn delete_impl(&mut self, lid: Lid) {
-        let (label, gap) = self.read_record(lid);
+    fn delete_impl(&mut self, lid: Lid) -> IoResult<()> {
+        let (label, gap) = self.read_record(lid)?;
         self.mirror.remove(&label);
         if let Some((&succ_label, &succ_lid)) = self.mirror.range(label..).next() {
-            let (sl, sg) = self.read_record(succ_lid);
+            let (sl, sg) = self.read_record(succ_lid)?;
             debug_assert_eq!(sl, succ_label);
-            self.write_record(succ_lid, sl, sg.add(gap));
+            self.write_record(succ_lid, sl, sg.add(gap))?;
         }
         self.free.push(lid.0);
+        Ok(())
     }
 
     /// Insert a subtree of `n_tags` labels before the tag labeled `lid`.
     /// The paper defines no bulk path for naive; this loops
     /// `insert_before` (used only for completeness in E7).
-    pub fn insert_subtree_before(&mut self, lid: Lid, n_tags: usize) -> Vec<Lid> {
+    pub fn insert_subtree_before(&mut self, lid: Lid, n_tags: usize) -> IoResult<Vec<Lid>> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "subtree_insert");
         self.journaled(|t| {
             let mut out = Vec::with_capacity(n_tags);
             let mut anchor = lid;
             for _ in 0..n_tags {
-                anchor = t.insert_before_impl(anchor);
+                anchor = t.insert_before_impl(anchor)?;
                 out.push(anchor);
             }
             out.reverse();
-            out
+            Ok(out)
         })
     }
 
     /// Delete every label in the inclusive label range of `start`..`end`.
     /// One random I/O per record freed (the paper's O(N′) remark).
-    pub fn delete_subtree(&mut self, start: Lid, end: Lid) {
+    pub fn delete_subtree(&mut self, start: Lid, end: Lid) -> IoResult<()> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "subtree_delete");
         self.journaled(|t| {
-            let lo = t.lookup(start);
-            let hi = t.lookup(end);
+            let lo = t.lookup(start)?;
+            let hi = t.lookup(end)?;
             assert!(lo < hi, "subtree endpoints out of order");
             let doomed: Vec<Lid> = t.mirror.range(lo..=hi).map(|(_, &l)| l).collect();
             for lid in doomed {
-                t.delete_impl(lid);
+                t.delete_impl(lid)?;
             }
-        });
+            Ok(())
+        })
     }
 
     /// Global relabel: every live record gets a fresh, equally spaced label
     /// with gap 2^k. One sequential read + write of the file (O(N/B));
     /// the sort is free via the in-memory mirror.
-    fn relabel(&mut self) {
+    fn relabel(&mut self) -> IoResult<()> {
         let _phase = OpSpan::phase(self.pager.trace(), "relabel");
         self.relabel_count += 1;
         let gap = self.config.gap();
@@ -426,7 +430,7 @@ impl NaiveLabeling {
         while i < by_slot.len() {
             let bi = u64_to_index(by_slot[i].0 / rpb);
             let block = self.blocks[bi];
-            let mut buf = self.pager.read(block);
+            let mut buf = self.pager.read(block)?;
             while i < by_slot.len() && u64_to_index(by_slot[i].0 / rpb) == bi {
                 let (slot, rank) = by_slot[i];
                 let label = gap.mul_u64(rank + 1);
@@ -438,7 +442,7 @@ impl NaiveLabeling {
                 );
                 i += 1;
             }
-            self.pager.write(block, &buf);
+            self.pager.write(block, &buf)?;
         }
         let n = usize_to_u64(self.mirror.len());
         // Keys are reassigned in place; order is unchanged, so the rebuild
@@ -450,6 +454,7 @@ impl NaiveLabeling {
             .map(|(i, &lid)| (gap.mul_u64(usize_to_u64(i) + 1), lid))
             .collect();
         self.note_max(gap.mul_u64(n));
+        Ok(())
     }
 
     /// How many global relabels have occurred.
@@ -509,8 +514,8 @@ mod tests {
     #[test]
     fn bulk_load_spaces_labels_equally() {
         let mut s = scheme(3);
-        let lids = s.bulk_load(5);
-        let labels: Vec<BigLabel> = lids.iter().map(|&l| s.lookup(l)).collect();
+        let lids = s.bulk_load(5).unwrap();
+        let labels: Vec<BigLabel> = lids.iter().map(|&l| s.lookup(l).unwrap()).collect();
         assert_eq!(labels, vec![lbl(8), lbl(16), lbl(24), lbl(32), lbl(40)]);
         assert_eq!(s.label_bits(), 6);
     }
@@ -518,23 +523,23 @@ mod tests {
     #[test]
     fn insert_splits_the_gap() {
         let mut s = scheme(4); // gap 16
-        let lids = s.bulk_load(3); // 16, 32, 48
-        let mid = s.insert_before(lids[1]);
-        assert_eq!(s.lookup(mid), lbl(24));
-        assert_eq!(s.lookup(lids[1]), lbl(32));
-        let mid2 = s.insert_before(lids[1]);
-        assert_eq!(s.lookup(mid2), lbl(28));
+        let lids = s.bulk_load(3).unwrap(); // 16, 32, 48
+        let mid = s.insert_before(lids[1]).unwrap();
+        assert_eq!(s.lookup(mid).unwrap(), lbl(24));
+        assert_eq!(s.lookup(lids[1]).unwrap(), lbl(32));
+        let mid2 = s.insert_before(lids[1]).unwrap();
+        assert_eq!(s.lookup(mid2).unwrap(), lbl(28));
     }
 
     #[test]
     fn adversary_forces_relabel_after_k_plus_one_inserts() {
         let mut s = scheme(3); // gap 8 → 3+1 inserts break it
-        let lids = s.bulk_load(2);
+        let lids = s.bulk_load(2).unwrap();
         for _ in 0..3 {
-            s.insert_before(lids[1]);
+            s.insert_before(lids[1]).unwrap();
         }
         assert_eq!(s.relabel_count(), 0);
-        s.insert_before(lids[1]);
+        s.insert_before(lids[1]).unwrap();
         assert_eq!(s.relabel_count(), 1, "k+1st insert into the gap relabels");
     }
 
@@ -542,37 +547,37 @@ mod tests {
     fn huge_k_values_work() {
         // k = 256: labels beyond any machine word, as in the paper.
         let mut s = scheme(256);
-        let lids = s.bulk_load(10);
+        let lids = s.bulk_load(10).unwrap();
         assert!(s.label_bits() > 256);
-        let mid = s.insert_before(lids[5]);
-        assert!(s.lookup(lids[4]) < s.lookup(mid));
-        assert!(s.lookup(mid) < s.lookup(lids[5]));
+        let mid = s.insert_before(lids[5]).unwrap();
+        assert!(s.lookup(lids[4]).unwrap() < s.lookup(mid).unwrap());
+        assert!(s.lookup(mid).unwrap() < s.lookup(lids[5]).unwrap());
         // Larger records: fewer per block.
         assert!(s.recs_per_block() < scheme(1).recs_per_block());
         // The first insert already halved the 2^256 gap once, so 255 more
         // inserts reach gap 1; the 257th insert overall triggers a relabel.
         for _ in 0..255 {
-            s.insert_before(lids[5]);
+            s.insert_before(lids[5]).unwrap();
         }
         assert_eq!(s.relabel_count(), 0);
-        s.insert_before(lids[5]);
+        s.insert_before(lids[5]).unwrap();
         assert_eq!(s.relabel_count(), 1);
     }
 
     #[test]
     fn relabel_preserves_order() {
         let mut s = scheme(1);
-        let lids = s.bulk_load(4);
+        let lids = s.bulk_load(4).unwrap();
         let mut inserted = vec![];
         for _ in 0..20 {
-            inserted.push(s.insert_before(lids[2]));
+            inserted.push(s.insert_before(lids[2]).unwrap());
         }
         assert!(s.relabel_count() > 0);
         let mut expect = vec![lids[0], lids[1]];
         expect.extend(&inserted);
         expect.push(lids[2]);
         expect.push(lids[3]);
-        let labels: Vec<BigLabel> = expect.iter().map(|&l| s.lookup(l)).collect();
+        let labels: Vec<BigLabel> = expect.iter().map(|&l| s.lookup(l).unwrap()).collect();
         for w in labels.windows(2) {
             assert!(w[0] < w[1], "order violated");
         }
@@ -581,11 +586,11 @@ mod tests {
     #[test]
     fn relabel_cost_is_two_sequential_passes() {
         let mut s = scheme(1);
-        let lids = s.bulk_load(1000);
+        let lids = s.bulk_load(1000).unwrap();
         let pager = s.pager().clone();
-        s.insert_before(lids[500]);
+        s.insert_before(lids[500]).unwrap();
         let before = pager.stats();
-        s.insert_before(lids[500]);
+        s.insert_before(lids[500]).unwrap();
         let cost = pager.stats().since(&before);
         assert_eq!(s.relabel_count(), 1);
         let blocks = s.blocks_used() as u64;
@@ -602,23 +607,23 @@ mod tests {
     #[test]
     fn element_insert_allocates_ordered_pair() {
         let mut s = scheme(6);
-        let lids = s.bulk_load(2);
-        let (start, end) = s.insert_element_before(lids[1]);
-        let ls = s.lookup(start);
-        let le = s.lookup(end);
-        assert!(s.lookup(lids[0]) < ls);
+        let lids = s.bulk_load(2).unwrap();
+        let (start, end) = s.insert_element_before(lids[1]).unwrap();
+        let ls = s.lookup(start).unwrap();
+        let le = s.lookup(end).unwrap();
+        assert!(s.lookup(lids[0]).unwrap() < ls);
         assert!(ls < le);
-        assert!(le < s.lookup(lids[1]));
+        assert!(le < s.lookup(lids[1]).unwrap());
     }
 
     #[test]
     fn delete_gives_gap_to_successor() {
         let mut s = scheme(4);
-        let lids = s.bulk_load(3);
-        s.delete(lids[1]);
+        let lids = s.bulk_load(3).unwrap();
+        s.delete(lids[1]).unwrap();
         assert_eq!(s.len(), 2);
         for _ in 0..4 {
-            s.insert_before(lids[2]);
+            s.insert_before(lids[2]).unwrap();
         }
         assert_eq!(s.relabel_count(), 0);
     }
@@ -626,32 +631,32 @@ mod tests {
     #[test]
     fn delete_last_label_needs_no_successor() {
         let mut s = scheme(4);
-        let lids = s.bulk_load(2);
-        s.delete(lids[1]);
+        let lids = s.bulk_load(2).unwrap();
+        s.delete(lids[1]).unwrap();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.lookup(lids[0]), lbl(16));
+        assert_eq!(s.lookup(lids[0]).unwrap(), lbl(16));
     }
 
     #[test]
     fn freed_slots_are_reused() {
         let mut s = scheme(4);
-        let lids = s.bulk_load(3);
-        s.delete(lids[1]);
-        let n = s.insert_before(lids[2]);
+        let lids = s.bulk_load(3).unwrap();
+        s.delete(lids[1]).unwrap();
+        let n = s.insert_before(lids[2]).unwrap();
         assert_eq!(n, lids[1], "slot recycled");
     }
 
     #[test]
     fn subtree_insert_keeps_order() {
         let mut s = scheme(8);
-        let lids = s.bulk_load(4);
-        let sub = s.insert_subtree_before(lids[2], 6);
+        let lids = s.bulk_load(4).unwrap();
+        let sub = s.insert_subtree_before(lids[2], 6).unwrap();
         assert_eq!(sub.len(), 6);
         let mut order = vec![lids[0], lids[1]];
         order.extend(&sub);
         order.push(lids[2]);
         order.push(lids[3]);
-        let labels: Vec<BigLabel> = order.iter().map(|&l| s.lookup(l)).collect();
+        let labels: Vec<BigLabel> = order.iter().map(|&l| s.lookup(l).unwrap()).collect();
         for w in labels.windows(2) {
             assert!(w[0] < w[1]);
         }
@@ -660,17 +665,17 @@ mod tests {
     #[test]
     fn subtree_delete_frees_exactly_the_range() {
         let mut s = scheme(8);
-        let lids = s.bulk_load(6);
-        s.delete_subtree(lids[1], lids[4]);
+        let lids = s.bulk_load(6).unwrap();
+        s.delete_subtree(lids[1], lids[4]).unwrap();
         assert_eq!(s.len(), 2);
-        assert!(s.lookup(lids[0]) < s.lookup(lids[5]));
+        assert!(s.lookup(lids[0]).unwrap() < s.lookup(lids[5]).unwrap());
     }
 
     #[test]
     fn label_bits_grow_with_k() {
         for k in [1u32, 4, 16, 64] {
             let mut s = scheme(k);
-            s.bulk_load(1000); // max label = 1000·2^k < 2^(10+k)
+            s.bulk_load(1000).unwrap(); // max label = 1000·2^k < 2^(10+k)
             assert_eq!(s.label_bits(), 10 + k, "⌈log N⌉ + k bits");
         }
     }
@@ -678,10 +683,10 @@ mod tests {
     #[test]
     fn lookup_costs_one_io() {
         let mut s = scheme(4);
-        let lids = s.bulk_load(100);
+        let lids = s.bulk_load(100).unwrap();
         let pager = s.pager().clone();
         let before = pager.stats();
-        s.lookup(lids[42]);
+        s.lookup(lids[42]).unwrap();
         assert_eq!(pager.stats().since(&before).total(), 1);
     }
 }

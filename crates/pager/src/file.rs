@@ -418,16 +418,19 @@ mod tests {
         let path = temp_path("roundtrip");
         {
             let pager = Pager::new(PagerConfig::with_block_size(128).backed_by_file(&path));
-            let a = pager.alloc();
-            let b = pager.alloc();
-            pager.write(a, &[7u8; 128]);
-            pager.write(b, &[9u8; 128]);
-            assert_eq!(pager.read(a)[0], 7);
-            assert_eq!(pager.read(b)[127], 9);
-            pager.free(a);
-            let c = pager.alloc();
+            let a = pager.alloc().unwrap();
+            let b = pager.alloc().unwrap();
+            pager.write(a, &[7u8; 128]).unwrap();
+            pager.write(b, &[9u8; 128]).unwrap();
+            assert_eq!(pager.read(a).unwrap()[0], 7);
+            assert_eq!(pager.read(b).unwrap()[127], 9);
+            pager.free(a).unwrap();
+            let c = pager.alloc().unwrap();
             assert_eq!(c, a);
-            assert!(pager.read(c).iter().all(|&x| x == 0), "recycled = zeroed");
+            assert!(
+                pager.read(c).unwrap().iter().all(|&x| x == 0),
+                "recycled = zeroed"
+            );
             assert_eq!(pager.allocated_blocks(), 2);
             assert_eq!(pager.stats().reads, 3);
         }
@@ -441,12 +444,12 @@ mod tests {
         let path = temp_path("many");
         {
             let pager = Pager::new(PagerConfig::with_block_size(64).backed_by_file(&path));
-            let ids: Vec<_> = (0..100).map(|_| pager.alloc()).collect();
+            let ids: Vec<_> = (0..100).map(|_| pager.alloc().unwrap()).collect();
             for (i, &id) in ids.iter().enumerate() {
-                pager.write(id, &[i as u8; 64]);
+                pager.write(id, &[i as u8; 64]).unwrap();
             }
             for (i, &id) in ids.iter().enumerate().rev() {
-                assert_eq!(pager.read(id)[13], i as u8);
+                assert_eq!(pager.read(id).unwrap()[13], i as u8);
             }
         }
         std::fs::remove_file(&path).ok();
@@ -457,12 +460,12 @@ mod tests {
     fn file_backend_rejects_stale_reads() {
         let path = temp_path("stale");
         let pager = Pager::new(PagerConfig::with_block_size(64).backed_by_file(&path));
-        let a = pager.alloc();
-        pager.free(a);
+        let a = pager.alloc().unwrap();
+        pager.free(a).unwrap();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             std::fs::remove_file(&path).ok();
         }));
-        pager.read(a);
+        pager.read(a).unwrap();
     }
 
     #[test]

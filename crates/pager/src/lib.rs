@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -38,13 +39,14 @@
 //! use boxes_pager::{Pager, PagerConfig};
 //!
 //! let pager = Pager::new(PagerConfig::with_block_size(512));
-//! let id = pager.alloc();
-//! let mut block = pager.read(id);
+//! let id = pager.alloc()?;
+//! let mut block = pager.read(id)?;
 //! block[0] = 42;
-//! pager.write(id, &block);
-//! assert_eq!(pager.read(id)[0], 42);
+//! pager.write(id, &block)?;
+//! assert_eq!(pager.read(id)?[0], 42);
 //! assert_eq!(pager.stats().reads, 2);
 //! assert_eq!(pager.stats().writes, 1);
+//! # Ok::<(), boxes_pager::PagerError>(())
 //! ```
 
 /// Block codecs and the workspace's checked width-conversion helpers.
@@ -296,8 +298,10 @@ pub trait FaultInjector: Send + Sync {
 }
 
 /// Panic payload used to simulate process death at an injected crash point.
-/// Harnesses catch it with `std::panic::catch_unwind` and then recover from
-/// the surviving "disk" ([`Pager::disk_image`]) plus the durable log.
+/// It is the pager's only panic payload: the crash simulator catches it
+/// with `std::panic::catch_unwind` and then recovers from the surviving
+/// "disk" ([`Pager::disk_image`]) plus the durable log. Disk faults are
+/// values ([`PagerError`]), never panics.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashSignal;
 
@@ -368,10 +372,12 @@ impl Health {
     }
 }
 
-/// Typed failure of a fallible pager I/O operation. Also used as the panic
-/// payload when an infallible-signature entry point (e.g. [`Pager::read`])
-/// hits a disk fault, so harnesses can classify the failure with
-/// `std::panic::catch_unwind` exactly like [`CrashSignal`].
+/// Typed failure of a pager I/O operation: every block transfer
+/// ([`Pager::read`], [`Pager::write`], [`Pager::alloc`], [`Pager::free`],
+/// [`Pager::flush`]) and every [`Pager::txn`] returns it as the `Err` of a
+/// `Result`, and each layer above passes it on with `?`. It is never a
+/// panic payload; contract violations (a double free, a read of an
+/// unallocated block) stay `assert!`s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PagerError {
     /// An I/O error persisted past the retry budget.
@@ -422,23 +428,10 @@ impl std::fmt::Display for PagerError {
 
 impl std::error::Error for PagerError {}
 
-impl PagerError {
-    /// Run `op`, converting a [`PagerError`] panic payload — raised by the
-    /// infallible-signature entry points on disk faults or degraded-mode
-    /// rejections — into a typed error. Any other panic, including
-    /// [`CrashSignal`], resumes unwinding untouched. This is how layers
-    /// without their own fallible plumbing (schemes, the LIDF) expose
-    /// `try_*` variants.
-    pub fn catch<T>(op: impl FnOnce() -> T) -> Result<T, PagerError> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)) {
-            Ok(value) => Ok(value),
-            Err(payload) => match payload.downcast::<PagerError>() {
-                Ok(err) => Err(*err),
-                Err(payload) => std::panic::resume_unwind(payload),
-            },
-        }
-    }
-}
+/// The result of a pager I/O operation: the value, or the disk fault or
+/// degraded-mode rejection that stopped it. Every layer above the pager
+/// returns it and passes the error on with `?`.
+pub type IoResult<T> = Result<T, PagerError>;
 
 /// Bounded-retry policy for transient disk faults. Backoff is measured in
 /// deterministic ticks (doubling per retry from `backoff_base`), never wall
@@ -471,26 +464,31 @@ impl RetryPolicy {
 }
 
 /// RAII guard for one operation-scoped transaction. All pager writes, allocs
-/// and frees between [`Pager::txn`] and the guard's drop form one atomic
-/// journal record. Scopes nest; only the outermost commits. If the guard
-/// drops during a panic (an injected crash), the transaction is aborted and
-/// nothing is journaled — that *is* the crash semantics.
-#[must_use = "dropping the scope immediately commits an empty transaction"]
+/// and frees between [`Pager::txn`] and [`TxnScope::commit`] form one atomic
+/// journal record. Scopes nest; only the outermost commits. A scope dropped
+/// without `commit` — an error returned with `?`, or an injected crash
+/// unwinding — aborts: the outermost abort discards everything buffered, and
+/// nothing is journaled.
+#[must_use = "dropping the scope without `commit` aborts the transaction"]
 pub struct TxnScope {
     pager: SharedPager,
+    commit: bool,
 }
 
 impl TxnScope {
-    /// Commit the scope now (equivalent to dropping it).
-    pub fn commit(self) {}
+    /// Commit the scope: the outermost commit hands the buffered record to
+    /// the journal and applies it.
+    pub fn commit(mut self) {
+        self.commit = true;
+    }
 }
 
 impl Drop for TxnScope {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.pager.abort_txn();
-        } else {
+        if self.commit {
             self.pager.end_txn();
+        } else {
+            self.pager.abort_txn();
         }
     }
 }
@@ -701,9 +699,9 @@ impl Backend {
     /// Read a block, classifying failures instead of panicking: the pager's
     /// checked read path turns a checksum mismatch into read-repair and a
     /// missing block into the documented contract panic.
-    fn try_read(&mut self, id: BlockId, block_size: usize) -> Result<Box<[u8]>, ReadFailure> {
+    fn read(&mut self, id: BlockId, block_size: usize) -> Result<Box<[u8]>, ReadFailure> {
         match self {
-            Backend::Memory(t) => t.try_read(id.0),
+            Backend::Memory(t) => t.read(id.0),
             Backend::File(f) => match f.read(id.index(), block_size) {
                 Ok(data) => Ok(data),
                 Err(file::FileError::Unallocated(_)) => Err(ReadFailure::Unallocated),
@@ -729,7 +727,7 @@ impl Backend {
                         // checksum left stale — exactly bit rot. If the slot
                         // vanished mid-corruption there is no media left to
                         // damage and the fault evaporates, so either outcome
-                        // is acceptable (BX008 suppressed in lint.toml).
+                        // is acceptable.
                         #[expect(
                             clippy::let_underscore_must_use,
                             reason = "corruption-injection primitive — a vanished slot means nothing left to damage; success and failure are both acceptable outcomes"
@@ -817,10 +815,10 @@ pub struct Pager {
 pub type SharedPager = Arc<Pager>;
 
 /// Acquire `m`, recovering from poisoning. Crash injection intentionally
-/// panics (`CrashSignal`, typed [`PagerError`] payloads) while locks are
-/// held; harnesses catch the unwind and then inspect the surviving state
-/// (`disk_image`, recovery), so a poisoned lock must keep serving — the
-/// guarded state is crash-consistent by construction. This is the
+/// panics ([`CrashSignal`]) while locks are held; the crash simulator
+/// catches the unwind and then inspects the surviving state (`disk_image`,
+/// recovery), so a poisoned lock must keep serving — the guarded state is
+/// crash-consistent by construction. This is the
 /// workspace's canonical lock-acquisition helper; the lock-discipline lint
 /// (BX015–BX017) recognizes it as an acquisition site.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -943,12 +941,22 @@ impl Pager {
     /// Open an operation-scoped transaction. Nested calls return nested
     /// scopes; only the outermost commits. Without an attached journal this
     /// is pure bookkeeping and changes nothing about pager behavior.
-    pub fn txn(self: &Arc<Self>) -> TxnScope {
+    ///
+    /// This is the degraded-mode gate: every mutation opens a scope before
+    /// it changes any state, so a degraded (read-only) pager rejects it here
+    /// with [`PagerError::Degraded`] and the structure above stays
+    /// consistent.
+    pub fn txn(self: &Arc<Self>) -> IoResult<TxnScope> {
         assert!(self.view.is_none(), "snapshot views are read-only");
-        self.lock().txn.depth += 1;
-        TxnScope {
-            pager: Arc::clone(self),
+        let mut inner = self.lock();
+        if let Some(reason) = inner.degraded {
+            return Err(PagerError::Degraded(reason));
         }
+        inner.txn.depth += 1;
+        Ok(TxnScope {
+            pager: Arc::clone(self),
+            commit: false,
+        })
     }
 
     /// Stage a named structure-state blob into the open transaction. The
@@ -1288,7 +1296,7 @@ impl Pager {
         id: BlockId,
         block_size: usize,
         consult_faults: bool,
-    ) -> Result<Box<[u8]>, PagerError> {
+    ) -> IoResult<Box<[u8]>> {
         let fault = if consult_faults {
             inner.fault.clone()
         } else {
@@ -1316,7 +1324,7 @@ impl Pager {
                 ReadFault::TransientError | ReadFault::PersistentError => true,
             };
             if !attempt_failed {
-                match inner.backend.try_read(id, block_size) {
+                match inner.backend.read(id, block_size) {
                     Ok(data) => return Ok(data),
                     Err(ReadFailure::Unallocated) => panic!("read of unallocated {id:?}"),
                     Err(ReadFailure::Checksum) => {
@@ -1349,7 +1357,7 @@ impl Pager {
         trace: &Trace,
         id: BlockId,
         block_size: usize,
-    ) -> Result<Box<[u8]>, PagerError> {
+    ) -> IoResult<Box<[u8]>> {
         let image = inner.journal.as_ref().and_then(|j| j.repair_image(id));
         match image {
             Some(data) if data.len() == block_size => {
@@ -1433,19 +1441,17 @@ impl Pager {
     /// Allocate a zeroed block. Recycles freed ids first so the file stays
     /// compact (the paper assumes a compact LIDF).
     ///
+    /// While degraded (read-only) the allocation is rejected with
+    /// [`PagerError::Degraded`].
+    ///
     /// # Panics
     /// With a journal attached, panics when called outside a [`TxnScope`]:
-    /// every mutation must belong to a recoverable operation. While degraded
-    /// (read-only), panics with a typed [`PagerError::Degraded`] payload.
-    #[expect(
-        clippy::panic,
-        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
-    )]
-    pub fn alloc(&self) -> BlockId {
+    /// every mutation must belong to a recoverable operation.
+    pub fn alloc(&self) -> IoResult<BlockId> {
         assert!(self.view.is_none(), "snapshot views are read-only");
         let mut inner = self.lock();
         if let Some(reason) = inner.degraded {
-            std::panic::panic_any(PagerError::Degraded(reason));
+            return Err(PagerError::Degraded(reason));
         }
         inner.stats.allocs += 1;
         self.trace.record(TraceCounter::Alloc, 1);
@@ -1476,7 +1482,7 @@ impl Pager {
                 .cache
                 .insert(id.0, vec![0u8; self.block_size].into_boxed_slice());
         }
-        id
+        Ok(id)
     }
 
     /// Release a block. The id may be recycled by a later [`Pager::alloc`].
@@ -1485,24 +1491,23 @@ impl Pager {
     /// a crash before the commit record is durable cannot have destroyed the
     /// committed contents.
     ///
+    /// While degraded (read-only) the free is rejected with
+    /// [`PagerError::Degraded`]; freeing a pinned pooled frame fails with
+    /// [`PagerError::Pinned`].
+    ///
     /// # Panics
     /// Panics if the block is not currently allocated (double free), or if a
-    /// journal is attached and no [`TxnScope`] is open. While degraded
-    /// (read-only), panics with a typed [`PagerError::Degraded`] payload.
-    #[expect(
-        clippy::panic,
-        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
-    )]
-    pub fn free(&self, id: BlockId) {
+    /// journal is attached and no [`TxnScope`] is open.
+    pub fn free(&self, id: BlockId) -> IoResult<()> {
         assert!(self.view.is_none(), "snapshot views are read-only");
         let mut inner = self.lock();
         if let Some(reason) = inner.degraded {
-            std::panic::panic_any(PagerError::Degraded(reason));
+            return Err(PagerError::Degraded(reason));
         }
         if inner.pool.is_pinned(id) {
             // A pinned frame is promised to stay readable; freeing the block
             // under it would break that promise, so it is a typed error.
-            std::panic::panic_any(PagerError::Pinned { block: id });
+            return Err(PagerError::Pinned { block: id });
         }
         inner.stats.frees += 1;
         self.trace.record(TraceCounter::Free, 1);
@@ -1520,7 +1525,7 @@ impl Pager {
             );
             inner.txn.cache.remove(&id.0);
             inner.txn.freed.push(id);
-            return;
+            return Ok(());
         }
         assert!(
             inner.backend.is_allocated(id),
@@ -1529,6 +1534,7 @@ impl Pager {
         Self::freeze_for_pins(&mut inner, &self.table, id, self.block_size);
         inner.backend.deallocate(id);
         inner.free.push(id.0);
+        Ok(())
     }
 
     /// Read a block, returning an owned copy of its contents.
@@ -1538,32 +1544,12 @@ impl Pager {
     /// buffer are still charged one read — the buffer exists for atomicity,
     /// not caching, and accounting must match the unjournaled pager.
     ///
+    /// A disk fault that survives retry and read-repair comes back as a
+    /// typed [`PagerError`]. Reads keep working while degraded.
+    ///
     /// # Panics
-    /// On a disk fault that survives retry and repair, panics with a typed
-    /// [`PagerError`] payload (catch and classify with
-    /// `std::panic::catch_unwind`, like [`CrashSignal`]); use
-    /// [`Pager::try_read`] for a `Result` instead. Panics on reads of
-    /// unallocated blocks (caller contract violation).
-    #[expect(
-        clippy::panic,
-        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
-    )]
-    pub fn read(&self, id: BlockId) -> Box<[u8]> {
-        match self.read_impl(id) {
-            Ok(data) => data,
-            Err(err) => std::panic::panic_any(err),
-        }
-    }
-
-    /// Fallible twin of [`Pager::read`]: a disk fault that survives retry
-    /// and repair comes back as a typed [`PagerError`] instead of a panic.
-    /// Still panics on reads of unallocated blocks (contract violation, not
-    /// a disk fault). Reads keep working while degraded.
-    pub fn try_read(&self, id: BlockId) -> Result<Box<[u8]>, PagerError> {
-        self.read_impl(id)
-    }
-
-    fn read_impl(&self, id: BlockId) -> Result<Box<[u8]>, PagerError> {
+    /// Panics on reads of unallocated blocks (caller contract violation).
+    pub fn read(&self, id: BlockId) -> IoResult<Box<[u8]>> {
         if let Some(view) = &self.view {
             // Charge this view's own stats first (own lock, fully released),
             // then consult the base pager — sequential acquisitions, never
@@ -1613,29 +1599,13 @@ impl Pager {
     /// charged now, so accounting matches the unjournaled pager) and reaches
     /// the backend only after the commit record is durable.
     ///
-    /// # Panics
     /// While degraded, or on a disk fault that survives the retry budget,
-    /// panics with a typed [`PagerError`] payload; use [`Pager::try_write`]
-    /// for a `Result`. Panics on writes to unallocated blocks or (journaled)
-    /// outside a [`TxnScope`] — contract violations.
-    #[expect(
-        clippy::panic,
-        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
-    )]
-    pub fn write(&self, id: BlockId, data: &[u8]) {
-        if let Err(err) = self.write_impl(id, data) {
-            std::panic::panic_any(err);
-        }
-    }
-
-    /// Fallible twin of [`Pager::write`]: degraded-mode rejections and disk
-    /// faults that survive the retry budget come back as typed
-    /// [`PagerError`]s instead of panics. Contract violations still panic.
-    pub fn try_write(&self, id: BlockId, data: &[u8]) -> Result<(), PagerError> {
-        self.write_impl(id, data)
-    }
-
-    fn write_impl(&self, id: BlockId, data: &[u8]) -> Result<(), PagerError> {
+    /// the write fails with a typed [`PagerError`].
+    ///
+    /// # Panics
+    /// Panics on writes to unallocated blocks or (journaled) outside a
+    /// [`TxnScope`] — contract violations.
+    pub fn write(&self, id: BlockId, data: &[u8]) -> IoResult<()> {
         assert!(self.view.is_none(), "snapshot views are read-only");
         assert_eq!(data.len(), self.block_size, "write of wrong-sized block");
         let mut inner = self.lock();
@@ -1691,7 +1661,7 @@ impl Pager {
         trace: &Trace,
         id: BlockId,
         data: Box<[u8]>,
-    ) -> Result<(), PagerError> {
+    ) -> IoResult<()> {
         inner.stats.writes += 1;
         trace.record(TraceCounter::BlockWrite, 1);
         if let Err((_, reason)) = Self::write_block_checked(inner, trace, id, data) {
@@ -1704,27 +1674,21 @@ impl Pager {
     }
 
     /// Flush all dirty pooled blocks to the backing store, charging writes.
-    ///
-    /// # Panics
-    /// Panics with a typed [`PagerError`] payload when a write-back fault
-    /// survives the retry budget.
-    #[expect(
-        clippy::panic,
-        reason = "degraded-mode rejections and unrepaired disk faults travel as typed PagerError payloads, documented under # Panics; try_* callers get a Result"
-    )]
-    pub fn flush(&self) {
+    /// A write-back fault that survives the retry budget degrades the pager
+    /// and fails with [`PagerError::Degraded`].
+    pub fn flush(&self) -> IoResult<()> {
         let mut inner = self.lock();
         for (id, data) in inner.pool.take_dirty() {
-            if let Err(err) = Self::write_back(&mut inner, &self.trace, id, data) {
-                std::panic::panic_any(err);
-            }
+            Self::write_back(&mut inner, &self.trace, id, data)?;
         }
+        Ok(())
     }
 
     /// Drop every pooled block, writing back dirty ones first.
-    pub fn clear_pool(&self) {
-        self.flush();
+    pub fn clear_pool(&self) -> IoResult<()> {
+        self.flush()?;
         self.lock().pool.clear();
+        Ok(())
     }
 
     /// Snapshot of the I/O counters.
@@ -1755,7 +1719,7 @@ impl Pager {
     /// pager returns to normal service and the journal gets its deferred
     /// checkpoint opportunity; if the disk still faults, the remainder is
     /// parked again and the original [`PagerError::Degraded`] is returned.
-    pub fn try_resume(&self) -> Result<(), PagerError> {
+    pub fn try_resume(&self) -> IoResult<()> {
         let journal = {
             let mut inner = self.lock();
             let Some(reason) = inner.degraded else {
@@ -1966,7 +1930,7 @@ impl Pager {
     /// pager's stats and trace. Never consults the fault plan: snapshot
     /// reads must not shift the deterministic fault-attempt counters of
     /// the main session.
-    fn snapshot_read_raw(&self, id: BlockId, epoch: u64) -> Result<Box<[u8]>, PagerError> {
+    fn snapshot_read_raw(&self, id: BlockId, epoch: u64) -> IoResult<Box<[u8]>> {
         // Fast path: resolve the read inside one shard — frozen version or
         // a checksum-clean live frame — without touching the coordinator.
         // This is what lets 8 readers on disjoint blocks run latch-parallel.
@@ -2045,7 +2009,7 @@ impl Pager {
 
     /// Charge one read to this snapshot view's own stats. Split into its own
     /// scope so the view's lock is provably released before the base
-    /// pager's lock is taken in [`Pager::read_impl`].
+    /// pager's lock is taken in [`Pager::read`].
     fn charge_view_read(&self) {
         let mut inner = self.lock();
         inner.stats.reads += 1;
@@ -2230,27 +2194,27 @@ mod tests {
     #[test]
     fn alloc_returns_zeroed_blocks() {
         let p = pager(64);
-        let id = p.alloc();
-        assert!(p.read(id).iter().all(|&b| b == 0));
+        let id = p.alloc().unwrap();
+        assert!(p.read(id).unwrap().iter().all(|&b| b == 0));
     }
 
     #[test]
     fn write_then_read_roundtrips() {
         let p = pager(64);
-        let id = p.alloc();
+        let id = p.alloc().unwrap();
         let mut data = vec![0u8; 64];
         data[..4].copy_from_slice(&[1, 2, 3, 4]);
-        p.write(id, &data);
-        assert_eq!(&p.read(id)[..4], &[1, 2, 3, 4]);
+        p.write(id, &data).unwrap();
+        assert_eq!(&p.read(id).unwrap()[..4], &[1, 2, 3, 4]);
     }
 
     #[test]
     fn io_counting_without_pool() {
         let p = pager(64);
-        let id = p.alloc();
-        let block = p.read(id);
-        p.write(id, &block);
-        p.read(id);
+        let id = p.alloc().unwrap();
+        let block = p.read(id).unwrap();
+        p.write(id, &block).unwrap();
+        p.read(id).unwrap();
         let s = p.stats();
         assert_eq!(s.reads, 2);
         assert_eq!(s.writes, 1);
@@ -2260,10 +2224,10 @@ mod tests {
     #[test]
     fn freed_ids_are_recycled() {
         let p = pager(64);
-        let a = p.alloc();
-        let b = p.alloc();
-        p.free(a);
-        let c = p.alloc();
+        let a = p.alloc().unwrap();
+        let b = p.alloc().unwrap();
+        p.free(a).unwrap();
+        let c = p.alloc().unwrap();
         assert_eq!(c, a);
         assert_ne!(c, b);
         assert_eq!(p.allocated_blocks(), 2);
@@ -2273,38 +2237,38 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let p = pager(64);
-        let a = p.alloc();
-        p.free(a);
-        p.free(a);
+        let a = p.alloc().unwrap();
+        p.free(a).unwrap();
+        p.free(a).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "unallocated")]
     fn read_after_free_panics() {
         let p = pager(64);
-        let a = p.alloc();
-        p.free(a);
-        p.read(a);
+        let a = p.alloc().unwrap();
+        p.free(a).unwrap();
+        p.read(a).unwrap();
     }
 
     #[test]
     fn recycled_block_is_zeroed() {
         let p = pager(64);
-        let a = p.alloc();
-        p.write(a, &[7u8; 64]);
-        p.free(a);
-        let b = p.alloc();
+        let a = p.alloc().unwrap();
+        p.write(a, &[7u8; 64]).unwrap();
+        p.free(a).unwrap();
+        let b = p.alloc().unwrap();
         assert_eq!(b, a);
-        assert!(p.read(b).iter().all(|&x| x == 0));
+        assert!(p.read(b).unwrap().iter().all(|&x| x == 0));
     }
 
     #[test]
     fn pool_absorbs_repeated_reads() {
         let p = Pager::new(PagerConfig::with_block_size(64).with_pool(4));
-        let id = p.alloc();
-        p.read(id);
-        p.read(id);
-        p.read(id);
+        let id = p.alloc().unwrap();
+        p.read(id).unwrap();
+        p.read(id).unwrap();
+        p.read(id).unwrap();
         assert_eq!(p.stats().reads, 1, "only the miss costs an I/O");
         assert_eq!(p.pool_stats().hits, 2);
     }
@@ -2312,45 +2276,45 @@ mod tests {
     #[test]
     fn pool_defers_writes_until_flush() {
         let p = Pager::new(PagerConfig::with_block_size(64).with_pool(4));
-        let id = p.alloc();
-        p.write(id, &[9u8; 64]);
-        p.write(id, &[8u8; 64]);
+        let id = p.alloc().unwrap();
+        p.write(id, &[9u8; 64]).unwrap();
+        p.write(id, &[8u8; 64]).unwrap();
         assert_eq!(p.stats().writes, 0);
-        p.flush();
+        p.flush().unwrap();
         assert_eq!(p.stats().writes, 1, "coalesced into one write-back");
         // Backing store now has the latest data even on a cold read.
-        p.clear_pool();
-        assert_eq!(p.read(id)[0], 8);
+        p.clear_pool().unwrap();
+        assert_eq!(p.read(id).unwrap()[0], 8);
     }
 
     #[test]
     fn pool_eviction_charges_dirty_write_back() {
         let p = Pager::new(PagerConfig::with_block_size(64).with_pool(1));
-        let a = p.alloc();
-        let b = p.alloc();
-        p.write(a, &[1u8; 64]);
+        let a = p.alloc().unwrap();
+        let b = p.alloc().unwrap();
+        p.write(a, &[1u8; 64]).unwrap();
         assert_eq!(p.stats().writes, 0);
-        p.read(b); // evicts dirty `a`
+        p.read(b).unwrap(); // evicts dirty `a`
         assert_eq!(p.stats().writes, 1);
-        p.clear_pool();
-        assert_eq!(p.read(a)[0], 1);
+        p.clear_pool().unwrap();
+        assert_eq!(p.read(a).unwrap()[0], 1);
     }
 
     #[test]
     fn free_discards_dirty_pooled_copy_without_write() {
         let p = Pager::new(PagerConfig::with_block_size(64).with_pool(4));
-        let a = p.alloc();
-        p.write(a, &[5u8; 64]);
-        p.free(a);
-        p.flush();
+        let a = p.alloc().unwrap();
+        p.write(a, &[5u8; 64]).unwrap();
+        p.free(a).unwrap();
+        p.flush().unwrap();
         assert_eq!(p.stats().writes, 0);
     }
 
     #[test]
     fn stats_reset() {
         let p = pager(64);
-        let id = p.alloc();
-        p.read(id);
+        let id = p.alloc().unwrap();
+        p.read(id).unwrap();
         p.reset_stats();
         assert_eq!(p.stats().total(), 0);
     }
@@ -2358,10 +2322,10 @@ mod tests {
     #[test]
     fn allocated_bytes_tracks_blocks() {
         let p = pager(128);
-        let a = p.alloc();
-        p.alloc();
+        let a = p.alloc().unwrap();
+        p.alloc().unwrap();
         assert_eq!(p.allocated_bytes(), 256);
-        p.free(a);
+        p.free(a).unwrap();
         assert_eq!(p.allocated_bytes(), 128);
     }
 
@@ -2411,14 +2375,14 @@ mod tests {
     #[test]
     fn txn_scope_without_journal_changes_nothing() {
         let p = pager(64);
-        let scope = p.txn();
-        let inner_scope = p.txn();
-        let id = p.alloc();
-        p.write(id, &[3u8; 64]);
-        drop(inner_scope);
-        drop(scope);
+        let scope = p.txn().unwrap();
+        let inner_scope = p.txn().unwrap();
+        let id = p.alloc().unwrap();
+        p.write(id, &[3u8; 64]).unwrap();
+        inner_scope.commit();
+        scope.commit();
         assert_eq!(p.stats().writes, 1);
-        assert_eq!(p.read(id)[0], 3);
+        assert_eq!(p.read(id).unwrap()[0], 3);
     }
 
     #[test]
@@ -2427,12 +2391,13 @@ mod tests {
         let j = MockJournal::new(1);
         p.attach_journal(j.clone());
         {
-            let _txn = p.txn();
-            let a = p.alloc();
-            let b = p.alloc();
-            p.write(a, &[1u8; 64]);
-            p.write(b, &[2u8; 64]);
-            p.write(a, &[7u8; 64]); // overwrite coalesces into one frame
+            let txn = p.txn().unwrap();
+            let a = p.alloc().unwrap();
+            let b = p.alloc().unwrap();
+            p.write(a, &[1u8; 64]).unwrap();
+            p.write(b, &[2u8; 64]).unwrap();
+            p.write(a, &[7u8; 64]).unwrap(); // overwrite coalesces into one frame
+            txn.commit();
         }
         let records = j.records();
         assert_eq!(records.len(), 1, "one logical op = one record");
@@ -2446,8 +2411,8 @@ mod tests {
         );
         assert_eq!(j.applied_count(), 1);
         // Applied to the backend: readable outside any scope.
-        assert_eq!(p.read(BlockId(0))[0], 7);
-        assert_eq!(p.read(BlockId(1))[0], 2);
+        assert_eq!(p.read(BlockId(0)).unwrap()[0], 7);
+        assert_eq!(p.read(BlockId(1)).unwrap()[0], 2);
     }
 
     #[test]
@@ -2458,19 +2423,24 @@ mod tests {
         let j = MockJournal::new(1);
         p.attach_journal(j.clone());
         let id = {
-            let _txn = p.txn();
-            let id = p.alloc();
-            p.write(id, &[5u8; 64]);
+            let txn = p.txn().unwrap();
+            let id = p.alloc().unwrap();
+            p.write(id, &[5u8; 64]).unwrap();
+            txn.commit();
             id
         };
         p.corrupt_block(id, 3, 0xFF);
         {
-            let _txn = p.txn();
-            p.try_write(id, &[6u8; 64])
-                .expect("blind overwrite commits");
+            let txn = p.txn().unwrap();
+            p.write(id, &[6u8; 64]).expect("blind overwrite commits");
+            txn.commit();
         }
         assert_eq!(j.records()[1].frames[0].after[0], 6);
-        assert_eq!(p.read(id)[0], 6, "the after-image replaced the rot");
+        assert_eq!(
+            p.read(id).unwrap()[0],
+            6,
+            "the after-image replaced the rot"
+        );
         assert_eq!(p.health(), Health::Ok);
     }
 
@@ -2480,19 +2450,46 @@ mod tests {
         let j = MockJournal::new(1);
         p.attach_journal(j.clone());
         let id = {
-            let _txn = p.txn();
-            let id = p.alloc();
-            p.write(id, &[9u8; 64]);
+            let txn = p.txn().unwrap();
+            let id = p.alloc().unwrap();
+            p.write(id, &[9u8; 64]).unwrap();
+            txn.commit();
             id
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _txn = p.txn();
-            p.write(id, &[1u8; 64]);
+            let _txn = p.txn().unwrap();
+            p.write(id, &[1u8; 64]).unwrap();
             std::panic::panic_any(CrashSignal);
         }));
         assert!(result.is_err());
         assert_eq!(j.records().len(), 1, "crashed op never journaled");
-        assert_eq!(p.read(id)[0], 9, "backend keeps committed image");
+        assert_eq!(p.read(id).unwrap()[0], 9, "backend keeps committed image");
+    }
+
+    #[test]
+    fn scope_dropped_without_commit_aborts() {
+        let p = pager(64);
+        let j = MockJournal::new(1);
+        p.attach_journal(j.clone());
+        let id = {
+            let txn = p.txn().unwrap();
+            let id = p.alloc().unwrap();
+            p.write(id, &[9u8; 64]).unwrap();
+            txn.commit();
+            id
+        };
+        {
+            let outer = p.txn().unwrap();
+            let inner = p.txn().unwrap();
+            p.write(id, &[1u8; 64]).unwrap();
+            inner.commit();
+            drop(outer);
+        }
+        assert_eq!(j.records().len(), 1, "an uncommitted scope logs nothing");
+        assert_eq!(p.read(id).unwrap()[0], 9, "the block keeps its old bytes");
+        let txn = p.txn().unwrap();
+        assert_eq!(p.read(id).unwrap()[0], 9, "the aborted buffer is gone");
+        txn.commit();
     }
 
     #[test]
@@ -2501,10 +2498,12 @@ mod tests {
         let p = pager(64);
         p.attach_journal(MockJournal::new(1));
         let id = {
-            let _txn = p.txn();
-            p.alloc()
+            let txn = p.txn().unwrap();
+            let id = p.alloc().unwrap();
+            txn.commit();
+            id
         };
-        p.write(id, &[0u8; 64]);
+        p.write(id, &[0u8; 64]).unwrap();
     }
 
     #[test]
@@ -2512,21 +2511,24 @@ mod tests {
         let p = pager(64);
         p.attach_journal(MockJournal::new(1));
         let id = {
-            let _txn = p.txn();
-            let id = p.alloc();
-            p.write(id, &[4u8; 64]);
+            let txn = p.txn().unwrap();
+            let id = p.alloc().unwrap();
+            p.write(id, &[4u8; 64]).unwrap();
+            txn.commit();
             id
         };
         {
-            let _txn = p.txn();
-            p.free(id);
-            let fresh = p.alloc();
+            let txn = p.txn().unwrap();
+            p.free(id).unwrap();
+            let fresh = p.alloc().unwrap();
             assert_ne!(fresh, id, "freed block must not be reused pre-commit");
             assert!(!p.is_allocated(id));
+            txn.commit();
         }
         // After commit the hole is recyclable.
-        let _txn = p.txn();
-        assert_eq!(p.alloc(), id);
+        let txn = p.txn().unwrap();
+        assert_eq!(p.alloc().unwrap(), id);
+        txn.commit();
     }
 
     #[test]
@@ -2535,22 +2537,24 @@ mod tests {
         let j = MockJournal::new(2); // sync every second commit
         p.attach_journal(j.clone());
         let a = {
-            let _txn = p.txn();
-            let a = p.alloc();
-            p.write(a, &[1u8; 64]);
+            let txn = p.txn().unwrap();
+            let a = p.alloc().unwrap();
+            p.write(a, &[1u8; 64]).unwrap();
+            txn.commit();
             a
         };
         // Unsynced: volatile overlay serves reads, the disk image does not
         // have the block contents yet.
-        assert_eq!(p.read(a)[0], 1);
+        assert_eq!(p.read(a).unwrap()[0], 1);
         let image = p.disk_image();
         assert!(
             image.blocks[0].as_ref().is_some_and(|b| b.data[0] == 0),
             "backend still zeroed before the sync barrier"
         );
         {
-            let _txn = p.txn();
-            p.write(a, &[2u8; 64]);
+            let txn = p.txn().unwrap();
+            p.write(a, &[2u8; 64]).unwrap();
+            txn.commit();
         }
         // Second commit synced: everything applied.
         let image = p.disk_image();
@@ -2562,16 +2566,16 @@ mod tests {
     fn disk_image_roundtrips_through_from_image() {
         use boxes_audit::Auditable as _;
         let p = pager(64);
-        let a = p.alloc();
-        let b = p.alloc();
-        p.write(a, &[3u8; 64]);
-        p.free(b);
+        let a = p.alloc().unwrap();
+        let b = p.alloc().unwrap();
+        p.write(a, &[3u8; 64]).unwrap();
+        p.free(b).unwrap();
         let image = p.disk_image();
         assert!(image.blocks[0].as_ref().is_some_and(DiskBlock::intact));
         assert!(image.blocks[1].is_none(), "hole survives the snapshot");
         let q = Pager::from_image(image, vec![b.0]);
-        assert_eq!(q.read(a)[0], 3);
-        assert_eq!(q.alloc(), b, "free list restored");
+        assert_eq!(q.read(a).unwrap()[0], 3);
+        assert_eq!(q.alloc().unwrap(), b, "free list restored");
         assert!(q.audit().is_clean());
     }
 
@@ -2582,19 +2586,21 @@ mod tests {
         p.attach_journal(j);
         let plan = FaultPlan::new(FaultPlanConfig::quiet(11, 64));
         let id = {
-            let _txn = p.txn();
-            let id = p.alloc();
-            p.write(id, &[3u8; 64]);
+            let txn = p.txn().unwrap();
+            let id = p.alloc().unwrap();
+            p.write(id, &[3u8; 64]).unwrap();
+            txn.commit();
             id
         };
         p.attach_fault_injector(plan.clone());
         plan.stumble_writes_to(id, 2);
         {
-            let _txn = p.txn();
-            p.write(id, &[4u8; 64]);
+            let txn = p.txn().unwrap();
+            p.write(id, &[4u8; 64]).unwrap();
+            txn.commit();
         }
         assert!(p.health().is_ok(), "streak of 2 fits the default budget");
-        assert_eq!(p.read(id)[0], 4);
+        assert_eq!(p.read(id).unwrap()[0], 4);
         let s = p.stats();
         assert_eq!(s.retries, 2);
         assert_eq!(s.backoff_ticks, 1 + 2, "exponential deterministic ticks");
@@ -2607,60 +2613,61 @@ mod tests {
         p.attach_journal(j);
         let plan = FaultPlan::new(FaultPlanConfig::quiet(7, 64));
         let id = {
-            let _txn = p.txn();
-            let id = p.alloc();
-            p.write(id, &[1u8; 64]);
+            let txn = p.txn().unwrap();
+            let id = p.alloc().unwrap();
+            p.write(id, &[1u8; 64]).unwrap();
+            txn.commit();
             id
         };
         p.attach_fault_injector(plan.clone());
         plan.fail_writes_to(id);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _txn = p.txn();
-            p.write(id, &[2u8; 64]);
-        }));
-        // The commit succeeded (the record is durable); only the apply
-        // faulted, which parks the frame and degrades without panicking.
-        assert!(err.is_ok(), "apply failure must not unwind");
+        let txn = p.txn().unwrap();
+        p.write(id, &[2u8; 64]).unwrap();
+        // The commit succeeds (the record is durable); only the apply
+        // faults, which parks the frame and degrades.
+        txn.commit();
         assert!(matches!(
             p.health(),
             Health::Degraded(DegradedReason::WriteFault { .. })
         ));
         assert_eq!(p.degraded_entries(), 1);
-        assert_eq!(p.read(id)[0], 2, "overlay-parked image serves reads");
+        assert_eq!(
+            p.read(id).unwrap()[0],
+            2,
+            "overlay-parked image serves reads"
+        );
         // Mutations fail fast with the typed error.
-        let denied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _txn = p.txn();
-            p.write(id, &[9u8; 64]);
-        }));
-        let payload = denied.expect_err("degraded write must reject");
+        assert!(matches!(p.txn(), Err(PagerError::Degraded(_))));
         assert!(matches!(
-            payload.downcast_ref::<PagerError>(),
-            Some(PagerError::Degraded(_))
+            p.write(id, &[9u8; 64]),
+            Err(PagerError::Degraded(_))
         ));
         // Resume fails while the fault persists, succeeds once healed.
         assert!(p.try_resume().is_err());
         plan.heal();
         assert!(p.try_resume().is_ok());
         assert!(p.health().is_ok());
-        assert_eq!(p.read(id)[0], 2, "parked image reached the backend");
-        let _txn = p.txn();
-        p.write(id, &[5u8; 64]);
-        drop(_txn);
-        assert_eq!(p.read(id)[0], 5, "service resumed");
+        assert_eq!(
+            p.read(id).unwrap()[0],
+            2,
+            "parked image reached the backend"
+        );
+        let txn = p.txn().unwrap();
+        p.write(id, &[5u8; 64]).unwrap();
+        txn.commit();
+        assert_eq!(p.read(id).unwrap()[0], 5, "service resumed");
     }
 
     #[test]
     fn corrupt_block_without_journal_is_loud_and_degrades() {
         let p = pager(64);
-        let a = p.alloc();
-        p.write(a, &[8u8; 64]);
+        let a = p.alloc().unwrap();
+        p.write(a, &[8u8; 64]).unwrap();
         p.corrupt_block(a, 3, 0x40);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.read(a)));
-        let payload = err.expect_err("corruption without a repair source");
-        assert!(matches!(
-            payload.downcast_ref::<PagerError>(),
-            Some(PagerError::Corrupt { .. })
-        ));
+        assert!(
+            matches!(p.read(a), Err(PagerError::Corrupt { .. })),
+            "corruption without a repair source"
+        );
         assert!(matches!(
             p.health(),
             Health::Degraded(DegradedReason::Unrepairable { .. })
@@ -2688,8 +2695,8 @@ mod tests {
         let p = pager(64);
         let id = {
             // Establish committed content before the repairing journal.
-            let id = p.alloc();
-            p.write(id, &[6u8; 64]);
+            let id = p.alloc().unwrap();
+            p.write(id, &[6u8; 64]).unwrap();
             id
         };
         p.attach_journal(Arc::new(RepairingJournal {
@@ -2697,11 +2704,11 @@ mod tests {
             image: vec![6u8; 64].into_boxed_slice(),
         }));
         p.corrupt_block(id, 0, 0x01);
-        let _txn = p.txn();
-        assert_eq!(p.read(id)[0], 6, "repaired read answers correctly");
+        let txn = p.txn().unwrap();
+        assert_eq!(p.read(id).unwrap()[0], 6, "repaired read answers correctly");
         assert_eq!(p.stats().repairs, 1);
         assert!(p.health().is_ok());
-        drop(_txn);
+        txn.commit();
         // The rewrite fixed the media: a fresh unjournaled reader sees it.
         assert!(p.disk_image().blocks[id.index()]
             .as_ref()
@@ -2713,8 +2720,8 @@ mod tests {
         let p = pager(64);
         let ids: Vec<BlockId> = (0..4)
             .map(|i| {
-                let id = p.alloc();
-                p.write(id, &[i + 1; 64]);
+                let id = p.alloc().unwrap();
+                p.write(id, &[i + 1; 64]).unwrap();
                 id
             })
             .collect();
@@ -2756,11 +2763,11 @@ mod tests {
     #[test]
     fn scrub_step_skips_holes_and_degrades_on_unrepairable_rot() {
         let p = pager(64);
-        let a = p.alloc();
-        let b = p.alloc();
-        p.write(a, &[1u8; 64]);
-        p.write(b, &[2u8; 64]);
-        p.free(a); // deallocated hole: the scrubber must skip it
+        let a = p.alloc().unwrap();
+        let b = p.alloc().unwrap();
+        p.write(a, &[1u8; 64]).unwrap();
+        p.write(b, &[2u8; 64]).unwrap();
+        p.free(a).unwrap(); // deallocated hole: the scrubber must skip it
         p.corrupt_block(b, 0, 0x08); // no journal → unrepairable
         let report = p.scrub_step(8);
         assert_eq!(report.scanned, 2);
@@ -2780,11 +2787,11 @@ mod tests {
             backoff_base: 1,
         });
         let plan = FaultPlan::new(FaultPlanConfig::quiet(5, 64));
-        let a = p.alloc();
-        p.write(a, &[1u8; 64]);
+        let a = p.alloc().unwrap();
+        p.write(a, &[1u8; 64]).unwrap();
         p.attach_fault_injector(plan.clone());
         plan.fail_reads_of(a);
-        let err = p.try_read(a);
+        let err = p.read(a);
         assert_eq!(
             err,
             Err(PagerError::Io {
@@ -2798,12 +2805,11 @@ mod tests {
     #[test]
     fn torn_write_detected_on_read() {
         let p = pager(64);
-        let a = p.alloc();
-        p.write(a, &[8u8; 64]);
+        let a = p.alloc().unwrap();
+        p.write(a, &[8u8; 64]).unwrap();
         // Simulate a torn apply directly at the backend layer.
         p.lock().backend.write_torn(a, &[0xFFu8; 64], 10);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.read(a)));
-        assert!(err.is_err(), "torn page must not decode silently");
+        assert!(p.read(a).is_err(), "torn page must not decode silently");
         let image = p.disk_image();
         assert!(
             !image.blocks[0].as_ref().expect("present").intact(),
@@ -2816,28 +2822,38 @@ mod tests {
         let p = pager(64);
         p.attach_journal(MockJournal::new(1));
         let a = {
-            let _txn = p.txn();
-            let a = p.alloc();
-            p.write(a, &[1u8; 64]);
+            let txn = p.txn().unwrap();
+            let a = p.alloc().unwrap();
+            p.write(a, &[1u8; 64]).unwrap();
+            txn.commit();
             a
         };
         assert_eq!(p.published_epoch(), 1, "every synced commit publishes");
         let (snap, _metas) = p.snapshot_view();
         assert_eq!(snap.snapshot_epoch(), Some(1));
         {
-            let _txn = p.txn();
-            p.write(a, &[2u8; 64]);
+            let txn = p.txn().unwrap();
+            p.write(a, &[2u8; 64]).unwrap();
+            txn.commit();
         }
         assert_eq!(p.published_epoch(), 2);
-        assert_eq!(snap.read(a)[0], 1, "snapshot pins the old version");
-        assert_eq!(p.read(a)[0], 2, "base sees the new committed value");
+        assert_eq!(snap.read(a).unwrap()[0], 1, "snapshot pins the old version");
+        assert_eq!(
+            p.read(a).unwrap()[0],
+            2,
+            "base sees the new committed value"
+        );
         assert_eq!(snap.stats().reads, 1, "view charges its own stats");
         let base_reads = p.stats().reads;
-        snap.read(a);
+        snap.read(a).unwrap();
         assert_eq!(p.stats().reads, base_reads, "base stats untouched by view");
         drop(snap);
         let (snap2, _metas) = p.snapshot_view();
-        assert_eq!(snap2.read(a)[0], 2, "fresh snapshot sees the new epoch");
+        assert_eq!(
+            snap2.read(a).unwrap()[0],
+            2,
+            "fresh snapshot sees the new epoch"
+        );
     }
 
     #[test]
@@ -2845,22 +2861,28 @@ mod tests {
         let p = pager(64);
         p.attach_journal(MockJournal::new(1));
         let (a, b) = {
-            let _txn = p.txn();
-            let a = p.alloc();
-            let b = p.alloc();
-            p.write(a, &[1u8; 64]);
-            p.write(b, &[9u8; 64]);
+            let txn = p.txn().unwrap();
+            let a = p.alloc().unwrap();
+            let b = p.alloc().unwrap();
+            p.write(a, &[1u8; 64]).unwrap();
+            p.write(b, &[9u8; 64]).unwrap();
+            txn.commit();
             (a, b)
         };
         let (snap, _metas) = p.snapshot_view();
         {
-            let _txn = p.txn();
-            p.free(b);
+            let txn = p.txn().unwrap();
+            p.free(b).unwrap();
+            txn.commit();
         }
         assert!(!p.is_allocated(b), "base sees the free");
         assert!(snap.is_allocated(b), "snapshot still sees the block");
-        assert_eq!(snap.read(b)[0], 9, "frozen image survives deallocation");
-        assert_eq!(snap.read(a)[0], 1);
+        assert_eq!(
+            snap.read(b).unwrap()[0],
+            9,
+            "frozen image survives deallocation"
+        );
+        assert_eq!(snap.read(a).unwrap()[0], 1);
     }
 
     #[test]
@@ -2868,25 +2890,32 @@ mod tests {
         let p = pager(64);
         p.attach_journal(MockJournal::new(1));
         let a = {
-            let _txn = p.txn();
-            let a = p.alloc();
-            p.write(a, &[1u8; 64]);
+            let txn = p.txn().unwrap();
+            let a = p.alloc().unwrap();
+            p.write(a, &[1u8; 64]).unwrap();
+            txn.commit();
             a
         };
         let (s1, _m1) = p.snapshot_view();
         {
-            let _txn = p.txn();
-            p.write(a, &[2u8; 64]);
+            let txn = p.txn().unwrap();
+            p.write(a, &[2u8; 64]).unwrap();
+            txn.commit();
         }
         let (s2, _m2) = p.snapshot_view();
         {
-            let _txn = p.txn();
-            p.write(a, &[3u8; 64]);
+            let txn = p.txn().unwrap();
+            p.write(a, &[3u8; 64]).unwrap();
+            txn.commit();
         }
-        assert_eq!(s1.read(a)[0], 1);
-        assert_eq!(s2.read(a)[0], 2);
+        assert_eq!(s1.read(a).unwrap()[0], 1);
+        assert_eq!(s2.read(a).unwrap()[0], 2);
         drop(s1);
-        assert_eq!(s2.read(a)[0], 2, "reclaim keeps versions s2 still needs");
+        assert_eq!(
+            s2.read(a).unwrap()[0],
+            2,
+            "reclaim keeps versions s2 still needs"
+        );
         drop(s2);
         assert!(p.table.versions_empty(), "all versions reclaimed");
         let inner = p.lock();
@@ -2899,9 +2928,10 @@ mod tests {
         let j = MockJournal::new(2); // sync every second commit
         p.attach_journal(j.clone());
         let a = {
-            let _txn = p.txn();
-            let a = p.alloc();
-            p.write(a, &[1u8; 64]);
+            let txn = p.txn().unwrap();
+            let a = p.alloc().unwrap();
+            p.write(a, &[1u8; 64]).unwrap();
+            txn.commit();
             a
         };
         assert_eq!(
@@ -2914,7 +2944,11 @@ mod tests {
         assert_eq!(p.published_epoch(), 1);
         assert!(!p.publish_barrier(), "nothing left to publish");
         let (fresh, _m) = p.snapshot_view();
-        assert_eq!(fresh.read(a)[0], 1, "post-barrier snapshot sees the commit");
+        assert_eq!(
+            fresh.read(a).unwrap()[0],
+            1,
+            "post-barrier snapshot sees the commit"
+        );
         assert_eq!(
             j.applied_count(),
             1,
@@ -2931,17 +2965,13 @@ mod tests {
             pool_capacity: 2,
             file: None,
         });
-        let id = p.alloc();
-        p.write(id, &[5u8; 64]);
+        let id = p.alloc().unwrap();
+        p.write(id, &[5u8; 64]).unwrap();
         assert!(p.pin_pooled(id));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.free(id)))
-            .expect_err("free of a pinned frame must fail");
-        let err = err
-            .downcast::<PagerError>()
-            .expect("typed PagerError payload");
-        assert!(matches!(*err, PagerError::Pinned { block } if block == id));
+        let err = p.free(id).expect_err("free of a pinned frame must fail");
+        assert!(matches!(err, PagerError::Pinned { block } if block == id));
         assert!(p.unpin_pooled(id));
-        p.free(id);
+        p.free(id).unwrap();
     }
 
     #[test]
@@ -2952,8 +2982,8 @@ mod tests {
             pool_capacity: 2,
             file: None,
         });
-        let id = p.alloc();
-        p.write(id, &[5u8; 64]);
+        let id = p.alloc().unwrap();
+        p.write(id, &[5u8; 64]).unwrap();
         assert!(p.pin_pooled(id));
         let (epoch, _metas) = p.pin_epoch();
         let report = p.audit();
@@ -2977,12 +3007,13 @@ mod tests {
         let p = pager(64);
         p.attach_journal(MockJournal::new(1));
         let a = {
-            let _txn = p.txn();
-            let a = p.alloc();
-            p.write(a, &[1u8; 64]);
+            let txn = p.txn().unwrap();
+            let a = p.alloc().unwrap();
+            p.write(a, &[1u8; 64]).unwrap();
+            txn.commit();
             a
         };
         let (snap, _m) = p.snapshot_view();
-        snap.write(a, &[2u8; 64]);
+        snap.write(a, &[2u8; 64]).unwrap();
     }
 }

@@ -262,7 +262,7 @@ impl PageTable {
 
     /// Read block `raw`, classifying failures exactly like the old memory
     /// backend: missing frame → `Unallocated`, stale checksum → `Checksum`.
-    pub(crate) fn try_read(&self, raw: u32) -> Result<Box<[u8]>, ReadFailure> {
+    pub(crate) fn read(&self, raw: u32) -> Result<Box<[u8]>, ReadFailure> {
         let shard: &Shard = self.shard(raw);
         let state = shard.state_guard();
         let Some(entry) = state.frames.get(&raw) else {
@@ -516,10 +516,10 @@ mod tests {
         t.push_zeroed(32);
         assert_eq!(t.len(), 1);
         assert!(t.is_allocated(0));
-        let data = t.try_read(0).ok().unwrap();
+        let data = t.read(0).ok().unwrap();
         assert_eq!(&data[..], &[0u8; 32][..]);
         t.write(0, vec![7u8; 32].into_boxed_slice());
-        assert_eq!(&t.try_read(0).ok().unwrap()[..], &[7u8; 32][..]);
+        assert_eq!(&t.read(0).ok().unwrap()[..], &[7u8; 32][..]);
     }
 
     #[test]
@@ -528,7 +528,7 @@ mod tests {
         t.push_zeroed(32);
         t.write(0, vec![1u8; 32].into_boxed_slice());
         assert!(t.write_torn(0, &[0xFFu8; 32], 5));
-        assert!(matches!(t.try_read(0), Err(ReadFailure::Checksum)));
+        assert!(matches!(t.read(0), Err(ReadFailure::Checksum)));
         assert!(!t.write_torn(99, &[0u8; 4], 2));
     }
 
@@ -538,9 +538,9 @@ mod tests {
         t.push_zeroed(16);
         t.deallocate(0);
         assert!(!t.is_allocated(0));
-        assert!(matches!(t.try_read(0), Err(ReadFailure::Unallocated)));
+        assert!(matches!(t.read(0), Err(ReadFailure::Unallocated)));
         t.reuse_zeroed(0, 16);
-        assert_eq!(&t.try_read(0).ok().unwrap()[..], &[0u8; 16][..]);
+        assert_eq!(&t.read(0).ok().unwrap()[..], &[0u8; 16][..]);
         assert_eq!(t.len(), 1);
     }
 

@@ -53,7 +53,7 @@ fn build_file(path: &PathBuf, script: &[Op]) -> HashMap<u32, Vec<u8>> {
     for op in script {
         match op {
             Op::Alloc => {
-                let id = pager.alloc();
+                let id = pager.alloc().unwrap();
                 shadow.insert(id.0, vec![0u8; BS]);
                 live.push(id);
             }
@@ -63,7 +63,7 @@ fn build_file(path: &PathBuf, script: &[Op]) -> HashMap<u32, Vec<u8>> {
                 }
                 let id = live.swap_remove(raw % live.len());
                 shadow.remove(&id.0);
-                pager.free(id);
+                pager.free(id).unwrap();
             }
             Op::Write(raw, byte) => {
                 if live.is_empty() {
@@ -73,7 +73,7 @@ fn build_file(path: &PathBuf, script: &[Op]) -> HashMap<u32, Vec<u8>> {
                 let mut data = vec![*byte; BS];
                 data[0] = id.0 as u8; // make slots distinguishable
                 data[BS - 1] = byte.wrapping_add(1);
-                pager.write(id, &data);
+                pager.write(id, &data).unwrap();
                 shadow.insert(id.0, data);
             }
         }
@@ -100,7 +100,7 @@ proptest! {
         let reopened = Pager::open_file(&path, BS).expect("clean file reopens");
         prop_assert_eq!(reopened.allocated_blocks(), shadow.len());
         for (&slot, data) in &shadow {
-            let got = reopened.try_read(BlockId(slot)).expect("live slot reads");
+            let got = reopened.read(BlockId(slot)).expect("live slot reads");
             prop_assert_eq!(&*got, data.as_slice());
         }
         drop(reopened);

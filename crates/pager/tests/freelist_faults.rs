@@ -81,7 +81,7 @@ fn run(seed: u64, script: Vec<Op>) {
     for op in script {
         match op {
             Op::Alloc(byte) => {
-                let id = pager.alloc();
+                let id = pager.alloc().unwrap();
                 // Free-list round-trip: reclaimed slots are recycled before
                 // the file grows — across reopens too, because the free
                 // list is rebuilt from the per-slot trailers.
@@ -95,7 +95,7 @@ fn run(seed: u64, script: Vec<Op>) {
                 }
                 let mut data = vec![0u8; BS];
                 data[0] = byte;
-                pager.write(id, &data);
+                pager.write(id, &data).unwrap();
                 shadow.insert(id, data);
                 live.push(id);
             }
@@ -107,7 +107,7 @@ fn run(seed: u64, script: Vec<Op>) {
                 let data = shadow.get_mut(&id).expect("live block shadowed");
                 data[0] = byte;
                 data[BS - 1] = byte ^ 0xFF;
-                pager.write(id, data);
+                pager.write(id, data).unwrap();
             }
             Op::Free(raw) => {
                 if live.is_empty() {
@@ -115,7 +115,7 @@ fn run(seed: u64, script: Vec<Op>) {
                 }
                 let id = live.swap_remove(raw % live.len());
                 shadow.remove(&id);
-                pager.free(id);
+                pager.free(id).unwrap();
                 freed.push(id);
             }
             Op::Reopen => {
@@ -136,13 +136,13 @@ fn run(seed: u64, script: Vec<Op>) {
     assert_eq!(pager.allocated_blocks(), live.len());
     for (&id, data) in &shadow {
         assert_eq!(
-            &*pager.read(id),
+            &*pager.read(id).unwrap(),
             data.as_slice(),
             "block {id:?} after reopen"
         );
     }
     for _ in 0..freed.len() {
-        let id = pager.alloc();
+        let id = pager.alloc().unwrap();
         assert!(
             freed.contains(&id),
             "alloc returned fresh {id:?} while {freed:?} were reclaimable"
@@ -194,11 +194,13 @@ fn noisy_plan_actually_injects_on_this_workload() {
     let pager = open(&path, &plan);
     let mut live = Vec::new();
     for i in 0..200u8 {
-        live.push(pager.alloc());
-        pager.write(live[usize::from(i) % live.len()], &[i; BS]);
+        live.push(pager.alloc().unwrap());
+        pager
+            .write(live[usize::from(i) % live.len()], &[i; BS])
+            .unwrap();
     }
     for &id in &live {
-        pager.read(id);
+        pager.read(id).unwrap();
     }
     assert!(plan.injected() > 0, "no faults injected in 600+ attempts");
     assert!(pager.stats().retries > 0, "no retries charged");
@@ -217,23 +219,23 @@ fn run_counting(
     for op in script {
         match op {
             Op::Alloc(byte) => {
-                let id = pager.alloc();
+                let id = pager.alloc().unwrap();
                 let mut data = vec![0u8; BS];
                 data[0] = *byte;
-                pager.write(id, &data);
+                pager.write(id, &data).unwrap();
                 live.push(id);
             }
             Op::Write(raw, byte) => {
                 if !live.is_empty() {
                     let id = live[raw % live.len()];
-                    let mut data = pager.read(id).to_vec();
+                    let mut data = pager.read(id).unwrap().to_vec();
                     data[0] = *byte;
-                    pager.write(id, &data);
+                    pager.write(id, &data).unwrap();
                 }
             }
             Op::Free(raw) => {
                 if !live.is_empty() {
-                    pager.free(live.swap_remove(raw % live.len()));
+                    pager.free(live.swap_remove(raw % live.len())).unwrap();
                 }
             }
             // Reopen resets the stats; skip it in the counting variant so

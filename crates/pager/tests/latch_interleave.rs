@@ -158,7 +158,7 @@ fn leg_a_schedule(seed: u64, sync_every: u64) {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
     // Allocate before attaching the journal (journaled allocs must sit in a
     // TxnScope; the schedule only ever rewrites these fixed blocks).
-    let ids: Vec<BlockId> = (0..A_BLOCKS).map(|_| pager.alloc()).collect();
+    let ids: Vec<BlockId> = (0..A_BLOCKS).map(|_| pager.alloc().unwrap()).collect();
     let journal = TestJournal::new();
     pager.attach_journal(Arc::<TestJournal>::clone(&journal) as Arc<dyn Journal>);
 
@@ -174,8 +174,8 @@ fn leg_a_schedule(seed: u64, sync_every: u64) {
     let mut base = Stream(seed ^ 0xba5e);
     for id in &ids {
         let byte = base.byte();
-        let scope = pager.txn();
-        pager.write(*id, &[byte; BS]);
+        let scope = pager.txn().unwrap();
+        pager.write(*id, &[byte; BS]).unwrap();
         scope.commit();
         model.commits += 1;
         model.committed.insert(id.0, byte);
@@ -218,8 +218,8 @@ fn leg_a_schedule(seed: u64, sync_every: u64) {
                     }
                     let id = ids[r.pick(ids.len())];
                     let byte = r.byte();
-                    let scope = pager.txn();
-                    pager.write(id, &[byte; BS]);
+                    let scope = pager.txn().unwrap();
+                    pager.write(id, &[byte; BS]).unwrap();
                     scope.commit();
                     let mut m = lock_unpoisoned(&model);
                     m.commits += 1;
@@ -314,7 +314,7 @@ fn leg_a_schedule(seed: u64, sync_every: u64) {
                             if let Some((v, image)) = &view {
                                 let id = ids[r.pick(ids.len())];
                                 let want = image.get(&id.0).copied().unwrap_or(0);
-                                let data = v.read(id);
+                                let data = v.read(id).unwrap();
                                 assert!(
                                     data.iter().all(|b| *b == want),
                                     "snapshot read of {id:?} diverged from the \
@@ -338,7 +338,7 @@ fn leg_a_schedule(seed: u64, sync_every: u64) {
     assert_eq!(pager.published_epoch(), m.epoch, "final epoch agrees");
     for id in &ids {
         let want = m.committed.get(&id.0).copied().unwrap_or(0);
-        let data = pager.read(*id);
+        let data = pager.read(*id).unwrap();
         assert!(
             data.iter().all(|b| *b == want),
             "final state of {id:?} diverged from the serial model"
@@ -389,7 +389,7 @@ const B_EVICTOR_OPS: usize = 4;
 /// 4-frame pool; a plain map is the oracle.
 fn leg_b_schedule(seed: u64) {
     let pager = Pager::new(PagerConfig::with_block_size(BS).with_pool(B_POOL));
-    let ids: Vec<BlockId> = (0..B_BLOCKS).map(|_| pager.alloc()).collect();
+    let ids: Vec<BlockId> = (0..B_BLOCKS).map(|_| pager.alloc().unwrap()).collect();
     let model: Arc<Mutex<HashMap<u32, u8>>> =
         Arc::new(Mutex::new(ids.iter().map(|id| (id.0, 0u8)).collect()));
     let ops = [
@@ -421,13 +421,13 @@ fn leg_b_schedule(seed: u64) {
                         0 | 1 => {
                             let id = ids[r.pick(ids.len())];
                             let byte = r.byte();
-                            pager.write(id, &[byte; BS]);
+                            pager.write(id, &[byte; BS]).unwrap();
                             lock_unpoisoned(&model).insert(id.0, byte);
                         }
                         2 | 3 => {
                             let id = ids[r.pick(ids.len())];
                             let want = lock_unpoisoned(&model).get(&id.0).copied().unwrap_or(0);
-                            let data = pager.read(id);
+                            let data = pager.read(id).unwrap();
                             assert!(
                                 data.iter().all(|b| *b == want),
                                 "pooled read of {id:?} diverged (want {want})"
@@ -435,9 +435,9 @@ fn leg_b_schedule(seed: u64) {
                         }
                         _ => {
                             if op % 2 == 0 {
-                                pager.flush();
+                                pager.flush().unwrap();
                             } else {
-                                pager.clear_pool();
+                                pager.clear_pool().unwrap();
                             }
                         }
                     }
@@ -447,11 +447,11 @@ fn leg_b_schedule(seed: u64) {
         }
     });
 
-    pager.flush();
+    pager.flush().unwrap();
     let m = lock_unpoisoned(&model);
     for id in &ids {
         let want = m.get(&id.0).copied().unwrap_or(0);
-        let data = pager.read(*id);
+        let data = pager.read(*id).unwrap();
         assert!(
             data.iter().all(|b| *b == want),
             "post-flush state of {id:?} diverged"
@@ -498,9 +498,9 @@ fn c_pattern(seed: u64, i: usize) -> u8 {
 /// One stress run. Returns (shard acquisitions, shard contention) tallies.
 fn stress_run(seed: u64) -> (u64, u64) {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let ids: Vec<BlockId> = (0..C_BLOCKS).map(|_| pager.alloc()).collect();
+    let ids: Vec<BlockId> = (0..C_BLOCKS).map(|_| pager.alloc().unwrap()).collect();
     for (i, id) in ids.iter().enumerate() {
-        pager.write(*id, &[c_pattern(seed, i); BS]);
+        pager.write(*id, &[c_pattern(seed, i); BS]).unwrap();
     }
     let journal = TestJournal::new();
     pager.attach_journal(Arc::<TestJournal>::clone(&journal) as Arc<dyn Journal>);
@@ -529,7 +529,7 @@ fn stress_run(seed: u64) -> (u64, u64) {
                 assert!(!mine.is_empty(), "every reader owns blocks");
                 for _ in 0..C_ROUNDS {
                     for (i, id) in &mine {
-                        let data = view.read(*id);
+                        let data = view.read(*id).unwrap();
                         let want = c_pattern(seed, *i);
                         assert!(
                             data.iter().all(|b| *b == want),
@@ -548,8 +548,8 @@ fn stress_run(seed: u64) -> (u64, u64) {
                 for pass in 1..=C_WRITER_PASSES {
                     for (i, id) in ids.iter().enumerate() {
                         let byte = c_pattern(seed ^ codec::usize_to_u64(pass), i);
-                        let scope = pager.txn();
-                        pager.write(*id, &[byte; BS]);
+                        let scope = pager.txn().unwrap();
+                        pager.write(*id, &[byte; BS]).unwrap();
                         scope.commit();
                     }
                 }
@@ -561,7 +561,7 @@ fn stress_run(seed: u64) -> (u64, u64) {
     // frozen versions must have been reclaimed.
     for (i, id) in ids.iter().enumerate() {
         let want = c_pattern(seed ^ codec::usize_to_u64(C_WRITER_PASSES), i);
-        let data = pager.read(*id);
+        let data = pager.read(*id).unwrap();
         assert!(
             data.iter().all(|b| *b == want),
             "final stress state of {id:?} is the writer's last pass"

@@ -36,7 +36,7 @@ fn run_model(pool: usize, script: Vec<Op>) {
     for op in script {
         match op {
             Op::Alloc => {
-                let id = pager.alloc();
+                let id = pager.alloc().unwrap();
                 shadow.insert(id, vec![0u8; bs]);
                 live.push(id);
             }
@@ -46,7 +46,7 @@ fn run_model(pool: usize, script: Vec<Op>) {
                 }
                 let id = live.swap_remove(raw % live.len());
                 shadow.remove(&id);
-                pager.free(id);
+                pager.free(id).unwrap();
             }
             Op::Write(raw, byte) => {
                 if live.is_empty() {
@@ -56,23 +56,23 @@ fn run_model(pool: usize, script: Vec<Op>) {
                 let data = shadow.get_mut(&id).unwrap();
                 data[0] = byte;
                 data[bs - 1] = byte ^ 0xFF;
-                pager.write(id, data);
+                pager.write(id, data).unwrap();
             }
             Op::Read(raw) => {
                 if live.is_empty() {
                     continue;
                 }
                 let id = live[raw % live.len()];
-                assert_eq!(&*pager.read(id), shadow[&id].as_slice());
+                assert_eq!(&*pager.read(id).unwrap(), shadow[&id].as_slice());
             }
-            Op::Flush => pager.flush(),
+            Op::Flush => pager.flush().unwrap(),
         }
         assert_eq!(pager.allocated_blocks(), live.len());
     }
     // Final sweep: everything must match after a flush.
-    pager.clear_pool();
+    pager.clear_pool().unwrap();
     for (&id, data) in &shadow {
-        assert_eq!(&*pager.read(id), data.as_slice());
+        assert_eq!(&*pager.read(id).unwrap(), data.as_slice());
     }
 }
 
@@ -102,11 +102,11 @@ proptest! {
             let mut live: Vec<BlockId> = Vec::new();
             for op in script {
                 match op {
-                    Op::Alloc => live.push(pager.alloc()),
+                    Op::Alloc => live.push(pager.alloc().unwrap()),
                     Op::Free(raw) => {
                         if !live.is_empty() {
                             let id = live.swap_remove(raw % live.len());
-                            pager.free(id);
+                            pager.free(id).unwrap();
                         }
                     }
                     Op::Write(raw, byte) => {
@@ -114,18 +114,18 @@ proptest! {
                             let id = live[raw % live.len()];
                             let mut data = vec![0u8; bs];
                             data[0] = *byte;
-                            pager.write(id, &data);
+                            pager.write(id, &data).unwrap();
                         }
                     }
                     Op::Read(raw) => {
                         if !live.is_empty() {
-                            pager.read(live[raw % live.len()]);
+                            pager.read(live[raw % live.len()]).unwrap();
                         }
                     }
-                    Op::Flush => pager.flush(),
+                    Op::Flush => pager.flush().unwrap(),
                 }
             }
-            pager.flush();
+            pager.flush().unwrap();
             pager.stats().total()
         };
         let without = count(0, &script);

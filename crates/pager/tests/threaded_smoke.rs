@@ -35,8 +35,8 @@ fn populated() -> (SharedPager, Vec<BlockId>) {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
     let ids: Vec<BlockId> = (0..BLOCKS)
         .map(|i| {
-            let id = pager.alloc();
-            pager.write(id, &[pattern(i); BS]);
+            let id = pager.alloc().unwrap();
+            pager.write(id, &[pattern(i); BS]).unwrap();
             id
         })
         .collect();
@@ -59,7 +59,7 @@ fn concurrent_readers_for_seed(seed: u64) {
             s.spawn(|| {
                 for _ in 0..rounds {
                     for (i, id) in ids.iter().enumerate() {
-                        let data = pager.read(*id);
+                        let data = pager.read(*id).unwrap();
                         assert!(
                             data.iter().all(|b| *b == pattern(i)),
                             "block {id:?} corrupted under concurrent readers"
@@ -107,8 +107,8 @@ fn disjoint_writers_for_seed(seed: u64) {
                 for round in 0..rounds {
                     for (i, id) in &own {
                         let byte = pattern(i + round);
-                        pager.write(*id, &[byte; BS]);
-                        let back = pager.read(*id);
+                        pager.write(*id, &[byte; BS]).unwrap();
+                        let back = pager.read(*id).unwrap();
                         assert!(
                             back.iter().all(|b| *b == byte),
                             "writer {w} read back a foreign value for {id:?}"
@@ -121,7 +121,7 @@ fn disjoint_writers_for_seed(seed: u64) {
             s.spawn(|| {
                 for _ in 0..rounds {
                     for (i, id) in ids.iter().enumerate().skip(half) {
-                        let data = pager.read(*id);
+                        let data = pager.read(*id).unwrap();
                         assert!(
                             data.iter().all(|b| *b == pattern(i)),
                             "stable block {id:?} changed under disjoint writers"
@@ -150,8 +150,8 @@ fn allocation_is_race_free_across_threads() {
                 s.spawn(move || {
                     (0..16)
                         .map(|_| {
-                            let id = pager.alloc();
-                            pager.write(id, &[t; BS]);
+                            let id = pager.alloc().unwrap();
+                            pager.write(id, &[t; BS]).unwrap();
                             id
                         })
                         .collect::<Vec<BlockId>>()

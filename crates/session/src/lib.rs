@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -59,18 +60,19 @@
 //! let manager = SessionManager::<WBoxScheme>::create(
 //!     pager.clone(),
 //!     WBoxConfig::from_block_size(1024),
-//! );
+//! )?;
 //! let lids = {
-//!     let mut writer = manager.writer().expect("writer free");
-//!     writer.bulk_load_document(&[1, 0, 3, 2])
+//!     let mut writer = manager.writer()?;
+//!     writer.try_bulk_load_document(&[1, 0, 3, 2])?
 //! };
-//! let snap = manager.snapshot().expect("committed state");
-//! let frozen = snap.lookup(lids[0]);
+//! let snap = manager.snapshot()?;
+//! let frozen = snap.try_lookup(lids[0])?;
 //! {
-//!     let mut writer = manager.writer().expect("writer returned");
-//!     writer.insert_element_before(lids[0]);
+//!     let mut writer = manager.writer()?;
+//!     writer.try_insert_element_before(lids[0])?;
 //! }
-//! assert_eq!(snap.lookup(lids[0]), frozen, "snapshot is stable");
+//! assert_eq!(snap.try_lookup(lids[0])?, frozen, "snapshot is stable");
+//! # Ok::<(), boxes_session::SessionError>(())
 //! ```
 
 use std::collections::BTreeMap;
@@ -82,7 +84,7 @@ use boxes_core::scheme::{BBoxScheme, NaiveScheme, WBoxScheme};
 use boxes_core::LabelingScheme;
 use boxes_lidf::{Lidf, Record};
 use boxes_naive::NaiveConfig;
-use boxes_pager::{lock_unpoisoned, IoStats, PagerError, SharedPager};
+use boxes_pager::{lock_unpoisoned, IoResult, IoStats, PagerError, SharedPager};
 use boxes_trace::OpSpan;
 use boxes_wbox::WBoxConfig;
 
@@ -131,8 +133,9 @@ pub trait SessionScheme: LabelingScheme + Sized + Send {
     /// Scheme parameters, shared by the writer and every snapshot reopen.
     type Config: Clone + Send + Sync;
 
-    /// Build a fresh (empty) structure on `pager`.
-    fn create(pager: SharedPager, config: Self::Config) -> Self;
+    /// Build a fresh (empty) structure on `pager` and commit its bootstrap
+    /// as one journaled record.
+    fn create(pager: SharedPager, config: Self::Config) -> IoResult<Self>;
 
     /// Reattach to the committed state in `metas` (the published meta map
     /// of a snapshot epoch) over `pager` (a snapshot view).
@@ -156,8 +159,8 @@ fn require<'m>(
 impl SessionScheme for WBoxScheme {
     type Config = WBoxConfig;
 
-    fn create(pager: SharedPager, config: Self::Config) -> Self {
-        WBoxScheme::new(pager, config)
+    fn create(pager: SharedPager, config: Self::Config) -> IoResult<Self> {
+        Ok(WBoxScheme::new(pager, config))
     }
 
     fn open_view(
@@ -177,8 +180,8 @@ impl SessionScheme for WBoxScheme {
 impl SessionScheme for BBoxScheme {
     type Config = BBoxConfig;
 
-    fn create(pager: SharedPager, config: Self::Config) -> Self {
-        BBoxScheme::new(pager, config)
+    fn create(pager: SharedPager, config: Self::Config) -> IoResult<Self> {
+        Ok(BBoxScheme::new(pager, config))
     }
 
     fn open_view(
@@ -198,8 +201,13 @@ impl SessionScheme for BBoxScheme {
 impl SessionScheme for NaiveScheme {
     type Config = NaiveConfig;
 
-    fn create(pager: SharedPager, config: Self::Config) -> Self {
-        NaiveScheme::new(pager, config)
+    /// naive-k's constructor touches no block, so the bootstrap record
+    /// carries only the pager's allocator state.
+    fn create(pager: SharedPager, config: Self::Config) -> IoResult<Self> {
+        let txn = pager.txn()?;
+        let scheme = NaiveScheme::new(pager, config);
+        txn.commit();
+        Ok(scheme)
     }
 
     fn open_view(
@@ -207,11 +215,7 @@ impl SessionScheme for NaiveScheme {
         config: &Self::Config,
         metas: &BTreeMap<String, Vec<u8>>,
     ) -> Result<Self, SessionError> {
-        Ok(NaiveScheme::reopen(
-            pager,
-            *config,
-            require(metas, "naive")?,
-        ))
+        NaiveScheme::reopen(pager, *config, require(metas, "naive")?).map_err(SessionError::from)
     }
 }
 
@@ -231,13 +235,11 @@ pub struct SessionManager<S: SessionScheme> {
 impl<S: SessionScheme> SessionManager<S> {
     /// Create a fresh structure on `pager` (journaled; snapshots need the
     /// WAL's group-commit boundaries to define epochs) and manage it. The
-    /// bootstrap runs as one journaled transaction.
-    pub fn create(pager: SharedPager, config: S::Config) -> Self {
-        let scheme = {
-            let _txn = pager.txn();
-            S::create(Arc::clone(&pager), config.clone())
-        };
-        Self::adopt(scheme, config)
+    /// bootstrap runs as one journaled transaction, committed inside the
+    /// scheme's constructor.
+    pub fn create(pager: SharedPager, config: S::Config) -> IoResult<Self> {
+        let scheme = S::create(pager, config.clone())?;
+        Ok(Self::adopt(scheme, config))
     }
 
     /// Manage an existing structure (e.g. one reopened after WAL recovery).
@@ -371,16 +373,11 @@ impl<S: SessionScheme> Snapshot<S> {
         self.epoch
     }
 
-    /// Label of `lid` at this snapshot's epoch. Inherent (not just via
-    /// `Deref`) so call sites with both [`boxes_core::LabelingScheme`] and
+    /// Label of `lid` at this snapshot's epoch; disk faults come back as
+    /// typed errors, never wrong labels. Inherent (not just via `Deref`) so
+    /// call sites with both [`boxes_core::LabelingScheme`] and
     /// [`boxes_core::LabelView`] in scope stay unambiguous.
-    pub fn lookup(&self, lid: boxes_lidf::Lid) -> S::Label {
-        self.scheme.lookup(lid)
-    }
-
-    /// Fallible [`Snapshot::lookup`]: disk faults come back as typed
-    /// errors, never wrong labels.
-    pub fn try_lookup(&self, lid: boxes_lidf::Lid) -> Result<S::Label, PagerError> {
+    pub fn try_lookup(&self, lid: boxes_lidf::Lid) -> IoResult<S::Label> {
         self.scheme.try_lookup(lid)
     }
 
@@ -444,7 +441,7 @@ mod tests {
                 checkpoint_every: 0,
             },
         ));
-        SessionManager::create(pager.clone(), WBoxConfig::from_block_size(BS))
+        SessionManager::create(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap()
     }
 
     #[test]
@@ -475,14 +472,14 @@ mod tests {
             w.bulk_load_document(&[1, 0, 3, 2])
         };
         let snap = m.snapshot().expect("snapshot");
-        let before: Vec<u64> = lids.iter().map(|&l| snap.lookup(l)).collect();
+        let before: Vec<u64> = lids.iter().map(|&l| snap.try_lookup(l).unwrap()).collect();
         {
             let mut w = m.writer().expect("writer");
             for _ in 0..20 {
-                w.insert_element_before(lids[2]);
+                w.try_insert_element_before(lids[2]).unwrap();
             }
         }
-        let after: Vec<u64> = lids.iter().map(|&l| snap.lookup(l)).collect();
+        let after: Vec<u64> = lids.iter().map(|&l| snap.try_lookup(l).unwrap()).collect();
         assert_eq!(before, after, "snapshot labels never move");
         let fresh = m.snapshot().expect("fresh snapshot");
         assert!(fresh.epoch() > snap.epoch());
@@ -504,7 +501,7 @@ mod tests {
         let io0 = snap.io();
         let snap0 = snap.pager().trace().attributed();
         let writer0 = w.pager().trace().attributed();
-        let _ = snap.lookup(lids[0]);
+        let _ = snap.try_lookup(lids[0]).unwrap();
         let reads = snap.io().since(&io0).reads;
         assert!(reads > 0, "the lookup read through the view");
         let charged = snap.pager().trace().attributed().since(&snap0).reads;
@@ -541,7 +538,7 @@ mod tests {
         };
         let snap = m.snapshot().expect("published state");
         assert_eq!(snap.len(), 2);
-        let _ = snap.lookup(lids[0]);
+        let _ = snap.try_lookup(lids[0]).unwrap();
     }
 
     #[test]
@@ -558,7 +555,8 @@ mod tests {
         lidf.scan(|_, rec| {
             assert!(!rec.block.is_invalid());
             seen += 1;
-        });
+        })
+        .unwrap();
         assert_eq!(seen, 4);
     }
 
@@ -579,7 +577,7 @@ mod tests {
         .expect("create log");
         pager.attach_journal(wal.clone());
         let m: SessionManager<WBoxScheme> =
-            SessionManager::create(pager.clone(), WBoxConfig::from_block_size(BS));
+            SessionManager::create(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
         let before = wal.durable_len();
         {
             let mut w = m.writer().expect("writer");

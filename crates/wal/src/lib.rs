@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -74,10 +75,11 @@ mod tests {
     fn run_ops(pager: &SharedPager, ops: u8) -> Vec<BlockId> {
         let mut ids = Vec::new();
         for i in 0..ops {
-            let _txn = pager.txn();
-            let id = pager.alloc();
-            pager.write(id, &[i + 1; BS]);
+            let txn = pager.txn().unwrap();
+            let id = pager.alloc().unwrap();
+            pager.write(id, &[i + 1; BS]).unwrap();
             pager.txn_meta("test", || vec![i]);
+            txn.commit();
             ids.push(id);
         }
         ids
@@ -93,7 +95,7 @@ mod tests {
         assert_eq!(recovered.meta("test"), Some(&[2u8][..]));
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(
-                recovered.pager.read(id)[0],
+                recovered.pager.read(id).unwrap()[0],
                 u8::try_from(i).expect("small") + 1
             );
         }
@@ -201,7 +203,7 @@ mod tests {
         assert_eq!(recovered.meta("test"), Some(&[8u8][..]));
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(
-                recovered.pager.read(id)[0],
+                recovered.pager.read(id).unwrap()[0],
                 u8::try_from(i).expect("small") + 1,
                 "pre-checkpoint data reachable through the surviving image"
             );
@@ -226,7 +228,7 @@ mod tests {
         assert_eq!(recovered.pager.allocated_blocks(), 8);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(
-                recovered.pager.read(id)[0],
+                recovered.pager.read(id).unwrap()[0],
                 u8::try_from(i).expect("small") + 1
             );
         }
@@ -243,11 +245,15 @@ mod tests {
         // Rot a block whose commit record was rotated away: its only repair
         // source is the image the checkpoint carried forward.
         pager.corrupt_block(ids[0], 3, 0x20);
-        assert_eq!(pager.read(ids[0])[0], 1, "repaired, not wrong or fatal");
+        assert_eq!(
+            pager.read(ids[0]).unwrap()[0],
+            1,
+            "repaired, not wrong or fatal"
+        );
         assert_eq!(pager.stats().repairs, 1);
         assert!(pager.health().is_ok());
         // The rewrite fixed the media in place: the next read is clean.
-        assert_eq!(pager.read(ids[0])[0], 1);
+        assert_eq!(pager.read(ids[0]).unwrap()[0], 1);
         assert_eq!(pager.stats().repairs, 1, "no second repair needed");
     }
 
@@ -263,12 +269,12 @@ mod tests {
         let ids = run_ops(&pager, 4);
         let blank = Pager::new(PagerConfig::with_block_size(BS));
         for _ in 0..ids.len() {
-            blank.alloc();
+            blank.alloc().unwrap();
         }
         let recovered = recover(&wal.durable_bytes(), blank.disk_image()).expect("recover");
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(
-                recovered.pager.read(id)[0],
+                recovered.pager.read(id).unwrap()[0],
                 u8::try_from(i).expect("small") + 1,
                 "checkpoint images replay onto a blank disk"
             );
@@ -311,7 +317,7 @@ mod tests {
             for i in 0..recovered.commits {
                 let id = BlockId(u32::try_from(i).expect("small"));
                 assert_eq!(
-                    recovered.pager.read(id)[0],
+                    recovered.pager.read(id).unwrap()[0],
                     u8::try_from(i).expect("small") + 1,
                     "tick {target}: committed op {i} intact"
                 );
@@ -347,7 +353,7 @@ mod tests {
         assert_eq!(recovered.meta("test"), Some(&[2u8][..]));
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(
-                recovered.pager.read(id)[0],
+                recovered.pager.read(id).unwrap()[0],
                 u8::try_from(i).expect("small") + 1
             );
         }
@@ -385,12 +391,12 @@ mod tests {
         // every pre-rotation block onto a blank backend.
         let blank = Pager::new(PagerConfig::with_block_size(BS));
         for _ in 0..ids.len() {
-            blank.alloc();
+            blank.alloc().unwrap();
         }
         let recovered = recover(&bytes, blank.disk_image()).expect("recover");
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(
-                recovered.pager.read(id)[0],
+                recovered.pager.read(id).unwrap()[0],
                 u8::try_from(i).expect("small") + 1,
                 "block {i} reachable through the rotated log"
             );
@@ -421,19 +427,11 @@ mod tests {
         // Op 1 syncs fine; op 2's barrier fails. The failing op itself must
         // not unwind — the pager absorbs the Lost ack as a degraded-mode
         // entry, never an ack to the caller.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_ops(&pager, 2);
-        }));
-        assert!(outcome.is_ok(), "fsync failure degrades, not panics");
+        run_ops(&pager, 2);
         // Once degraded, the next mutation fails fast with the typed error.
-        let denied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _txn = pager.txn();
-            pager.alloc();
-        }));
-        let payload = denied.expect_err("degraded mutation must reject");
         assert!(matches!(
-            payload.downcast_ref::<boxes_pager::PagerError>(),
-            Some(boxes_pager::PagerError::Degraded(_))
+            pager.txn(),
+            Err(boxes_pager::PagerError::Degraded(_))
         ));
         assert!(wal.poisoned());
         assert_eq!(wal.stats().sync_failures, 1, "fsync is never retried");

@@ -69,7 +69,14 @@ impl<'a> WAuditor<'a> {
             return None;
         }
         let config = self.tree.config();
-        let node = match WNode::try_decode(&self.tree.pager().read(id), config.pair) {
+        let bytes = match self.tree.pager().read(id) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                self.push(Violation::unreadable(path, e).at_block(id.0));
+                return None;
+            }
+        };
+        let node = match WNode::try_decode(&bytes, config.pair) {
             Ok(node) => node,
             Err(e) => {
                 self.push(
@@ -146,23 +153,21 @@ impl<'a> WAuditor<'a> {
                     } else {
                         self.lid_owner.insert(r.lid, id);
                     }
-                    if !self.tree.lidf_ref().is_live(r.lid) {
-                        self.push(
+                    match self.tree.lidf_ref().read_live(r.lid) {
+                        Err(e) => self.push(Violation::unreadable(rec_path, e).at_block(id.0)),
+                        Ok(None) => self.push(
                             Violation::new(ViolationKind::LidfMismatch, rec_path)
                                 .at_block(id.0)
                                 .expected(format!("live LIDF record for {:?}", r.lid))
                                 .actual("slot freed or out of range"),
-                        );
-                    } else {
-                        let pointed = self.tree.lidf_ref().read(r.lid).block;
-                        if pointed != id {
-                            self.push(
-                                Violation::new(ViolationKind::LidfMismatch, rec_path)
-                                    .at_block(id.0)
-                                    .expected(format!("LIDF points {:?} at this leaf", r.lid))
-                                    .actual(format!("points at block {}", pointed.0)),
-                            );
-                        }
+                        ),
+                        Ok(Some(rec)) if rec.block != id => self.push(
+                            Violation::new(ViolationKind::LidfMismatch, rec_path)
+                                .at_block(id.0)
+                                .expected(format!("LIDF points {:?} at this leaf", r.lid))
+                                .actual(format!("points at block {}", rec.block.0)),
+                        ),
+                        Ok(Some(_)) => {}
                     }
                 }
                 let size = usize_to_u64(recs.len());
@@ -300,16 +305,22 @@ impl<'a> WAuditor<'a> {
                     continue;
                 }
                 let path = format!("wbox/leaf@{}/pair({:?})", id.0, r.lid);
-                if !self.tree.lidf_ref().is_live(r.partner_lid) {
-                    found.push(
-                        Violation::new(ViolationKind::PairLink, path)
-                            .at_block(id.0)
-                            .expected(format!("live partner {:?}", r.partner_lid))
-                            .actual("partner LIDF slot freed or out of range"),
-                    );
-                    continue;
-                }
-                let pblock = self.tree.lidf_ref().read(r.partner_lid).block;
+                let pblock = match self.tree.lidf_ref().read_live(r.partner_lid) {
+                    Ok(Some(rec)) => rec.block,
+                    Ok(None) => {
+                        found.push(
+                            Violation::new(ViolationKind::PairLink, path)
+                                .at_block(id.0)
+                                .expected(format!("live partner {:?}", r.partner_lid))
+                                .actual("partner LIDF slot freed or out of range"),
+                        );
+                        continue;
+                    }
+                    Err(e) => {
+                        found.push(Violation::unreadable(path, e).at_block(id.0));
+                        continue;
+                    }
+                };
                 if r.partner != pblock {
                     found.push(
                         Violation::new(ViolationKind::PairLink, path.clone())

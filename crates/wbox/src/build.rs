@@ -21,7 +21,7 @@ use crate::node::{LeafRecord, WEntry, WNode};
 use crate::tree::WBox;
 use boxes_lidf::{BlockPtrRecord, Lid};
 use boxes_pager::codec::usize_to_u64;
-use boxes_pager::BlockId;
+use boxes_pager::{BlockId, IoResult};
 use boxes_trace::OpSpan;
 use std::collections::HashMap;
 
@@ -55,7 +55,7 @@ impl LeafUnit {
 impl WBox {
     /// Bulk load `count` fresh labels into an empty W-BOX in document
     /// order. O(N/B) I/Os. Returns the LIDs in order.
-    pub fn bulk_load(&mut self, count: usize) -> Vec<Lid> {
+    pub fn bulk_load(&mut self, count: usize) -> IoResult<Vec<Lid>> {
         let _span = OpSpan::op(self.pager().trace(), self.trace_tag(), "bulk_load");
         self.journaled(|t| t.bulk_load_impl(count, None))
     }
@@ -63,7 +63,7 @@ impl WBox {
     /// Bulk load with pair wiring (W-BOX-O): `partner_of[i]` is the index
     /// of tag i's partner tag (start tags point at their end tag and vice
     /// versa). Requires pair mode.
-    pub fn bulk_load_pairs(&mut self, partner_of: &[usize]) -> Vec<Lid> {
+    pub fn bulk_load_pairs(&mut self, partner_of: &[usize]) -> IoResult<Vec<Lid>> {
         assert!(
             self.config().pair,
             "bulk_load_pairs requires pair optimization"
@@ -72,13 +72,13 @@ impl WBox {
         self.journaled(|t| t.bulk_load_impl(partner_of.len(), Some(partner_of)))
     }
 
-    fn bulk_load_impl(&mut self, count: usize, partner_of: Option<&[usize]>) -> Vec<Lid> {
+    fn bulk_load_impl(&mut self, count: usize, partner_of: Option<&[usize]>) -> IoResult<Vec<Lid>> {
         assert!(
             self.is_empty() && self.height() == 1,
             "bulk_load on a non-empty W-BOX"
         );
         if count == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         // LIDs are sequential on an empty LIDF, so pair identities can be
         // wired before allocation.
@@ -87,7 +87,10 @@ impl WBox {
             self.config().leaf_capacity(),
             self.config().min_weight(0),
         );
-        let blocks: Vec<BlockId> = sizes.iter().map(|_| self.pager().alloc()).collect();
+        let blocks: Vec<BlockId> = sizes
+            .iter()
+            .map(|_| self.pager().alloc())
+            .collect::<Result<_, _>>()?;
         let mut records = Vec::with_capacity(count);
         let mut units: Vec<LeafUnit> = Vec::with_capacity(sizes.len());
         let mut idx = 0usize;
@@ -115,68 +118,73 @@ impl WBox {
                 recs,
             });
         }
-        let lids = self.lidf().bulk_append(&records);
+        let lids = self.lidf().bulk_append(&records)?;
         debug_assert!(lids.iter().enumerate().all(|(i, l)| l.0 == i as u64));
 
         let old_root = self.root_id();
-        self.pager().free(old_root);
-        let (root, height) = self.build_auto(units);
+        self.pager().free(old_root)?;
+        let (root, height) = self.build_auto(units)?;
         self.set_root(root, height);
         self.set_live(count as u64);
-        lids
+        Ok(lids)
     }
 
     /// Rebuild the entire structure from its live records — §4's global
     /// rebuilding, triggered after N/2 deletions. O(N/B) I/Os.
-    pub(crate) fn global_rebuild(&mut self) {
+    pub(crate) fn global_rebuild(&mut self) -> IoResult<()> {
         let _phase = OpSpan::phase(self.pager().trace(), "rebuild");
         self.bump_counter(|c| c.global_rebuilds += 1);
         self.note_relabel(0, u64::MAX);
         let mut records = Vec::with_capacity(self.len() as usize);
-        self.collect_records_and_free(self.root_id(), &mut records);
+        self.collect_records_and_free(self.root_id(), &mut records)?;
         let live = usize_to_u64(records.len());
         if records.is_empty() {
-            let root = self.pager().alloc();
-            self.write_node(root, &WNode::leaf(0));
+            let root = self.pager().alloc()?;
+            self.write_node(root, &WNode::leaf(0))?;
             self.set_root(root, 1);
             self.set_live(0);
-            return;
+            return Ok(());
         }
         let units = chunk_records(
             records,
             self.config().leaf_capacity(),
             self.config().min_weight(0),
         );
-        let (root, height) = self.build_auto(units);
+        let (root, height) = self.build_auto(units)?;
         self.set_root(root, height);
         self.set_live(live);
+        Ok(())
     }
 
     /// DFS that collects full leaf records in document order and frees
     /// every visited block.
-    pub(crate) fn collect_records_and_free(&mut self, id: BlockId, out: &mut Vec<LeafRecord>) {
-        match self.read_node(id) {
+    pub(crate) fn collect_records_and_free(
+        &mut self,
+        id: BlockId,
+        out: &mut Vec<LeafRecord>,
+    ) -> IoResult<()> {
+        match self.read_node(id)? {
             WNode::Leaf { recs, .. } => out.extend(recs),
             WNode::Internal { entries } => {
                 for e in entries {
-                    self.collect_records_and_free(e.child, out);
+                    self.collect_records_and_free(e.child, out)?;
                 }
             }
         }
-        self.pager().free(id);
+        self.pager().free(id)
     }
 
     /// Build a complete structure over `units`, growing levels until a
     /// single top node remains; the root's range starts at label 0.
     /// Returns (root block, height).
-    pub(crate) fn build_auto(&mut self, units: Vec<LeafUnit>) -> (BlockId, usize) {
-        let leaves = self.place_leaves(units);
-        let pyramid = self.build_pyramid(leaves, None);
+    pub(crate) fn build_auto(&mut self, units: Vec<LeafUnit>) -> IoResult<(BlockId, usize)> {
+        let leaves = self.place_leaves(units)?;
+        let pyramid = self.build_pyramid(leaves, None)?;
         let height = pyramid.len();
         let top_level = height - 1;
         let (top_block, _) = pyramid[top_level][0];
-        self.write_pyramid(pyramid, top_level, 0);
-        (top_block, height)
+        self.write_pyramid(pyramid, top_level, 0)?;
+        Ok((top_block, height))
     }
 
     /// Build a structure of *exactly* `target_level + 1` levels over
@@ -189,15 +197,15 @@ impl WBox {
         target_level: usize,
         top_block: BlockId,
         top_lo: u64,
-    ) -> (u64, u64) {
+    ) -> IoResult<(u64, u64)> {
         self.note_relabel(top_lo, top_lo + self.config().range_len(target_level) - 1);
-        let leaves = self.place_leaves(units);
-        let pyramid = self.build_pyramid(leaves, Some((target_level, top_block)));
+        let leaves = self.place_leaves(units)?;
+        let pyramid = self.build_pyramid(leaves, Some((target_level, top_block)))?;
         assert_eq!(pyramid.len(), target_level + 1, "rebuild height mismatch");
         let top = &pyramid[target_level][0].1;
         let (w, s) = (top.weight(), top.size());
-        self.write_pyramid(pyramid, target_level, top_lo);
-        (w, s)
+        self.write_pyramid(pyramid, target_level, top_lo)?;
+        Ok((w, s))
     }
 
     /// Group levels bottom-up until a single node remains (or until the
@@ -207,7 +215,7 @@ impl WBox {
         &mut self,
         leaves: Vec<(BlockId, WNode)>,
         force_top: Option<(usize, BlockId)>,
-    ) -> Vec<Vec<(BlockId, WNode)>> {
+    ) -> IoResult<Vec<Vec<(BlockId, WNode)>>> {
         let mut pyramid = vec![leaves];
         let mut level = 0usize;
         loop {
@@ -240,7 +248,7 @@ impl WBox {
             for (gi, gsize) in groups.iter().enumerate() {
                 let block = match is_top_alloc {
                     Some(b) if gi == 0 => b,
-                    _ => self.pager().alloc(),
+                    _ => self.pager().alloc()?,
                 };
                 let children = &current[cursor..cursor + gsize];
                 cursor += gsize;
@@ -265,7 +273,7 @@ impl WBox {
             }
             pyramid.push(next);
         }
-        pyramid
+        Ok(pyramid)
     }
 
     /// Assign label ranges top-down over a finished pyramid and write every
@@ -275,7 +283,7 @@ impl WBox {
         mut pyramid: Vec<Vec<(BlockId, WNode)>>,
         top_level: usize,
         top_lo: u64,
-    ) {
+    ) -> IoResult<()> {
         // Compute each node's range base, walking levels top-down.
         let mut lo_of: HashMap<BlockId, u64> = HashMap::new();
         let (top_block, _) = pyramid[top_level][0];
@@ -293,7 +301,7 @@ impl WBox {
         // Write internal levels.
         for nodes in pyramid.iter().take(top_level + 1).skip(1) {
             for (block, node) in nodes {
-                self.write_node(*block, node);
+                self.write_node(*block, node)?;
             }
         }
         // Set leaf ranges, refresh pair fields, write leaves.
@@ -307,19 +315,19 @@ impl WBox {
                 (block, node)
             })
             .collect();
-        self.finish_leaves(leaves);
+        self.finish_leaves(leaves)
     }
 
     /// Final pass over materialized leaves: refresh pair fields (partner
     /// blocks and end caches) now that every record's placement is known,
     /// then write each leaf once. Partners outside this build are patched
     /// remotely (≤ D of them for a subtree rebuild, per Theorem 4.7).
-    fn finish_leaves(&mut self, leaves: Vec<(BlockId, WNode)>) {
+    fn finish_leaves(&mut self, leaves: Vec<(BlockId, WNode)>) -> IoResult<()> {
         if !self.config().pair {
             for (block, node) in &leaves {
-                self.write_node(*block, node);
+                self.write_node(*block, node)?;
             }
-            return;
+            return Ok(());
         }
         let mut placed: HashMap<Lid, (BlockId, u64)> = HashMap::new();
         for (block, node) in &leaves {
@@ -343,9 +351,9 @@ impl WBox {
                 let cache = (!r.is_start).then_some(label);
                 remote.push((r.partner, r.partner_lid, cache, Some(block)));
             }
-            self.write_node(block, &node);
+            self.write_node(block, &node)?;
         }
-        self.apply_remote_pair_fixes(remote);
+        self.apply_remote_pair_fixes(remote)
     }
 
     /// Grouped remote fixes: set the partner-block pointer and/or the end
@@ -353,12 +361,12 @@ impl WBox {
     pub(crate) fn apply_remote_pair_fixes(
         &mut self,
         mut fixes: Vec<(BlockId, Lid, Option<u64>, Option<BlockId>)>,
-    ) {
+    ) -> IoResult<()> {
         fixes.sort_by_key(|(b, _, _, _)| *b);
         let mut i = 0;
         while i < fixes.len() {
             let block = fixes[i].0;
-            let mut node = self.read_node(block);
+            let mut node = self.read_node(block)?;
             while i < fixes.len() && fixes[i].0 == block {
                 let (_, lid, cache, pblock) = fixes[i];
                 if let Some(r) = node.recs_mut().iter_mut().find(|r| r.lid == lid) {
@@ -371,18 +379,22 @@ impl WBox {
                 }
                 i += 1;
             }
-            self.write_node(block, &node);
+            self.write_node(block, &node)?;
         }
+        Ok(())
     }
 
     /// Allocate blocks for units (reusing kept blocks) and re-point the
     /// LIDF records of every record that landed in a fresh block.
-    fn place_leaves(&mut self, units: Vec<LeafUnit>) -> Vec<(BlockId, WNode)> {
+    fn place_leaves(&mut self, units: Vec<LeafUnit>) -> IoResult<Vec<(BlockId, WNode)>> {
         let mut out = Vec::with_capacity(units.len());
         let mut repoint: Vec<(Lid, BlockPtrRecord)> = Vec::new();
         for unit in units {
             let reused = unit.block.is_some();
-            let block = unit.block.unwrap_or_else(|| self.pager().alloc());
+            let block = match unit.block {
+                Some(block) => block,
+                None => self.pager().alloc()?,
+            };
             if !reused {
                 for r in &unit.recs {
                     repoint.push((r.lid, BlockPtrRecord::new(block)));
@@ -398,9 +410,9 @@ impl WBox {
             ));
         }
         if !repoint.is_empty() {
-            self.lidf().write_batch(repoint);
+            self.lidf().write_batch(repoint)?;
         }
-        out
+        Ok(out)
     }
 }
 
@@ -475,7 +487,7 @@ mod tests {
         if ordinal {
             c = c.with_ordinal();
         }
-        WBox::new(pager, c)
+        WBox::new(pager, c).unwrap()
     }
 
     #[test]
@@ -495,10 +507,10 @@ mod tests {
     #[test]
     fn bulk_load_small_and_lookup() {
         let mut w = make(false);
-        let lids = w.bulk_load(5);
+        let lids = w.bulk_load(5).unwrap();
         assert_eq!(w.len(), 5);
         assert_eq!(w.height(), 1);
-        let labels: Vec<u64> = lids.iter().map(|&l| w.lookup(l)).collect();
+        let labels: Vec<u64> = lids.iter().map(|&l| w.lookup(l).unwrap()).collect();
         assert_eq!(labels, vec![0, 1, 2, 3, 4], "leaf-ordinal labels from 0");
         w.validate();
     }
@@ -506,12 +518,12 @@ mod tests {
     #[test]
     fn bulk_load_multi_level() {
         let mut w = make(true);
-        let lids = w.bulk_load(2000);
+        let lids = w.bulk_load(2000).unwrap();
         assert!(w.height() >= 3);
-        assert_eq!(w.iter_lids(), lids);
+        assert_eq!(w.iter_lids().unwrap(), lids);
         w.validate();
         for (i, &lid) in lids.iter().enumerate().step_by(131) {
-            assert_eq!(w.ordinal_of(lid), i as u64);
+            assert_eq!(w.ordinal_of(lid).unwrap(), i as u64);
         }
     }
 
@@ -520,7 +532,7 @@ mod tests {
         let mut w = make(false);
         let pager = w.pager().clone();
         let before = pager.stats();
-        w.bulk_load(20_000);
+        w.bulk_load(20_000).unwrap();
         let cost = pager.stats().since(&before);
         let blocks = pager.allocated_blocks() as u64;
         assert!(
@@ -534,7 +546,7 @@ mod tests {
     fn bulk_load_exact_boundaries() {
         for count in [7, 8, 14, 49, 56] {
             let mut w = make(true);
-            let lids = w.bulk_load(count);
+            let lids = w.bulk_load(count).unwrap();
             assert_eq!(lids.len(), count);
             w.validate();
         }

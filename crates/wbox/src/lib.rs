@@ -9,6 +9,7 @@
         clippy::unreachable,
         clippy::as_conversions,
         clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
         clippy::mem_forget,
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -53,11 +54,12 @@
 //! use boxes_pager::{Pager, PagerConfig};
 //!
 //! let pager = Pager::new(PagerConfig::with_block_size(1024));
-//! let mut wbox = WBox::new(pager, WBoxConfig::small_for_tests());
-//! let lids = wbox.bulk_load(100);
-//! let new = wbox.insert_before(lids[50]);
-//! assert!(wbox.lookup(lids[49]) < wbox.lookup(new));
-//! assert!(wbox.lookup(new) < wbox.lookup(lids[50]));
+//! let mut wbox = WBox::new(pager, WBoxConfig::small_for_tests())?;
+//! let lids = wbox.bulk_load(100)?;
+//! let new = wbox.insert_before(lids[50])?;
+//! assert!(wbox.lookup(lids[49])? < wbox.lookup(new)?);
+//! assert!(wbox.lookup(new)? < wbox.lookup(lids[50])?);
+//! # Ok::<(), boxes_pager::PagerError>(())
 //! ```
 
 mod audit;

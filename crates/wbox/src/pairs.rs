@@ -19,7 +19,7 @@ use crate::node::WNode;
 use crate::tree::WBox;
 use boxes_lidf::Lid;
 use boxes_pager::codec::usize_to_u64;
-use boxes_pager::BlockId;
+use boxes_pager::{BlockId, IoResult};
 use std::collections::HashMap;
 
 impl WBox {
@@ -33,10 +33,10 @@ impl WBox {
         id: BlockId,
         node: &WNode,
         first_changed: usize,
-    ) {
+    ) -> IoResult<()> {
         if !self.config().pair {
-            self.write_node(id, node);
-            return;
+            self.write_node(id, node)?;
+            return Ok(());
         }
         let mut node = node.clone();
         let range_lo = node.range_lo();
@@ -54,17 +54,20 @@ impl WBox {
                 }
             }
         }
-        self.write_node(id, &node);
-        self.apply_end_cache_fixes(remote);
+        self.write_node(id, &node)?;
+        self.apply_end_cache_fixes(remote)
     }
 
     /// Apply deferred end-cache refreshes, grouped by block.
-    pub(crate) fn apply_end_cache_fixes(&mut self, mut fixes: Vec<(BlockId, Lid, u64)>) {
+    pub(crate) fn apply_end_cache_fixes(
+        &mut self,
+        mut fixes: Vec<(BlockId, Lid, u64)>,
+    ) -> IoResult<()> {
         fixes.sort_by_key(|(b, _, _)| *b);
         let mut i = 0;
         while i < fixes.len() {
             let block = fixes[i].0;
-            let mut node = self.read_node(block);
+            let mut node = self.read_node(block)?;
             while i < fixes.len() && fixes[i].0 == block {
                 let (_, lid, label) = fixes[i];
                 if let Some(r) = node.recs_mut().iter_mut().find(|r| r.lid == lid) {
@@ -73,8 +76,9 @@ impl WBox {
                 }
                 i += 1;
             }
-            self.write_node(block, &node);
+            self.write_node(block, &node)?;
         }
+        Ok(())
     }
 
     /// After relocating the records of `moved` from `old_id` into `new_id`
@@ -91,9 +95,9 @@ impl WBox {
         old_id: BlockId,
         moved: &mut WNode,
         new_id: BlockId,
-    ) {
+    ) -> IoResult<()> {
         if !self.config().pair {
-            return;
+            return Ok(());
         }
         let moved_lids: std::collections::HashSet<Lid> =
             moved.recs().iter().map(|r| r.lid).collect();
@@ -128,7 +132,7 @@ impl WBox {
         let mut i = 0;
         while i < remote_fixes.len() {
             let block = remote_fixes[i].0;
-            let mut node = self.read_node(block);
+            let mut node = self.read_node(block)?;
             while i < remote_fixes.len() && remote_fixes[i].0 == block {
                 let (_, lid) = remote_fixes[i];
                 if let Some(r) = node.recs_mut().iter_mut().find(|r| r.lid == lid) {
@@ -136,20 +140,21 @@ impl WBox {
                 }
                 i += 1;
             }
-            self.write_node(block, &node);
+            self.write_node(block, &node)?;
         }
+        Ok(())
     }
 
     /// Cross-link the two labels of one element and prime the end cache.
-    pub(crate) fn wire_pair(&mut self, start: Lid, end: Lid) {
-        let start_block = self.lidf_ref().read(start).block;
-        let end_block = self.lidf_ref().read(end).block;
-        let mut snode = self.read_node(start_block);
+    pub(crate) fn wire_pair(&mut self, start: Lid, end: Lid) -> IoResult<()> {
+        let start_block = self.lidf_ref().read(start)?.block;
+        let end_block = self.lidf_ref().read(end)?.block;
+        let mut snode = self.read_node(start_block)?;
         let end_label = if end_block == start_block {
             let pos = snode.position_of_lid(end);
             snode.range_lo() + usize_to_u64(pos)
         } else {
-            let enode = self.read_node(end_block);
+            let enode = self.read_node(end_block)?;
             enode.range_lo() + usize_to_u64(enode.position_of_lid(end))
         };
         {
@@ -166,33 +171,34 @@ impl WBox {
             r.is_start = false;
             r.partner_lid = start;
             r.partner = start_block;
-            self.write_node(start_block, &snode);
+            self.write_node(start_block, &snode)?;
         } else {
-            self.write_node(start_block, &snode);
-            let mut enode = self.read_node(end_block);
+            self.write_node(start_block, &snode)?;
+            let mut enode = self.read_node(end_block)?;
             let pos = enode.position_of_lid(end);
             let r = &mut enode.recs_mut()[pos];
             r.is_start = false;
             r.partner_lid = start;
             r.partner = start_block;
-            self.write_node(end_block, &enode);
+            self.write_node(end_block, &enode)?;
         }
+        Ok(())
     }
 
     /// Both labels of an element from its start LID in **two I/Os** (one
     /// LIDF read + one leaf read) — the W-BOX-O payoff.
-    pub fn pair_lookup(&self, start_lid: Lid) -> (u64, u64) {
+    pub fn pair_lookup(&self, start_lid: Lid) -> IoResult<(u64, u64)> {
         assert!(
             self.config().pair,
             "pair_lookup requires WBoxConfig::with_pair_optimization"
         );
         let _span = boxes_trace::OpSpan::op(self.pager().trace(), self.trace_tag(), "pair_lookup");
-        let block = self.lidf_ref().read(start_lid).block;
-        let node = self.read_node(block);
+        let block = self.lidf_ref().read(start_lid)?.block;
+        let node = self.read_node(block)?;
         let pos = node.position_of_lid(start_lid);
         let r = &node.recs()[pos];
         assert!(r.is_start, "pair_lookup takes a start label");
-        (node.range_lo() + usize_to_u64(pos), r.end_cache)
+        Ok((node.range_lo() + usize_to_u64(pos), r.end_cache))
     }
 
     /// Recompute partner blocks and end caches for a fully materialized
@@ -229,6 +235,7 @@ mod tests {
             pager,
             WBoxConfig::small_for_tests().with_pair_optimization(),
         )
+        .unwrap()
     }
 
     /// partner map for a flat document: root element wraps n children:
@@ -249,34 +256,34 @@ mod tests {
     #[test]
     fn bulk_load_pairs_wires_everything() {
         let mut w = make();
-        let lids = w.bulk_load_pairs(&flat_partner_map(200));
+        let lids = w.bulk_load_pairs(&flat_partner_map(200)).unwrap();
         assert_eq!(w.len(), 402);
         w.validate(); // includes the pair-linkage audit
                       // Root pair lookup: both labels in two I/Os.
         let pager = w.pager().clone();
         let before = pager.stats();
-        let (s, e) = w.pair_lookup(lids[0]);
+        let (s, e) = w.pair_lookup(lids[0]).unwrap();
         assert_eq!(pager.stats().since(&before).total(), 2, "W-BOX-O payoff");
-        assert_eq!(s, w.lookup(lids[0]));
-        assert_eq!(e, w.lookup(lids[401]), "cached end label is fresh");
+        assert_eq!(s, w.lookup(lids[0]).unwrap());
+        assert_eq!(e, w.lookup(lids[401]).unwrap(), "cached end label is fresh");
         assert!(s < e);
     }
 
     #[test]
     fn insert_element_wires_and_survives_shifts() {
         let mut w = make();
-        let lids = w.bulk_load_pairs(&flat_partner_map(50));
+        let lids = w.bulk_load_pairs(&flat_partner_map(50)).unwrap();
         // Insert elements as last children of the root (before root end).
         let root_end = lids[101];
         let mut new_elems = Vec::new();
         for _ in 0..120 {
-            new_elems.push(w.insert_element_before(root_end));
+            new_elems.push(w.insert_element_before(root_end).unwrap());
         }
         w.validate();
         for &(s, e) in &new_elems {
-            let (ls, le) = w.pair_lookup(s);
-            assert_eq!(ls, w.lookup(s));
-            assert_eq!(le, w.lookup(e));
+            let (ls, le) = w.pair_lookup(s).unwrap();
+            assert_eq!(ls, w.lookup(s).unwrap());
+            assert_eq!(le, w.lookup(e).unwrap());
             assert!(ls < le);
         }
     }
@@ -284,12 +291,12 @@ mod tests {
     #[test]
     fn caches_survive_relabeling_splits() {
         let mut w = make();
-        let lids = w.bulk_load_pairs(&flat_partner_map(100));
+        let lids = w.bulk_load_pairs(&flat_partner_map(100)).unwrap();
         // Hammer inserts just before one child's start tag: the containing
         // ancestors' end labels keep shifting and splits relabel ranges.
         let anchor = lids[51];
         for _ in 0..300 {
-            w.insert_element_before(anchor);
+            w.insert_element_before(anchor).unwrap();
         }
         w.validate();
     }
@@ -305,19 +312,19 @@ mod tests {
             p[d] = total - 1 - d;
             p[total - 1 - d] = d;
         }
-        let lids = w.bulk_load_pairs(&p);
+        let lids = w.bulk_load_pairs(&p).unwrap();
         // Insert inside the innermost element repeatedly: every ancestor's
         // end label shifts each time (the paper's D-bounded fix-up case).
         let innermost_end = lids[depth];
         for _ in 0..200 {
-            w.insert_element_before(innermost_end);
+            w.insert_element_before(innermost_end).unwrap();
         }
         w.validate();
-        let (s0, e0) = w.pair_lookup(lids[0]);
-        assert_eq!(s0, w.lookup(lids[0]));
+        let (s0, e0) = w.pair_lookup(lids[0]).unwrap();
+        assert_eq!(s0, w.lookup(lids[0]).unwrap());
         assert_eq!(
             e0,
-            w.lookup(lids[total - 1]),
+            w.lookup(lids[total - 1]).unwrap(),
             "outermost end label tracks every shift"
         );
     }
@@ -325,13 +332,13 @@ mod tests {
     #[test]
     fn pair_lookup_cost_beats_two_lookups() {
         let mut w = make();
-        let lids = w.bulk_load_pairs(&flat_partner_map(2_000));
+        let lids = w.bulk_load_pairs(&flat_partner_map(2_000)).unwrap();
         let pager = w.pager().clone();
         let before = pager.stats();
-        w.pair_lookup(lids[0]);
+        w.pair_lookup(lids[0]).unwrap();
         let pair_cost = pager.stats().since(&before).total();
         let before = pager.stats();
-        let _ = (w.lookup(lids[0]), w.lookup(lids[4001]));
+        let _ = (w.lookup(lids[0]).unwrap(), w.lookup(lids[4001]).unwrap());
         let two_cost = pager.stats().since(&before).total();
         assert!(pair_cost < two_cost);
         assert_eq!(pair_cost, 2);
@@ -340,13 +347,13 @@ mod tests {
     #[test]
     fn deletes_keep_pairs_consistent() {
         let mut w = make();
-        let lids = w.bulk_load_pairs(&flat_partner_map(80));
+        let lids = w.bulk_load_pairs(&flat_partner_map(80)).unwrap();
         // Delete elements 10..30 (both tags each).
         for c in 10..30 {
             let s = lids[1 + 2 * c];
             let e = lids[2 + 2 * c];
-            w.delete(s);
-            w.delete(e);
+            w.delete(s).unwrap();
+            w.delete(e).unwrap();
         }
         assert_eq!(w.len(), 162 - 40);
         w.validate();
@@ -355,12 +362,14 @@ mod tests {
     #[test]
     fn subtree_insert_pairs_wire_correctly() {
         let mut w = make();
-        let lids = w.bulk_load_pairs(&flat_partner_map(300));
-        let sub = w.insert_subtree_before_pairs(lids[301], &flat_partner_map(60));
+        let lids = w.bulk_load_pairs(&flat_partner_map(300)).unwrap();
+        let sub = w
+            .insert_subtree_before_pairs(lids[301], &flat_partner_map(60))
+            .unwrap();
         w.validate();
-        let (s, e) = w.pair_lookup(sub[0]);
-        assert_eq!(s, w.lookup(sub[0]));
-        assert_eq!(e, w.lookup(*sub.last().unwrap()));
+        let (s, e) = w.pair_lookup(sub[0]).unwrap();
+        assert_eq!(s, w.lookup(sub[0]).unwrap());
+        assert_eq!(e, w.lookup(*sub.last().unwrap()).unwrap());
         assert!(s < e);
     }
 
@@ -368,8 +377,8 @@ mod tests {
     #[should_panic(expected = "pair_lookup takes a start label")]
     fn pair_lookup_of_end_label_panics() {
         let mut w = make();
-        let lids = w.bulk_load_pairs(&flat_partner_map(5));
-        w.pair_lookup(*lids.last().unwrap());
+        let lids = w.bulk_load_pairs(&flat_partner_map(5)).unwrap();
+        w.pair_lookup(*lids.last().unwrap()).unwrap();
     }
 
     #[test]
@@ -377,8 +386,8 @@ mod tests {
         // insert_before (single label) leaves the record unpaired; pairs
         // validation must tolerate INVALID partners.
         let mut w = make();
-        let lids = w.bulk_load_pairs(&flat_partner_map(10));
-        let _loose = w.insert_before(lids[5]);
+        let lids = w.bulk_load_pairs(&flat_partner_map(10)).unwrap();
+        let _loose = w.insert_before(lids[5]).unwrap();
         w.validate();
         let _ = Lid::INVALID;
     }

@@ -14,7 +14,7 @@
 use crate::config::WBoxConfig;
 use crate::node::{LeafRecord, WEntry, WNode};
 use boxes_lidf::{BlockPtrRecord, Lid, Lidf};
-use boxes_pager::{BlockId, SharedPager};
+use boxes_pager::{BlockId, IoResult, SharedPager};
 use boxes_trace::OpSpan;
 
 /// Trace scheme tag for a W-BOX with this configuration (mirrors
@@ -83,7 +83,7 @@ pub struct WBox {
 
 impl WBox {
     /// Create an empty W-BOX on the shared pager.
-    pub fn new(pager: SharedPager, config: WBoxConfig) -> Self {
+    pub fn new(pager: SharedPager, config: WBoxConfig) -> IoResult<Self> {
         config.validate();
         let _span = OpSpan::op(pager.trace(), tag_for(&config), "open");
         assert!(
@@ -95,9 +95,9 @@ impl WBox {
             config.b,
             pager.block_size()
         );
-        let txn = pager.txn();
+        let txn = pager.txn()?;
         let lidf = Lidf::new(pager.clone());
-        let root = pager.alloc();
+        let root = pager.alloc()?;
         let this = Self {
             pager,
             lidf,
@@ -110,11 +110,11 @@ impl WBox {
             counters: WBoxCounters::default(),
             relabel_watermark: None,
         };
-        this.write_node(root, &WNode::leaf(0));
+        this.write_node(root, &WNode::leaf(0))?;
         this.pager.txn_meta("wbox", || this.save_state());
         this.pager.txn_meta("lidf", || this.lidf.save_state());
         txn.commit();
-        this
+        Ok(this)
     }
 
     /// Reconstruct a W-BOX from its `"wbox"` and `"lidf"` state blobs over a
@@ -168,26 +168,28 @@ impl WBox {
 
     /// Run `f` as one journaled operation: all blocks it dirties (including
     /// any splits, relabels, or a whole global rebuild) commit as a single
-    /// atomic WAL record carrying the refreshed `"wbox"` state blob.
-    pub(crate) fn journaled<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        let txn = self.pager.txn();
-        let out = f(self);
+    /// atomic WAL record carrying the refreshed `"wbox"` state blob. A
+    /// degraded pager rejects the operation before `f` changes anything; an
+    /// error from `f` aborts the scope.
+    pub(crate) fn journaled<T>(&mut self, f: impl FnOnce(&mut Self) -> IoResult<T>) -> IoResult<T> {
+        let txn = self.pager.txn()?;
+        let out = f(self)?;
         let state = self.save_state();
         self.pager.txn_meta("wbox", || state);
         txn.commit();
-        out
+        Ok(out)
     }
 
     // ----- node I/O -------------------------------------------------------
 
-    pub(crate) fn read_node(&self, id: BlockId) -> WNode {
-        WNode::decode(&self.pager.read(id), self.config.pair)
+    pub(crate) fn read_node(&self, id: BlockId) -> IoResult<WNode> {
+        Ok(WNode::decode(&self.pager.read(id)?, self.config.pair))
     }
 
-    pub(crate) fn write_node(&self, id: BlockId, node: &WNode) {
+    pub(crate) fn write_node(&self, id: BlockId, node: &WNode) -> IoResult<()> {
         let mut buf = vec![0u8; self.pager.block_size()].into_boxed_slice();
         node.encode(&mut buf, self.config.pair);
-        self.pager.write(id, &buf);
+        self.pager.write(id, &buf)
     }
 
     // ----- accessors --------------------------------------------------------
@@ -223,7 +225,7 @@ impl WBox {
     }
 
     /// Whether `lid` currently names a live label (one LIDF slot read).
-    pub fn is_live(&self, lid: Lid) -> bool {
+    pub fn is_live(&self, lid: Lid) -> IoResult<bool> {
         self.lidf.is_live(lid)
     }
 
@@ -281,12 +283,12 @@ impl WBox {
     /// The anchor's current label together with the largest label on its
     /// leaf — exactly the `[l, l_max]` of §6's W-BOX log entries. Costs the
     /// same two I/Os as a lookup.
-    pub fn leaf_extent(&self, lid: Lid) -> (u64, u64) {
-        let leaf_id = self.lidf.read(lid).block;
-        let leaf = self.read_node(leaf_id);
+    pub fn leaf_extent(&self, lid: Lid) -> IoResult<(u64, u64)> {
+        let leaf_id = self.lidf.read(lid)?.block;
+        let leaf = self.read_node(leaf_id)?;
         let label = leaf.range_lo() + leaf.position_of_lid(lid) as u64;
         let max = leaf.range_lo() + leaf.recs().len() as u64 - 1;
-        (label, max)
+        Ok((label, max))
     }
 
     /// Bits needed for the largest possible label at the current height:
@@ -300,25 +302,25 @@ impl WBox {
 
     /// Label of `lid`: one LIDF I/O plus **one** index I/O (Theorem 4.5).
     /// The leaf-ordinal rule makes the label `range_lo + position`.
-    pub fn lookup(&self, lid: Lid) -> u64 {
+    pub fn lookup(&self, lid: Lid) -> IoResult<u64> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "lookup");
-        let leaf_id = self.lidf.read(lid).block;
-        let leaf = self.read_node(leaf_id);
-        leaf.range_lo() + leaf.position_of_lid(lid) as u64
+        let leaf_id = self.lidf.read(lid)?.block;
+        let leaf = self.read_node(leaf_id)?;
+        Ok(leaf.range_lo() + leaf.position_of_lid(lid) as u64)
     }
 
     /// Ordinal label of `lid` (requires ordinal mode): a regular lookup
     /// followed by a top-down descent summing the size fields left of the
     /// path — O(log_B N) total, as in §4.
-    pub fn ordinal_of(&self, lid: Lid) -> u64 {
+    pub fn ordinal_of(&self, lid: Lid) -> IoResult<u64> {
         assert!(
             self.config.ordinal,
             "ordinal lookup requires WBoxConfig::with_ordinal"
         );
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "ordinal");
-        let label = self.lookup(lid);
+        let label = self.lookup(lid)?;
         let mut count = 0u64;
-        for step in self.descend(label) {
+        for step in self.descend(label)? {
             match &step.node {
                 WNode::Internal { entries } => {
                     count += entries[..step.child_pos]
@@ -331,20 +333,20 @@ impl WBox {
                 }
             }
         }
-        count
+        Ok(count)
     }
 
     // ----- descent ----------------------------------------------------------
 
     /// Root-to-leaf descent guided by a label that exists in the tree.
     /// Returns the path, root first, leaf last.
-    pub(crate) fn descend(&self, label: u64) -> Vec<PathStep> {
+    pub(crate) fn descend(&self, label: u64) -> IoResult<Vec<PathStep>> {
         let mut steps = Vec::with_capacity(self.height);
         let mut id = self.root;
         let mut lo = 0u64;
         let mut level = self.height - 1;
         loop {
-            let node = self.read_node(id);
+            let node = self.read_node(id)?;
             if node.is_leaf() {
                 steps.push(PathStep {
                     id,
@@ -353,7 +355,7 @@ impl WBox {
                     range_lo: lo,
                     child_pos: usize::MAX,
                 });
-                return steps;
+                return Ok(steps);
             }
             let len = self.config.range_len(level - 1);
             let pos = node
@@ -382,35 +384,35 @@ impl WBox {
     // ----- insertion --------------------------------------------------------
 
     /// Insert the very first label into an empty W-BOX.
-    pub fn insert_first(&mut self) -> Lid {
+    pub fn insert_first(&mut self) -> IoResult<Lid> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert");
         self.journaled(|t| t.insert_first_impl())
     }
 
-    fn insert_first_impl(&mut self) -> Lid {
+    fn insert_first_impl(&mut self) -> IoResult<Lid> {
         assert!(
             self.is_empty() && self.height == 1,
             "insert_first on a non-empty W-BOX"
         );
-        let lid = self.lidf.alloc(BlockPtrRecord::new(self.root));
-        let mut node = self.read_node(self.root);
+        let lid = self.lidf.alloc(BlockPtrRecord::new(self.root))?;
+        let mut node = self.read_node(self.root)?;
         node.recs_mut().push(LeafRecord::plain(lid));
-        self.write_node(self.root, &node);
+        self.write_node(self.root, &node)?;
         self.live = 1;
         self.live_at_rebuild = 1;
-        lid
+        Ok(lid)
     }
 
     /// Insert a new label immediately before `lid_old`. Returns the new
     /// LID. Amortized O(log_B N) I/Os (Theorem 4.6).
-    pub fn insert_before(&mut self, lid_old: Lid) -> Lid {
+    pub fn insert_before(&mut self, lid_old: Lid) -> IoResult<Lid> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert");
         self.journaled(|t| t.insert_before_impl(lid_old))
     }
 
-    fn insert_before_impl(&mut self, lid_old: Lid) -> Lid {
-        let leaf_id = self.lidf.read(lid_old).block;
-        let leaf = self.read_node(leaf_id);
+    fn insert_before_impl(&mut self, lid_old: Lid) -> IoResult<Lid> {
+        let leaf_id = self.lidf.read(lid_old)?.block;
+        let leaf = self.read_node(leaf_id)?;
 
         // Reclaim path: a tombstoned slot absorbs the insertion without any
         // weight change (and hence without any possibility of splitting).
@@ -425,7 +427,7 @@ impl WBox {
         // and charge one weight unit along the final path.
         let mut path = {
             let label = leaf.range_lo() + leaf.position_of_lid(lid_old) as u64;
-            self.descend(label)
+            self.descend(label)?
         };
         loop {
             // Highest node whose weight would reach its bound.
@@ -434,16 +436,16 @@ impl WBox {
                 .position(|s| s.node.weight() + 1 >= self.config.max_weight(s.level));
             let Some(v) = violator else { break };
             if path[v].id == self.root {
-                self.grow_root(&path[v]);
+                self.grow_root(&path[v])?;
             } else {
                 debug_assert!(v >= 1);
-                self.split(&path[v - 1], &path[v]);
+                self.split(&path[v - 1], &path[v])?;
             }
             // Splits relabel; re-locate the anchor and re-descend.
-            let leaf_id = self.lidf.read(lid_old).block;
-            let leaf = self.read_node(leaf_id);
+            let leaf_id = self.lidf.read(lid_old)?.block;
+            let leaf = self.read_node(leaf_id)?;
             let label = leaf.range_lo() + leaf.position_of_lid(lid_old) as u64;
-            path = self.descend(label);
+            path = self.descend(label)?;
         }
 
         // Charge the insertion to every node on the path and place it.
@@ -452,70 +454,76 @@ impl WBox {
             let e = &mut step.node.entries_mut()[step.child_pos];
             e.weight += 1;
             e.size += 1;
-            self.write_node(step.id, &step.node);
+            self.write_node(step.id, &step.node)?;
         }
         let mut leaf = leaf_step.node;
         let pos = leaf.position_of_lid(lid_old);
-        let new_lid = self.lidf.alloc(BlockPtrRecord::new(leaf_step.id));
+        let new_lid = self.lidf.alloc(BlockPtrRecord::new(leaf_step.id))?;
         leaf.recs_mut().insert(pos, LeafRecord::plain(new_lid));
         debug_assert!(leaf.recs().len() <= self.config.leaf_capacity());
         // Records at pos.. shifted one label up (leaf-ordinal rule).
-        self.write_leaf_after_shift(leaf_step.id, &leaf, pos);
+        self.write_leaf_after_shift(leaf_step.id, &leaf, pos)?;
         self.live += 1;
-        new_lid
+        Ok(new_lid)
     }
 
-    fn insert_reclaiming(&mut self, leaf_id: BlockId, mut leaf: WNode, lid_old: Lid) -> Lid {
+    fn insert_reclaiming(
+        &mut self,
+        leaf_id: BlockId,
+        mut leaf: WNode,
+        lid_old: Lid,
+    ) -> IoResult<Lid> {
         let pos = leaf.position_of_lid(lid_old);
-        let new_lid = self.lidf.alloc(BlockPtrRecord::new(leaf_id));
+        let new_lid = self.lidf.alloc(BlockPtrRecord::new(leaf_id))?;
         leaf.recs_mut().insert(pos, LeafRecord::plain(new_lid));
         if let WNode::Leaf { tombstones, .. } = &mut leaf {
             *tombstones -= 1;
         }
-        self.write_leaf_after_shift(leaf_id, &leaf, pos);
+        self.write_leaf_after_shift(leaf_id, &leaf, pos)?;
         if self.config.ordinal {
             // Size fields still count live records: charge the path.
             let label = leaf.range_lo() + pos as u64;
-            self.bump_sizes_by_label(label, 1);
+            self.bump_sizes_by_label(label, 1)?;
         }
         self.live += 1;
-        new_lid
+        Ok(new_lid)
     }
 
     /// Insert a new element (start and end labels) before the tag labeled
     /// `lid`, per §3: end label first, then start before it. In pair mode
     /// the two records are cross-linked afterwards.
-    pub fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
+    pub fn insert_element_before(&mut self, lid: Lid) -> IoResult<(Lid, Lid)> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "insert_element");
         self.journaled(|t| {
-            let end = t.insert_before_impl(lid);
-            let start = t.insert_before_impl(end);
+            let end = t.insert_before_impl(lid)?;
+            let start = t.insert_before_impl(end)?;
             if t.config.pair {
-                t.wire_pair(start, end);
+                t.wire_pair(start, end)?;
             }
-            (start, end)
+            Ok((start, end))
         })
     }
 
     /// Add `delta` to the size fields along the path to `label` (internal
     /// nodes only) — the ordinal-mode maintenance cost.
-    pub(crate) fn bump_sizes_by_label(&mut self, label: u64, delta: i64) {
-        let mut path = self.descend(label);
+    pub(crate) fn bump_sizes_by_label(&mut self, label: u64, delta: i64) -> IoResult<()> {
+        let mut path = self.descend(label)?;
         path.pop(); // leaf sizes are implicit
         for step in &mut path {
             let e = &mut step.node.entries_mut()[step.child_pos];
             e.size = (e.size as i64 + delta) as u64;
-            self.write_node(step.id, &step.node);
+            self.write_node(step.id, &step.node)?;
         }
+        Ok(())
     }
 
     // ----- splits -----------------------------------------------------------
 
     /// Grow the tree: a new root whose range extends the old full range by
     /// a factor of b; the old root keeps its labels (subrange 0).
-    pub(crate) fn grow_root(&mut self, old_root_step: &PathStep) {
+    pub(crate) fn grow_root(&mut self, old_root_step: &PathStep) -> IoResult<()> {
         self.counters.root_grows += 1;
-        let new_root = self.pager.alloc();
+        let new_root = self.pager.alloc()?;
         let node = WNode::Internal {
             entries: vec![WEntry {
                 child: self.root,
@@ -524,20 +532,21 @@ impl WBox {
                 size: old_root_step.node.size(),
             }],
         };
-        self.write_node(new_root, &node);
+        self.write_node(new_root, &node)?;
         self.root = new_root;
         self.height += 1;
         assert!(
             self.config.range_len(self.height - 1) < u64::MAX / 2,
             "label space exhausted"
         );
+        Ok(())
     }
 
     /// Split `victim` (which is about to violate its weight bound) under
     /// `parent`, assigning subranges per §4: use an adjacent free subrange
     /// if one exists, otherwise respace all of the parent's children and
     /// relabel the parent's entire subtree.
-    fn split(&mut self, parent: &PathStep, victim: &PathStep) {
+    fn split(&mut self, parent: &PathStep, victim: &PathStep) -> IoResult<()> {
         let _phase = OpSpan::phase(self.pager.trace(), "split");
         let level = victim.level;
         let vpos = parent.child_pos; // victim's entry within the parent
@@ -615,7 +624,7 @@ impl WBox {
             } else {
                 (right, left, j, j - 1, false)
             };
-            let moved_id = self.pager.alloc();
+            let moved_id = self.pager.alloc()?;
             let (kw, ks) = (keep.weight(), keep.size());
             let (mw, ms) = (moved.weight(), moved.size());
 
@@ -623,27 +632,27 @@ impl WBox {
             if moved.is_leaf() {
                 // Pair mode: relocated records' partners must learn the new
                 // block (in memory before any write, remote fixes grouped).
-                self.fix_partner_blocks_for_split(&mut keep, victim.id, &mut moved, moved_id);
+                self.fix_partner_blocks_for_split(&mut keep, victim.id, &mut moved, moved_id)?;
                 let lids: Vec<Lid> = moved.recs().iter().map(|r| r.lid).collect();
-                self.write_node(moved_id, &moved);
-                self.repoint_lidf(&lids, moved_id);
+                self.write_node(moved_id, &moved)?;
+                self.repoint_lidf(&lids, moved_id)?;
                 // The kept part stays in the victim's block. If it is the
                 // *right* half, its records drop to the front of the
                 // victim's range — rebase it and refresh pair caches.
                 if moved_goes_right {
-                    self.write_node(victim.id, &keep);
+                    self.write_node(victim.id, &keep)?;
                 } else {
                     if let WNode::Leaf { range_lo, .. } = &mut keep {
                         *range_lo = victim.range_lo;
                     }
-                    self.write_leaf_after_shift(victim.id, &keep, 0);
+                    self.write_leaf_after_shift(victim.id, &keep, 0)?;
                 }
                 // The moved part gets the adjacent subrange and relabels.
-                self.relabel_subtree(moved_id, level, moved_lo);
+                self.relabel_subtree(moved_id, level, moved_lo)?;
             } else {
-                self.write_node(victim.id, &keep);
-                self.write_node(moved_id, &moved);
-                self.relabel_subtree(moved_id, level, moved_lo);
+                self.write_node(victim.id, &keep)?;
+                self.write_node(moved_id, &moved)?;
+                self.relabel_subtree(moved_id, level, moved_lo)?;
             }
 
             // Parent: replace the victim entry with the two halves.
@@ -680,28 +689,28 @@ impl WBox {
             };
             pnode.entries_mut().splice(vpos..=vpos, [e1, e2]);
             assert!(pnode.entries().len() <= self.config.b, "fan-out overflow");
-            self.write_node(parent_id, &pnode);
+            self.write_node(parent_id, &pnode)?;
         } else {
             // Worst case: respace every child of the parent with equally
             // spaced subranges and relabel the whole subtree below it.
             let _respace = OpSpan::phase(self.pager.trace(), "respace");
             self.counters.respace_splits += 1;
-            let new_id = self.pager.alloc();
+            let new_id = self.pager.alloc()?;
             let mut left = left;
             let mut right = right;
             let (lw, ls) = (left.weight(), left.size());
             let (rw, rs) = (right.weight(), right.size());
             if left.is_leaf() {
-                self.fix_partner_blocks_for_split(&mut left, victim.id, &mut right, new_id);
+                self.fix_partner_blocks_for_split(&mut left, victim.id, &mut right, new_id)?;
                 let lids: Vec<Lid> = right.recs().iter().map(|r| r.lid).collect();
-                self.write_node(victim.id, &left);
-                self.write_node(new_id, &right);
-                self.repoint_lidf(&lids, new_id);
+                self.write_node(victim.id, &left)?;
+                self.write_node(new_id, &right)?;
+                self.repoint_lidf(&lids, new_id)?;
                 // Labels and end caches are refreshed by the respace
                 // relabel of every child below.
             } else {
-                self.write_node(victim.id, &left);
-                self.write_node(new_id, &right);
+                self.write_node(victim.id, &left)?;
+                self.write_node(new_id, &right)?;
             }
             pnode.entries_mut().splice(
                 vpos..=vpos,
@@ -726,30 +735,36 @@ impl WBox {
             for (t, e) in pnode.entries_mut().iter_mut().enumerate() {
                 e.subrange = (t * self.config.b / c) as u16;
             }
-            self.write_node(parent_id, &pnode);
+            self.write_node(parent_id, &pnode)?;
             for e in pnode.entries().clone() {
                 let lo = parent.range_lo + e.subrange as u64 * len;
-                self.relabel_subtree(e.child, level, lo);
+                self.relabel_subtree(e.child, level, lo)?;
             }
         }
+        Ok(())
     }
 
     /// Rebase the label range of a whole subtree: children are respaced to
     /// equally spaced subranges and every leaf's `range_lo` is rewritten.
     /// Leaves keep their blocks, so no LIDF maintenance is needed here.
-    pub(crate) fn relabel_subtree(&mut self, id: BlockId, level: usize, new_lo: u64) {
+    pub(crate) fn relabel_subtree(
+        &mut self,
+        id: BlockId,
+        level: usize,
+        new_lo: u64,
+    ) -> IoResult<()> {
         let _phase = OpSpan::phase(self.pager.trace(), "relabel");
         self.note_relabel(new_lo, new_lo + self.config.range_len(level) - 1);
-        let mut node = self.read_node(id);
+        let mut node = self.read_node(id)?;
         match &mut node {
             WNode::Leaf { range_lo, .. } => {
                 self.counters.relabeled_leaves += 1;
                 let changed = *range_lo != new_lo;
                 *range_lo = new_lo;
                 if changed {
-                    self.write_leaf_after_shift(id, &node, 0);
+                    self.write_leaf_after_shift(id, &node, 0)?;
                 } else {
-                    self.write_node(id, &node);
+                    self.write_node(id, &node)?;
                 }
             }
             WNode::Internal { entries } => {
@@ -762,21 +777,22 @@ impl WBox {
                     .iter()
                     .map(|e| (e.child, new_lo + e.subrange as u64 * len))
                     .collect();
-                self.write_node(id, &node);
+                self.write_node(id, &node)?;
                 for (child, lo) in plan {
-                    self.relabel_subtree(child, level - 1, lo);
+                    self.relabel_subtree(child, level - 1, lo)?;
                 }
             }
         }
+        Ok(())
     }
 
     /// Re-point LIDF records at a new leaf block (grouped I/Os).
-    pub(crate) fn repoint_lidf(&mut self, lids: &[Lid], block: BlockId) {
+    pub(crate) fn repoint_lidf(&mut self, lids: &[Lid], block: BlockId) -> IoResult<()> {
         self.lidf.write_batch(
             lids.iter()
                 .map(|&l| (l, BlockPtrRecord::new(block)))
                 .collect(),
-        );
+        )
     }
 
     // ----- deletion ---------------------------------------------------------
@@ -785,30 +801,31 @@ impl WBox {
     /// leaf, a tombstone keeps the weight charged, and the LIDF record is
     /// reclaimed. O(1) I/Os amortized; every N/2 deletions trigger a global
     /// rebuild. Ordinal mode pays an extra O(log_B N) descent for sizes.
-    pub fn delete(&mut self, lid: Lid) {
+    pub fn delete(&mut self, lid: Lid) -> IoResult<()> {
         let _span = OpSpan::op(self.pager.trace(), self.trace_tag(), "delete");
-        self.journaled(|t| t.delete_impl(lid));
+        self.journaled(|t| t.delete_impl(lid))
     }
 
-    fn delete_impl(&mut self, lid: Lid) {
-        let leaf_id = self.lidf.read(lid).block;
-        let mut leaf = self.read_node(leaf_id);
+    fn delete_impl(&mut self, lid: Lid) -> IoResult<()> {
+        let leaf_id = self.lidf.read(lid)?.block;
+        let mut leaf = self.read_node(leaf_id)?;
         let pos = leaf.position_of_lid(lid);
         let label = leaf.range_lo() + pos as u64;
         leaf.recs_mut().remove(pos);
         if let WNode::Leaf { tombstones, .. } = &mut leaf {
             *tombstones += 1;
         }
-        self.write_leaf_after_shift(leaf_id, &leaf, pos);
-        self.lidf.free(lid);
+        self.write_leaf_after_shift(leaf_id, &leaf, pos)?;
+        self.lidf.free(lid)?;
         self.live -= 1;
         if self.config.ordinal {
-            self.bump_sizes_by_label(label, -1);
+            self.bump_sizes_by_label(label, -1)?;
         }
         self.deletions_since_rebuild += 1;
         if self.deletions_since_rebuild * 2 >= self.live_at_rebuild.max(2) {
-            self.global_rebuild();
+            self.global_rebuild()?;
         }
+        Ok(())
     }
 
     /// Deletions accumulated toward the next global rebuild.
@@ -819,21 +836,22 @@ impl WBox {
     // ----- whole-tree helpers ------------------------------------------------
 
     /// All live LIDs in document order. Test/bulk support.
-    pub fn iter_lids(&self) -> Vec<Lid> {
+    pub fn iter_lids(&self) -> IoResult<Vec<Lid>> {
         let mut out = Vec::with_capacity(self.live as usize);
-        self.collect_lids(self.root, &mut out);
-        out
+        self.collect_lids(self.root, &mut out)?;
+        Ok(out)
     }
 
-    pub(crate) fn collect_lids(&self, id: BlockId, out: &mut Vec<Lid>) {
-        match self.read_node(id) {
+    pub(crate) fn collect_lids(&self, id: BlockId, out: &mut Vec<Lid>) -> IoResult<()> {
+        match self.read_node(id)? {
             WNode::Leaf { recs, .. } => out.extend(recs.iter().map(|r| r.lid)),
             WNode::Internal { entries } => {
                 for e in entries {
-                    self.collect_lids(e.child, out);
+                    self.collect_lids(e.child, out)?;
                 }
             }
         }
+        Ok(())
     }
 
     /// Exhaustively verify the §4 invariants; panics on violation with the
@@ -862,11 +880,11 @@ mod tests {
         if ordinal {
             c = c.with_ordinal();
         }
-        WBox::new(pager, c)
+        WBox::new(pager, c).unwrap()
     }
 
     fn assert_order(w: &WBox, lids: &[Lid]) {
-        let labels: Vec<u64> = lids.iter().map(|&l| w.lookup(l)).collect();
+        let labels: Vec<u64> = lids.iter().map(|&l| w.lookup(l).unwrap()).collect();
         for (i, win) in labels.windows(2).enumerate() {
             assert!(
                 win[0] < win[1],
@@ -881,18 +899,18 @@ mod tests {
     #[test]
     fn first_label_is_zero() {
         let mut w = make(false);
-        let lid = w.insert_first();
-        assert_eq!(w.lookup(lid), 0);
+        let lid = w.insert_first().unwrap();
+        assert_eq!(w.lookup(lid).unwrap(), 0);
         w.validate();
     }
 
     #[test]
     fn lookup_costs_two_ios() {
         let mut w = make(false);
-        let lids = w.bulk_load(5_000);
+        let lids = w.bulk_load(5_000).unwrap();
         let pager = w.pager().clone();
         let before = pager.stats();
-        w.lookup(lids[2_345]);
+        w.lookup(lids[2_345]).unwrap();
         assert_eq!(
             pager.stats().since(&before).total(),
             2,
@@ -903,10 +921,10 @@ mod tests {
     #[test]
     fn appending_inserts_grow_and_stay_ordered() {
         let mut w = make(false);
-        let mut lids = vec![w.insert_first()];
+        let mut lids = vec![w.insert_first().unwrap()];
         for _ in 1..600 {
             let last = *lids.last().unwrap();
-            let new = w.insert_before(last);
+            let new = w.insert_before(last).unwrap();
             let at = lids.len() - 1;
             lids.insert(at, new);
         }
@@ -921,10 +939,10 @@ mod tests {
     #[test]
     fn concentrated_adversary_stays_ordered() {
         let mut w = make(false);
-        let mut lids: Vec<Lid> = w.bulk_load(50);
+        let mut lids: Vec<Lid> = w.bulk_load(50).unwrap();
         let anchor = lids[25];
         for _ in 0..800 {
-            let new = w.insert_before(anchor);
+            let new = w.insert_before(anchor).unwrap();
             let pos = lids.iter().position(|&l| l == anchor).unwrap();
             lids.insert(pos, new);
         }
@@ -939,10 +957,10 @@ mod tests {
     #[test]
     fn respace_split_happens_under_pressure() {
         let mut w = make(false);
-        let lids = w.bulk_load(2_000);
+        let lids = w.bulk_load(2_000).unwrap();
         // Hammer one spot until the cheap adjacent subranges run out.
         for _ in 0..3_000 {
-            w.insert_before(lids[1_000]);
+            w.insert_before(lids[1_000]).unwrap();
         }
         assert!(
             w.counters().respace_splits > 0,
@@ -955,42 +973,42 @@ mod tests {
     #[test]
     fn element_insert_is_nested_pair() {
         let mut w = make(false);
-        let lids = w.bulk_load(10);
-        let (s, e) = w.insert_element_before(lids[5]);
-        assert!(w.lookup(lids[4]) < w.lookup(s));
-        assert!(w.lookup(s) < w.lookup(e));
-        assert!(w.lookup(e) < w.lookup(lids[5]));
+        let lids = w.bulk_load(10).unwrap();
+        let (s, e) = w.insert_element_before(lids[5]).unwrap();
+        assert!(w.lookup(lids[4]).unwrap() < w.lookup(s).unwrap());
+        assert!(w.lookup(s).unwrap() < w.lookup(e).unwrap());
+        assert!(w.lookup(e).unwrap() < w.lookup(lids[5]).unwrap());
         w.validate();
     }
 
     #[test]
     fn delete_tombstones_and_reclaims() {
         let mut w = make(false);
-        let lids = w.bulk_load(100);
+        let lids = w.bulk_load(100).unwrap();
         let pager = w.pager().clone();
-        w.delete(lids[50]);
+        w.delete(lids[50]).unwrap();
         assert_eq!(w.len(), 99);
         // Next insert into the same leaf reclaims the tombstone without
         // touching any internal node.
         let before = pager.stats();
-        let new = w.insert_before(lids[51]);
+        let new = w.insert_before(lids[51]).unwrap();
         let cost = pager.stats().since(&before);
         assert!(
             cost.total() <= 6,
             "reclaiming insert is leaf-local: {cost:?}"
         );
-        assert!(w.lookup(lids[49]) < w.lookup(new));
-        assert!(w.lookup(new) < w.lookup(lids[51]));
+        assert!(w.lookup(lids[49]).unwrap() < w.lookup(new).unwrap());
+        assert!(w.lookup(new).unwrap() < w.lookup(lids[51]).unwrap());
         w.validate();
     }
 
     #[test]
     fn deletes_trigger_global_rebuild() {
         let mut w = make(false);
-        let mut lids = w.bulk_load(200);
+        let mut lids = w.bulk_load(200).unwrap();
         // Delete just over half the records.
         for _ in 0..101 {
-            w.delete(lids.remove(lids.len() / 2));
+            w.delete(lids.remove(lids.len() / 2)).unwrap();
         }
         assert!(w.counters().global_rebuilds >= 1);
         assert_eq!(w.len(), 99);
@@ -1001,27 +1019,27 @@ mod tests {
     #[test]
     fn delete_everything_then_restart() {
         let mut w = make(false);
-        let lids = w.bulk_load(60);
+        let lids = w.bulk_load(60).unwrap();
         for &lid in &lids {
-            w.delete(lid);
+            w.delete(lid).unwrap();
         }
         assert!(w.is_empty());
-        let lid = w.insert_first();
-        assert_eq!(w.lookup(lid), 0);
+        let lid = w.insert_first().unwrap();
+        assert_eq!(w.lookup(lid).unwrap(), 0);
         w.validate();
     }
 
     #[test]
     fn mixed_insert_delete_stress() {
         let mut w = make(false);
-        let mut lids = w.bulk_load(300);
+        let mut lids = w.bulk_load(300).unwrap();
         for round in 0..600 {
             if round % 3 == 2 {
                 let victim = lids.remove((round * 7) % lids.len());
-                w.delete(victim);
+                w.delete(victim).unwrap();
             } else {
                 let at = (round * 13) % lids.len();
-                let new = w.insert_before(lids[at]);
+                let new = w.insert_before(lids[at]).unwrap();
                 lids.insert(at, new);
             }
         }
@@ -1032,13 +1050,13 @@ mod tests {
     #[test]
     fn ordinal_tracks_document_position() {
         let mut w = make(true);
-        let mut lids = w.bulk_load(150);
-        let new = w.insert_before(lids[40]);
+        let mut lids = w.bulk_load(150).unwrap();
+        let new = w.insert_before(lids[40]).unwrap();
         lids.insert(40, new);
-        w.delete(lids.remove(100));
-        w.delete(lids.remove(10));
+        w.delete(lids.remove(100)).unwrap();
+        w.delete(lids.remove(10)).unwrap();
         for (i, &lid) in lids.iter().enumerate() {
-            assert_eq!(w.ordinal_of(lid), i as u64, "position {i}");
+            assert_eq!(w.ordinal_of(lid).unwrap(), i as u64, "position {i}");
         }
         w.validate();
     }
@@ -1046,15 +1064,15 @@ mod tests {
     #[test]
     fn ordinal_survives_splits() {
         let mut w = make(true);
-        let mut lids = w.bulk_load(100);
+        let mut lids = w.bulk_load(100).unwrap();
         let anchor = lids[50];
         for _ in 0..400 {
-            let new = w.insert_before(anchor);
+            let new = w.insert_before(anchor).unwrap();
             let pos = lids.iter().position(|&l| l == anchor).unwrap();
             lids.insert(pos, new);
         }
         for (i, &lid) in lids.iter().enumerate().step_by(37) {
-            assert_eq!(w.ordinal_of(lid), i as u64);
+            assert_eq!(w.ordinal_of(lid).unwrap(), i as u64);
         }
         w.validate();
     }
@@ -1063,17 +1081,17 @@ mod tests {
     #[should_panic(expected = "ordinal lookup requires")]
     fn ordinal_without_support_panics() {
         let mut w = make(false);
-        let lid = w.insert_first();
-        w.ordinal_of(lid);
+        let lid = w.insert_first().unwrap();
+        w.ordinal_of(lid).unwrap();
     }
 
     #[test]
     fn label_bits_match_theorem_bound() {
         let mut w = make(false);
-        let mut lids = w.bulk_load(4_000);
+        let mut lids = w.bulk_load(4_000).unwrap();
         for i in 0..2_000 {
             let at = (i * 31) % lids.len();
-            let new = w.insert_before(lids[at]);
+            let new = w.insert_before(lids[at]).unwrap();
             lids.insert(at, new);
         }
         let n = w.len() as f64;
@@ -1095,16 +1113,16 @@ mod tests {
     #[test]
     fn relabel_only_touches_a_subrange() {
         let mut w = make(false);
-        let lids = w.bulk_load(5_000);
+        let lids = w.bulk_load(5_000).unwrap();
         // A split relabels at most the moved half / parent subtree; labels
         // far away must keep their values.
         let far = lids[4_900];
-        let before_label = w.lookup(far);
+        let before_label = w.lookup(far).unwrap();
         for _ in 0..200 {
-            w.insert_before(lids[100]);
+            w.insert_before(lids[100]).unwrap();
         }
         assert_eq!(
-            w.lookup(far),
+            w.lookup(far).unwrap(),
             before_label,
             "distant labels unchanged by localized splits"
         );
@@ -1149,15 +1167,15 @@ mod invariant_tests {
     #[test]
     fn invariants_hold_after_every_operation() {
         let pager = Pager::new(PagerConfig::with_block_size(512));
-        let mut w = WBox::new(pager, WBoxConfig::small_for_tests());
-        let lids = w.bulk_load(500);
+        let mut w = WBox::new(pager, WBoxConfig::small_for_tests()).unwrap();
+        let lids = w.bulk_load(500).unwrap();
         w.validate();
         for i in 0..60 {
-            w.insert_before(lids[100]);
+            w.insert_before(lids[100]).unwrap();
             w.validate();
             if i % 5 == 4 {
-                let probe = w.insert_before(lids[100]);
-                w.delete(probe);
+                let probe = w.insert_before(lids[100]).unwrap();
+                w.delete(probe).unwrap();
                 w.validate();
             }
         }
@@ -1172,19 +1190,19 @@ mod edge_tests {
 
     fn make() -> WBox {
         let pager = Pager::new(PagerConfig::with_block_size(512));
-        WBox::new(pager, WBoxConfig::small_for_tests())
+        WBox::new(pager, WBoxConfig::small_for_tests()).unwrap()
     }
 
     #[test]
     fn hammering_the_first_label() {
         let mut w = make();
-        let lids = w.bulk_load(300);
+        let lids = w.bulk_load(300).unwrap();
         let mut order = lids.clone();
         for _ in 0..300 {
-            let new = w.insert_before(order[0]);
+            let new = w.insert_before(order[0]).unwrap();
             order.insert(0, new);
         }
-        let labels: Vec<u64> = order.iter().map(|&l| w.lookup(l)).collect();
+        let labels: Vec<u64> = order.iter().map(|&l| w.lookup(l).unwrap()).collect();
         for win in labels.windows(2) {
             assert!(win[0] < win[1]);
         }
@@ -1194,17 +1212,17 @@ mod edge_tests {
     #[test]
     fn hammering_the_last_label() {
         let mut w = make();
-        let lids = w.bulk_load(300);
+        let lids = w.bulk_load(300).unwrap();
         let last = *lids.last().unwrap();
         for _ in 0..300 {
-            w.insert_before(last);
+            w.insert_before(last).unwrap();
         }
         assert_eq!(
-            w.lookup(last),
-            w.iter_lids().len() as u64 - 1 + {
+            w.lookup(last).unwrap(),
+            w.iter_lids().unwrap().len() as u64 - 1 + {
                 // last's label is the largest; compute via lookup of max
-                let all = w.iter_lids();
-                let max_label = w.lookup(*all.last().unwrap());
+                let all = w.iter_lids().unwrap();
+                let max_label = w.lookup(*all.last().unwrap()).unwrap();
                 max_label - (all.len() as u64 - 1)
             }
         );
@@ -1214,10 +1232,10 @@ mod edge_tests {
     #[test]
     fn alternating_far_apart_anchors() {
         let mut w = make();
-        let lids = w.bulk_load(1_000);
+        let lids = w.bulk_load(1_000).unwrap();
         for i in 0..400 {
             let anchor = if i % 2 == 0 { lids[10] } else { lids[990] };
-            w.insert_before(anchor);
+            w.insert_before(anchor).unwrap();
         }
         w.validate();
     }
@@ -1225,14 +1243,14 @@ mod edge_tests {
     #[test]
     fn lookup_after_global_rebuild_is_still_two_ios() {
         let mut w = make();
-        let mut lids = w.bulk_load(400);
+        let mut lids = w.bulk_load(400).unwrap();
         for _ in 0..201 {
-            w.delete(lids.remove(lids.len() / 2));
+            w.delete(lids.remove(lids.len() / 2)).unwrap();
         }
         assert!(w.counters().global_rebuilds >= 1);
         let pager = w.pager().clone();
         let before = pager.stats();
-        w.lookup(lids[50]);
+        w.lookup(lids[50]).unwrap();
         assert_eq!(pager.stats().since(&before).total(), 2);
         w.validate();
     }
@@ -1240,27 +1258,27 @@ mod edge_tests {
     #[test]
     fn empty_leaf_from_deletions_is_harmless() {
         let mut w = make();
-        let lids = w.bulk_load(60);
+        let lids = w.bulk_load(60).unwrap();
         // Delete a whole leaf's worth of records (leaf cap is 7) without
         // reaching the N/2 global-rebuild threshold... 60/2 = 30 > 7 ✓.
         for &lid in &lids[14..21] {
-            w.delete(lid);
+            w.delete(lid).unwrap();
         }
         assert_eq!(w.counters().global_rebuilds, 0);
         // Labels around the hole still work and stay ordered.
-        assert!(w.lookup(lids[13]) < w.lookup(lids[21]));
+        assert!(w.lookup(lids[13]).unwrap() < w.lookup(lids[21]).unwrap());
         w.validate();
     }
 
     #[test]
     fn subtree_insert_right_after_subtree_delete_at_same_spot() {
         let mut w = make();
-        let lids = w.bulk_load(500);
-        w.delete_subtree(lids[100], lids[399]);
-        let fresh = w.insert_subtree_before(lids[400], 300);
+        let lids = w.bulk_load(500).unwrap();
+        w.delete_subtree(lids[100], lids[399]).unwrap();
+        let fresh = w.insert_subtree_before(lids[400], 300).unwrap();
         assert_eq!(w.len(), 500);
-        assert!(w.lookup(lids[99]) < w.lookup(fresh[0]));
-        assert!(w.lookup(*fresh.last().unwrap()) < w.lookup(lids[400]));
+        assert!(w.lookup(lids[99]).unwrap() < w.lookup(fresh[0]).unwrap());
+        assert!(w.lookup(*fresh.last().unwrap()).unwrap() < w.lookup(lids[400]).unwrap());
         w.validate();
     }
 }

@@ -31,29 +31,29 @@ fn ops() -> impl Strategy<Value = Vec<WOp>> {
 }
 
 fn run(mut w: WBox, script: &[WOp], audit_every_op: bool) {
-    let mut order = w.bulk_load(80);
+    let mut order = w.bulk_load(80).unwrap();
     for op in script {
         match *op {
             WOp::Insert(raw) => {
                 let at = raw % order.len();
-                let new = w.insert_before(order[at]);
+                let new = w.insert_before(order[at]).unwrap();
                 order.insert(at, new);
             }
             WOp::InsertElement(raw) => {
                 let at = raw % order.len();
-                let (s, e) = w.insert_element_before(order[at]);
+                let (s, e) = w.insert_element_before(order[at]).unwrap();
                 order.insert(at, e);
                 order.insert(at, s);
             }
             WOp::Delete(raw) => {
                 if order.len() > 4 {
                     let at = raw % order.len();
-                    w.delete(order.remove(at));
+                    w.delete(order.remove(at)).unwrap();
                 }
             }
             WOp::InsertSubtree(raw, n) => {
                 let at = raw % order.len();
-                let lids = w.insert_subtree_before(order[at], n);
+                let lids = w.insert_subtree_before(order[at], n).unwrap();
                 for (j, lid) in lids.into_iter().enumerate() {
                     order.insert(at + j, lid);
                 }
@@ -70,7 +70,7 @@ fn run(mut w: WBox, script: &[WOp], audit_every_op: bool) {
                 if a == b || b - a + 1 >= order.len() {
                     continue;
                 }
-                w.delete_subtree(order[a], order[b]);
+                w.delete_subtree(order[a], order[b]).unwrap();
                 order.drain(a..=b);
             }
         }
@@ -82,7 +82,7 @@ fn run(mut w: WBox, script: &[WOp], audit_every_op: bool) {
         }
     }
     w.validate();
-    assert_eq!(w.iter_lids(), order);
+    assert_eq!(w.iter_lids().unwrap(), order);
 }
 
 proptest! {
@@ -91,14 +91,14 @@ proptest! {
     #[test]
     fn plain_wbox_invariants(script in ops()) {
         let pager = Pager::new(PagerConfig::with_block_size(512));
-        run(WBox::new(pager, WBoxConfig::small_for_tests()), &script, false);
+        run(WBox::new(pager, WBoxConfig::small_for_tests()).unwrap(), &script, false);
     }
 
     #[test]
     fn ordinal_wbox_invariants(script in ops()) {
         let pager = Pager::new(PagerConfig::with_block_size(512));
         run(
-            WBox::new(pager, WBoxConfig::small_for_tests().with_ordinal()),
+            WBox::new(pager, WBoxConfig::small_for_tests().with_ordinal()).unwrap(),
             &script,
             false,
         );
@@ -108,6 +108,6 @@ proptest! {
     fn invariants_hold_after_every_single_op(script in ops()) {
         // Smaller case count would be nice but the scripts are short.
         let pager = Pager::new(PagerConfig::with_block_size(512));
-        run(WBox::new(pager, WBoxConfig::small_for_tests()), &script, true);
+        run(WBox::new(pager, WBoxConfig::small_for_tests()).unwrap(), &script, true);
     }
 }

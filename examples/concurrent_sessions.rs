@@ -25,7 +25,7 @@ const BLOCK_SIZE: usize = 1024;
 const READERS: usize = 4;
 const WRITER_OPS: usize = 200;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A journaled pager: group-commit barriers define the epochs snapshots
     // pin (sync_every = 8 → one published epoch per 8 committed ops).
     let pager = Pager::new(PagerConfig::with_block_size(BLOCK_SIZE));
@@ -39,15 +39,15 @@ fn main() {
     let manager = Arc::new(SessionManager::<WBoxScheme>::create(
         pager.clone(),
         WBoxConfig::from_block_size(BLOCK_SIZE),
-    ));
+    )?);
 
     // The writer session loads the document and publishes the first epoch.
     let doc = xmark(400, 7);
     let lids = {
-        let mut writer = manager.writer().expect("writer free");
-        let txn = pager.txn();
-        let lids = writer.bulk_load_document(&partner_map(&doc));
-        drop(txn);
+        let mut writer = manager.writer()?;
+        let txn = pager.txn()?;
+        let lids = writer.try_bulk_load_document(&partner_map(&doc))?;
+        txn.commit();
         assert!(writer.publish(), "make the load visible to snapshots");
         lids
     };
@@ -69,10 +69,11 @@ fn main() {
             let probe = lids[r * 7 % lids.len()];
             std::thread::spawn(move || {
                 let snap = manager.snapshot().expect("published state");
-                let frozen = snap.lookup(probe);
+                let frozen = snap.try_lookup(probe).expect("snapshot read");
                 let mut rounds = 0u64;
                 while !done.load(Ordering::SeqCst) {
-                    assert_eq!(snap.lookup(probe), frozen, "snapshot labels never move");
+                    let label = snap.try_lookup(probe).expect("snapshot read");
+                    assert_eq!(label, frozen, "snapshot labels never move");
                     rounds += 1;
                 }
                 (snap.epoch(), rounds, snap.io().reads)
@@ -82,10 +83,10 @@ fn main() {
 
     // Meanwhile the writer streams inserts through the journaled path.
     {
-        let mut writer = manager.writer().expect("writer returned");
+        let mut writer = manager.writer()?;
         for i in 0..WRITER_OPS {
             let anchor = lids[(i * 13) % lids.len()];
-            writer.insert_element_before(anchor);
+            writer.try_insert_element_before(anchor)?;
         }
         writer.publish();
     }
@@ -96,14 +97,12 @@ fn main() {
     }
 
     // Readers are gone; a fresh snapshot observes the post-stream epoch.
-    let fresh = manager.snapshot().expect("snapshot");
+    let fresh = manager.snapshot()?;
     println!(
         "writer streamed {WRITER_OPS} inserts; fresh snapshot: epoch {}, {} labels",
         fresh.epoch(),
         fresh.len()
     );
-    assert_eq!(
-        fresh.len(),
-        u64::try_from(lids.len() + 2 * WRITER_OPS).expect("small")
-    );
+    assert_eq!(fresh.len(), u64::try_from(lids.len() + 2 * WRITER_OPS)?);
+    Ok(())
 }

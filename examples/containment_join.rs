@@ -18,7 +18,7 @@ use boxes_core::xml::generate::xmark;
 use boxes_core::xml::tree::ElementId;
 use boxes_core::{BBoxScheme, ElementLabeler, WBoxScheme};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tree = xmark(20_000, 7);
     let order = tree.document_order();
     let items: Vec<ElementId> = order
@@ -53,9 +53,9 @@ fn main() {
     let labeler = ElementLabeler::load(
         WBoxScheme::new(pager.clone(), WBoxConfig::from_block_size(8192)),
         &tree,
-    );
+    )?;
     let before = pager.stats();
-    let pairs = labeler.containment_join(&items, &keywords);
+    let pairs = labeler.containment_join(&items, &keywords)?;
     let wbox_io = pager.stats().since(&before);
     assert_eq!(pairs.len(), truth);
     println!(
@@ -70,9 +70,9 @@ fn main() {
     let labeler = ElementLabeler::load(
         BBoxScheme::new(pager.clone(), BBoxConfig::from_block_size(8192)),
         &tree,
-    );
+    )?;
     let before = pager.stats();
-    let pairs = labeler.containment_join(&items, &keywords);
+    let pairs = labeler.containment_join(&items, &keywords)?;
     let bbox_io = pager.stats().since(&before);
     assert_eq!(pairs.len(), truth);
     println!(
@@ -83,4 +83,5 @@ fn main() {
     );
 
     println!("\nboth joins agree with the tree-walk ground truth ({truth} pairs)");
+    Ok(())
 }

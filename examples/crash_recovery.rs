@@ -41,9 +41,14 @@ fn main() {
         let mut scheme =
             WBoxScheme::new(env.pager().clone(), WBoxConfig::from_block_size(BLOCK_SIZE));
         let lids = scheme.bulk_load_document(&base_partners());
-        let labels: Vec<u64> = lids.iter().map(|&l| scheme.lookup(l)).collect();
+        let labels: Vec<u64> = lids
+            .iter()
+            .map(|&l| scheme.try_lookup(l).unwrap())
+            .collect();
         let before = env.clock().ticks();
-        scheme.insert_subtree_before(lids[6], &[1, 0, 3, 2, 5, 4]);
+        scheme
+            .try_insert_subtree_before(lids[6], &[1, 0, 3, 2, 5, 4])
+            .unwrap();
         let total = env.clock().ticks();
         println!("rehearsal: {total} crash points; the subtree insertion starts after #{before}");
         assert!(total > before, "the insertion must cross crash points");
@@ -58,7 +63,9 @@ fn main() {
         let mut scheme =
             WBoxScheme::new(env.pager().clone(), WBoxConfig::from_block_size(BLOCK_SIZE));
         let lids = scheme.bulk_load_document(&base_partners());
-        scheme.insert_subtree_before(lids[6], &[1, 0, 3, 2, 5, 4]);
+        scheme
+            .try_insert_subtree_before(lids[6], &[1, 0, 3, 2, 5, 4])
+            .unwrap();
         unreachable!("the armed crash fires inside insert_subtree_before");
     });
     assert!(outcome.is_none(), "the workload must have crashed");
@@ -90,7 +97,11 @@ fn main() {
     );
     let lids = fresh.bulk_load_document(&base_partners());
     for (&lid, &label) in lids.iter().zip(&committed_labels) {
-        assert_eq!(scheme.lookup(lid), label, "committed label must survive");
+        assert_eq!(
+            scheme.try_lookup(lid).unwrap(),
+            label,
+            "committed label must survive"
+        );
     }
 
     // ... and the half-done subtree insertion left no trace: its WAL

@@ -30,16 +30,6 @@ fn base_partners() -> Vec<usize> {
 }
 
 fn main() {
-    // Typed pager errors unwind as `PagerError` panics that the `try_*`
-    // wrappers catch; keep the default hook for real panics but don't let
-    // the expected rejections spam stderr with backtraces.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !info.payload().is::<PagerError>() {
-            prev(info);
-        }
-    }));
-
     // A journaled pager whose disk obeys a deterministic fault plan (quiet
     // for now — no probabilistic noise, only the scheduled failure below).
     let pager = Pager::new(PagerConfig::with_block_size(BLOCK_SIZE));

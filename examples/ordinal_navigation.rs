@@ -14,14 +14,14 @@ use boxes_core::pager::{Pager, PagerConfig};
 use boxes_core::xml::generate::xmark;
 use boxes_core::{BBoxScheme, ElementLabeler, OrdinalScheme};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tree = xmark(5_000, 11);
     let pager = Pager::new(PagerConfig::with_block_size(8192));
     let scheme = BBoxScheme::new(
         pager.clone(),
         BBoxConfig::from_block_size(8192).with_ordinal(),
     );
-    let mut labeler = ElementLabeler::load(scheme, &tree);
+    let mut labeler = ElementLabeler::load(scheme, &tree)?;
     println!("B-BOX-O over {} elements", tree.len());
 
     // Last-child tests across the whole document, verified against the tree.
@@ -32,7 +32,7 @@ fn main() {
         for (i, &c) in children.iter().enumerate() {
             let is_last = i + 1 == children.len();
             assert_eq!(
-                labeler.is_last_child(c, parent),
+                labeler.is_last_child(c, parent)?,
                 is_last,
                 "mismatch under {parent:?}"
             );
@@ -46,21 +46,22 @@ fn main() {
     let regions = tree.children(site)[0];
     println!(
         "\n<regions> starts at tag position {}",
-        labeler.ordinal_start(regions)
+        labeler.ordinal_start(regions)?
     );
     let new_first = tree.insert_before(regions, "preamble");
-    labeler.on_insert_before(new_first, regions);
+    labeler.on_insert_before(new_first, regions)?;
     println!(
         "after inserting <preamble> before it: position {} (shifted by 2)",
-        labeler.ordinal_start(regions)
+        labeler.ordinal_start(regions)?
     );
 
     // Ordinal lookups are O(log_B N): count the I/Os.
     let before = pager.stats();
     let (start_lid, _) = labeler.lids(regions);
-    let pos = labeler.scheme.ordinal_of(start_lid);
+    let pos = labeler.scheme.ordinal_of(start_lid)?;
     println!(
         "ordinal lookup of position {pos} cost {}",
         pager.stats().since(&before)
     );
+    Ok(())
 }

@@ -13,7 +13,7 @@ use boxes_core::wbox::WBoxConfig;
 use boxes_core::xml::parse;
 use boxes_core::{ElementLabeler, LabelingScheme, WBoxScheme};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The example document of the paper's Figure 1 (abridged).
     let source = "<site>\
         <regions>\
@@ -28,11 +28,11 @@ fn main() {
     // Label it with a W-BOX on a simulated 8 KB-block disk.
     let pager = Pager::new(PagerConfig::with_block_size(8192));
     let scheme = WBoxScheme::new(pager.clone(), WBoxConfig::from_block_size(8192));
-    let mut labeler = ElementLabeler::load(scheme, &tree);
+    let mut labeler = ElementLabeler::load(scheme, &tree)?;
 
     let order = tree.document_order();
     for &e in &order {
-        let (s, x) = labeler.labels(e);
+        let (s, x) = labeler.labels(e)?;
         println!("  <{}>  start={s:>3}  end={x:>3}", tree.tag(e));
     }
 
@@ -40,28 +40,29 @@ fn main() {
     let regions = order[1];
     let item = order[3];
     let person = order[8];
-    assert!(labeler.is_descendant(item, regions));
-    assert!(!labeler.is_descendant(person, regions));
+    assert!(labeler.is_descendant(item, regions)?);
+    assert!(!labeler.is_descendant(person, regions)?);
     println!("\nitem is inside <regions>; person is not — decided from labels alone");
 
     // Updates keep every label consistent with document order.
     let asia = order[5];
     let new_item = tree.add_child(asia, "item");
-    labeler.on_add_child(new_item, asia);
-    assert!(labeler.is_descendant(new_item, regions));
+    labeler.on_add_child(new_item, asia)?;
+    assert!(labeler.is_descendant(new_item, regions)?);
 
     let before = pager.stats();
-    let (s, x) = labeler.labels(new_item);
+    let (s, x) = labeler.labels(new_item)?;
     println!(
         "new <item> labeled ({s}, {x}); the pair lookup cost {}",
         pager.stats().since(&before)
     );
 
     tree.remove_element(new_item);
-    labeler.on_remove_element(new_item);
+    labeler.on_remove_element(new_item)?;
     println!(
         "after deleting it again the scheme holds {} labels on {} blocks",
         labeler.scheme.len(),
         pager.allocated_blocks()
     );
+    Ok(())
 }

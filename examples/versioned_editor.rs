@@ -15,11 +15,11 @@ use boxes_core::pager::{Pager, PagerConfig};
 use boxes_core::wbox::{WBox, WBoxConfig};
 use boxes_core::CachedWBox;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let block_size = 8192;
     let pager = Pager::new(PagerConfig::with_block_size(block_size));
-    let mut wbox = WBox::new(pager.clone(), WBoxConfig::from_block_size(block_size));
-    let lids = wbox.bulk_load(60_000); // a 30k-element document's tags
+    let mut wbox = WBox::new(pager.clone(), WBoxConfig::from_block_size(block_size))?;
+    let lids = wbox.bulk_load(60_000)?; // a 30k-element document's tags
     println!(
         "loaded {} labels on {} blocks",
         wbox.len(),
@@ -34,7 +34,7 @@ fn main() {
         .map(|i| (lids[i * 2_999], CachedRef::new()))
         .collect();
     for (lid, r) in bookmarks.iter_mut() {
-        editor.lookup(*lid, r);
+        editor.lookup(*lid, r)?;
     }
     editor.stats = Default::default();
 
@@ -45,14 +45,14 @@ fn main() {
     for round in 0..1_000 {
         if round % 10 == 9 {
             // Occasionally delete the most recent insertion instead.
-            let doomed = editor.insert_before(hot);
-            editor.delete(doomed);
+            let doomed = editor.insert_before(hot)?;
+            editor.delete(doomed)?;
         } else {
-            editor.insert_element_before(hot);
+            editor.insert_element_before(hot)?;
         }
         for (lid, r) in bookmarks.iter_mut() {
-            let got = editor.lookup(*lid, r);
-            debug_assert_eq!(got, editor.wbox.lookup(*lid));
+            let got = editor.lookup(*lid, r)?;
+            debug_assert_eq!(got, editor.wbox.lookup(*lid)?);
         }
     }
     let session_io = pager.stats().since(&session_start);
@@ -66,11 +66,11 @@ fn main() {
     println!("  whole session: {session_io}");
 
     // One bulk cut + paste: move 2,000 labels from one region to another.
-    let cut_from = editor.wbox.iter_lids();
+    let cut_from = editor.wbox.iter_lids()?;
     let (a, b) = (cut_from[10_000], cut_from[12_000]);
     let before = pager.stats();
-    editor.wbox.delete_subtree(a, b);
-    let pasted = editor.wbox.insert_subtree_before(cut_from[40_000], 2_001);
+    editor.wbox.delete_subtree(a, b)?;
+    let pasted = editor.wbox.insert_subtree_before(cut_from[40_000], 2_001)?;
     println!(
         "\ncut 2,001 labels and pasted them elsewhere in bulk: {} ({} new labels)",
         pager.stats().since(&before),
@@ -78,4 +78,5 @@ fn main() {
     );
     editor.wbox.validate();
     println!("structure validated: all §4 invariants hold after the session");
+    Ok(())
 }

@@ -88,13 +88,13 @@ fn log_b_n(leaf_capacity: usize, n: usize) -> f64 {
 #[test]
 fn theorem_4_6_wbox_insert_windows_concentrated() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
-    let lids = w.bulk_load(N);
+    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
+    let lids = w.bulk_load(N).unwrap();
     let anchor = lids[N / 2];
-    w.insert_before(anchor); // absorb the full-bulk-leaf split
+    w.insert_before(anchor).unwrap(); // absorb the full-bulk-leaf split
     let rounds = 10_000;
     let costs = measure(&pager, rounds, |_| {
-        w.insert_before(anchor);
+        w.insert_before(anchor).unwrap();
     });
     // c · log_B N with a generous constant: every insert pays the leaf
     // write-back plus amortized split/respace work.
@@ -105,11 +105,11 @@ fn theorem_4_6_wbox_insert_windows_concentrated() {
 #[test]
 fn theorem_4_6_wbox_insert_windows_scattered() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
-    let lids = w.bulk_load(N);
+    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
+    let lids = w.bulk_load(N).unwrap();
     let rounds = 10_000;
     let costs = measure(&pager, rounds, |i| {
-        w.insert_before(lids[(i * 37) % lids.len()]);
+        w.insert_before(lids[(i * 37) % lids.len()]).unwrap();
     });
     let bound = 16.0 * log_b_n(w.config().leaf_capacity(), N + rounds);
     assert_windows_below("wbox-insert/scattered", &costs, 500, bound);
@@ -118,12 +118,12 @@ fn theorem_4_6_wbox_insert_windows_scattered() {
 #[test]
 fn theorem_4_6_wbox_delete_windows_constant() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
-    w.bulk_load(N);
-    let all = w.iter_lids();
+    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
+    w.bulk_load(N).unwrap();
+    let all = w.iter_lids().unwrap();
     let rounds = N / 2;
     let costs = measure(&pager, rounds, |i| {
-        w.delete(all[i]);
+        w.delete(all[i]).unwrap();
     });
     // O(1) amortized: tombstone write + the prepaid share of the global
     // rebuild. The window must span at least one rebuild's prepay period,
@@ -134,13 +134,13 @@ fn theorem_4_6_wbox_delete_windows_constant() {
 #[test]
 fn theorem_5_3_bbox_insert_windows_concentrated() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS));
-    let lids = b.bulk_load(N);
+    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS)).unwrap();
+    let lids = b.bulk_load(N).unwrap();
     let anchor = lids[N / 2];
-    b.insert_before(anchor);
+    b.insert_before(anchor).unwrap();
     let rounds = 10_000;
     let costs = measure(&pager, rounds, |_| {
-        b.insert_before(anchor);
+        b.insert_before(anchor).unwrap();
     });
     // O(1) amortized, independent of N: leaf read/write plus rare splits.
     assert_windows_below("bbox-insert/concentrated", &costs, 500, 10.0);
@@ -149,11 +149,11 @@ fn theorem_5_3_bbox_insert_windows_concentrated() {
 #[test]
 fn theorem_5_3_bbox_insert_windows_scattered() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS));
-    let lids = b.bulk_load(N);
+    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS)).unwrap();
+    let lids = b.bulk_load(N).unwrap();
     let rounds = 10_000;
     let costs = measure(&pager, rounds, |i| {
-        b.insert_before(lids[(i * 37) % lids.len()]);
+        b.insert_before(lids[(i * 37) % lids.len()]).unwrap();
     });
     // Scattered anchors touch a different root-to-leaf path every time, so
     // the constant includes the O(log_B N) descent — still independent of
@@ -165,11 +165,11 @@ fn theorem_5_3_bbox_insert_windows_scattered() {
 #[test]
 fn theorem_5_3_bbox_delete_windows_constant() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS));
-    let lids = b.bulk_load(N);
+    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS)).unwrap();
+    let lids = b.bulk_load(N).unwrap();
     let rounds = N / 2;
     let costs = measure(&pager, rounds, |i| {
-        b.delete(lids[i * 2]);
+        b.delete(lids[i * 2]).unwrap();
     });
     let descent = 2.0 + b.height() as f64;
     assert_windows_below("bbox-delete", &costs, rounds / 8, 8.0 + 2.0 * descent);

@@ -39,19 +39,19 @@ proptest! {
     #[test]
     fn cached_wbox_always_agrees(k in 0usize..20, script in actions()) {
         let pager = Pager::new(PagerConfig::with_block_size(512));
-        let mut wbox = WBox::new(pager, WBoxConfig::small_for_tests());
-        let mut order = wbox.bulk_load(120);
+        let mut wbox = WBox::new(pager, WBoxConfig::small_for_tests()).unwrap();
+        let mut order = wbox.bulk_load(120).unwrap();
         let mut cached = CachedWBox::new(wbox, k);
         // Anchor a spread of references so the per-action audit exercises
         // the §6 replay-equivalence check, not just log FIFO order.
         let anchors: Vec<_> = order.iter().copied().step_by(17).collect();
-        cached.checkpoint(&anchors);
+        cached.checkpoint(&anchors).unwrap();
         let mut refs: Vec<CachedRef<u64>> = (0..PROBES).map(|_| CachedRef::new()).collect();
         for action in script {
             match action {
                 Action::Insert(raw) => {
                     let at = raw % order.len();
-                    let new = cached.insert_before(order[at]);
+                    let new = cached.insert_before(order[at]).unwrap();
                     order.insert(at, new);
                 }
                 Action::Delete(raw) => {
@@ -63,7 +63,7 @@ proptest! {
                         // A deleted lid may still be cached in some ref;
                         // clear any ref probing that exact index range by
                         // simply re-probing lazily below.
-                        cached.delete(lid);
+                        cached.delete(lid).unwrap();
                     }
                 }
                 Action::Read(raw) => {
@@ -75,11 +75,11 @@ proptest! {
                     // hold one ref per reference site).
                     let mut r = std::mem::take(&mut refs[probe]);
                     r.clear();
-                    let got = cached.lookup(lid, &mut r);
-                    prop_assert_eq!(got, cached.wbox.lookup(lid));
+                    let got = cached.lookup(lid, &mut r).unwrap();
+                    prop_assert_eq!(got, cached.wbox.lookup(lid).unwrap());
                     // Read again without clearing: replay path.
-                    let again = cached.lookup(lid, &mut r);
-                    prop_assert_eq!(again, cached.wbox.lookup(lid));
+                    let again = cached.lookup(lid, &mut r).unwrap();
+                    prop_assert_eq!(again, cached.wbox.lookup(lid).unwrap());
                     refs[probe] = r;
                 }
             }
@@ -91,25 +91,25 @@ proptest! {
     #[test]
     fn cached_bbox_always_agrees(k in 0usize..20, script in actions()) {
         let pager = Pager::new(PagerConfig::with_block_size(128));
-        let mut bbox = BBox::new(pager, BBoxConfig::from_block_size(128));
-        let mut order = bbox.bulk_load(120);
+        let mut bbox = BBox::new(pager, BBoxConfig::from_block_size(128)).unwrap();
+        let mut order = bbox.bulk_load(120).unwrap();
         let mut cached = CachedBBox::new(bbox, k);
         let anchors: Vec<_> = order.iter().copied().step_by(17).collect();
-        cached.checkpoint(&anchors);
+        cached.checkpoint(&anchors).unwrap();
         let mut refs: Vec<CachedRef<Vec<u32>>> =
             (0..PROBES).map(|_| CachedRef::new()).collect();
         for action in script {
             match action {
                 Action::Insert(raw) => {
                     let at = raw % order.len();
-                    let new = cached.insert_before(order[at]);
+                    let new = cached.insert_before(order[at]).unwrap();
                     order.insert(at, new);
                 }
                 Action::Delete(raw) => {
                     if order.len() > PROBES + 2 {
                         let at = raw % order.len();
                         let lid = order.remove(at);
-                        cached.delete(lid);
+                        cached.delete(lid).unwrap();
                     }
                 }
                 Action::Read(raw) => {
@@ -118,10 +118,10 @@ proptest! {
                     let lid = order[at];
                     let mut r = std::mem::take(&mut refs[probe]);
                     r.clear();
-                    let got = cached.lookup(lid, &mut r);
-                    prop_assert_eq!(&got, &cached.bbox.lookup(lid).0);
-                    let again = cached.lookup(lid, &mut r);
-                    prop_assert_eq!(&again, &cached.bbox.lookup(lid).0);
+                    let got = cached.lookup(lid, &mut r).unwrap();
+                    prop_assert_eq!(&got, &cached.bbox.lookup(lid).unwrap().0);
+                    let again = cached.lookup(lid, &mut r).unwrap();
+                    prop_assert_eq!(&again, &cached.bbox.lookup(lid).unwrap().0);
                     refs[probe] = r;
                 }
             }
@@ -142,20 +142,20 @@ proptest! {
             .scheme
             .bulk_load_document(&(0..120).map(|i| i ^ 1).collect::<Vec<_>>());
         let anchors: Vec<_> = order.iter().copied().step_by(17).collect();
-        cached.checkpoint(&anchors);
+        cached.checkpoint(&anchors).unwrap();
         let mut refs: Vec<CachedRef<u64>> = (0..PROBES).map(|_| CachedRef::new()).collect();
         for action in script {
             match action {
                 Action::Insert(raw) => {
                     let at = raw % order.len();
-                    let new = cached.insert_before(order[at]);
+                    let new = cached.insert_before(order[at]).unwrap();
                     order.insert(at, new);
                 }
                 Action::Delete(raw) => {
                     if order.len() > PROBES + 2 {
                         let at = raw % order.len();
                         let lid = order.remove(at);
-                        cached.delete(lid);
+                        cached.delete(lid).unwrap();
                     }
                 }
                 Action::Read(raw) => {
@@ -164,9 +164,9 @@ proptest! {
                     let lid = order[at];
                     let mut r = std::mem::take(&mut refs[probe]);
                     r.clear();
-                    let got = cached.ordinal_of(lid, &mut r);
+                    let got = cached.ordinal_of(lid, &mut r).unwrap();
                     prop_assert_eq!(got, at as u64, "ordinal = live position");
-                    let again = cached.ordinal_of(lid, &mut r);
+                    let again = cached.ordinal_of(lid, &mut r).unwrap();
                     prop_assert_eq!(again, at as u64);
                     refs[probe] = r;
                 }
@@ -186,28 +186,28 @@ use boxes_core::LabelingScheme;
 fn log_covers_exactly_k_updates() {
     for k in [1usize, 2, 5, 16] {
         let pager = Pager::new(PagerConfig::with_block_size(512));
-        let mut wbox = WBox::new(pager, WBoxConfig::small_for_tests());
-        let order = wbox.bulk_load(500);
+        let mut wbox = WBox::new(pager, WBoxConfig::small_for_tests()).unwrap();
+        let order = wbox.bulk_load(500).unwrap();
         // Pre-split the anchor's leaf so updates are single-leaf shifts.
         let anchor = order[250];
         let far = order[10];
         let mut cached = CachedWBox::new(wbox, k);
-        cached.insert_before(anchor);
+        cached.insert_before(anchor).unwrap();
 
         // Warm a reference far from the action.
         let mut r = CachedRef::new();
-        cached.lookup(far, &mut r);
+        cached.lookup(far, &mut r).unwrap();
         cached.stats = Default::default();
         for _ in 0..k {
-            cached.insert_before(anchor);
+            cached.insert_before(anchor).unwrap();
         }
-        cached.lookup(far, &mut r);
+        cached.lookup(far, &mut r).unwrap();
         assert_eq!(cached.stats.full, 0, "k={k}: k updates still replayable");
         cached.stats = Default::default();
         for _ in 0..(k + 1) {
-            cached.insert_before(anchor);
+            cached.insert_before(anchor).unwrap();
         }
-        cached.lookup(far, &mut r);
+        cached.lookup(far, &mut r).unwrap();
         assert_eq!(cached.stats.full, 1, "k={k}: k+1 updates overflow the log");
     }
 }

@@ -22,8 +22,8 @@ fn ranks<S: LabelingScheme>(driver: &DocumentDriver<S>) -> Vec<Option<(usize, us
         let pair = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.element(r)));
         if let Ok((s, e)) = pair {
             *alive = true;
-            labels.push((driver.scheme.lookup(s), i, true));
-            labels.push((driver.scheme.lookup(e), i, false));
+            labels.push((driver.scheme.try_lookup(s).unwrap(), i, true));
+            labels.push((driver.scheme.try_lookup(e).unwrap(), i, false));
         }
     }
     labels.sort_by(|a, b| a.0.cmp(&b.0));
@@ -45,9 +45,10 @@ fn assert_streams_agree(stream: &UpdateStream) {
         let mut d = DocumentDriver::load(
             WBoxScheme::new(pager, WBoxConfig::from_block_size(1024)),
             &stream.base,
-        );
-        d.replay(&stream.ops);
-        d.verify_document_order();
+        )
+        .unwrap();
+        d.replay(&stream.ops).unwrap();
+        d.verify_document_order().unwrap();
         ranks(&d)
     };
     let b = {
@@ -55,15 +56,17 @@ fn assert_streams_agree(stream: &UpdateStream) {
         let mut d = DocumentDriver::load(
             BBoxScheme::new(pager, BBoxConfig::from_block_size(256)),
             &stream.base,
-        );
-        d.replay(&stream.ops);
-        d.verify_document_order();
+        )
+        .unwrap();
+        d.replay(&stream.ops).unwrap();
+        d.verify_document_order().unwrap();
         ranks(&d)
     };
     let n = {
-        let mut d = DocumentDriver::load(NaiveScheme::with_block_size(512, 4), &stream.base);
-        d.replay(&stream.ops);
-        d.verify_document_order();
+        let mut d =
+            DocumentDriver::load(NaiveScheme::with_block_size(512, 4), &stream.base).unwrap();
+        d.replay(&stream.ops).unwrap();
+        d.verify_document_order().unwrap();
         ranks(&d)
     };
     assert_eq!(w, b, "W-BOX and B-BOX disagree on tag order");
@@ -95,28 +98,30 @@ fn ordinal_schemes_agree_exactly() {
     let mut dw = DocumentDriver::load(
         WBoxScheme::new(pager, WBoxConfig::from_block_size(1024).with_ordinal()),
         &stream.base,
-    );
-    dw.replay(&stream.ops);
+    )
+    .unwrap();
+    dw.replay(&stream.ops).unwrap();
 
     let pager = Pager::new(PagerConfig::with_block_size(256));
     let mut db = DocumentDriver::load(
         BBoxScheme::new(pager, BBoxConfig::from_block_size(256).with_ordinal()),
         &stream.base,
-    );
-    db.replay(&stream.ops);
+    )
+    .unwrap();
+    db.replay(&stream.ops).unwrap();
 
     for i in (0..dw.element_count()).step_by(13) {
         let r = boxes_core::xml::workload::ElemRef(i);
         let (ws, we) = dw.element(r);
         let (bs, be) = db.element(r);
         assert_eq!(
-            dw.scheme.ordinal_of(ws),
-            db.scheme.ordinal_of(bs),
+            dw.scheme.ordinal_of(ws).unwrap(),
+            db.scheme.ordinal_of(bs).unwrap(),
             "start ordinal of element {i}"
         );
         assert_eq!(
-            dw.scheme.ordinal_of(we),
-            db.scheme.ordinal_of(be),
+            dw.scheme.ordinal_of(we).unwrap(),
+            db.scheme.ordinal_of(be).unwrap(),
             "end ordinal of element {i}"
         );
     }
@@ -130,15 +135,17 @@ fn pair_optimized_wbox_agrees_with_plain() {
     let mut plain = DocumentDriver::load(
         WBoxScheme::new(pager, WBoxConfig::from_block_size(1024)),
         &stream.base,
-    );
-    plain.replay(&stream.ops);
+    )
+    .unwrap();
+    plain.replay(&stream.ops).unwrap();
 
     let pager = Pager::new(PagerConfig::with_block_size(1024));
     let mut paired = DocumentDriver::load(
         WBoxScheme::new(pager, WBoxConfig::from_block_size_paired(1024)),
         &stream.base,
-    );
-    paired.replay(&stream.ops);
+    )
+    .unwrap();
+    paired.replay(&stream.ops).unwrap();
     paired.scheme.inner().validate(); // includes pair-cache validation
 
     assert_eq!(ranks(&plain), ranks(&paired));
@@ -147,9 +154,9 @@ fn pair_optimized_wbox_agrees_with_plain() {
     for i in (0..paired.element_count()).step_by(7) {
         let r = boxes_core::xml::workload::ElemRef(i);
         let (s, e) = paired.element(r);
-        let (ls, le) = paired.scheme.inner().pair_lookup(s);
-        assert_eq!(ls, paired.scheme.lookup(s));
-        assert_eq!(le, paired.scheme.lookup(e));
+        let (ls, le) = paired.scheme.inner().pair_lookup(s).unwrap();
+        assert_eq!(ls, paired.scheme.try_lookup(s).unwrap());
+        assert_eq!(le, paired.scheme.try_lookup(e).unwrap());
     }
 }
 
@@ -161,9 +168,10 @@ fn pair_optimized_wbox_survives_deletes_and_churn() {
     let mut driver = DocumentDriver::load(
         WBoxScheme::new(pager, WBoxConfig::from_block_size_paired(1024)),
         &stream.base,
-    );
-    driver.replay(&stream.ops);
-    driver.verify_document_order();
+    )
+    .unwrap();
+    driver.replay(&stream.ops).unwrap();
+    driver.verify_document_order().unwrap();
     // Pair caches and partner links must be fully consistent afterwards.
     driver.scheme.inner().validate();
     // And pair lookups still answer in 2 I/Os with fresh values.
@@ -176,10 +184,10 @@ fn pair_optimized_wbox_survives_deletes_and_churn() {
             continue; // deleted by the churn
         };
         let before = pager.stats();
-        let (ls, le) = driver.scheme.inner().pair_lookup(s);
+        let (ls, le) = driver.scheme.inner().pair_lookup(s).unwrap();
         assert_eq!(pager.stats().since(&before).total(), 2);
-        assert_eq!(ls, driver.scheme.lookup(s));
-        assert_eq!(le, driver.scheme.lookup(e));
+        assert_eq!(ls, driver.scheme.try_lookup(s).unwrap());
+        assert_eq!(le, driver.scheme.try_lookup(e).unwrap());
     }
 }
 

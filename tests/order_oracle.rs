@@ -47,12 +47,12 @@ fn check_scheme<S: LabelingScheme>(mut scheme: S, initial: usize, ops: &[TagOp])
         match op {
             TagOp::InsertBefore(raw) => {
                 let at = raw % order.len();
-                let new = scheme.insert_before(order[at]);
+                let new = scheme.try_insert_before(order[at]).unwrap();
                 order.insert(at, new);
             }
             TagOp::InsertElement(raw) => {
                 let at = raw % order.len();
-                let (s, e) = scheme.insert_element_before(order[at]);
+                let (s, e) = scheme.try_insert_element_before(order[at]).unwrap();
                 order.insert(at, e);
                 order.insert(at, s);
             }
@@ -60,13 +60,16 @@ fn check_scheme<S: LabelingScheme>(mut scheme: S, initial: usize, ops: &[TagOp])
                 if order.len() > 2 {
                     let at = raw % order.len();
                     let lid = order.remove(at);
-                    scheme.delete(lid);
+                    scheme.try_delete(lid).unwrap();
                 }
             }
         }
     }
     assert_eq!(scheme.len(), order.len() as u64);
-    let labels: Vec<S::Label> = order.iter().map(|&l| scheme.lookup(l)).collect();
+    let labels: Vec<S::Label> = order
+        .iter()
+        .map(|&l| scheme.try_lookup(l).unwrap())
+        .collect();
     for (i, w) in labels.windows(2).enumerate() {
         assert!(
             w[0] < w[1],
@@ -140,21 +143,21 @@ proptest! {
             match op {
                 TagOp::InsertBefore(raw) | TagOp::InsertElement(raw) => {
                     let at = raw % order.len();
-                    let new = scheme.insert_before(order[at]);
+                    let new = scheme.try_insert_before(order[at]).unwrap();
                     order.insert(at, new);
                 }
                 TagOp::Delete(raw) => {
                     if order.len() > 2 {
                         let at = raw % order.len();
                         let lid = order.remove(at);
-                        scheme.delete(lid);
+                        scheme.try_delete(lid).unwrap();
                     }
                 }
             }
         }
         // Every ordinal label is the exact position.
         for (i, &lid) in order.iter().enumerate() {
-            prop_assert_eq!(scheme.ordinal_of(lid), i as u64);
+            prop_assert_eq!(scheme.ordinal_of(lid).unwrap(), i as u64);
         }
     }
 }
@@ -172,18 +175,18 @@ fn invariants_after_heavy_mixed_workload() {
         match round % 5 {
             0..=2 => {
                 let at = (round * 31) % order.len();
-                let new = w.insert_before(order[at]);
+                let new = w.try_insert_before(order[at]).unwrap();
                 order.insert(at, new);
             }
             3 => {
                 let at = (round * 17) % order.len();
-                let new = w.insert_before(order[at]);
+                let new = w.try_insert_before(order[at]).unwrap();
                 order.insert(at, new);
             }
             _ => {
                 if order.len() > 2 {
                     let at = (round * 13) % order.len();
-                    w.delete(order.remove(at));
+                    w.try_delete(order.remove(at)).unwrap();
                 }
             }
         }
@@ -196,10 +199,10 @@ fn invariants_after_heavy_mixed_workload() {
     for round in 0usize..3_000 {
         if round % 3 == 2 && order.len() > 2 {
             let at = (round * 13) % order.len();
-            b.delete(order.remove(at));
+            b.try_delete(order.remove(at)).unwrap();
         } else {
             let at = (round * 31) % order.len();
-            let new = b.insert_before(order[at]);
+            let new = b.try_insert_before(order[at]).unwrap();
             order.insert(at, new);
         }
     }

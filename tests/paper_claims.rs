@@ -15,15 +15,15 @@ const N: usize = 200_000;
 /// size induces.
 fn wbox_lookup_is_two_ios_at(bs: usize) {
     let pager = Pager::new(PagerConfig::with_block_size(bs));
-    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(bs));
-    let lids = w.bulk_load(N);
+    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(bs)).unwrap();
+    let lids = w.bulk_load(N).unwrap();
     // Grow the tree with adversarial inserts first.
     for _ in 0..2_000 {
-        w.insert_before(lids[N / 2]);
+        w.insert_before(lids[N / 2]).unwrap();
     }
     for probe in [0, 1, N / 3, N / 2, N - 1] {
         let before = pager.stats();
-        w.lookup(lids[probe]);
+        w.lookup(lids[probe]).unwrap();
         assert_eq!(
             pager.stats().since(&before).total(),
             2,
@@ -48,8 +48,8 @@ fn theorem_4_5_wbox_lookup_is_two_ios_4k() {
 /// smaller block size must produce the taller tree this test predicts.
 fn bbox_lookup_is_height_plus_lidf_at(bs: usize) {
     let pager = Pager::new(PagerConfig::with_block_size(bs));
-    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(bs));
-    let lids = b.bulk_load(N);
+    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(bs)).unwrap();
+    let lids = b.bulk_load(N).unwrap();
     let h = b.height() as u64;
     // Sanity-bound the measured height from the config: bulk load fills
     // leaves/internals to at least half capacity, so height is at most
@@ -65,7 +65,7 @@ fn bbox_lookup_is_height_plus_lidf_at(bs: usize) {
     );
     for probe in [0, N / 3, N - 1] {
         let before = pager.stats();
-        b.lookup(lids[probe]);
+        b.lookup(lids[probe]).unwrap();
         assert_eq!(
             pager.stats().since(&before).total(),
             h + 1,
@@ -87,14 +87,14 @@ fn theorem_5_2_bbox_lookup_is_height_plus_lidf_4k() {
 #[test]
 fn theorem_5_3_bbox_amortized_constant_updates() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS));
-    let lids = b.bulk_load(N);
+    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS)).unwrap();
+    let lids = b.bulk_load(N).unwrap();
     let anchor = lids[N / 2];
-    b.insert_before(anchor); // absorb the full-bulk-leaf split
+    b.insert_before(anchor).unwrap(); // absorb the full-bulk-leaf split
     let before = pager.stats();
     let rounds = 20_000u64;
     for _ in 0..rounds {
-        b.insert_before(anchor);
+        b.insert_before(anchor).unwrap();
     }
     let avg = pager.stats().since(&before).total() as f64 / rounds as f64;
     // O(1) amortized: a handful of I/Os (LIDF alloc + leaf rw + rare splits).
@@ -104,24 +104,24 @@ fn theorem_5_3_bbox_amortized_constant_updates() {
 #[test]
 fn theorem_4_6_wbox_amortized_logarithmic_updates() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
-    let lids = w.bulk_load(N);
+    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
+    let lids = w.bulk_load(N).unwrap();
     let anchor = lids[N / 2];
-    w.insert_before(anchor);
+    w.insert_before(anchor).unwrap();
     let before = pager.stats();
     let rounds = 20_000u64;
     for _ in 0..rounds {
-        w.insert_before(anchor);
+        w.insert_before(anchor).unwrap();
     }
     let avg = pager.stats().since(&before).total() as f64 / rounds as f64;
     // O(log_B N) with log_B N ≈ 2 here; relabeling adds amortized O(1).
     assert!(avg < 30.0, "W-BOX amortized insert = {avg:.2} I/Os");
     // And deletions are O(1) amortized (tombstones + global rebuilding).
-    let all = w.iter_lids();
+    let all = w.iter_lids().unwrap();
     let before = pager.stats();
     let deletes = (N / 4) as u64;
     for &lid in all.iter().take(N / 4) {
-        w.delete(lid);
+        w.delete(lid).unwrap();
     }
     let avg = pager.stats().since(&before).total() as f64 / deletes as f64;
     assert!(avg < 8.0, "W-BOX amortized delete = {avg:.2} I/Os");
@@ -131,8 +131,8 @@ fn theorem_4_6_wbox_amortized_logarithmic_updates() {
 fn space_is_linear_in_n_over_b() {
     for (n, label) in [(50_000usize, "50k"), (200_000, "200k")] {
         let pager = Pager::new(PagerConfig::with_block_size(BS));
-        let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
-        w.bulk_load(n);
+        let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
+        w.bulk_load(n).unwrap();
         let blocks = pager.allocated_blocks();
         // Records are 9 B (LIDF) + 8 B (leaf entry) ≈ 17 B; with headers
         // and internal nodes the structure must stay within ~4x raw size.
@@ -147,10 +147,10 @@ fn space_is_linear_in_n_over_b() {
 #[test]
 fn theorem_4_4_wbox_label_bits() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
-    let lids = w.bulk_load(N);
+    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
+    let lids = w.bulk_load(N).unwrap();
     for i in 0..30_000usize {
-        w.insert_before(lids[(i * 7) % lids.len()]);
+        w.insert_before(lids[(i * 7) % lids.len()]).unwrap();
     }
     let c = *w.config();
     let n = w.len() as f64;
@@ -171,20 +171,20 @@ fn theorem_4_4_wbox_label_bits() {
 #[test]
 fn theorem_5_1_bbox_label_bits() {
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS));
-    let lids = b.bulk_load(N);
+    let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS)).unwrap();
+    let lids = b.bulk_load(N).unwrap();
     for i in 0..30_000usize {
-        b.insert_before(lids[(i * 7) % lids.len()]);
+        b.insert_before(lids[(i * 7) % lids.len()]).unwrap();
     }
     let n = b.len() as f64;
     let log_b = (b.config().internal_capacity as f64).log2();
     let bound = n.log2() + 1.0 + ((n.log2() - 1.0) / (log_b - 1.0)).floor();
     assert!(
-        (b.label_bits() as f64) <= bound + 1.0,
+        (b.label_bits().unwrap() as f64) <= bound + 1.0,
         "bits {} vs Theorem 5.1 bound {bound:.1}",
-        b.label_bits()
+        b.label_bits().unwrap()
     );
-    assert!(b.label_bits() <= 32);
+    assert!(b.label_bits().unwrap() <= 32);
 }
 
 #[test]
@@ -193,11 +193,11 @@ fn lemma_4_2_split_rate_is_low() {
     // splits again — so total splits over M inserts stay near-linear in
     // M / leaf-capacity, not in M.
     let pager = Pager::new(PagerConfig::with_block_size(BS));
-    let mut w = WBox::new(pager, WBoxConfig::from_block_size(BS));
-    let lids = w.bulk_load(N);
+    let mut w = WBox::new(pager, WBoxConfig::from_block_size(BS)).unwrap();
+    let lids = w.bulk_load(N).unwrap();
     let inserts = 30_000u64;
     for _ in 0..inserts {
-        w.insert_before(lids[N / 2]);
+        w.insert_before(lids[N / 2]).unwrap();
     }
     let c = w.counters();
     let leaf_cap = w.config().leaf_capacity() as u64;
@@ -228,7 +228,7 @@ fn wbox_o_insert_cost_tracks_document_depth() {
     let run = |depth: usize| -> f64 {
         let total = 4_000usize;
         let pager = Pager::new(PagerConfig::with_block_size(BS));
-        let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size_paired(BS));
+        let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size_paired(BS)).unwrap();
         // Document: `depth` nested elements, then flat siblings inside the
         // innermost to reach `total` elements.
         let mut partner = vec![0usize; 2 * total];
@@ -243,7 +243,7 @@ fn wbox_o_insert_cost_tracks_document_depth() {
             partner[s] = s + 1;
             partner[s + 1] = s;
         }
-        let lids = w.bulk_load_pairs(&partner);
+        let lids = w.bulk_load_pairs(&partner).unwrap();
         // Anchor: the innermost element's end tag — inserting before it
         // makes the new element its last child and shifts all `depth`
         // enclosing end tags (they sit in the suffix of the same leaves).
@@ -251,7 +251,7 @@ fn wbox_o_insert_cost_tracks_document_depth() {
         let before = pager.stats();
         let rounds = 400;
         for _ in 0..rounds {
-            w.insert_element_before(anchor);
+            w.insert_element_before(anchor).unwrap();
         }
         pager.stats().since(&before).total() as f64 / rounds as f64
     };

@@ -53,9 +53,9 @@ fn stream_ops<S: SessionScheme>(
     let mut elements: Vec<(Lid, Lid)> = {
         // 8 flat elements: tags 0..16, partner = i ^ 1.
         let partner: Vec<usize> = (0..16).map(|i| i ^ 1).collect();
-        let txn = manager.pager().txn();
+        let txn = manager.pager().txn().unwrap();
         let lids = writer.bulk_load_document(&partner);
-        drop(txn);
+        txn.commit();
         lids.chunks(2).map(|c| (c[0], c[1])).collect()
     };
     committed(&writer, &elements);
@@ -65,16 +65,16 @@ fn stream_ops<S: SessionScheme>(
         let choice = state % 10;
         if choice < 7 || elements.len() <= 4 {
             let anchor = elements[usize::try_from(state >> 8).expect("small") % elements.len()].0;
-            let txn = manager.pager().txn();
-            let pair = writer.insert_element_before(anchor);
-            drop(txn);
+            let txn = manager.pager().txn().unwrap();
+            let pair = writer.try_insert_element_before(anchor).unwrap();
+            txn.commit();
             elements.push(pair);
         } else {
             let victim = usize::try_from(state >> 8).expect("small") % elements.len();
             let (start, end) = elements.remove(victim);
-            let txn = manager.pager().txn();
-            writer.delete_subtree(start, end);
-            drop(txn);
+            let txn = manager.pager().txn().unwrap();
+            writer.try_delete_subtree(start, end).unwrap();
+            txn.commit();
         }
         committed(&writer, &elements);
     }
@@ -84,7 +84,7 @@ fn live_labels<S: SessionScheme>(scheme: &S, elements: &[(Lid, Lid)]) -> Vec<(Li
     let mut lids: Vec<Lid> = elements.iter().flat_map(|&(s, e)| [s, e]).collect();
     lids.sort();
     lids.into_iter()
-        .map(|lid| (lid, scheme.lookup(lid)))
+        .map(|lid| (lid, scheme.try_lookup(lid).unwrap()))
         .collect()
 }
 
@@ -95,7 +95,7 @@ where
 {
     // Phase 1: single-threaded reference — expected state per epoch.
     let mut expected: HashMap<u64, Vec<(Lid, S::Label)>> = HashMap::new();
-    let reference = SessionManager::<S>::create(journaled_pager(), config.clone());
+    let reference = SessionManager::<S>::create(journaled_pager(), config.clone()).unwrap();
     stream_ops(&reference, seed, |scheme, elements| {
         expected.insert(
             reference.pager().published_epoch(),
@@ -110,7 +110,7 @@ where
     );
 
     // Phase 2: same workload, four concurrent snapshot readers.
-    let manager = Arc::new(SessionManager::<S>::create(journaled_pager(), config));
+    let manager = Arc::new(SessionManager::<S>::create(journaled_pager(), config).unwrap());
     let done = Arc::new(AtomicBool::new(false));
     let checks = Arc::new(AtomicU64::new(0));
     let readers: Vec<_> = (0..READERS)
@@ -133,7 +133,7 @@ where
                         );
                         for (lid, label) in want {
                             assert_eq!(
-                                snap.lookup(*lid),
+                                snap.try_lookup(*lid).unwrap(),
                                 label.clone(),
                                 "epoch {}: lid {lid:?} label diverged from the \
                                  single-threaded replay",

@@ -36,19 +36,23 @@ struct Trace {
 
 fn run_workload(env: &DurableEnv, seed: u64) -> Trace {
     let manager =
-        SessionManager::<WBoxScheme>::create(env.pager().clone(), WBoxConfig::from_block_size(BS));
+        SessionManager::<WBoxScheme>::create(env.pager().clone(), WBoxConfig::from_block_size(BS))
+            .unwrap();
     let mut writer = manager.writer().expect("writer");
     let mut trace = Trace { after: Vec::new() };
     let mut lids = {
-        let txn = env.pager().txn();
+        let txn = env.pager().txn().unwrap();
         let l = writer.bulk_load_document(&[1, 0, 3, 2]);
-        drop(txn);
+        txn.commit();
         l
     };
     let record = |w: &WBoxScheme, lids: &[Lid], epoch: u64| {
         let mut sorted = lids.to_vec();
         sorted.sort();
-        let labels = sorted.iter().map(|&l| (l, w.lookup(l))).collect();
+        let labels = sorted
+            .iter()
+            .map(|&l| (l, w.try_lookup(l).unwrap()))
+            .collect();
         (epoch, labels)
     };
     let snap = record(&writer, &lids, env.pager().published_epoch());
@@ -57,9 +61,9 @@ fn run_workload(env: &DurableEnv, seed: u64) -> Trace {
     for _ in 0..OPS {
         state = boxes_pager::splitmix64(state);
         let anchor = lids[usize::try_from(state >> 8).expect("small") % lids.len()];
-        let txn = env.pager().txn();
-        let (s, e) = writer.insert_element_before(anchor);
-        drop(txn);
+        let txn = env.pager().txn().unwrap();
+        let (s, e) = writer.try_insert_element_before(anchor).unwrap();
+        txn.commit();
         lids.push(s);
         lids.push(e);
         let snap = record(&writer, &lids, env.pager().published_epoch());
@@ -99,7 +103,7 @@ fn recovery_keeps_every_published_epoch_and_only_committed_prefixes() {
                 scheme.len() == u64::try_from(labels.len()).expect("small")
                     && labels
                         .iter()
-                        .all(|(lid, label)| scheme.lookup(*lid) == *label)
+                        .all(|(lid, label)| scheme.try_lookup(*lid).unwrap() == *label)
             });
             let Some((idx, _)) = matched else {
                 panic!("tick {target}: recovered state is not any committed prefix");

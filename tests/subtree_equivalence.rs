@@ -37,22 +37,22 @@ trait Subject {
 
 impl Subject for WBox {
     fn bulk(&mut self, n: usize) -> Vec<boxes_core::lidf::Lid> {
-        self.bulk_load(n)
+        self.bulk_load(n).unwrap()
     }
     fn ins_one(&mut self, before: boxes_core::lidf::Lid) -> boxes_core::lidf::Lid {
-        self.insert_before(before)
+        self.insert_before(before).unwrap()
     }
     fn ins_tree(&mut self, before: boxes_core::lidf::Lid, n: usize) -> Vec<boxes_core::lidf::Lid> {
-        self.insert_subtree_before(before, n)
+        self.insert_subtree_before(before, n).unwrap()
     }
     fn del_one(&mut self, lid: boxes_core::lidf::Lid) {
-        self.delete(lid)
+        self.delete(lid).unwrap()
     }
     fn del_tree(&mut self, a: boxes_core::lidf::Lid, b: boxes_core::lidf::Lid) {
-        self.delete_subtree(a, b)
+        self.delete_subtree(a, b).unwrap()
     }
     fn order(&self) -> Vec<boxes_core::lidf::Lid> {
-        self.iter_lids()
+        self.iter_lids().unwrap()
     }
     fn validate(&self) {
         WBox::validate(self)
@@ -61,22 +61,22 @@ impl Subject for WBox {
 
 impl Subject for BBox {
     fn bulk(&mut self, n: usize) -> Vec<boxes_core::lidf::Lid> {
-        self.bulk_load(n)
+        self.bulk_load(n).unwrap()
     }
     fn ins_one(&mut self, before: boxes_core::lidf::Lid) -> boxes_core::lidf::Lid {
-        self.insert_before(before)
+        self.insert_before(before).unwrap()
     }
     fn ins_tree(&mut self, before: boxes_core::lidf::Lid, n: usize) -> Vec<boxes_core::lidf::Lid> {
-        self.insert_subtree_before(before, n)
+        self.insert_subtree_before(before, n).unwrap()
     }
     fn del_one(&mut self, lid: boxes_core::lidf::Lid) {
-        self.delete(lid)
+        self.delete(lid).unwrap()
     }
     fn del_tree(&mut self, a: boxes_core::lidf::Lid, b: boxes_core::lidf::Lid) {
-        self.delete_subtree(a, b)
+        self.delete_subtree(a, b).unwrap()
     }
     fn order(&self) -> Vec<boxes_core::lidf::Lid> {
-        self.iter_lids()
+        self.iter_lids().unwrap()
     }
     fn validate(&self) {
         BBox::validate(self)
@@ -150,7 +150,7 @@ proptest! {
     fn wbox_bulk_equals_single(ops in bulk_ops()) {
         let mk = || {
             let pager = Pager::new(PagerConfig::with_block_size(512));
-            WBox::new(pager, WBoxConfig::small_for_tests())
+            WBox::new(pager, WBoxConfig::small_for_tests()).unwrap()
         };
         let (bulk_ids, _) = run_script(mk(), &ops, true);
         let (single_ids, _) = run_script(mk(), &ops, false);
@@ -161,7 +161,7 @@ proptest! {
     fn bbox_bulk_equals_single(ops in bulk_ops()) {
         let mk = || {
             let pager = Pager::new(PagerConfig::with_block_size(128));
-            BBox::new(pager, BBoxConfig::from_block_size(128))
+            BBox::new(pager, BBoxConfig::from_block_size(128)).unwrap()
         };
         let (bulk_ids, _) = run_script(mk(), &ops, true);
         let (single_ids, _) = run_script(mk(), &ops, false);
@@ -172,11 +172,11 @@ proptest! {
     fn wbox_ordinal_bulk_equals_single(ops in bulk_ops()) {
         let mk = || {
             let pager = Pager::new(PagerConfig::with_block_size(512));
-            WBox::new(pager, WBoxConfig::small_for_tests().with_ordinal())
+            WBox::new(pager, WBoxConfig::small_for_tests().with_ordinal()).unwrap()
         };
         let (bulk_ids, subject) = run_script(mk(), &ops, true);
-        for (i, lid) in subject.iter_lids().into_iter().enumerate() {
-            prop_assert_eq!(subject.ordinal_of(lid), i as u64);
+        for (i, lid) in subject.iter_lids().unwrap().into_iter().enumerate() {
+            prop_assert_eq!(subject.ordinal_of(lid).unwrap(), i as u64);
         }
         let (single_ids, _) = run_script(mk(), &ops, false);
         prop_assert_eq!(bulk_ids, single_ids);
@@ -186,11 +186,11 @@ proptest! {
     fn bbox_ordinal_bulk_equals_single(ops in bulk_ops()) {
         let mk = || {
             let pager = Pager::new(PagerConfig::with_block_size(128));
-            BBox::new(pager, BBoxConfig::from_block_size(128).with_ordinal())
+            BBox::new(pager, BBoxConfig::from_block_size(128).with_ordinal()).unwrap()
         };
         let (bulk_ids, subject) = run_script(mk(), &ops, true);
-        for (i, lid) in subject.iter_lids().into_iter().enumerate() {
-            prop_assert_eq!(subject.ordinal_of(lid), i as u64);
+        for (i, lid) in subject.iter_lids().unwrap().into_iter().enumerate() {
+            prop_assert_eq!(subject.ordinal_of(lid).unwrap(), i as u64);
         }
         let (single_ids, _) = run_script(mk(), &ops, false);
         prop_assert_eq!(bulk_ids, single_ids);

@@ -88,24 +88,24 @@ fn check(label: &str, pager: &SharedPager, before: &Mark) {
 /// a later op's counters would mask still fails.
 fn run_wbox(pager: SharedPager, script: &[Op]) {
     let before = mark(&pager);
-    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
-    let mut lids = w.bulk_load(60);
+    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
+    let mut lids = w.bulk_load(60).unwrap();
     check("wbox/bulk_load", &pager, &before);
     for op in script {
         let before = mark(&pager);
         match *op {
             Op::Insert(raw) => {
                 let anchor = lids[raw % lids.len()];
-                lids.push(w.insert_before(anchor));
+                lids.push(w.insert_before(anchor).unwrap());
             }
             Op::Delete(raw) => {
                 if lids.len() > 4 {
                     let lid = lids.swap_remove(raw % lids.len());
-                    w.delete(lid);
+                    w.delete(lid).unwrap();
                 }
             }
             Op::Lookup(raw) => {
-                w.lookup(lids[raw % lids.len()]);
+                w.lookup(lids[raw % lids.len()]).unwrap();
             }
         }
         check("wbox/op", &pager, &before);
@@ -158,24 +158,24 @@ proptest! {
     fn identity_holds_for_bbox(script in ops()) {
         let pager = Pager::new(PagerConfig::with_block_size(BS));
         let before = mark(&pager);
-        let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS));
-        let mut lids = b.bulk_load(60);
+        let mut b = BBox::new(pager.clone(), BBoxConfig::from_block_size(BS)).unwrap();
+        let mut lids = b.bulk_load(60).unwrap();
         check("bbox/bulk_load", &pager, &before);
         for op in &script {
             let before = mark(&pager);
             match *op {
                 Op::Insert(raw) => {
                     let anchor = lids[raw % lids.len()];
-                    lids.push(b.insert_before(anchor));
+                    lids.push(b.insert_before(anchor).unwrap());
                 }
                 Op::Delete(raw) => {
                     if lids.len() > 4 {
                         let lid = lids.swap_remove(raw % lids.len());
-                        b.delete(lid);
+                        b.delete(lid).unwrap();
                     }
                 }
                 Op::Lookup(raw) => {
-                    b.lookup(lids[raw % lids.len()]);
+                    b.lookup(lids[raw % lids.len()]).unwrap();
                 }
             }
             check("bbox/op", &pager, &before);
@@ -195,14 +195,14 @@ fn identity_is_per_pager_across_threads() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let pager = Pager::new(PagerConfig::with_block_size(BS));
-                let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
-                let mut lids = w.bulk_load(60);
+                let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS)).unwrap();
+                let mut lids = w.bulk_load(60).unwrap();
                 for i in 0..OPS {
                     let before = mark(&pager);
                     barrier.wait();
                     let anchor = lids[(i * 7 + t) % lids.len()];
-                    lids.push(w.insert_before(anchor));
-                    w.lookup(lids[(i * 3 + t) % lids.len()]);
+                    lids.push(w.insert_before(anchor).unwrap());
+                    w.lookup(lids[(i * 3 + t) % lids.len()]).unwrap();
                     barrier.wait();
                     check("wbox/threaded", &pager, &before);
                 }

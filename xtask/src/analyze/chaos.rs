@@ -31,8 +31,8 @@ use boxes_core::bbox::BBoxConfig;
 use boxes_core::lidf::{BlockPtrRecord, Lid, Lidf};
 use boxes_core::naive::NaiveConfig;
 use boxes_core::pager::{
-    codec, splitmix64, BlockId, DegradedReason, FaultPlan, FaultPlanConfig, Health, IoStats, Pager,
-    PagerConfig, PagerError, RetryPolicy, SharedPager,
+    codec, splitmix64, BlockId, DegradedReason, FaultPlan, FaultPlanConfig, Health, IoResult,
+    IoStats, Pager, PagerConfig, PagerError, RetryPolicy, SharedPager,
 };
 use boxes_core::wal::{Wal, WalConfig};
 use boxes_core::wbox::WBoxConfig;
@@ -90,17 +90,17 @@ impl Doc {
 /// `(seed, i)`, so a fault-free replay of the logged primitives reproduces
 /// the exact same LIDF allocations and labels. `st` and `log` record only
 /// the primitives that actually succeeded — on a typed error the structure
-/// was left untouched by the gate-first `try_*` contract.
+/// was left untouched by the pager's degraded-mode transaction gate.
 fn drive_op<S: LabelingScheme>(
     s: &mut S,
     seed: u64,
     i: u64,
     st: &mut Doc,
     log: &mut Vec<Prim>,
-) -> Result<(), PagerError> {
+) -> IoResult<()> {
     if i == 0 {
         let partner_of: Vec<usize> = (0..2 * BASE).map(|t| t ^ 1).collect();
-        st.lids = PagerError::catch(|| s.bulk_load_document(&partner_of))?;
+        st.lids = s.try_bulk_load_document(&partner_of)?;
         log.push(Prim::Bulk);
         return Ok(());
     }
@@ -137,22 +137,23 @@ fn drive_op<S: LabelingScheme>(
 /// Replay logged primitives on a fault-free scheme. Anchors are replayed by
 /// Lid: allocation order is deterministic, so the oracle mints the same Lids
 /// the faulty run did.
-fn replay<S: LabelingScheme>(s: &mut S, log: &[Prim]) {
+fn replay<S: LabelingScheme>(s: &mut S, log: &[Prim]) -> IoResult<()> {
     for p in log {
         match *p {
             Prim::Bulk => {
                 let partner_of: Vec<usize> = (0..2 * BASE).map(|t| t ^ 1).collect();
-                s.bulk_load_document(&partner_of);
+                s.try_bulk_load_document(&partner_of)?;
             }
             Prim::InsertElement(anchor) => {
-                s.insert_element_before(anchor);
+                s.try_insert_element_before(anchor)?;
             }
             Prim::InsertSubtree(anchor) => {
-                s.insert_subtree_before(anchor, &[1, 0, 3, 2]);
+                s.try_insert_subtree_before(anchor, &[1, 0, 3, 2])?;
             }
-            Prim::Delete(lid) => s.delete(lid),
+            Prim::Delete(lid) => s.try_delete(lid)?,
         }
     }
+    Ok(())
 }
 
 /// Audit the faulty-run scheme and compare it label-for-label against a
@@ -167,7 +168,7 @@ fn verify_against_oracle<S: LabelingScheme>(
 ) -> Result<(), String> {
     audit(s).map_err(|msg| format!("{label}: audit under faults: {msg}"))?;
     let mut oracle = fresh();
-    replay(&mut oracle, log);
+    replay(&mut oracle, log).map_err(|e| format!("{label}: fault-free oracle replay: {e}"))?;
     if s.len() != oracle.len() {
         return Err(format!(
             "{label}: len {} vs fault-free oracle {}",
@@ -176,8 +177,12 @@ fn verify_against_oracle<S: LabelingScheme>(
         ));
     }
     for lid in st.live() {
-        let got = s.lookup(lid);
-        let want = oracle.lookup(lid);
+        let got = s
+            .try_lookup(lid)
+            .map_err(|e| format!("{label}: lookup of {lid:?} under faults: {e}"))?;
+        let want = oracle
+            .try_lookup(lid)
+            .map_err(|e| format!("{label}: oracle lookup of {lid:?}: {e}"))?;
         if got != want {
             return Err(format!(
                 "{label}: label of {lid:?} diverges under faults: {got:?} vs oracle {want:?}"
@@ -532,12 +537,14 @@ fn degraded_scenario<S: LabelingScheme>(
     audit(&s).map_err(|msg| format!("{label}: degraded audit: {msg}"))?;
     let fresh = || build(Pager::new(PagerConfig::with_block_size(setup.block_size)));
     let mut oracle = fresh();
-    replay(&mut oracle, &log);
+    replay(&mut oracle, &log).map_err(|e| format!("{label}: fault-free oracle replay: {e}"))?;
     for lid in st.live() {
         let got = s
             .try_lookup(lid)
             .map_err(|e| format!("{label}: degraded lookup of {lid:?} failed: {e}"))?;
-        let want = oracle.lookup(lid);
+        let want = oracle
+            .try_lookup(lid)
+            .map_err(|e| format!("{label}: oracle lookup of {lid:?}: {e}"))?;
         if got != want {
             return Err(format!(
                 "{label}: degraded label of {lid:?} diverges: {got:?} vs oracle {want:?}"
@@ -575,12 +582,12 @@ fn lidf_degraded(seed: u64, transcript: &mut String) -> Result<(), String> {
     let mut lids = Vec::new();
     for i in 0..12u32 {
         let lid = l
-            .try_alloc(BlockPtrRecord::new(BlockId(100 + i)))
+            .alloc(BlockPtrRecord::new(BlockId(100 + i)))
             .map_err(|e| format!("lidf: healthy alloc {i} failed: {e}"))?;
         lids.push(lid);
     }
     plan.fail_all_writes_after(0);
-    match l.try_write(lids[0], BlockPtrRecord::new(BlockId(999))) {
+    match l.write(lids[0], BlockPtrRecord::new(BlockId(999))) {
         Err(PagerError::Degraded(DegradedReason::WriteFault { .. })) => {}
         other => {
             return Err(format!(
@@ -594,16 +601,16 @@ fn lidf_degraded(seed: u64, transcript: &mut String) -> Result<(), String> {
     // Reads keep answering; untouched records still hold their values.
     for (i, &lid) in lids.iter().enumerate().skip(1) {
         let got = l
-            .try_read(lid)
+            .read(lid)
             .map_err(|e| format!("lidf: degraded read of {lid:?} failed: {e}"))?;
         if got.block != BlockId(100 + codec::usize_to_u32(i).unwrap_or(u32::MAX)) {
             return Err(format!("lidf: degraded read of {lid:?} returned {got:?}"));
         }
     }
     if !matches!(
-        l.try_alloc(BlockPtrRecord::new(BlockId(7))),
+        l.alloc(BlockPtrRecord::new(BlockId(7))),
         Err(PagerError::Degraded(_))
-    ) || !matches!(l.try_free(lids[1]), Err(PagerError::Degraded(_)))
+    ) || !matches!(l.free(lids[1]), Err(PagerError::Degraded(_)))
     {
         return Err("lidf: degraded mutations must be rejected with the typed reason".into());
     }
@@ -611,7 +618,7 @@ fn lidf_degraded(seed: u64, transcript: &mut String) -> Result<(), String> {
     pager
         .try_resume()
         .map_err(|e| format!("lidf: resume after heal failed: {e}"))?;
-    l.try_write(lids[0], BlockPtrRecord::new(BlockId(999)))
+    l.write(lids[0], BlockPtrRecord::new(BlockId(999)))
         .map_err(|e| format!("lidf: post-resume write failed: {e}"))?;
     let report = l.audit();
     if !report.is_clean() {
@@ -629,7 +636,8 @@ fn unrepairable_flip_control(seed: u64, transcript: &mut String) -> Result<(), S
     let pager = Pager::new(PagerConfig::with_block_size(WBS));
     let mut s = WBoxScheme::new(pager.clone(), WBoxConfig::from_block_size(WBS));
     let partner_of: Vec<usize> = (0..2 * BASE).map(|t| t ^ 1).collect();
-    s.bulk_load_document(&partner_of);
+    s.try_bulk_load_document(&partner_of)
+        .map_err(|e| format!("flip-control: healthy bulk load failed: {e}"))?;
     // Pick a seeded victim among the allocated blocks and rot one bit
     // behind the pager's back.
     let mut victims = Vec::new();
@@ -651,7 +659,7 @@ fn unrepairable_flip_control(seed: u64, transcript: &mut String) -> Result<(), S
         transcript,
         "## flip-control: planted unrepairable flip at {victim:?} offset {offset} mask {mask:#04x}\n"
     );
-    match pager.try_read(victim) {
+    match pager.read(victim) {
         Err(PagerError::Corrupt { block }) if block == victim => {}
         other => {
             return Err(format!(
@@ -669,36 +677,17 @@ fn unrepairable_flip_control(seed: u64, transcript: &mut String) -> Result<(), S
     }
     // The louder end-to-end form: a full structure audit over the damaged
     // store must not come back clean.
-    match PagerError::catch(|| s.inner().audit().is_clean()) {
-        Ok(true) => Err(
-            "flip-control: unrepairable flip audited CLEAN — corruption \
-                         passed undetected"
-                .into(),
-        ),
-        Ok(false) | Err(PagerError::Corrupt { .. }) => Ok(()),
-        Err(other) => Err(format!(
-            "flip-control: audit failed with an unexpected error: {other}"
-        )),
+    if s.inner().audit().is_clean() {
+        return Err(
+            "flip-control: unrepairable flip audited CLEAN — corruption passed undetected".into(),
+        );
     }
-}
-
-/// Typed pager errors unwind as [`PagerError`] panics that the fallible
-/// wrappers catch; the default hook would still print a spurious backtrace
-/// for every expected rejection. Filter exactly that payload — real panics
-/// keep the full default report.
-pub(crate) fn silence_pager_error_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !info.payload().is::<PagerError>() {
-            prev(info);
-        }
-    }));
+    Ok(())
 }
 
 /// Run the full chaos pass; prints one line per scenario, writes the
 /// fault-plan transcript artifact, and returns overall success.
 pub(crate) fn chaos_lint(seed: u64, root: &Path) -> bool {
-    silence_pager_error_panics();
     let mut transcript = format!("# chaos fault-plan transcript (seed {seed:#x})\n\n");
     let mut checks: Vec<(&str, Result<(), String>)> = Vec::new();
     let r = grid(seed, &mut transcript);

@@ -14,7 +14,7 @@ use boxes_core::bbox::BBoxConfig;
 use boxes_core::durable::{reopen_bbox, reopen_lidf, reopen_naive, reopen_wbox, DurableEnv};
 use boxes_core::lidf::{BlockPtrRecord, Lid, Lidf};
 use boxes_core::naive::NaiveConfig;
-use boxes_core::pager::{codec, BlockId, CrashSignal, Pager, PagerConfig, SharedPager};
+use boxes_core::pager::{codec, BlockId, CrashSignal, IoResult, Pager, PagerConfig, SharedPager};
 use boxes_core::wal::{recover, Recovered, WalConfig, WalError};
 use boxes_core::wbox::WBoxConfig;
 use boxes_core::{BBoxScheme, LabelingScheme, NaiveScheme, WBoxScheme};
@@ -58,11 +58,11 @@ impl DocState {
 /// Apply operation `i` of the deterministic mixed workload: bulk load,
 /// element inserts, a 2-element subtree insert, and deletion of the element
 /// inserted by the preceding op (both tags in one atomic operation).
-pub(crate) fn apply_op<S: LabelingScheme>(s: &mut S, i: u64, st: &mut DocState) {
+pub(crate) fn apply_op<S: LabelingScheme>(s: &mut S, i: u64, st: &mut DocState) -> IoResult<()> {
     if i == 0 {
         let partner_of: Vec<usize> = (0..2 * BASE).map(|t| t ^ 1).collect();
-        st.lids = s.bulk_load_document(&partner_of);
-        return;
+        st.lids = s.try_bulk_load_document(&partner_of)?;
+        return Ok(());
     }
     let live = st.live();
     let anchor = live[codec::u64_to_index(i * 7) % live.len()];
@@ -72,22 +72,23 @@ pub(crate) fn apply_op<S: LabelingScheme>(s: &mut S, i: u64, st: &mut DocState) 
             // (nothing was inserted between its tags since), so deleting
             // both tags removes exactly that element.
             let (a, b) = st.last_pair.take().expect("op i-1 inserted a pair");
-            s.delete(a);
-            s.delete(b);
+            s.try_delete(a)?;
+            s.try_delete(b)?;
             st.dead.insert(a);
             st.dead.insert(b);
         }
         2 => {
-            let new = s.insert_subtree_before(anchor, &[1, 0, 3, 2]);
+            let new = s.try_insert_subtree_before(anchor, &[1, 0, 3, 2])?;
             st.lids.extend(new);
         }
         _ => {
-            let (start, end) = s.insert_element_before(anchor);
+            let (start, end) = s.try_insert_element_before(anchor)?;
             st.lids.push(start);
             st.lids.push(end);
             st.last_pair = Some((start, end));
         }
     }
+    Ok(())
 }
 
 /// Run ops `0..=upto`; when `journal` is given, each op is wrapped in an
@@ -97,13 +98,13 @@ pub(crate) fn run_ops<S: LabelingScheme>(
     s: &mut S,
     journal: Option<&SharedPager>,
     upto: u64,
-) -> DocState {
+) -> IoResult<DocState> {
     let mut st = DocState::default();
     for i in 0..=upto {
         match journal {
             Some(pager) => {
-                let txn = pager.txn();
-                apply_op(s, i, &mut st);
+                let txn = pager.txn()?;
+                apply_op(s, i, &mut st)?;
                 pager.txn_meta("harness", || {
                     let mut w = boxes_core::pager::VecWriter::new();
                     w.u64(i + 1); // ops committed so far, bulk load included
@@ -111,10 +112,10 @@ pub(crate) fn run_ops<S: LabelingScheme>(
                 });
                 txn.commit();
             }
-            None => apply_op(s, i, &mut st),
+            None => apply_op(s, i, &mut st)?,
         }
     }
-    st
+    Ok(st)
 }
 
 pub(crate) fn committed_ops(rec: &Recovered) -> u64 {
@@ -128,7 +129,7 @@ pub(crate) fn verify_recovered<S: LabelingScheme>(
     label: &str,
     target: u64,
     rec: &Recovered,
-    reopen: &impl Fn(&Recovered) -> Option<S>,
+    reopen: &impl Fn(&Recovered) -> IoResult<Option<S>>,
     fresh: &impl Fn() -> S,
     audit: &impl Fn(&S) -> Result<(), String>,
 ) -> Result<(), String> {
@@ -141,7 +142,9 @@ pub(crate) fn verify_recovered<S: LabelingScheme>(
         }
         return Ok(());
     }
-    let Some(scheme) = reopen(rec) else {
+    let reopened =
+        reopen(rec).map_err(|e| format!("{label}: tick {target}: reopen failed: {e}"))?;
+    let Some(scheme) = reopened else {
         return Err(format!(
             "{label}: tick {target}: committed state lacks the scheme meta"
         ));
@@ -159,7 +162,8 @@ pub(crate) fn verify_recovered<S: LabelingScheme>(
         return Ok(());
     }
     let mut oracle = fresh();
-    let st = run_ops(&mut oracle, None, committed - 1);
+    let st = run_ops(&mut oracle, None, committed - 1)
+        .map_err(|e| format!("{label}: tick {target}: oracle run failed: {e}"))?;
     if scheme.len() != oracle.len() {
         return Err(format!(
             "{label}: tick {target}: recovered len {} vs oracle {}",
@@ -168,8 +172,8 @@ pub(crate) fn verify_recovered<S: LabelingScheme>(
         ));
     }
     for lid in st.live() {
-        let got = scheme.lookup(lid);
-        let want = oracle.lookup(lid);
+        let got = scheme.try_lookup(lid);
+        let want = oracle.try_lookup(lid);
         if got != want {
             return Err(format!(
                 "{label}: tick {target}: label of {lid:?} diverges: {got:?} vs oracle {want:?}"
@@ -186,7 +190,7 @@ fn crash_sweep<S: LabelingScheme>(
     wal_config: WalConfig,
     seed: u64,
     build: impl Fn(SharedPager) -> S,
-    reopen: impl Fn(&Recovered) -> Option<S>,
+    reopen: impl Fn(&Recovered) -> IoResult<Option<S>>,
     audit: impl Fn(&S) -> Result<(), String>,
 ) -> Result<(), String> {
     let fresh = || build(Pager::new(PagerConfig::with_block_size(block_size)));
@@ -194,7 +198,8 @@ fn crash_sweep<S: LabelingScheme>(
     let total_ticks = {
         let env = DurableEnv::new(block_size, wal_config, seed);
         let mut s = build(env.pager().clone());
-        run_ops(&mut s, Some(env.pager()), OPS);
+        run_ops(&mut s, Some(env.pager()), OPS)
+            .map_err(|e| format!("{label}: disarmed run failed: {e}"))?;
         env.clock().ticks()
     };
     if total_ticks < 20 {
@@ -208,7 +213,7 @@ fn crash_sweep<S: LabelingScheme>(
         env.clock().arm(target);
         let outcome = env.run_to_crash(|| {
             let mut s = build(env.pager().clone());
-            run_ops(&mut s, Some(env.pager()), OPS);
+            run_ops(&mut s, Some(env.pager()), OPS)
         });
         if outcome.is_some() {
             return Err(format!(
@@ -227,18 +232,21 @@ fn crash_sweep<S: LabelingScheme>(
 /// [`Lidf<BlockPtrRecord>`], same two-pass structure as the schemes.
 fn lidf_sweep(seed: u64) -> Result<(), String> {
     const BS: usize = 256;
-    let run = |pager: SharedPager, journal: bool, upto: u64| -> (Lidf<BlockPtrRecord>, Vec<Lid>) {
+    let run = |pager: SharedPager,
+               journal: bool,
+               upto: u64|
+     -> IoResult<(Lidf<BlockPtrRecord>, Vec<Lid>)> {
         let mut live: Vec<Lid> = Vec::new();
         let mut l: Option<Lidf<BlockPtrRecord>> = None;
         for i in 0..=upto {
-            let txn = journal.then(|| pager.txn());
+            let txn = journal.then(|| pager.txn()).transpose()?;
             match &mut l {
                 None => {
                     let mut lidf = Lidf::new(pager.clone());
                     let recs: Vec<_> = (0..30u32)
                         .map(|r| BlockPtrRecord::new(BlockId(r)))
                         .collect();
-                    live = lidf.bulk_append(&recs);
+                    live = lidf.bulk_append(&recs)?;
                     l = Some(lidf);
                 }
                 Some(lidf) => {
@@ -246,12 +254,12 @@ fn lidf_sweep(seed: u64) -> Result<(), String> {
                     match i % 3 {
                         0 => {
                             let victim = live.remove(r % live.len());
-                            lidf.free(victim);
+                            lidf.free(victim)?;
                         }
-                        1 => live.push(lidf.alloc(BlockPtrRecord::new(BlockId(1000 + r as u32)))),
+                        1 => live.push(lidf.alloc(BlockPtrRecord::new(BlockId(1000 + r as u32)))?),
                         _ => {
                             let lid = live[r % live.len()];
-                            lidf.write(lid, BlockPtrRecord::new(BlockId(2000 + r as u32)));
+                            lidf.write(lid, BlockPtrRecord::new(BlockId(2000 + r as u32)))?;
                         }
                     }
                 }
@@ -265,19 +273,17 @@ fn lidf_sweep(seed: u64) -> Result<(), String> {
                 txn.commit();
             }
         }
-        (l.expect("op 0 builds the lidf"), live)
+        Ok((l.expect("op 0 builds the lidf"), live))
     };
     let total_ticks = {
         let env = DurableEnv::new(BS, WalConfig::default(), seed);
-        run(env.pager().clone(), true, OPS);
+        run(env.pager().clone(), true, OPS).map_err(|e| format!("lidf: disarmed run: {e}"))?;
         env.clock().ticks()
     };
     for target in 1..=total_ticks {
         let env = DurableEnv::new(BS, WalConfig::default(), seed);
         env.clock().arm(target);
-        let outcome = env.run_to_crash(|| {
-            run(env.pager().clone(), true, OPS);
-        });
+        let outcome = env.run_to_crash(|| run(env.pager().clone(), true, OPS));
         if outcome.is_some() {
             return Err(format!(
                 "lidf: tick {target} of {total_ticks} did not crash"
@@ -303,7 +309,8 @@ fn lidf_sweep(seed: u64) -> Result<(), String> {
             Pager::new(PagerConfig::with_block_size(BS)),
             false,
             committed - 1,
-        );
+        )
+        .map_err(|e| format!("lidf: tick {target}: oracle run failed: {e}"))?;
         if lidf.len() != oracle.len() {
             return Err(format!(
                 "lidf: tick {target}: recovered len {} vs oracle {}",
@@ -313,7 +320,7 @@ fn lidf_sweep(seed: u64) -> Result<(), String> {
         }
         for &lid in &live {
             let (got, want) = (lidf.read(lid), oracle.read(lid));
-            if got.block != want.block {
+            if got.map(|r| r.block) != want.map(|r| r.block) {
                 return Err(format!(
                     "lidf: tick {target}: record {lid:?} diverges: {got:?} vs {want:?}"
                 ));
@@ -328,7 +335,7 @@ fn lidf_sweep(seed: u64) -> Result<(), String> {
 fn torn_tail_control(seed: u64) -> Result<(), String> {
     let env = DurableEnv::new(1024, WalConfig::default(), seed);
     let mut s = WBoxScheme::new(env.pager().clone(), WBoxConfig::from_block_size(1024));
-    run_ops(&mut s, Some(env.pager()), OPS);
+    run_ops(&mut s, Some(env.pager()), OPS).map_err(|e| format!("torn-tail: run failed: {e}"))?;
     let full = env.wal().durable_bytes();
     let rec = recover(&full[..full.len() - 7], env.pager().disk_image())
         .map_err(|e| format!("torn-tail: recovery failed: {e}"))?;
@@ -348,7 +355,7 @@ fn torn_tail_control(seed: u64) -> Result<(), String> {
         return Err("torn-tail: progress meta still reflects the rolled-back op".into());
     }
     let fresh = || WBoxScheme::with_block_size(1024);
-    let reopen = |r: &Recovered| reopen_wbox(r, WBoxConfig::from_block_size(1024));
+    let reopen = |r: &Recovered| Ok(reopen_wbox(r, WBoxConfig::from_block_size(1024)));
     let audit = |s: &WBoxScheme| {
         let report = s.inner().audit();
         report
@@ -364,7 +371,8 @@ fn torn_tail_control(seed: u64) -> Result<(), String> {
 fn corrupt_record_control(seed: u64) -> Result<(), String> {
     let env = DurableEnv::new(1024, WalConfig::default(), seed);
     let mut s = WBoxScheme::new(env.pager().clone(), WBoxConfig::from_block_size(1024));
-    run_ops(&mut s, Some(env.pager()), OPS);
+    run_ops(&mut s, Some(env.pager()), OPS)
+        .map_err(|e| format!("corrupt-record: run failed: {e}"))?;
     let mut log = env.wal().durable_bytes();
     // Deep inside the first record's body: damage that only the record
     // checksum can see. (Avoids the header length field, whose corruption
@@ -409,7 +417,7 @@ pub(crate) fn crash_recovery_lint(seed: u64) -> bool {
                 WalConfig::default(),
                 seed,
                 |p| WBoxScheme::new(p, WBoxConfig::from_block_size(1024)),
-                |r| reopen_wbox(r, WBoxConfig::from_block_size(1024)),
+                |r| Ok(reopen_wbox(r, WBoxConfig::from_block_size(1024))),
                 wbox_audit,
             ),
         ),
@@ -424,7 +432,7 @@ pub(crate) fn crash_recovery_lint(seed: u64) -> bool {
                 },
                 seed ^ 0x1,
                 |p| WBoxScheme::new(p, WBoxConfig::from_block_size_paired(1024)),
-                |r| reopen_wbox(r, WBoxConfig::from_block_size_paired(1024)),
+                |r| Ok(reopen_wbox(r, WBoxConfig::from_block_size_paired(1024))),
                 wbox_audit,
             ),
         ),
@@ -436,7 +444,7 @@ pub(crate) fn crash_recovery_lint(seed: u64) -> bool {
                 WalConfig::default(),
                 seed ^ 0x2,
                 |p| BBoxScheme::new(p, BBoxConfig::from_block_size(256)),
-                |r| reopen_bbox(r, BBoxConfig::from_block_size(256)),
+                |r| Ok(reopen_bbox(r, BBoxConfig::from_block_size(256))),
                 bbox_audit,
             ),
         ),

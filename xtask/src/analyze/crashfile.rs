@@ -35,8 +35,8 @@ use boxes_audit::Auditable;
 use boxes_core::bbox::BBoxConfig;
 use boxes_core::durable::{reopen_bbox, reopen_wbox};
 use boxes_core::pager::{
-    codec, recover_image, sector_floor, CrashSignal, FaultFile, FileFaultPlan, Pager, PagerConfig,
-    RawFile, SharedPager,
+    codec, recover_image, sector_floor, CrashSignal, FaultFile, FileFaultPlan, IoResult, Pager,
+    PagerConfig, PagerError, RawFile, SharedPager,
 };
 use boxes_core::wal::crashpoint::{ClockFault, CrashClock};
 use boxes_core::wal::store::{FileLogStore, HEADER_SIZE};
@@ -72,13 +72,13 @@ fn child_workload<S: LabelingScheme>(
     pager: &SharedPager,
     wal: &Wal,
     progress: &Path,
-) {
+) -> IoResult<()> {
     let mut s = build(pager.clone());
     let mut st = DocState::default();
     let mut syncs = wal.stats().syncs;
     for i in 0..=OPS {
-        let txn = pager.txn();
-        apply_op(&mut s, i, &mut st);
+        let txn = pager.txn()?;
+        apply_op(&mut s, i, &mut st)?;
         pager.txn_meta("harness", || {
             let mut w = boxes_core::pager::VecWriter::new();
             w.u64(i + 1);
@@ -93,6 +93,7 @@ fn child_workload<S: LabelingScheme>(
             let _ = std::fs::write(progress, format!("{} {}", i + 1, wal.durable_len()));
         }
     }
+    Ok(())
 }
 
 /// Entry point of the `crash-child` xtask mode. Arguments:
@@ -157,9 +158,13 @@ pub(crate) fn crash_child(args: &[String]) -> i32 {
             _ => unreachable!("scheme validated above"),
         }));
     match outcome {
-        Ok(()) => {
+        Ok(Ok(())) => {
             println!("TICKS {}", clock.ticks());
             0
+        }
+        Ok(Err(e)) => {
+            eprintln!("crash-child: workload failed: {e}");
+            4
         }
         Err(payload) if payload.is::<CrashSignal>() => {
             // The point of the exercise: die the way a kill -9 dies. No
@@ -185,8 +190,7 @@ fn shred_log(path: &Path, durable_payload: u64) -> Result<(), String> {
         .open(path)
         .map_err(|e| format!("shred: open {}: {e}", path.display()))?;
     file.set_len(keep)
-        .map_err(|e| format!("shred: truncate {}: {e}", path.display()))?;
-    Ok(())
+        .map_err(|e| format!("shred: truncate {}: {e}", path.display()))
 }
 
 /// `(committed_ops_floor, durable_payload_bytes)` the child last recorded,
@@ -206,7 +210,7 @@ fn verify_scheme(scheme: &str, label: &str, target: u64, rec: &Recovered) -> Res
     match scheme {
         "wbox" => {
             let fresh = || WBoxScheme::with_block_size(1024);
-            let reopen = |r: &Recovered| reopen_wbox(r, WBoxConfig::from_block_size(1024));
+            let reopen = |r: &Recovered| Ok(reopen_wbox(r, WBoxConfig::from_block_size(1024)));
             let audit = |s: &WBoxScheme| {
                 let report = s.inner().audit();
                 report
@@ -223,7 +227,7 @@ fn verify_scheme(scheme: &str, label: &str, target: u64, rec: &Recovered) -> Res
                     BBoxConfig::from_block_size(256),
                 )
             };
-            let reopen = |r: &Recovered| reopen_bbox(r, BBoxConfig::from_block_size(256));
+            let reopen = |r: &Recovered| Ok(reopen_bbox(r, BBoxConfig::from_block_size(256)));
             let audit = |s: &BBoxScheme| {
                 let report = s.inner().audit();
                 report
@@ -381,8 +385,10 @@ fn fsync_negative_control(base: &Path) -> Result<NegativeControl, String> {
         if wal.poisoned() {
             break;
         }
-        let txn = pager.txn();
-        apply_op(&mut s, i, &mut st);
+        let txn = pager
+            .txn()
+            .map_err(|e| format!("fsync-control: op {i} rejected before the fault: {e}"))?;
+        apply_op(&mut s, i, &mut st).map_err(|e| format!("fsync-control: op {i} failed: {e}"))?;
         pager.txn_meta("harness", || {
             let mut w = boxes_core::pager::VecWriter::new();
             w.u64(i + 1);
@@ -404,16 +410,16 @@ fn fsync_negative_control(base: &Path) -> Result<NegativeControl, String> {
     // Every later mutation must be rejected with the typed degraded error —
     // repeatedly, because FaultFile lets later fsyncs succeed (the
     // fsyncgate trap a retrying implementation would fall into). The probe
-    // goes through the fallible surface: `try_write` hits the same degraded
-    // gate as every mutation, before any allocation checks.
+    // goes straight to `Pager::write`, which checks the degraded gate
+    // before any allocation checks.
     let mut denied = 0u64;
     let probe = vec![0u8; BS];
     for _ in 0..3 {
-        match pager.try_write(boxes_core::pager::BlockId(0), &probe) {
+        match pager.write(boxes_core::pager::BlockId(0), &probe) {
             Ok(()) => {
                 return Err("fsync-control: degraded pager accepted a mutation".into());
             }
-            Err(boxes_core::pager::PagerError::Degraded(_)) => denied += 1,
+            Err(PagerError::Degraded(_)) => denied += 1,
             Err(other) => {
                 return Err(format!(
                     "fsync-control: expected a typed degraded rejection, got {other:?}"
@@ -501,7 +507,6 @@ fn render_report(entries: &[MatrixEntry], control: &NegativeControl) -> String {
 /// Run the full process-kill crash matrix; prints one line per cell and
 /// writes `target/crash-file-report.json`. Returns overall success.
 pub(crate) fn crash_file_lint(seed: u64, root: &Path) -> bool {
-    super::chaos::silence_pager_error_panics();
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => {

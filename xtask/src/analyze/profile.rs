@@ -29,7 +29,8 @@ use boxes_core::bbox::BBoxConfig;
 use boxes_core::lidf::{BlockPtrRecord, Lidf};
 use boxes_core::naive::NaiveConfig;
 use boxes_core::pager::{
-    BlockId, FaultPlan, FaultPlanConfig, IoStats, Pager, PagerConfig, RetryPolicy, SharedPager,
+    BlockId, FaultPlan, FaultPlanConfig, IoStats, Pager, PagerConfig, PagerError, RetryPolicy,
+    SharedPager,
 };
 use boxes_core::wal::{Wal, WalConfig};
 use boxes_core::wbox::WBoxConfig;
@@ -135,9 +136,10 @@ fn profile_stream<S: LabelingScheme>(
     stream: &UpdateStream,
     traced: &mut Vec<Traced>,
 ) -> Result<(), String> {
-    let mut driver = DocumentDriver::load(scheme, &stream.base);
+    let io = |e: PagerError| format!("{leg}: {e}");
+    let mut driver = DocumentDriver::load(scheme, &stream.base).map_err(io)?;
     for op in &stream.ops {
-        driver.apply(op);
+        driver.apply(op).map_err(io)?;
     }
     traced.push(Traced::of(leg, "pager", &pager));
     check_identity(leg, &pager, &Mark::default())
@@ -165,24 +167,24 @@ fn profile_lidf(seed: u64, traced: &mut Vec<Traced>) -> Result<(), String> {
     let mut lidf: Lidf<BlockPtrRecord> = Lidf::new(pager.clone());
     let mut lids = Vec::new();
     let mut state = seed;
+    let io = |e: PagerError| format!("{LEG}: {e}");
     for i in 0..200u64 {
         let r = boxes_core::pager::splitmix64(state ^ i);
         state = r;
         if i % 5 == 4 && lids.len() > 8 {
             let victim = lids.swap_remove(usize::try_from(r).unwrap_or(0) % lids.len());
-            lidf.free(victim);
+            lidf.free(victim).map_err(io)?;
         } else {
-            lids.push(lidf.alloc(BlockPtrRecord::new(BlockId(
-                u32::try_from(r & 0xffff).unwrap_or(0),
-            ))));
+            let block = BlockId(u32::try_from(r & 0xffff).unwrap_or(0));
+            lids.push(lidf.alloc(BlockPtrRecord::new(block)).map_err(io)?);
         }
     }
     for lid in &lids {
-        let _ = lidf.read(*lid);
-        let _ = lidf.is_live(*lid);
+        lidf.read(*lid).map_err(io)?;
+        lidf.is_live(*lid).map_err(io)?;
     }
     let mut n = 0u64;
-    lidf.scan(|_, _| n += 1);
+    lidf.scan(|_, _| n += 1).map_err(io)?;
     traced.push(Traced::of(LEG, "pager", &pager));
     if n != lids.len() as u64 {
         return Err(format!(
@@ -220,9 +222,10 @@ fn profile_faulty(seed: u64, traced: &mut Vec<Traced>) -> Result<(), String> {
         });
         let scheme = WBoxScheme::new(pager.clone(), WBoxConfig::from_block_size(block_size));
         let stream = scattered(120, 80);
-        let mut driver = DocumentDriver::load(scheme, &stream.base);
+        let io = |e: PagerError| format!("{LEG}: derivation {derivation}: {e}");
+        let mut driver = DocumentDriver::load(scheme, &stream.base).map_err(io)?;
         for op in &stream.ops {
-            driver.apply(op);
+            driver.apply(op).map_err(io)?;
         }
         traced.push(Traced::of(LEG, format!("derivation-{derivation}"), &pager));
         check_identity(LEG, &pager, &Mark::default())?;
@@ -251,20 +254,21 @@ fn profile_sessions(traced: &mut Vec<Traced>) -> Result<(), String> {
     const ROUNDS: usize = 5;
     const BATCH: usize = 8; // lookups per reader per round
     let block_size = 1024;
-    let manager = Arc::new(SessionManager::<WBoxScheme>::create(
-        journaled_pager(block_size),
-        WBoxConfig::from_block_size(block_size),
-    ));
+    let io = |e: PagerError| format!("{LEG}: {e}");
+    let base = journaled_pager(block_size);
+    // From before set-up: the bootstrap commit must land in a span too.
+    let before = mark(&base);
+    let config = WBoxConfig::from_block_size(block_size);
+    let manager = SessionManager::<WBoxScheme>::create(Arc::clone(&base), config).map_err(io)?;
+    let manager = Arc::new(manager);
     let lids = {
         let mut writer = manager.writer().map_err(|e| e.to_string())?;
         let partner: Vec<usize> = (0..32).map(|i| i ^ 1).collect();
-        let lids = writer.bulk_load_document(&partner);
+        let lids = writer.try_bulk_load_document(&partner).map_err(io)?;
         writer.publish();
         lids
     };
 
-    let base = Arc::clone(manager.pager());
-    let before = mark(&base);
     let mut writer = manager.writer().map_err(|e| e.to_string())?;
     let opened = Arc::new(Barrier::new(READERS + 1));
     let readers: Vec<_> = (0..READERS)
@@ -279,7 +283,8 @@ fn profile_sessions(traced: &mut Vec<Traced>) -> Result<(), String> {
                 let snap = snap?;
                 for _ in 0..ROUNDS {
                     for i in 0..BATCH {
-                        let _ = snap.lookup(lids[(i * 5 + r) % lids.len()]);
+                        snap.try_lookup(lids[(i * 5 + r) % lids.len()])
+                            .map_err(|e| e.to_string())?;
                     }
                 }
                 Ok(Arc::clone(snap.pager()))
@@ -292,7 +297,9 @@ fn profile_sessions(traced: &mut Vec<Traced>) -> Result<(), String> {
     opened.wait();
     for round in 1..=ROUNDS {
         for i in 0..3 {
-            writer.insert_element_before(lids[(round * 3 + i) % lids.len()]);
+            writer
+                .try_insert_element_before(lids[(round * 3 + i) % lids.len()])
+                .map_err(io)?;
         }
     }
     writer.publish();
@@ -332,14 +339,13 @@ where
     const LOOKUPS: u64 = 64;
     let mut legs = Vec::new();
     for threads in [1usize, 4, 8, 16] {
-        let manager = Arc::new(SessionManager::<S>::create(
-            journaled_pager(1024),
-            config.clone(),
-        ));
+        let io = |e: PagerError| format!("{name}: {e}");
+        let manager = SessionManager::<S>::create(journaled_pager(1024), config.clone());
+        let manager = Arc::new(manager.map_err(io)?);
         let lids = {
             let mut writer = manager.writer().map_err(|e| e.to_string())?;
             let partner: Vec<usize> = (0..64).map(|i| i ^ 1).collect();
-            let lids = writer.bulk_load_document(&partner);
+            let lids = writer.try_bulk_load_document(&partner).map_err(io)?;
             writer.publish();
             lids
         };
@@ -354,7 +360,8 @@ where
                     barrier.wait();
                     let io0 = snap.io().total();
                     for i in 0..usize::try_from(LOOKUPS).unwrap_or(0) {
-                        let _ = snap.lookup(lids[(i * 7 + t) % lids.len()]);
+                        snap.try_lookup(lids[(i * 7 + t) % lids.len()])
+                            .map_err(|e| e.to_string())?;
                     }
                     Ok(snap.io().total() - io0)
                 })

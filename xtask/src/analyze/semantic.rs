@@ -5,7 +5,7 @@
 use boxes_audit::Auditable;
 use boxes_core::bbox::{BBox, BBoxConfig};
 use boxes_core::driver::partner_map;
-use boxes_core::pager::{BlockId, Pager, PagerConfig};
+use boxes_core::pager::{BlockId, Pager, PagerConfig, PagerError};
 use boxes_core::wbox::{WBox, WBoxConfig};
 use boxes_core::xml::generate::{two_level, xmark};
 use boxes_core::xml::workload::{
@@ -23,6 +23,11 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Describe a pager error that interrupted `what`.
+fn io_err(what: &str) -> impl Fn(PagerError) -> String + '_ {
+    move |e| format!("{what}: {e}")
+}
+
 /// Replay `stream` on `scheme`, auditing after every operation; returns an
 /// error description naming the first op whose audit was not clean.
 fn drive_with_audit<S: LabelingScheme + Auditable>(
@@ -34,56 +39,58 @@ fn drive_with_audit<S: LabelingScheme + Auditable>(
     if !report.is_clean() {
         return Err(format!("{label}: dirty before load:\n{report}"));
     }
-    let mut driver = DocumentDriver::load(scheme, &stream.base);
+    let mut driver = DocumentDriver::load(scheme, &stream.base).map_err(io_err(label))?;
     let report = driver.scheme.audit();
     if !report.is_clean() {
         return Err(format!("{label}: dirty after bulk load:\n{report}"));
     }
     for (i, op) in stream.ops.iter().enumerate() {
-        driver.apply(op);
+        driver.apply(op).map_err(io_err(label))?;
         let report = driver.scheme.audit();
         if !report.is_clean() {
             return Err(format!("{label}: dirty after op {i}:\n{report}"));
         }
     }
-    driver.verify_document_order();
-    Ok(())
+    driver.verify_document_order().map_err(io_err(label))
 }
 
 /// Negative control: corrupt one allocated block behind the auditor's back
-/// and demand a *reported* (not panicked) violation. A clean report means
-/// the auditor has gone blind, which must itself fail the gate.
+/// and demand a reported violation. A clean report means the auditor has
+/// gone blind, which must itself fail the gate.
 fn corruption_control() -> Result<(), String> {
-    let audit_must_flag = |what: &str, report: Option<boxes_audit::AuditReport>| match report {
-        None => Err(format!("{what} auditor panicked on a garbage block")),
-        Some(r) if r.is_clean() => Err(format!("{what} auditor missed a garbage-filled block")),
-        Some(_) => Ok(()),
+    let audit_must_flag = |what: &str, report: boxes_audit::AuditReport| {
+        if report.is_clean() {
+            Err(format!("{what} auditor missed a garbage-filled block"))
+        } else {
+            Ok(())
+        }
     };
 
     // W-BOX: trash an allocated block with garbage bytes.
     let pager = Pager::new(PagerConfig::with_block_size(1024));
-    let mut wbox = WBox::new(pager.clone(), WBoxConfig::from_block_size(1024));
-    let _lids = wbox.bulk_load(500);
+    let mut wbox =
+        WBox::new(pager.clone(), WBoxConfig::from_block_size(1024)).map_err(io_err("W-BOX"))?;
+    let _lids = wbox.bulk_load(500).map_err(io_err("W-BOX"))?;
     let victim = (0..u32::MAX)
         .map(BlockId)
         .find(|id| pager.is_allocated(*id))
         .expect("a 500-record W-BOX allocates blocks");
-    pager.write(victim, &vec![0xA5u8; 1024]);
-    let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| wbox.audit())).ok();
-    audit_must_flag("W-BOX", report)?;
+    let garbage = vec![0xA5u8; 1024];
+    pager.write(victim, &garbage).map_err(io_err("W-BOX"))?;
+    audit_must_flag("W-BOX", wbox.audit())?;
 
     // B-BOX: same, through its own pager.
     let pager = Pager::new(PagerConfig::with_block_size(256));
-    let mut bbox = BBox::new(pager.clone(), BBoxConfig::from_block_size(256));
-    let _lids = bbox.bulk_load(500);
+    let mut bbox =
+        BBox::new(pager.clone(), BBoxConfig::from_block_size(256)).map_err(io_err("B-BOX"))?;
+    let _lids = bbox.bulk_load(500).map_err(io_err("B-BOX"))?;
     let victim = (0..u32::MAX)
         .map(BlockId)
         .find(|id| pager.is_allocated(*id))
         .expect("a 500-record B-BOX allocates blocks");
-    pager.write(victim, &vec![0x5Au8; 256]);
-    let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bbox.audit())).ok();
-    audit_must_flag("B-BOX", report)?;
-    Ok(())
+    let garbage = vec![0x5Au8; 256];
+    pager.write(victim, &garbage).map_err(io_err("B-BOX"))?;
+    audit_must_flag("B-BOX", bbox.audit())
 }
 
 /// Drive every §6 cached wrapper with checkpointed anchors, auditing the
@@ -92,20 +99,22 @@ fn cached_wrapper_lint(seed: u64) -> Result<(), String> {
     let mut state = seed;
 
     // CachedWBox over flat labels.
+    let err = io_err("cached-wbox");
     let pager = Pager::new(PagerConfig::with_block_size(1024));
-    let mut wbox = WBox::new(pager, WBoxConfig::from_block_size(1024));
-    let lids = wbox.bulk_load(200);
+    let mut wbox = WBox::new(pager, WBoxConfig::from_block_size(1024)).map_err(&err)?;
+    let lids = wbox.bulk_load(200).map_err(&err)?;
     let mut cached = CachedWBox::new(wbox, 16);
     let anchors: Vec<_> = lids.iter().step_by(23).copied().collect();
-    cached.checkpoint(&anchors);
+    cached.checkpoint(&anchors).map_err(&err)?;
     let mut cursors: Vec<_> = lids.iter().step_by(11).copied().collect();
     for i in 0..120 {
         let r = splitmix64(&mut state) as usize;
         if i % 3 == 2 && cursors.len() > 4 {
-            cached.delete(cursors.swap_remove(r % cursors.len()));
+            let victim = cursors.swap_remove(r % cursors.len());
+            cached.delete(victim).map_err(&err)?;
         } else {
             let at = cursors[r % cursors.len()];
-            cursors.push(cached.insert_before(at));
+            cursors.push(cached.insert_before(at).map_err(&err)?);
         }
         let report = cached.audit();
         if !report.is_clean() {
@@ -114,20 +123,22 @@ fn cached_wrapper_lint(seed: u64) -> Result<(), String> {
     }
 
     // CachedBBox over path labels.
+    let err = io_err("cached-bbox");
     let pager = Pager::new(PagerConfig::with_block_size(256));
-    let mut bbox = BBox::new(pager, BBoxConfig::from_block_size(256));
-    let lids = bbox.bulk_load(200);
+    let mut bbox = BBox::new(pager, BBoxConfig::from_block_size(256)).map_err(&err)?;
+    let lids = bbox.bulk_load(200).map_err(&err)?;
     let mut cached = CachedBBox::new(bbox, 16);
     let anchors: Vec<_> = lids.iter().step_by(19).copied().collect();
-    cached.checkpoint(&anchors);
+    cached.checkpoint(&anchors).map_err(&err)?;
     let mut cursors: Vec<_> = lids.iter().step_by(7).copied().collect();
     for i in 0..120 {
         let r = splitmix64(&mut state) as usize;
         if i % 4 == 3 && cursors.len() > 4 {
-            cached.delete(cursors.swap_remove(r % cursors.len()));
+            let victim = cursors.swap_remove(r % cursors.len());
+            cached.delete(victim).map_err(&err)?;
         } else {
             let at = cursors[r % cursors.len()];
-            cursors.push(cached.insert_before(at));
+            cursors.push(cached.insert_before(at).map_err(&err)?);
         }
         let report = cached.audit();
         if !report.is_clean() {
@@ -151,8 +162,7 @@ fn cached_wrapper_lint(seed: u64) -> Result<(), String> {
             BBoxConfig::from_block_size(256).with_ordinal(),
         ),
         &mut state,
-    )?;
-    Ok(())
+    )
 }
 
 fn cached_ordinal_lint<S: OrdinalScheme + Auditable>(
@@ -160,18 +170,22 @@ fn cached_ordinal_lint<S: OrdinalScheme + Auditable>(
     mut scheme: S,
     state: &mut u64,
 ) -> Result<(), String> {
-    let lids = scheme.bulk_load_document(&partner_map(&two_level(75)));
+    let err = io_err(label);
+    let lids = scheme
+        .try_bulk_load_document(&partner_map(&two_level(75)))
+        .map_err(&err)?;
     let mut cached = CachedOrdinal::new(scheme, 12);
     let anchors: Vec<_> = lids.iter().step_by(17).copied().collect();
-    cached.checkpoint(&anchors);
+    cached.checkpoint(&anchors).map_err(&err)?;
     let mut cursors: Vec<_> = lids.iter().step_by(5).copied().collect();
     for i in 0..100 {
         let r = splitmix64(state) as usize;
         if i % 5 == 4 && cursors.len() > 4 {
-            cached.delete(cursors.swap_remove(r % cursors.len()));
+            let victim = cursors.swap_remove(r % cursors.len());
+            cached.delete(victim).map_err(&err)?;
         } else {
             let at = cursors[r % cursors.len()];
-            cursors.push(cached.insert_before(at));
+            cursors.push(cached.insert_before(at).map_err(&err)?);
         }
         let report = cached.audit();
         if !report.is_clean() {

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use boxes_audit::Auditable;
-use boxes_core::pager::{splitmix64, Pager, PagerConfig, SharedPager};
+use boxes_core::pager::{splitmix64, Pager, PagerConfig, PagerError, SharedPager};
 use boxes_core::wal::{Wal, WalConfig};
 use boxes_core::wbox::WBoxConfig;
 use boxes_core::{LabelingScheme, WBoxScheme};
@@ -67,19 +67,19 @@ fn journaled_pager(block_size: usize) -> SharedPager {
 /// description of the first violated invariant.
 fn stress(seed: u64) -> Result<SeedStats, String> {
     let block_size = 1024;
-    let manager = Arc::new(SessionManager::<WBoxScheme>::create(
-        journaled_pager(block_size),
-        WBoxConfig::from_block_size(block_size),
-    ));
+    let io = |e: PagerError| e.to_string();
+    let config = WBoxConfig::from_block_size(block_size);
+    let manager = SessionManager::<WBoxScheme>::create(journaled_pager(block_size), config);
+    let manager = Arc::new(manager.map_err(io)?);
 
     // Bulk load a flat 8-element document and publish it so every reader
     // has a committed epoch from the start.
     let lids = {
         let mut writer = manager.writer().map_err(|e| e.to_string())?;
-        let txn = manager.pager().txn();
+        let txn = manager.pager().txn().map_err(io)?;
         let partner: Vec<usize> = (0..16).map(|i| i ^ 1).collect();
-        let lids = writer.bulk_load_document(&partner);
-        drop(txn);
+        let lids = writer.try_bulk_load_document(&partner).map_err(io)?;
+        txn.commit();
         if !writer.publish() {
             return Err("bulk load did not publish an epoch".into());
         }
@@ -110,7 +110,11 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
                 lids.clone()
             };
             std::thread::spawn(move || -> Result<ReaderStats, String> {
-                let frozen: Vec<u64> = probes.iter().map(|&p| held.lookup(p)).collect();
+                let frozen = probes
+                    .iter()
+                    .map(|&p| held.try_lookup(p))
+                    .collect::<Result<Vec<u64>, _>>()
+                    .map_err(|e| e.to_string())?;
                 let held_len = held.len();
                 let mut last_epoch = 0u64;
                 let mut snapshots = 0u64;
@@ -135,7 +139,11 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
                     snapshots += 1;
                     reads += snap.io().reads;
                     drop(snap);
-                    let now: Vec<u64> = probes.iter().map(|&p| held.lookup(p)).collect();
+                    let now = probes
+                        .iter()
+                        .map(|&p| held.try_lookup(p))
+                        .collect::<Result<Vec<u64>, _>>()
+                        .map_err(|e| e.to_string())?;
                     if now != frozen || held.len() != held_len {
                         return Err(format!(
                             "held snapshot (epoch {}) moved under the writer",
@@ -169,15 +177,15 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
             let pick = usize::try_from(state >> 8).unwrap_or(0);
             if state % 10 < 7 || elements.len() <= 4 {
                 let anchor = elements[pick % elements.len()].0;
-                let txn = manager.pager().txn();
-                let pair = writer.insert_element_before(anchor);
-                drop(txn);
+                let txn = manager.pager().txn().map_err(io)?;
+                let pair = writer.try_insert_element_before(anchor).map_err(io)?;
+                txn.commit();
                 elements.push(pair);
             } else {
                 let (start, end) = elements.remove(pick % elements.len());
-                let txn = manager.pager().txn();
-                writer.delete_subtree(start, end);
-                drop(txn);
+                let txn = manager.pager().txn().map_err(io)?;
+                writer.try_delete_subtree(start, end).map_err(io)?;
+                txn.commit();
             }
         }
         writer.publish();

@@ -38,9 +38,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// matter.
 const LIBRARY_POLICY: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, \
     clippy::expect_used, clippy::panic, clippy::unreachable, clippy::as_conversions, \
-    clippy::let_underscore_must_use, clippy::mem_forget, clippy::disallowed_types, \
-    clippy::disallowed_methods, clippy::disallowed_macros, clippy::allow_attributes, \
-    clippy::allow_attributes_without_reason))]";
+    clippy::let_underscore_must_use, clippy::unused_result_ok, clippy::mem_forget, \
+    clippy::disallowed_types, clippy::disallowed_methods, clippy::disallowed_macros, \
+    clippy::allow_attributes, clippy::allow_attributes_without_reason))]";
 
 /// Library crates as `(package name, crate root)`: every `crates/*`
 /// package except the `boxes-bench` experiment harness.
