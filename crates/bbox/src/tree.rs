@@ -1336,4 +1336,23 @@ mod edge_tests {
             b.validate();
         }
     }
+
+    #[test]
+    fn audit_records_an_unreadable_leaf_and_goes_on() {
+        use boxes_audit::{Auditable as _, ViolationKind};
+        let mut b = make();
+        let lids = b.bulk_load(60).unwrap();
+        let leaf = b.lidf_ref().read(lids[30]).unwrap().block;
+        b.pager().corrupt_block(leaf, 3, 0x40);
+        let report = b.audit();
+        let unreadable: Vec<_> = report
+            .violations()
+            .iter()
+            .filter(|v| v.kind == ViolationKind::Unreadable)
+            .collect();
+        assert_eq!(unreadable.len(), 1, "{report}");
+        assert_eq!(unreadable[0].block, Some(u64::from(leaf.0)));
+        // The rest of the tree still answers: a record outside the leaf.
+        assert!(b.lookup(lids[0]).is_ok());
+    }
 }

@@ -828,6 +828,27 @@ mod tests {
     }
 
     #[test]
+    fn audit_records_an_unreadable_directory_block() {
+        use boxes_audit::{Auditable as _, ViolationKind};
+        let mut l = lidf(64);
+        let lids: Vec<Lid> = (0..10).map(|i| l.alloc(Pair(i, i)).unwrap()).collect();
+        assert!(l.blocks.len() >= 3, "records span several blocks");
+        let rotten = l.blocks[1];
+        l.pager().corrupt_block(rotten, 3, 0x40);
+        let report = l.audit();
+        let unreadable: Vec<_> = report
+            .violations()
+            .iter()
+            .filter(|v| v.kind == ViolationKind::Unreadable)
+            .collect();
+        assert_eq!(unreadable.len(), 1, "{report}");
+        assert_eq!(unreadable[0].block, Some(u64::from(rotten.0)));
+        // Records in the other blocks still read back.
+        assert_eq!(l.read(lids[0]).unwrap(), Pair(0, 0));
+        assert_eq!(l.read(lids[9]).unwrap(), Pair(9, 9));
+    }
+
+    #[test]
     fn free_list_is_lifo_chain() {
         let mut l = lidf(256);
         let lids: Vec<Lid> = (0..5).map(|i| l.alloc(Pair(i, i)).unwrap()).collect();

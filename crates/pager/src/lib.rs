@@ -2493,6 +2493,43 @@ mod tests {
     }
 
     #[test]
+    fn error_returned_inside_a_scope_aborts_the_record() {
+        // Overwrites `dst`, then copies `src` into it; a fault on `src`
+        // leaves through `?` after the first write is already buffered.
+        fn copy_over(p: &SharedPager, dst: BlockId, src: BlockId) -> IoResult<()> {
+            let txn = p.txn()?;
+            p.write(dst, &[7u8; 64])?;
+            let bytes = p.read(src)?;
+            p.write(dst, &bytes)?;
+            txn.commit();
+            Ok(())
+        }
+        let p = pager(64);
+        let j = MockJournal::new(1);
+        p.attach_journal(j.clone());
+        let (a, b) = {
+            let txn = p.txn().unwrap();
+            let a = p.alloc().unwrap();
+            let b = p.alloc().unwrap();
+            p.write(a, &[1u8; 64]).unwrap();
+            p.write(b, &[2u8; 64]).unwrap();
+            txn.commit();
+            (a, b)
+        };
+        p.corrupt_block(b, 3, 0x40);
+        assert!(matches!(
+            copy_over(&p, a, b),
+            Err(PagerError::Corrupt { .. })
+        ));
+        assert_eq!(j.records().len(), 1, "the failed operation logged nothing");
+        assert_eq!(p.read(a).unwrap()[0], 1, "the buffered write was dropped");
+        assert!(matches!(
+            p.health(),
+            Health::Degraded(DegradedReason::Unrepairable { .. })
+        ));
+    }
+
+    #[test]
     #[should_panic(expected = "outside a TxnScope")]
     fn journaled_write_outside_scope_panics() {
         let p = pager(64);

@@ -1281,4 +1281,23 @@ mod edge_tests {
         assert!(w.lookup(*fresh.last().unwrap()).unwrap() < w.lookup(lids[400]).unwrap());
         w.validate();
     }
+
+    #[test]
+    fn audit_records_an_unreadable_leaf_and_goes_on() {
+        use boxes_audit::{Auditable as _, ViolationKind};
+        let mut w = make();
+        let lids = w.bulk_load(60).unwrap();
+        let leaf = w.lidf_ref().read(lids[30]).unwrap().block;
+        w.pager().corrupt_block(leaf, 3, 0x40);
+        let report = w.audit();
+        let unreadable: Vec<_> = report
+            .violations()
+            .iter()
+            .filter(|v| v.kind == ViolationKind::Unreadable)
+            .collect();
+        assert_eq!(unreadable.len(), 1, "{report}");
+        assert_eq!(unreadable[0].block, Some(u64::from(leaf.0)));
+        // The rest of the tree still answers: a record outside the leaf.
+        assert!(w.lookup(lids[0]).is_ok());
+    }
 }
