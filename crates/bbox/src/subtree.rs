@@ -758,8 +758,8 @@ mod repro {
                 let mut b = BBox::new(pager, BBoxConfig::from_block_size(128)).unwrap();
                 let order = b.bulk_load(n).unwrap();
                 b.insert_subtree_before(order[at], 1).unwrap();
-                let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.validate()));
-                assert!(ok.is_ok(), "n={n} at={at}");
+                let report = boxes_audit::Auditable::audit(&b);
+                assert!(report.is_clean(), "n={n} at={at}: {report}");
             }
         }
     }

@@ -11,7 +11,7 @@ use boxes_bench::{Scale, Table};
 use boxes_core::bbox::BBoxConfig;
 use boxes_core::pager::{Pager, PagerConfig};
 use boxes_core::wbox::WBoxConfig;
-use boxes_core::xml::workload::concentrated;
+use boxes_core::xml::workload::{concentrated, ElemRef};
 use boxes_core::{BBoxScheme, DocumentDriver, LabelingScheme, NaiveScheme, WBoxScheme};
 
 struct Row {
@@ -37,14 +37,14 @@ fn measure<S: LabelingScheme>(
 
     let before = pager.stats();
     for &p in &probes {
-        let (s, _) = driver.element(boxes_core::xml::workload::ElemRef(p));
+        let (s, _) = driver.element(ElemRef(p)).expect("no deletes");
         driver.scheme.try_lookup(s).unwrap();
     }
     let single = pager.stats().since(&before).total() as f64 / probes.len() as f64;
 
     let before = pager.stats();
     for &p in &probes {
-        let (s, e) = driver.element(boxes_core::xml::workload::ElemRef(p));
+        let (s, e) = driver.element(ElemRef(p)).expect("no deletes");
         pair_lookup(&driver.scheme, s, e);
     }
     let pair = pager.stats().since(&before).total() as f64 / probes.len() as f64;
@@ -52,7 +52,7 @@ fn measure<S: LabelingScheme>(
     let ordinal = ordinal.map(|f| {
         let before = pager.stats();
         for &p in &probes {
-            let (s, _) = driver.element(boxes_core::xml::workload::ElemRef(p));
+            let (s, _) = driver.element(ElemRef(p)).expect("no deletes");
             f(&driver.scheme, s);
         }
         pager.stats().since(&before).total() as f64 / probes.len() as f64

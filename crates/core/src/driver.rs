@@ -1,10 +1,5 @@
 //! Replaying XML update streams against a labeling scheme.
 
-#![expect(
-    clippy::expect_used,
-    reason = "the driver only replays ids it minted; a deleted-slot hit is a harness bug"
-)]
-
 use crate::scheme::LabelingScheme;
 use boxes_lidf::Lid;
 use boxes_pager::{IoResult, IoStats};
@@ -68,9 +63,18 @@ impl<S: LabelingScheme> DocumentDriver<S> {
         Ok(DocumentDriver { scheme, elems })
     }
 
-    /// LIDs of an element.
-    pub fn element(&self, r: ElemRef) -> (Lid, Lid) {
-        self.elems[r.0].expect("element was deleted")
+    /// LIDs of an element, or `None` once the stream has deleted it.
+    pub fn element(&self, r: ElemRef) -> Option<(Lid, Lid)> {
+        self.elems[r.0]
+    }
+
+    /// LIDs of an element a replayed op names.
+    #[expect(
+        clippy::expect_used,
+        reason = "a stream naming a deleted element is malformed"
+    )]
+    fn named_element(&self, r: ElemRef) -> (Lid, Lid) {
+        self.element(r).expect("the stream names a deleted element")
     }
 
     /// Number of known (live or deleted) element slots.
@@ -80,8 +84,8 @@ impl<S: LabelingScheme> DocumentDriver<S> {
 
     fn anchor_lid(&self, anchor: Anchor) -> Lid {
         match anchor {
-            Anchor::BeforeStart(r) => self.element(r).0,
-            Anchor::BeforeEnd(r) => self.element(r).1,
+            Anchor::BeforeStart(r) => self.named_element(r).0,
+            Anchor::BeforeEnd(r) => self.named_element(r).1,
         }
     }
 
@@ -94,7 +98,7 @@ impl<S: LabelingScheme> DocumentDriver<S> {
                 self.elems.push(Some(pair));
             }
             Op::DeleteElement { elem } => {
-                let (s, e) = self.element(*elem);
+                let (s, e) = self.named_element(*elem);
                 self.scheme.try_delete(s)?;
                 self.scheme.try_delete(e)?;
                 self.elems[elem.0] = None;
@@ -121,7 +125,7 @@ impl<S: LabelingScheme> DocumentDriver<S> {
                 }
             }
             Op::DeleteSubtree { elem, removed } => {
-                let (s, e) = self.element(*elem);
+                let (s, e) = self.named_element(*elem);
                 self.scheme.try_delete_subtree(s, e)?;
                 for r in removed {
                     self.elems[r.0] = None;

@@ -8,9 +8,11 @@
 //!    every WAL append, sync barrier, checkpoint rotation and applied block
 //!    write (where a hit may also *tear* the in-flight block).
 //! 2. The harness runs a workload once disarmed to count crash points, then
-//!    re-runs it with the clock armed at each tick; [`DurableEnv::run_to_crash`]
-//!    catches the injected [`CrashSignal`] (and only that — real panics
-//!    propagate).
+//!    re-runs it with the clock armed at each tick. From the fired tick on
+//!    the log is poisoned and block writes fail, so the pager degrades and
+//!    the workload returns (usually with
+//!    [`PagerError::Degraded`](boxes_pager::PagerError::Degraded)); the
+//!    harness checks [`CrashClock::fired`].
 //! 3. [`DurableEnv::recover`] replays the durable log over the surviving
 //!    disk image, and the `reopen_*` helpers reattach each scheme to its
 //!    recovered structure-state meta blob.
@@ -40,7 +42,7 @@ use std::sync::Arc;
 use boxes_bbox::BBoxConfig;
 use boxes_lidf::{Lidf, Record};
 use boxes_naive::NaiveConfig;
-use boxes_pager::{CrashSignal, IoResult, Pager, PagerConfig, SharedPager};
+use boxes_pager::{IoResult, Pager, PagerConfig, SharedPager};
 use boxes_wal::crashpoint::{ClockFault, CrashClock};
 use boxes_wal::{Recovered, Wal, WalConfig, WalError};
 use boxes_wbox::WBoxConfig;
@@ -78,25 +80,10 @@ impl DurableEnv {
         &self.wal
     }
 
-    /// The crash clock: run disarmed to count crash points, then `arm` one.
+    /// The crash clock: run disarmed to count crash points, then `arm` one
+    /// and read [`CrashClock::fired`] once the workload returns.
     pub fn clock(&self) -> &Arc<CrashClock> {
         &self.clock
-    }
-
-    /// Run `workload`, catching an injected crash. `Some(out)` when it ran
-    /// to completion, `None` when the armed crash point fired. Panics that
-    /// are *not* the crash signal propagate unchanged — a crash sweep must
-    /// never swallow a real bug.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the crash simulator is the one place that catches an unwinding CrashSignal; disk faults are Results"
-    )]
-    pub fn run_to_crash<T>(&self, workload: impl FnOnce() -> T) -> Option<T> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(workload)) {
-            Ok(out) => Some(out),
-            Err(payload) if payload.is::<CrashSignal>() => None,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
     }
 
     /// Recover the committed state from what survives right now: the
@@ -169,10 +156,10 @@ mod tests {
         pager: &SharedPager,
         op_index: u64,
         modlog_ts: u64,
-        op: impl FnOnce() -> T,
-    ) -> T {
-        let txn = pager.txn().unwrap();
-        let out = op();
+        op: impl FnOnce() -> IoResult<T>,
+    ) -> IoResult<T> {
+        let txn = pager.txn()?;
+        let out = op()?;
         pager.txn_meta("harness", || {
             let mut w = boxes_pager::VecWriter::new();
             w.u64(op_index + 1); // committed op count
@@ -180,7 +167,7 @@ mod tests {
             w.into_bytes()
         });
         txn.commit();
-        out
+        Ok(out)
     }
 
     fn decode_harness(meta: &[u8]) -> (u64, u64) {
@@ -206,23 +193,23 @@ mod tests {
     fn crash_sweep_recovers_committed_prefix_with_label_agreement() {
         const BASE: usize = 12;
         const OPS: u64 = 6;
-        let workload = |env: &DurableEnv| {
+        let workload = |env: &DurableEnv| -> IoResult<()> {
             let pager = env.pager().clone();
             let mut s = WBoxScheme::new(pager.clone(), WBoxConfig::from_block_size(WBS));
-            let mut lids = journaled_op(&pager, 0, 0, || s.bulk_load_document(&flat_pairs(BASE)));
+            let mut lids =
+                journaled_op(&pager, 0, 0, || s.try_bulk_load_document(&flat_pairs(BASE)))?;
             for i in 1..=OPS {
                 let anchor = lids[(codec::u64_to_index(i - 1) * 7) % lids.len()];
-                let (st, en) = journaled_op(&pager, i, i, || {
-                    s.try_insert_element_before(anchor).unwrap()
-                });
+                let (st, en) = journaled_op(&pager, i, i, || s.try_insert_element_before(anchor))?;
                 lids.push(st);
                 lids.push(en);
             }
+            Ok(())
         };
         // Pass 1: count crash points.
         let total_ticks = {
             let env = DurableEnv::new(WBS, WalConfig::default(), SEED);
-            workload(&env);
+            workload(&env).unwrap();
             env.clock().ticks()
         };
         assert!(
@@ -233,8 +220,12 @@ mod tests {
         for target in (1..=total_ticks).step_by(5) {
             let env = DurableEnv::new(WBS, WalConfig::default(), SEED);
             env.clock().arm(target);
-            let outcome = env.run_to_crash(|| workload(&env));
-            assert!(outcome.is_none(), "tick {target} must crash");
+            let outcome = workload(&env);
+            assert!(env.clock().fired(), "tick {target} must crash");
+            assert!(
+                matches!(outcome, Ok(()) | Err(boxes_pager::PagerError::Degraded(_))),
+                "tick {target}: the crash degrades the pager, got {outcome:?}"
+            );
             let rec = env
                 .recover()
                 .unwrap_or_else(|e| panic!("tick {target}: {e}"));
@@ -272,15 +263,13 @@ mod tests {
             boxes_wbox::WBox::new(pager.clone(), WBoxConfig::from_block_size(WBS)).unwrap(),
             8,
         );
-        let lids = journaled_op(&pager, 0, 0, || cached.wbox.bulk_load(40).unwrap());
+        let lids = journaled_op(&pager, 0, 0, || cached.wbox.bulk_load(40)).unwrap();
         let mut stale_ref = CachedRef::new();
         let stale_label = cached.lookup(lids[30], &mut stale_ref).unwrap();
         for i in 1..=4u64 {
             let anchor = lids[codec::u64_to_index(i) * 3];
             let ts_after = cached.log.last_modified() + 1;
-            journaled_op(&pager, i, ts_after, || {
-                cached.insert_before(anchor).unwrap()
-            });
+            journaled_op(&pager, i, ts_after, || cached.insert_before(anchor)).unwrap();
             assert_eq!(cached.log.last_modified(), ts_after);
         }
         let mut fresh_ref = CachedRef::new();
@@ -338,14 +327,5 @@ mod tests {
         for &lid in &n_lids {
             assert_eq!(rn.try_lookup(lid).unwrap(), n.try_lookup(lid).unwrap());
         }
-    }
-
-    #[test]
-    fn real_panics_propagate_through_run_to_crash() {
-        let env = DurableEnv::new(BS, WalConfig::default(), SEED);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            env.run_to_crash(|| panic!("actual bug"))
-        }));
-        assert!(outcome.is_err(), "non-crash panics must not be swallowed");
     }
 }

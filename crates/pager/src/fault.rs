@@ -1,10 +1,10 @@
 //! Deterministic faulty-disk modelling: seeded fault plans for the pager's
 //! [`FaultInjector`](crate::FaultInjector) seam.
 //!
-//! PR 3's crash injection killed the process at a chosen block write; this
-//! module generalizes that seam into a *fault plan* for disks that misbehave
-//! without dying: transient and persistent `EIO`, short writes, latency
-//! stalls, and silent bit rot. Every decision is a pure function of the plan
+//! The WAL's crash clock stops the disk at a chosen block write through
+//! this seam; this module drives the same seam with a *fault plan* for
+//! disks that misbehave without dying: transient and persistent `EIO`,
+//! short writes, latency stalls, and silent bit rot. Every decision is a pure function of the plan
 //! seed and the attempt counter (the same SplitMix64 mixer the WAL's
 //! [`CrashClock`] uses), so a chaos sweep replays bit-for-bit — no wall
 //! clock, no OS entropy.

@@ -16,12 +16,10 @@
 //! persisted only a prefix of a slot) is *detected*, never silently
 //! decoded. Edge cases — reading a deallocated index, reopening with the
 //! wrong block size, a short/partial slot on disk — are typed
-//! [`FileError`]s rather than unspecified behavior.
+//! [`FileError`]s rather than unspecified behavior, and so is an OS error
+//! on any write: the pager retries or parks the work, as it does for an
+//! injected fault.
 
-#![expect(
-    clippy::panic,
-    reason = "backing-file open/seek/read/write failures are fatal by design — the store is documented as not crash-safe"
-)]
 #![expect(
     clippy::disallowed_types,
     reason = "the pager's file backend owns disk access: it is the paper's disk model, under the accounted layer"
@@ -110,9 +108,9 @@ impl From<std::io::Error> for FileError {
     }
 }
 
-#[derive(Debug)]
 pub(crate) struct FileStore {
-    file: File,
+    /// Behind the [`RawFile`] seam, so a test can wrap it in a `FaultFile`.
+    file: Box<dyn RawFile>,
     block_size: usize,
     allocated: Vec<bool>,
 }
@@ -131,7 +129,7 @@ impl FileStore {
         header[8..].copy_from_slice(&codec::usize_to_u64(block_size).to_le_bytes());
         file.write_all_at(&header, 0)?;
         Ok(FileStore {
-            file,
+            file: Box::new(file),
             block_size,
             allocated: Vec::new(),
         })
@@ -154,7 +152,7 @@ impl FileStore {
             });
         }
         let mut store = FileStore {
-            file,
+            file: Box::new(file),
             block_size,
             allocated: Vec::with_capacity(slots),
         };
@@ -240,32 +238,33 @@ impl FileStore {
         Ok(())
     }
 
-    /// Append a fresh zero-filled block slot.
-    pub fn push_zeroed(&mut self) {
+    /// Append a fresh zero-filled block slot; a failed write adds none.
+    pub fn push_zeroed(&mut self) -> Result<(), FileError> {
         let idx = self.allocated.len();
-        self.allocated.push(true);
         let zeros = vec![0u8; self.block_size];
-        self.write_slot(idx, &zeros, true)
-            .unwrap_or_else(|e| panic!("pager file append failed: {e}"));
+        self.write_slot(idx, &zeros, true)?;
+        self.allocated.push(true);
+        Ok(())
     }
 
-    /// Re-allocate a previously-freed slot, zeroing its contents.
-    pub fn reuse_zeroed(&mut self, idx: usize) {
+    /// Re-allocate a freed slot, zeroing its contents; a failed write
+    /// leaves it free.
+    pub fn reuse_zeroed(&mut self, idx: usize) -> Result<(), FileError> {
         assert!(!self.allocated[idx], "reuse of a live block");
-        self.allocated[idx] = true;
         let zeros = vec![0u8; self.block_size];
-        self.write_slot(idx, &zeros, true)
-            .unwrap_or_else(|e| panic!("pager file reuse failed: {e}"));
+        self.write_slot(idx, &zeros, true)?;
+        self.allocated[idx] = true;
+        Ok(())
     }
 
     /// Mark slot `idx` free, persisting the trailer flag so a reopen sees
-    /// the hole; the data bytes stay on disk until reuse.
-    pub fn deallocate(&mut self, idx: usize) {
-        self.allocated[idx] = false;
+    /// the hole; the data bytes stay on disk until reuse. A failed write
+    /// leaves it allocated.
+    pub fn deallocate(&mut self, idx: usize) -> Result<(), FileError> {
         let offset = self.slot_offset(idx) + codec::usize_to_u64(self.block_size);
-        self.file
-            .write_all_at(&[0u8; TRAILER_SIZE], offset)
-            .unwrap_or_else(|e| panic!("pager file deallocate failed: {e}"));
+        self.file.write_all_at(&[0u8; TRAILER_SIZE], offset)?;
+        self.allocated[idx] = false;
+        Ok(())
     }
 
     /// Read and checksum-verify the block at slot `idx`.
@@ -405,7 +404,7 @@ pub fn recover_image(path: &Path, block_size: usize) -> Result<DiskImage, FileEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Pager, PagerConfig};
+    use crate::{FaultFile, FileFaultPlan, Pager, PagerConfig};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -455,6 +454,64 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A pager over a fresh store whose handle injects `plan`. Each slot
+    /// write is two writes of the handle: the data, then the trailer.
+    fn faulty_pager(path: &Path, plan: FileFaultPlan) -> crate::SharedPager {
+        let mut store = FileStore::create(path, 64).expect("create");
+        let file = OpenOptions::new().read(true).write(true).open(path);
+        store.file = Box::new(FaultFile::new(file.expect("reopen"), plan));
+        let backend = crate::Backend::File(store);
+        std::sync::Arc::new(Pager {
+            block_size: 64,
+            table: std::sync::Arc::new(crate::table::PageTable::new()),
+            inner: std::sync::Mutex::new(crate::PagerInner::new(
+                backend,
+                crate::BufferPool::disabled(),
+            )),
+            view: None,
+            trace: boxes_trace::Trace::new(),
+        })
+    }
+
+    #[test]
+    fn eio_on_a_block_write_is_retried() {
+        let path = temp_path("eio-write");
+        // Writes 1-2 zero-fill the new slot; write 3 is the block's data.
+        let plan = FileFaultPlan {
+            eio_write_at: Some(3),
+            ..FileFaultPlan::default()
+        };
+        let pager = faulty_pager(&path, plan);
+        let id = pager.alloc().expect("alloc");
+        pager
+            .write(id, &[0x5Au8; 64])
+            .expect("the retry rewrites the block");
+        assert_eq!(pager.stats().retries, 1);
+        assert_eq!(pager.read(id).expect("read")[..], [0x5Au8; 64]);
+        assert!(pager.health().is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn eio_on_a_zero_fill_fails_the_alloc() {
+        let path = temp_path("eio-alloc");
+        let plan = FileFaultPlan {
+            eio_write_at: Some(1),
+            ..FileFaultPlan::default()
+        };
+        let pager = faulty_pager(&path, plan);
+        assert_eq!(
+            pager.alloc(),
+            Err(crate::PagerError::Io {
+                block: crate::BlockId(0),
+                attempts: 1
+            })
+        );
+        assert_eq!(pager.allocated_blocks(), 0, "no slot was allocated");
+        assert_eq!(pager.alloc(), Ok(crate::BlockId(0)), "the slot is reused");
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     #[should_panic(expected = "unallocated")]
     fn file_backend_rejects_stale_reads() {
@@ -472,8 +529,8 @@ mod tests {
     fn read_of_deallocated_slot_is_typed() {
         let path = temp_path("typed-unalloc");
         let mut store = FileStore::create(&path, 64).expect("create");
-        store.push_zeroed();
-        store.deallocate(0);
+        store.push_zeroed().expect("append");
+        store.deallocate(0).expect("free");
         match store.read(0, 64) {
             Err(FileError::Unallocated(0)) => {}
             other => panic!("expected Unallocated(0), got {other:?}"),
@@ -487,12 +544,12 @@ mod tests {
         let path = temp_path("reopen");
         {
             let mut store = FileStore::create(&path, 64).expect("create");
-            store.push_zeroed(); // slot 0: stays allocated
-            store.push_zeroed(); // slot 1: freed below
-            store.push_zeroed(); // slot 2: stays allocated
+            store.push_zeroed().expect("append"); // slot 0: stays allocated
+            store.push_zeroed().expect("append"); // slot 1: freed below
+            store.push_zeroed().expect("append"); // slot 2: stays allocated
             store.write(0, &[0xAAu8; 64]).expect("write 0");
             store.write(2, &[0xCCu8; 64]).expect("write 2");
-            store.deallocate(1);
+            store.deallocate(1).expect("free");
         }
         {
             let store = FileStore::open(&path, 64).expect("reopen");
@@ -518,12 +575,12 @@ mod tests {
                 file: 64,
                 requested: 128,
             }) => {}
-            other => panic!("expected BlockSizeMismatch, got {other:?}"),
+            other => panic!("expected BlockSizeMismatch, got {:?}", other.err()),
         }
         std::fs::write(&path, b"not a pager file at all").expect("clobber");
         match FileStore::open(&path, 64) {
             Err(FileError::BadHeader(_)) => {}
-            other => panic!("expected BadHeader, got {other:?}"),
+            other => panic!("expected BadHeader, got {:?}", other.err()),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -533,7 +590,7 @@ mod tests {
         let path = temp_path("short-slot");
         {
             let mut store = FileStore::create(&path, 64).expect("create");
-            store.push_zeroed();
+            store.push_zeroed().expect("append");
         }
         // Chop the file mid-slot: header + half a block.
         let bytes = std::fs::read(&path).expect("read file");
@@ -544,7 +601,7 @@ mod tests {
                 got: 32,
                 want: 72,
             }) => {}
-            other => panic!("expected ShortBlock, got {other:?}"),
+            other => panic!("expected ShortBlock, got {:?}", other.err()),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -554,7 +611,7 @@ mod tests {
         let path = temp_path("torn");
         {
             let mut store = FileStore::create(&path, 64).expect("create");
-            store.push_zeroed();
+            store.push_zeroed().expect("append");
             store.write(0, &[0x11u8; 64]).expect("full write");
             // Crash model: only the first 20 bytes of the next write land.
             store.write_torn(0, &[0x99u8; 20]).expect("torn write");

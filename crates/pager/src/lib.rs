@@ -263,19 +263,16 @@ pub trait Journal: Send + Sync {
 pub enum WriteFault {
     /// Perform the write normally.
     Proceed,
-    /// Persist only the first `n` bytes (the torn-write model: the stored
-    /// checksum goes stale) and then crash.
-    TearAndCrash(usize),
-    /// Crash before the write reaches the backend at all.
-    Crash,
     /// This attempt fails with a transient I/O error; a retry may succeed.
     TransientError,
     /// Every attempt fails: the sector's write path is gone. Past the retry
-    /// budget the pager enters [`Health::Degraded`].
+    /// budget the pager enters [`Health::Degraded`]. A crash clock answers
+    /// this from its fired tick on, so a crashed write path stops changing
+    /// the disk.
     PersistentError,
-    /// Persist only the first `n` bytes (stale stored checksum) and report
-    /// failure — unlike [`WriteFault::TearAndCrash`], the process survives
-    /// and the retry rewrites the full block.
+    /// Persist only the first `n` bytes (the torn-write model: the stored
+    /// checksum goes stale) and report failure; a retry rewrites the full
+    /// block.
     ShortWrite(usize),
     /// The write succeeds after a deterministic stall of this many ticks.
     Latency(u64),
@@ -283,8 +280,11 @@ pub enum WriteFault {
 
 /// Fault-injection hook consulted before every backend block I/O: applied
 /// block writes via [`FaultInjector::on_block_write`], checked block reads
-/// via [`FaultInjector::on_block_read`]. `Send + Sync` for the same reason
-/// as [`Journal`]: the hook is called with the pager shared across threads.
+/// via [`FaultInjector::on_block_read`]. Seeded disk-fault plans
+/// ([`fault::FaultPlan`]) and the WAL's crash clock both speak through it:
+/// a crash is a write that fails and keeps failing, never an unwind.
+/// `Send + Sync` for the same reason as [`Journal`]: the hook is called
+/// with the pager shared across threads.
 pub trait FaultInjector: Send + Sync {
     /// Decide the fate of the pending write to `id`.
     fn on_block_write(&self, id: BlockId) -> WriteFault;
@@ -296,14 +296,6 @@ pub trait FaultInjector: Send + Sync {
         ReadFault::Proceed
     }
 }
-
-/// Panic payload used to simulate process death at an injected crash point.
-/// It is the pager's only panic payload: the crash simulator catches it
-/// with `std::panic::catch_unwind` and then recovers from the surviving
-/// "disk" ([`Pager::disk_image`]) plus the durable log. Disk faults are
-/// values ([`PagerError`]), never panics.
-#[derive(Clone, Copy, Debug)]
-pub struct CrashSignal;
 
 /// Why a pager left normal service — the payload of
 /// [`Health::Degraded`].
@@ -466,9 +458,9 @@ impl RetryPolicy {
 /// RAII guard for one operation-scoped transaction. All pager writes, allocs
 /// and frees between [`Pager::txn`] and [`TxnScope::commit`] form one atomic
 /// journal record. Scopes nest; only the outermost commits. A scope dropped
-/// without `commit` — an error returned with `?`, or an injected crash
-/// unwinding — aborts: the outermost abort discards everything buffered, and
-/// nothing is journaled.
+/// without `commit` — an error returned with `?`, or a panic unwinding —
+/// aborts: the outermost abort discards everything buffered, and nothing is
+/// journaled.
 #[must_use = "dropping the scope without `commit` aborts the transaction"]
 pub struct TxnScope {
     pager: SharedPager,
@@ -656,10 +648,6 @@ enum Backend {
     File(file::FileStore),
 }
 
-#[expect(
-    clippy::panic,
-    reason = "torn writes of unallocated blocks are caller contract violations, and file-backend write failures are fatal by design: FileStore is not crash-safe"
-)]
 impl Backend {
     fn len(&self) -> usize {
         match self {
@@ -675,25 +663,26 @@ impl Backend {
         }
     }
 
-    fn push_zeroed(&mut self, block_size: usize) {
+    /// Zero-fill slot `id`: a freed slot, or a new one at the end. A file
+    /// write that fails allocates nothing.
+    fn zero_fill(&mut self, id: BlockId, block_size: usize) -> Result<(), FileError> {
+        let fresh = id.index() == self.len();
         match self {
-            Backend::Memory(t) => t.push_zeroed(block_size),
-            Backend::File(f) => f.push_zeroed(),
-        }
-    }
-
-    fn reuse_zeroed(&mut self, id: BlockId, block_size: usize) {
-        match self {
+            Backend::Memory(t) if fresh => t.push_zeroed(block_size),
             Backend::Memory(t) => t.reuse_zeroed(id.0, block_size),
-            Backend::File(f) => f.reuse_zeroed(id.index()),
+            Backend::File(f) if fresh => return f.push_zeroed(),
+            Backend::File(f) => return f.reuse_zeroed(id.index()),
         }
+        Ok(())
     }
 
-    fn deallocate(&mut self, id: BlockId) {
+    /// Free a slot. A file write that fails leaves it allocated.
+    fn deallocate(&mut self, id: BlockId) -> Result<(), FileError> {
         match self {
             Backend::Memory(t) => t.deallocate(id.0),
-            Backend::File(f) => f.deallocate(id.index()),
+            Backend::File(f) => return f.deallocate(id.index()),
         }
+        Ok(())
     }
 
     /// Read a block, classifying failures instead of panicking: the pager's
@@ -739,28 +728,25 @@ impl Backend {
         }
     }
 
-    fn write(&mut self, id: BlockId, data: Box<[u8]>) {
+    /// Write a whole block. A file write that fails hands the image back,
+    /// so the caller can retry it or park it.
+    fn write(&mut self, id: BlockId, data: Box<[u8]>) -> Result<(), Box<[u8]>> {
         match self {
             Backend::Memory(t) => t.write(id.0, data),
-            Backend::File(f) => f
-                .write(id.index(), &data)
-                .unwrap_or_else(|e| panic!("write of {id:?} failed: {e}")),
+            Backend::File(f) => return f.write(id.index(), &data).map_err(|_| data),
         }
+        Ok(())
     }
 
     /// Persist only the first `prefix` bytes of `data`, leaving the rest of
     /// the block and its stored checksum stale — the torn-write fault model.
-    fn write_torn(&mut self, id: BlockId, data: &[u8], prefix: usize) {
+    /// Returns whether the prefix reached the medium: `false` for an
+    /// unallocated slot or a failed file write, which damage nothing.
+    fn write_torn(&mut self, id: BlockId, data: &[u8], prefix: usize) -> bool {
         let n = prefix.min(data.len());
         match self {
-            Backend::Memory(t) => {
-                if !t.write_torn(id.0, data, n) {
-                    panic!("torn write of unallocated {id:?}");
-                }
-            }
-            Backend::File(f) => f
-                .write_torn(id.index(), &data[..n])
-                .unwrap_or_else(|e| panic!("torn write of {id:?} failed: {e}")),
+            Backend::Memory(t) => t.write_torn(id.0, data, n),
+            Backend::File(f) => f.write_torn(id.index(), &data[..n]).is_ok(),
         }
     }
 
@@ -814,12 +800,11 @@ pub struct Pager {
 /// one of these so a single simulated disk backs the whole database.
 pub type SharedPager = Arc<Pager>;
 
-/// Acquire `m`, recovering from poisoning. Crash injection intentionally
-/// panics ([`CrashSignal`]) while locks are held; the crash simulator
-/// catches the unwind and then inspects the surviving state (`disk_image`,
-/// recovery), so a poisoned lock must keep serving — the guarded state is
-/// crash-consistent by construction. This is the
-/// workspace's canonical lock-acquisition helper; the lock-discipline lint
+/// Acquire `m`, recovering from poisoning. Contract `assert!`s (a double
+/// free, a read of an unallocated block) fire while locks are held; they
+/// reject a caller's request rather than report broken guarded state, so a
+/// lock one of them poisoned keeps serving. This is the workspace's
+/// canonical lock-acquisition helper; the lock-discipline lint
 /// (BX015–BX017) recognizes it as an acquisition site.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
@@ -927,8 +912,8 @@ impl Pager {
         inner.journal = Some(journal);
     }
 
-    /// Attach a crash/torn-write fault injector consulted on every applied
-    /// backend block write.
+    /// Attach a fault injector (a disk-fault plan or a crash clock)
+    /// consulted on every applied backend block write and checked read.
     pub fn attach_fault_injector(&self, fault: Arc<dyn FaultInjector>) {
         self.lock().fault = Some(fault);
     }
@@ -1119,11 +1104,12 @@ impl Pager {
     }
 
     /// Apply after-images and deferred frees to the backend through the
-    /// checked write path. On a write fault that survives the retry budget
-    /// the failing frame and every not-yet-applied one are parked back in
-    /// the volatile overlay (reads stay correct — the overlay is consulted
-    /// first) and the pager enters [`Health::Degraded`]; a later
-    /// [`Pager::try_resume`] re-attempts the apply.
+    /// checked write path. On a write fault that survives the retry budget,
+    /// or a failed deallocation, the failing frame or free and every
+    /// not-yet-applied one are parked back in the volatile overlay (reads
+    /// stay correct — the overlay is consulted first) and the pager enters
+    /// [`Health::Degraded`]; a later [`Pager::try_resume`] re-attempts the
+    /// apply.
     fn apply_frames(
         inner: &mut PagerInner,
         table: &PageTable,
@@ -1143,9 +1129,14 @@ impl Pager {
                 return Err(reason);
             }
         }
-        for id in freed {
+        for (applied, &id) in freed.iter().enumerate() {
             Self::freeze_for_pins(inner, table, id, block_size);
-            inner.backend.deallocate(id);
+            if inner.backend.deallocate(id).is_err() {
+                inner.overlay.freed.extend_from_slice(&freed[applied..]);
+                let reason = DegradedReason::WriteFault { block: id };
+                Self::enter_degraded(inner, reason);
+                return Err(reason);
+            }
             inner.free.push(id.0);
         }
         Ok(())
@@ -1228,19 +1219,15 @@ impl Pager {
     }
 
     /// One backend block write under the fault injector and the retry
-    /// policy. Transient errors and short writes are retried with
-    /// deterministic exponential tick backoff; a fault that outlives the
-    /// budget hands the unwritten image back to the caller. `TearAndCrash`
-    /// and `Crash` keep their process-death semantics ([`CrashSignal`]).
-    #[expect(
-        clippy::panic,
-        reason = "TearAndCrash and Crash model process death by raising CrashSignal, which the crash simulator catches"
-    )]
+    /// policy. Injected transient errors and short writes, and a backend
+    /// write that fails, are retried with deterministic exponential tick
+    /// backoff; a fault that outlives the budget hands the unwritten image
+    /// back to the caller.
     fn write_block_checked(
         inner: &mut PagerInner,
         trace: &Trace,
         id: BlockId,
-        data: Box<[u8]>,
+        mut data: Box<[u8]>,
     ) -> Result<(), (Box<[u8]>, DegradedReason)> {
         let fault = inner.fault.clone();
         let policy = inner.retry;
@@ -1249,25 +1236,25 @@ impl Pager {
             let action = fault
                 .as_ref()
                 .map_or(WriteFault::Proceed, |f| f.on_block_write(id));
-            match action {
-                WriteFault::Proceed => break,
+            let attempt = match action {
+                WriteFault::Proceed => inner.backend.write(id, data),
                 WriteFault::Latency(ticks) => {
                     inner.stats.backoff_ticks += ticks;
                     trace.record(TraceCounter::BackoffTicks, ticks);
-                    break;
+                    inner.backend.write(id, data)
                 }
-                WriteFault::TearAndCrash(prefix) => {
-                    inner.backend.write_torn(id, &data, prefix);
-                    std::panic::panic_any(CrashSignal);
-                }
-                WriteFault::Crash => std::panic::panic_any(CrashSignal),
                 WriteFault::ShortWrite(prefix) => {
                     // The media now holds a stale-checksum prefix; the retry
                     // below rewrites the full block over it.
                     inner.backend.write_torn(id, &data, prefix);
+                    Err(data)
                 }
-                WriteFault::TransientError | WriteFault::PersistentError => {}
-            }
+                WriteFault::TransientError | WriteFault::PersistentError => Err(data),
+            };
+            data = match attempt {
+                Ok(()) => return Ok(()),
+                Err(unwritten) => unwritten,
+            };
             if retry >= policy.budget {
                 return Err((data, DegradedReason::WriteFault { block: id }));
             }
@@ -1277,8 +1264,6 @@ impl Pager {
             trace.record(TraceCounter::Retry, 1);
             trace.record(TraceCounter::BackoffTicks, policy.backoff_ticks(retry));
         }
-        inner.backend.write(id, data);
-        Ok(())
     }
 
     /// One backend block read under the fault injector and the retry
@@ -1442,7 +1427,8 @@ impl Pager {
     /// compact (the paper assumes a compact LIDF).
     ///
     /// While degraded (read-only) the allocation is rejected with
-    /// [`PagerError::Degraded`].
+    /// [`PagerError::Degraded`]. A zero-fill the file backend cannot write
+    /// fails with [`PagerError::Io`] and allocates nothing.
     ///
     /// # Panics
     /// With a journal attached, panics when called outside a [`TxnScope`]:
@@ -1453,29 +1439,36 @@ impl Pager {
         if let Some(reason) = inner.degraded {
             return Err(PagerError::Degraded(reason));
         }
-        inner.stats.allocs += 1;
-        self.trace.record(TraceCounter::Alloc, 1);
         if inner.journal.is_some() {
             assert!(
                 inner.txn.depth > 0,
                 "journaled pager: alloc outside a TxnScope"
             );
         }
-        let id = if let Some(idx) = inner.free.pop() {
+        let recycled = inner.free.pop();
+        let id = match recycled {
             // Safe even pre-commit: the free list only holds blocks whose
             // deallocation has been applied, so the eager zero-fill can
             // never destroy committed live data.
-            inner.backend.reuse_zeroed(BlockId(idx), self.block_size);
-            BlockId(idx)
-        } else {
-            let idx = inner.backend.len();
-            assert!(
-                idx < codec::u32_to_usize(u32::MAX),
-                "pager address space exhausted"
-            );
-            inner.backend.push_zeroed(self.block_size);
-            BlockId(codec::usize_to_u32(idx).unwrap_or(u32::MAX))
+            Some(idx) => BlockId(idx),
+            None => {
+                let idx = inner.backend.len();
+                assert!(
+                    idx < codec::u32_to_usize(u32::MAX),
+                    "pager address space exhausted"
+                );
+                BlockId(codec::usize_to_u32(idx).unwrap_or(u32::MAX))
+            }
         };
+        if inner.backend.zero_fill(id, self.block_size).is_err() {
+            inner.free.extend(recycled);
+            return Err(PagerError::Io {
+                block: id,
+                attempts: 1,
+            });
+        }
+        inner.stats.allocs += 1;
+        self.trace.record(TraceCounter::Alloc, 1);
         if inner.journal.is_some() {
             inner
                 .txn
@@ -1493,7 +1486,9 @@ impl Pager {
     ///
     /// While degraded (read-only) the free is rejected with
     /// [`PagerError::Degraded`]; freeing a pinned pooled frame fails with
-    /// [`PagerError::Pinned`].
+    /// [`PagerError::Pinned`]. Without a journal, a deallocation the file
+    /// backend cannot write fails with [`PagerError::Io`] and the block
+    /// stays allocated.
     ///
     /// # Panics
     /// Panics if the block is not currently allocated (double free), or if a
@@ -1511,9 +1506,6 @@ impl Pager {
         }
         inner.stats.frees += 1;
         self.trace.record(TraceCounter::Free, 1);
-        // Drop any cached copy; a dirty cached copy of a freed block is dead
-        // data, so it is discarded without a write-back.
-        inner.pool.discard(id);
         if inner.journal.is_some() {
             assert!(
                 inner.txn.depth > 0,
@@ -1532,7 +1524,16 @@ impl Pager {
             "double free or out-of-range free of {id:?}"
         );
         Self::freeze_for_pins(&mut inner, &self.table, id, self.block_size);
-        inner.backend.deallocate(id);
+        if inner.backend.deallocate(id).is_err() {
+            return Err(PagerError::Io {
+                block: id,
+                attempts: 1,
+            });
+        }
+        // Drop any cached copy (a journaled pager has no pool); a dirty
+        // cached copy of a freed block is dead data, so it is discarded
+        // without a write-back.
+        inner.pool.discard(id);
         inner.free.push(id.0);
         Ok(())
     }
@@ -2459,7 +2460,7 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _txn = p.txn().unwrap();
             p.write(id, &[1u8; 64]).unwrap();
-            std::panic::panic_any(CrashSignal);
+            panic!("the operation dies mid-transaction");
         }));
         assert!(result.is_err());
         assert_eq!(j.records().len(), 1, "crashed op never journaled");
@@ -2845,7 +2846,7 @@ mod tests {
         let a = p.alloc().unwrap();
         p.write(a, &[8u8; 64]).unwrap();
         // Simulate a torn apply directly at the backend layer.
-        p.lock().backend.write_torn(a, &[0xFFu8; 64], 10);
+        assert!(p.lock().backend.write_torn(a, &[0xFFu8; 64], 10));
         assert!(p.read(a).is_err(), "torn page must not decode silently");
         let image = p.disk_image();
         assert!(

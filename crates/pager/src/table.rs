@@ -84,8 +84,8 @@ impl Frame {
         })
     }
 
-    /// Acquire the frame read latch, recovering from poisoning (crash
-    /// injection panics while latches are held; see [`lock_unpoisoned`]).
+    /// Acquire the frame read latch, recovering from poisoning (a contract
+    /// `assert!` can fire while a latch is held; see [`lock_unpoisoned`]).
     pub(crate) fn read_latch(&self) -> RwLockReadGuard<'_, FrameBody> {
         match self.latch.read() {
             Ok(guard) => guard,

@@ -3,16 +3,16 @@
 //! A [`CrashClock`] counts *crash points*: WAL record appends, durability
 //! barriers, checkpoint rotations (ticked by [`Wal`](crate::Wal)) and every
 //! applied backend block write (ticked via [`ClockFault`], the pager's
-//! [`FaultInjector`]). Arming the clock at tick `t` kills the write path at
-//! exactly the `t`-th crash point by raising
-//! [`CrashSignal`](boxes_pager::CrashSignal); harnesses catch it with
-//! `std::panic::catch_unwind` and then recover from the surviving disk
-//! image plus the durable log.
+//! [`FaultInjector`]). Arming the clock at tick `t` stops the disk and the
+//! log at the `t`-th crash point through the engine's own fault paths: a
+//! fired WAL tick poisons the log, and the fired block write and every
+//! later one fail, so the pager parks its frames and degrades. Nothing
+//! unwinds: the workload returns, the harness reads [`CrashClock::fired`]
+//! and recovers from the surviving disk image plus the durable log.
 //!
-//! At a block-write crash point the clock also decides — deterministically
-//! from its seed and the tick number — whether the in-flight write *tears*
-//! (a prefix of the block persists with a stale checksum) or is lost
-//! cleanly, so a sweep over all ticks exercises both failure shapes.
+//! The fired block write either *tears* (a prefix persists with a stale
+//! checksum) or is lost cleanly, decided deterministically from the seed
+//! and the tick number, so a sweep over all ticks exercises both shapes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,7 +23,7 @@ use boxes_pager::codec;
 // using different generators.
 use boxes_pager::{splitmix64, BlockId, FaultInjector, WriteFault};
 
-/// Counts crash points and kills the write path at an armed tick.
+/// Counts crash points and stops the write path at an armed tick.
 ///
 /// Tick and target counters are atomics (`SeqCst` — crash sweeps care about
 /// determinism, not throughput), so clocks can be shared across threads
@@ -55,11 +55,6 @@ impl CrashClock {
             .store(self.ticks.load(Ordering::SeqCst) + target, Ordering::SeqCst);
     }
 
-    /// Stop crashing; the clock keeps counting.
-    pub fn disarm(&self) {
-        self.target.store(DISARMED, Ordering::SeqCst);
-    }
-
     /// Crash points seen so far. Run a workload once disarmed to learn the
     /// sweep bound, then re-run armed at each tick `1..=ticks()`.
     #[must_use]
@@ -67,26 +62,22 @@ impl CrashClock {
         self.ticks.load(Ordering::SeqCst)
     }
 
+    /// Whether the armed crash point has been reached. A fired clock stays
+    /// fired: the modeled process is dead from that tick on.
+    #[must_use]
+    pub fn fired(&self) -> bool {
+        self.ticks() >= self.target.load(Ordering::SeqCst)
+    }
+
     /// Count one crash point, returning its 1-based number.
     fn advance(&self) -> u64 {
         self.ticks.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Whether the clock is armed to crash at crash point `now`.
-    fn armed_at(&self, now: u64) -> bool {
-        self.target.load(Ordering::SeqCst) == now
-    }
-
-    /// Count one crash point; raises the crash panic when armed for it.
-    #[expect(
-        clippy::panic,
-        reason = "the crash simulator models process death by raising CrashSignal, which run_to_crash catches"
-    )]
-    pub fn tick(&self) {
-        let now = self.advance();
-        if self.armed_at(now) {
-            std::panic::panic_any(boxes_pager::CrashSignal);
-        }
+    /// Count one crash point; returns whether the clock has fired, at this
+    /// tick or an earlier one.
+    pub fn tick(&self) -> bool {
+        self.advance() >= self.target.load(Ordering::SeqCst)
     }
 
     /// Deterministic per-tick hash, for tear decisions.
@@ -96,8 +87,10 @@ impl CrashClock {
 }
 
 /// Adapter exposing a [`CrashClock`] as the pager's [`FaultInjector`]: each
-/// applied block write is one crash point, and an armed hit tears the block
-/// (odd hash) or drops the write cleanly (even hash).
+/// applied block write is one crash point. The fired write tears the block
+/// (odd hash: a [`WriteFault::ShortWrite`] of a strict prefix) or is lost
+/// cleanly (even hash: [`WriteFault::PersistentError`]); every later write
+/// fails too, so the pager's retries run out and it parks the frames.
 pub struct ClockFault {
     clock: Arc<CrashClock>,
     block_size: usize,
@@ -113,18 +106,19 @@ impl ClockFault {
 impl FaultInjector for ClockFault {
     fn on_block_write(&self, _id: BlockId) -> WriteFault {
         let now = self.clock.advance();
-        if !self.clock.armed_at(now) {
+        let target = self.clock.target.load(Ordering::SeqCst);
+        if now < target {
             return WriteFault::Proceed;
         }
         let hash = self.clock.mix(now);
-        if hash & 1 == 0 {
-            WriteFault::Crash
-        } else {
-            // Tear a strict prefix: at least 1 byte short of the full block
-            // so the stored checksum is guaranteed stale.
-            let prefix = codec::u64_to_index((hash >> 1) % codec::usize_to_u64(self.block_size));
-            WriteFault::TearAndCrash(prefix)
+        if now > target || hash & 1 == 0 {
+            return WriteFault::PersistentError;
         }
+        // Tear a strict prefix: at least 1 byte short of the full block so
+        // the stored checksum is guaranteed stale.
+        WriteFault::ShortWrite(codec::u64_to_index(
+            (hash >> 1) % codec::usize_to_u64(self.block_size),
+        ))
     }
 }
 
@@ -135,20 +129,31 @@ mod tests {
     #[test]
     fn disarmed_clock_only_counts() {
         let clock = CrashClock::new(7);
-        clock.tick();
-        clock.tick();
+        assert!(!clock.tick());
+        assert!(!clock.tick());
         assert_eq!(clock.ticks(), 2);
+        assert!(!clock.fired());
     }
 
     #[test]
     fn armed_clock_crashes_at_exact_tick() {
         let clock = CrashClock::new(7);
-        clock.tick();
+        assert!(!clock.tick());
         clock.arm(2); // two ticks from now
-        clock.tick();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| clock.tick()));
-        assert!(result.is_err(), "third tick must crash");
+        assert!(!clock.tick());
+        assert!(!clock.fired());
+        assert!(clock.tick(), "third tick must fire");
         assert_eq!(clock.ticks(), 3);
+        assert!(clock.fired());
+    }
+
+    #[test]
+    fn fired_clock_stays_fired() {
+        let clock = CrashClock::new(7);
+        clock.arm(1);
+        assert!(clock.tick(), "the armed tick fires");
+        assert!(clock.tick(), "the tick after it reports the crash too");
+        assert!(clock.fired());
     }
 
     #[test]
@@ -158,19 +163,25 @@ mod tests {
             clock.arm(target);
             let fault = ClockFault::new(clock, 64);
             let mut out = Vec::new();
-            for _ in 0..target {
+            for _ in 0..=target {
                 out.push(fault.on_block_write(BlockId(0)));
             }
             out
         };
         assert_eq!(decide(11, 5), decide(11, 5));
-        let last = *decide(11, 5).last().expect("nonempty");
+        let run = decide(11, 5);
+        assert!(run[..4].iter().all(|f| *f == WriteFault::Proceed));
         assert!(matches!(
-            last,
-            WriteFault::Crash | WriteFault::TearAndCrash(_)
+            run[4],
+            WriteFault::PersistentError | WriteFault::ShortWrite(_)
         ));
-        if let WriteFault::TearAndCrash(prefix) = last {
+        if let WriteFault::ShortWrite(prefix) = run[4] {
             assert!(prefix < 64);
         }
+        assert_eq!(
+            run[5],
+            WriteFault::PersistentError,
+            "every write after the fired one fails"
+        );
     }
 }

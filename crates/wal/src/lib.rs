@@ -59,7 +59,9 @@ pub use store::{FileLogStore, LogStore, MemLogStore, StoreError};
 mod tests {
     use super::*;
     use crate::crashpoint::{ClockFault, CrashClock};
-    use boxes_pager::{BlockId, Pager, PagerConfig, SharedPager};
+    use boxes_pager::{
+        BlockId, DegradedReason, Health, IoResult, Pager, PagerConfig, PagerError, SharedPager,
+    };
     use std::sync::Arc;
 
     const BS: usize = 64;
@@ -72,23 +74,23 @@ mod tests {
     }
 
     /// Run `ops` journaled operations, each writing a recognizable pattern.
-    fn run_ops(pager: &SharedPager, ops: u8) -> Vec<BlockId> {
+    fn run_ops(pager: &SharedPager, ops: u8) -> IoResult<Vec<BlockId>> {
         let mut ids = Vec::new();
         for i in 0..ops {
-            let txn = pager.txn().unwrap();
-            let id = pager.alloc().unwrap();
-            pager.write(id, &[i + 1; BS]).unwrap();
+            let txn = pager.txn()?;
+            let id = pager.alloc()?;
+            pager.write(id, &[i + 1; BS])?;
             pager.txn_meta("test", || vec![i]);
             txn.commit();
             ids.push(id);
         }
-        ids
+        Ok(ids)
     }
 
     #[test]
     fn recover_replays_committed_operations() {
         let (pager, wal) = journaled_pager(WalConfig::default());
-        let ids = run_ops(&pager, 3);
+        let ids = run_ops(&pager, 3).unwrap();
         let recovered = recover(&wal.durable_bytes(), pager.disk_image()).expect("recover");
         assert_eq!(recovered.commits, 3);
         assert!(!recovered.rolled_back_tail);
@@ -112,7 +114,7 @@ mod tests {
     #[test]
     fn truncated_tail_record_is_rolled_back() {
         let (pager, wal) = journaled_pager(WalConfig::default());
-        run_ops(&pager, 3);
+        run_ops(&pager, 3).unwrap();
         let full = wal.durable_bytes();
         // Cut into the last record: recovery must keep exactly 2 commits.
         let cut = full.len() - 7;
@@ -126,7 +128,7 @@ mod tests {
     #[test]
     fn corrupted_record_fails_recovery_loudly() {
         let (pager, wal) = journaled_pager(WalConfig::default());
-        run_ops(&pager, 3);
+        run_ops(&pager, 3).unwrap();
         let mut log = wal.durable_bytes();
         let mid = log.len() / 2;
         log[mid] ^= 0x10;
@@ -143,7 +145,7 @@ mod tests {
             sync_every: 4,
             checkpoint_every: 0,
         });
-        run_ops(&pager, 2); // both deferred: no sync yet
+        run_ops(&pager, 2).unwrap(); // both deferred: no sync yet
         assert_eq!(wal.stats().barriers, 0);
         assert!(pager.publish_barrier(), "overlay was dirty");
         let stats = wal.stats();
@@ -162,7 +164,7 @@ mod tests {
             sync_every: 4,
             checkpoint_every: 0,
         });
-        run_ops(&pager, 6); // one sync at op 4; ops 5,6 pending
+        run_ops(&pager, 6).unwrap(); // one sync at op 4; ops 5,6 pending
         let recovered = recover(&wal.durable_bytes(), pager.disk_image()).expect("recover");
         assert_eq!(recovered.commits, 4, "unsynced tail ops lost consistently");
         assert_eq!(recovered.pager.allocated_blocks(), 4);
@@ -175,7 +177,7 @@ mod tests {
             sync_every: 4,
             checkpoint_every: 0,
         });
-        run_ops(&pager, 2); // both commits pending, nothing durable yet
+        run_ops(&pager, 2).unwrap(); // both commits pending, nothing durable yet
         assert_eq!(pager.published_epoch(), 0);
         assert!(pager.publish_barrier(), "pending tail forces a real fsync");
         assert_eq!(wal.stats().syncs, 1);
@@ -193,7 +195,7 @@ mod tests {
             sync_every: 1,
             checkpoint_every: 4,
         });
-        let ids = run_ops(&pager, 9);
+        let ids = run_ops(&pager, 9).unwrap();
         assert_eq!(wal.stats().checkpoints, 2);
         let log = wal.durable_bytes();
         let recovered = recover(&log, pager.disk_image()).expect("recover");
@@ -220,7 +222,7 @@ mod tests {
             sync_every: 1,
             checkpoint_every: 4,
         });
-        let ids = run_ops(&pager, 8);
+        let ids = run_ops(&pager, 8).unwrap();
         assert_eq!(wal.stats().checkpoints, 2);
         let recovered = recover(&wal.durable_bytes(), pager.disk_image()).expect("recover");
         assert_eq!(recovered.commits, 0, "no commit records since rotation");
@@ -240,7 +242,7 @@ mod tests {
             sync_every: 1,
             checkpoint_every: 2,
         });
-        let ids = run_ops(&pager, 5);
+        let ids = run_ops(&pager, 5).unwrap();
         assert_eq!(wal.stats().checkpoints, 2);
         // Rot a block whose commit record was rotated away: its only repair
         // source is the image the checkpoint carried forward.
@@ -266,7 +268,7 @@ mod tests {
             sync_every: 1,
             checkpoint_every: 4,
         });
-        let ids = run_ops(&pager, 4);
+        let ids = run_ops(&pager, 4).unwrap();
         let blank = Pager::new(PagerConfig::with_block_size(BS));
         for _ in 0..ids.len() {
             blank.alloc().unwrap();
@@ -291,7 +293,7 @@ mod tests {
             let wal = Wal::with_crash_clock(BS, WalConfig::default(), clock.clone());
             pager.attach_journal(wal);
             pager.attach_fault_injector(ClockFault::new(clock.clone(), BS));
-            run_ops(&pager, 4);
+            run_ops(&pager, 4).unwrap();
             clock.ticks()
         };
         assert!(total_ticks > 8, "workload must cross many crash points");
@@ -302,10 +304,12 @@ mod tests {
             pager.attach_journal(wal.clone());
             pager.attach_fault_injector(ClockFault::new(clock.clone(), BS));
             clock.arm(target);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_ops(&pager, 4);
-            }));
-            assert!(outcome.is_err(), "tick {target} must crash");
+            let outcome = run_ops(&pager, 4);
+            assert!(clock.fired(), "tick {target} must crash");
+            assert!(
+                matches!(outcome, Ok(_) | Err(PagerError::Degraded(_))),
+                "tick {target}: the crash degrades the pager, got {outcome:?}"
+            );
             let recovered =
                 recover(&wal.durable_bytes(), pager.disk_image()).expect("recovery clean");
             assert!(recovered.commits <= 4);
@@ -323,6 +327,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn crash_at_an_apply_write_parks_the_rest_and_degrades() {
+        let (mut torn, mut clean) = (0, 0);
+        for seed in 0..8 {
+            let pager = Pager::new(PagerConfig::with_block_size(BS));
+            let clock = CrashClock::new(seed);
+            pager.attach_journal(Wal::with_crash_clock(
+                BS,
+                WalConfig::default(),
+                clock.clone(),
+            ));
+            pager.attach_fault_injector(ClockFault::new(clock.clone(), BS));
+            let txn = pager.txn().unwrap();
+            let (a, b) = (pager.alloc().unwrap(), pager.alloc().unwrap());
+            pager.write(a, &[1; BS]).unwrap();
+            pager.write(b, &[2; BS]).unwrap();
+            txn.commit();
+            // The next commit ticks at its append, its sync and its two
+            // applied block writes: crash at the second block write.
+            clock.arm(4);
+            let txn = pager.txn().unwrap();
+            pager.write(a, &[11; BS]).unwrap();
+            pager.write(b, &[12; BS]).unwrap();
+            txn.commit();
+            assert_eq!(
+                pager.health(),
+                Health::Degraded(DegradedReason::WriteFault { block: b })
+            );
+            let image = pager.disk_image();
+            let first = image.blocks[a.index()].as_ref().expect("allocated");
+            assert!(first.intact());
+            assert_eq!(first.data[..], [11; BS], "the first write was applied");
+            let second = image.blocks[b.index()].as_ref().expect("allocated");
+            if second.intact() {
+                clean += 1;
+                assert_eq!(second.data[..], [2; BS], "a lost write keeps the pre-image");
+            } else {
+                torn += 1;
+                let prefix = second.data.iter().take_while(|&&x| x == 12).count();
+                assert!(prefix < BS, "a tear persists a strict prefix");
+                assert!(second.data[prefix..].iter().all(|&x| x == 2));
+            }
+            assert!(matches!(pager.txn(), Err(PagerError::Degraded(_))));
+            assert_eq!(pager.read(a).unwrap()[..], [11; BS]);
+            assert_eq!(
+                pager.read(b).unwrap()[..],
+                [12; BS],
+                "served from the parked frame"
+            );
+        }
+        assert!(torn > 0 && clean > 0, "the seeds cover both failure shapes");
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -344,7 +401,7 @@ mod tests {
             let pager = Pager::new(PagerConfig::with_block_size(BS).backed_by_file(&db));
             let wal = Wal::create_file(&log, BS, WalConfig::default()).expect("create log");
             pager.attach_journal(wal.clone());
-            run_ops(&pager, 3)
+            run_ops(&pager, 3).unwrap()
         };
         let bytes = store::FileLogStore::read_log(&log, BS).expect("read log");
         let image = boxes_pager::recover_image(&db, BS).expect("read image");
@@ -377,7 +434,7 @@ mod tests {
             )
             .expect("create log");
             pager.attach_journal(wal.clone());
-            let ids = run_ops(&pager, 7);
+            let ids = run_ops(&pager, 7).unwrap();
             assert_eq!(wal.stats().checkpoints, 1);
             (ids, wal.durable_len())
         };
@@ -427,7 +484,7 @@ mod tests {
         // Op 1 syncs fine; op 2's barrier fails. The failing op itself must
         // not unwind — the pager absorbs the Lost ack as a degraded-mode
         // entry, never an ack to the caller.
-        run_ops(&pager, 2);
+        run_ops(&pager, 2).unwrap();
         // Once degraded, the next mutation fails fast with the typed error.
         assert!(matches!(
             pager.txn(),

@@ -25,6 +25,9 @@
 //! the pager enter its degraded read-only path. The durable prefix stays
 //! intact and recoverable.
 //!
+//! A fired [`CrashClock`] crash point poisons the log the same way, without
+//! touching the store: nothing after the modeled death becomes durable.
+//!
 //! Checkpoints happen in [`Wal::applied`], i.e. strictly *after* the backend
 //! has every durable record applied: the log is replaced by a single
 //! checkpoint record carrying the full meta fold (an atomic log rotation),
@@ -85,8 +88,8 @@ pub struct WalStats {
 
 struct WalInner {
     store: Box<dyn LogStore>,
-    /// Set by the first failed durability operation; never cleared. See
-    /// the module docs on fsync-failure poisoning.
+    /// Set by the first failed durability operation or fired crash point;
+    /// never cleared. See the module docs on fsync-failure poisoning.
     poisoned: bool,
     next_lsn: u64,
     commits_since_sync: u64,
@@ -122,8 +125,8 @@ impl Wal {
         Self::build(block_size, config, None, Box::new(MemLogStore::new()))
     }
 
-    /// New in-memory log with a crash clock ticking at every append and
-    /// sync barrier.
+    /// New in-memory log with a crash clock ticking at every append, sync
+    /// barrier and checkpoint; the tick at which it fires poisons the log.
     pub fn with_crash_clock(
         block_size: usize,
         config: WalConfig,
@@ -213,15 +216,19 @@ impl Wal {
         lock_unpoisoned(&self.inner).stats
     }
 
+    /// Count one crash point; a fired clock poisons the log.
     fn tick(&self) {
-        if let Some(clock) = &self.clock {
-            clock.tick();
+        if self.clock.as_ref().is_some_and(|clock| clock.tick()) {
+            lock_unpoisoned(&self.inner).poisoned = true;
         }
     }
 
     /// Issue the durability barrier on `inner`'s store, applying the
     /// poisoning protocol on failure. Returns the ack to surface.
     fn sync_locked(inner: &mut WalInner) -> JournalAck {
+        if inner.poisoned {
+            return JournalAck::Lost;
+        }
         match inner.store.sync() {
             Ok(()) => {
                 inner.stats.syncs += 1;
@@ -337,6 +344,9 @@ impl Journal for Wal {
         // rotation below leaves the old (longer but equivalent) log.
         self.tick();
         let mut inner = lock_unpoisoned(&self.inner);
+        if inner.poisoned {
+            return;
+        }
         // The checkpoint must carry the full image set the old log folded
         // to, or rotation would destroy the read-repair source for every
         // block written before it. A fold failure means our own durable

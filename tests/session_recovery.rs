@@ -10,6 +10,7 @@
 use boxes_core::durable::{reopen_wbox, DurableEnv};
 use boxes_core::{LabelingScheme, WBoxScheme};
 use boxes_lidf::Lid;
+use boxes_pager::{IoResult, PagerError};
 use boxes_session::SessionManager;
 use boxes_wal::WalConfig;
 use boxes_wbox::WBoxConfig;
@@ -34,42 +35,41 @@ struct Trace {
     after: Vec<(u64, Vec<(Lid, u64)>)>,
 }
 
-fn run_workload(env: &DurableEnv, seed: u64) -> Trace {
+fn run_workload(env: &DurableEnv, seed: u64) -> IoResult<Trace> {
     let manager =
-        SessionManager::<WBoxScheme>::create(env.pager().clone(), WBoxConfig::from_block_size(BS))
-            .unwrap();
+        SessionManager::<WBoxScheme>::create(env.pager().clone(), WBoxConfig::from_block_size(BS))?;
     let mut writer = manager.writer().expect("writer");
     let mut trace = Trace { after: Vec::new() };
     let mut lids = {
-        let txn = env.pager().txn().unwrap();
-        let l = writer.bulk_load_document(&[1, 0, 3, 2]);
+        let txn = env.pager().txn()?;
+        let l = writer.try_bulk_load_document(&[1, 0, 3, 2])?;
         txn.commit();
         l
     };
-    let record = |w: &WBoxScheme, lids: &[Lid], epoch: u64| {
+    let record = |w: &WBoxScheme, lids: &[Lid], epoch: u64| -> IoResult<_> {
         let mut sorted = lids.to_vec();
         sorted.sort();
         let labels = sorted
             .iter()
-            .map(|&l| (l, w.try_lookup(l).unwrap()))
-            .collect();
-        (epoch, labels)
+            .map(|&l| Ok((l, w.try_lookup(l)?)))
+            .collect::<IoResult<Vec<_>>>()?;
+        Ok((epoch, labels))
     };
-    let snap = record(&writer, &lids, env.pager().published_epoch());
+    let snap = record(&writer, &lids, env.pager().published_epoch())?;
     trace.after.push(snap);
     let mut state = seed;
     for _ in 0..OPS {
         state = boxes_pager::splitmix64(state);
         let anchor = lids[usize::try_from(state >> 8).expect("small") % lids.len()];
-        let txn = env.pager().txn().unwrap();
-        let (s, e) = writer.try_insert_element_before(anchor).unwrap();
+        let txn = env.pager().txn()?;
+        let (s, e) = writer.try_insert_element_before(anchor)?;
         txn.commit();
         lids.push(s);
         lids.push(e);
-        let snap = record(&writer, &lids, env.pager().published_epoch());
+        let snap = record(&writer, &lids, env.pager().published_epoch())?;
         trace.after.push(snap);
     }
-    trace
+    Ok(trace)
 }
 
 #[test]
@@ -77,7 +77,7 @@ fn recovery_keeps_every_published_epoch_and_only_committed_prefixes() {
     for seed in SEEDS {
         // Disarmed pass: count crash points and capture the full trace.
         let reference = DurableEnv::new(BS, config(), seed);
-        let trace = run_workload(&reference, seed);
+        let trace = run_workload(&reference, seed).unwrap();
         let total_ticks = reference.clock().ticks();
         assert!(total_ticks > 10, "workload crosses many crash points");
 
@@ -87,8 +87,13 @@ fn recovery_keeps_every_published_epoch_and_only_committed_prefixes() {
         for target in (1..=total_ticks).step_by(usize::try_from(step).expect("small")) {
             let env = DurableEnv::new(BS, config(), seed);
             env.clock().arm(target);
-            let crashed = env.run_to_crash(|| run_workload(&env, seed)).is_none();
-            assert!(crashed, "tick {target} must crash");
+            let outcome = run_workload(&env, seed);
+            assert!(env.clock().fired(), "tick {target} must crash");
+            assert!(
+                matches!(outcome, Ok(_) | Err(PagerError::Degraded(_))),
+                "tick {target}: the crash degrades the pager, got {:?}",
+                outcome.err()
+            );
             // What the dying process had published is the floor recovery
             // must reach; find the newest recorded state at that epoch.
             let published = env.pager().published_epoch();

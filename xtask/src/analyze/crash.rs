@@ -14,7 +14,7 @@ use boxes_core::bbox::BBoxConfig;
 use boxes_core::durable::{reopen_bbox, reopen_lidf, reopen_naive, reopen_wbox, DurableEnv};
 use boxes_core::lidf::{BlockPtrRecord, Lid, Lidf};
 use boxes_core::naive::NaiveConfig;
-use boxes_core::pager::{codec, BlockId, CrashSignal, IoResult, Pager, PagerConfig, SharedPager};
+use boxes_core::pager::{codec, BlockId, IoResult, Pager, PagerConfig, PagerError, SharedPager};
 use boxes_core::wal::{recover, Recovered, WalConfig, WalError};
 use boxes_core::wbox::WBoxConfig;
 use boxes_core::{BBoxScheme, LabelingScheme, NaiveScheme, WBoxScheme};
@@ -25,16 +25,22 @@ const BASE: usize = 8;
 /// load is op 0).
 pub(crate) const OPS: u64 = 8;
 
-/// Injected crashes unwind with [`CrashSignal`], which the default panic
-/// hook would print as a spurious backtrace for every swept tick. Filter
-/// exactly that payload; real panics keep the full default report.
-pub(crate) fn silence_crash_signal_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !info.payload().is::<CrashSignal>() {
-            prev(info);
-        }
-    }));
+/// Judge an armed run: the clock must have fired, and the workload must
+/// have finished or stopped at the degraded pager the crash left behind.
+/// Any other error is a real fault the sweep must not swallow.
+fn check_crashed<T>(
+    label: &str,
+    target: u64,
+    env: &DurableEnv,
+    outcome: IoResult<T>,
+) -> Result<(), String> {
+    if !env.clock().fired() {
+        return Err(format!("{label}: tick {target} did not crash"));
+    }
+    match outcome {
+        Ok(_) | Err(PagerError::Degraded(_)) => Ok(()),
+        Err(e) => Err(format!("{label}: tick {target}: workload failed: {e}")),
+    }
 }
 
 /// Live-document bookkeeping shared by the crashing run and the oracle.
@@ -211,15 +217,9 @@ fn crash_sweep<S: LabelingScheme>(
     for target in 1..=total_ticks {
         let env = DurableEnv::new(block_size, wal_config, seed);
         env.clock().arm(target);
-        let outcome = env.run_to_crash(|| {
-            let mut s = build(env.pager().clone());
-            run_ops(&mut s, Some(env.pager()), OPS)
-        });
-        if outcome.is_some() {
-            return Err(format!(
-                "{label}: tick {target} of {total_ticks} did not crash"
-            ));
-        }
+        let mut s = build(env.pager().clone());
+        let outcome = run_ops(&mut s, Some(env.pager()), OPS);
+        check_crashed(label, target, &env, outcome)?;
         let rec = env
             .recover()
             .map_err(|e| format!("{label}: tick {target}: recovery failed: {e}"))?;
@@ -283,12 +283,8 @@ fn lidf_sweep(seed: u64) -> Result<(), String> {
     for target in 1..=total_ticks {
         let env = DurableEnv::new(BS, WalConfig::default(), seed);
         env.clock().arm(target);
-        let outcome = env.run_to_crash(|| run(env.pager().clone(), true, OPS));
-        if outcome.is_some() {
-            return Err(format!(
-                "lidf: tick {target} of {total_ticks} did not crash"
-            ));
-        }
+        let outcome = run(env.pager().clone(), true, OPS);
+        check_crashed("lidf", target, &env, outcome)?;
         let rec = env
             .recover()
             .map_err(|e| format!("lidf: tick {target}: recovery failed: {e}"))?;
@@ -388,8 +384,6 @@ fn corrupt_record_control(seed: u64) -> Result<(), String> {
 /// Run the full crash-recovery pass; prints one line per check and returns
 /// overall success.
 pub(crate) fn crash_recovery_lint(seed: u64) -> bool {
-    silence_crash_signal_panics();
-
     let wbox_audit = |s: &WBoxScheme| {
         let report = s.inner().audit();
         report

@@ -1,13 +1,14 @@
 //! The process-kill crash matrix: real files, real kills.
 //!
 //! The in-process sweeps in [`crash`](super::crash) prove the WAL protocol
-//! against *simulated* crashes (an unwound panic, in-memory byte buffers).
-//! This pass removes both simulations. A child process (`cargo xtask
-//! crash-child`, re-entered via `current_exe`) runs the same deterministic
-//! workload against a file-backed pager and a file-backed WAL in a scratch
-//! directory, with a crash clock armed at one tick; when the clock fires the
-//! child calls [`std::process::abort`] — no destructors, no flushes, the
-//! kernel reclaims the process mid-write. The parent then plays coroner:
+//! against *simulated* crashes (a disk and log that stop changing at the
+//! fired tick, in-memory byte buffers). This pass removes both simulations.
+//! A child process (`cargo xtask crash-child`, re-entered via
+//! `current_exe`) runs the same deterministic workload against a
+//! file-backed pager and a file-backed WAL in a scratch directory, with a
+//! crash clock armed at one tick; once the clock has fired the child stops
+//! the workload and calls [`std::process::abort`] — no destructors, no
+//! flushes, the kernel reclaims the process. The parent then plays coroner:
 //! it reads the dead process's files cold ([`FileLogStore::read_log`] +
 //! [`recover_image`]), recovers, and holds the result to the same
 //! committed-prefix oracle and structure audits as the in-process sweeps,
@@ -35,8 +36,8 @@ use boxes_audit::Auditable;
 use boxes_core::bbox::BBoxConfig;
 use boxes_core::durable::{reopen_bbox, reopen_wbox};
 use boxes_core::pager::{
-    codec, recover_image, sector_floor, CrashSignal, FaultFile, FileFaultPlan, IoResult, Pager,
-    PagerConfig, PagerError, RawFile, SharedPager,
+    codec, recover_image, sector_floor, FaultFile, FileFaultPlan, IoResult, Pager, PagerConfig,
+    PagerError, RawFile, SharedPager,
 };
 use boxes_core::wal::crashpoint::{ClockFault, CrashClock};
 use boxes_core::wal::store::{FileLogStore, HEADER_SIZE};
@@ -44,9 +45,7 @@ use boxes_core::wal::{recover, Recovered, Wal, WalConfig};
 use boxes_core::wbox::WBoxConfig;
 use boxes_core::{BBoxScheme, LabelingScheme, WBoxScheme};
 
-use super::crash::{
-    apply_op, committed_ops, silence_crash_signal_panics, verify_recovered, DocState, OPS,
-};
+use super::crash::{apply_op, committed_ops, verify_recovered, DocState, OPS};
 
 /// Group commit width for the matrix: wide enough that kills land between
 /// an op's append and its batch's fsync.
@@ -66,11 +65,14 @@ fn block_size_of(scheme: &str) -> Option<usize> {
 /// in-process sweeps (so the parent can reuse their oracle), plus the
 /// durability-floor progress file — whenever the WAL's fsync counter
 /// advances after op `i`, ops `0..=i` are on the medium, and the child
-/// records that floor where the parent's post-mortem can read it.
+/// records that floor where the parent's post-mortem can read it. The
+/// process is dead from the fired tick on, so once `clock` has fired the
+/// workload stops before it records anything more.
 fn child_workload<S: LabelingScheme>(
     build: impl FnOnce(SharedPager) -> S,
     pager: &SharedPager,
     wal: &Wal,
+    clock: &CrashClock,
     progress: &Path,
 ) -> IoResult<()> {
     let mut s = build(pager.clone());
@@ -85,6 +87,9 @@ fn child_workload<S: LabelingScheme>(
             w.into_bytes()
         });
         txn.commit();
+        if clock.fired() {
+            return Ok(());
+        }
         let now = wal.stats().syncs;
         if now > syncs {
             syncs = now;
@@ -99,7 +104,7 @@ fn child_workload<S: LabelingScheme>(
 /// Entry point of the `crash-child` xtask mode. Arguments:
 /// `<dir> <scheme> <seed> <kill_tick>`; `kill_tick` 0 runs to completion
 /// and prints `TICKS <n>` (the tick-counting pass), any other value arms
-/// the crash clock at that tick and **aborts the process** when it fires.
+/// the crash clock at that tick and **aborts the process** once it fires.
 pub(crate) fn crash_child(args: &[String]) -> i32 {
     let parsed = (|| -> Option<(PathBuf, String, u64, u64)> {
         let [dir, scheme, seed, kill] = args else {
@@ -120,7 +125,6 @@ pub(crate) fn crash_child(args: &[String]) -> i32 {
         eprintln!("crash-child: unknown scheme `{scheme}`");
         return 2;
     };
-    silence_crash_signal_panics();
     let pager = Pager::new(PagerConfig::with_block_size(bs).backed_by_file(dir.join("db.bin")));
     let store = match FileLogStore::create(&dir.join("wal.bin"), bs) {
         Ok(s) => s,
@@ -141,37 +145,37 @@ pub(crate) fn crash_child(args: &[String]) -> i32 {
         clock.arm(kill);
     }
     let progress = dir.join("progress.txt");
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match scheme.as_str() {
-            "wbox" => child_workload(
-                |p| WBoxScheme::new(p, WBoxConfig::from_block_size(1024)),
-                &pager,
-                &wal,
-                &progress,
-            ),
-            "bbox" => child_workload(
-                |p| BBoxScheme::new(p, BBoxConfig::from_block_size(256)),
-                &pager,
-                &wal,
-                &progress,
-            ),
-            _ => unreachable!("scheme validated above"),
-        }));
+    let outcome = match scheme.as_str() {
+        "wbox" => child_workload(
+            |p| WBoxScheme::new(p, WBoxConfig::from_block_size(1024)),
+            &pager,
+            &wal,
+            &clock,
+            &progress,
+        ),
+        "bbox" => child_workload(
+            |p| BBoxScheme::new(p, BBoxConfig::from_block_size(256)),
+            &pager,
+            &wal,
+            &clock,
+            &progress,
+        ),
+        _ => unreachable!("scheme validated above"),
+    };
+    if clock.fired() {
+        // The point of the exercise: die the way a kill -9 dies. No
+        // unwinding, no Drop impls, no flushes.
+        std::process::abort();
+    }
     match outcome {
-        Ok(Ok(())) => {
+        Ok(()) => {
             println!("TICKS {}", clock.ticks());
             0
         }
-        Ok(Err(e)) => {
+        Err(e) => {
             eprintln!("crash-child: workload failed: {e}");
             4
         }
-        Err(payload) if payload.is::<CrashSignal>() => {
-            // The point of the exercise: die the way a kill -9 dies. No
-            // unwinding, no Drop impls, no flushes.
-            std::process::abort();
-        }
-        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
