@@ -9,17 +9,14 @@
 //!    type when it is recoverable: `self` (the enclosing impl type), a
 //!    typed parameter, or a local bound by `let x: T = …` / `let x =
 //!    T::new(…)`. Type aliases are seen through (`SharedPager` → `Pager`).
-//! 3. Everything else is an **explicit unknown edge**: the call links to
-//!    *every* workspace method of that name with matching arity. Unknown
-//!    edges make reachability queries sound-by-default — a rule that must
-//!    not miss a path (BX010) includes them; a rule that must not spam
-//!    (BX012's per-call-site check) restricts itself to resolved edges.
-//!    The caveats live in DESIGN.md under "call-graph soundness".
 //!
-//! Calls that resolve to nothing in the workspace (std, vendored deps) get
-//! no edge: the analysis is about workspace-internal discipline.
+//! A method call whose receiver type is not recoverable gets no edge, and
+//! neither do calls that resolve to nothing in the workspace (std, vendored
+//! deps). Every rule over the graph prefers a miss to a false finding, so
+//! the graph holds resolved edges only. The caveats live in DESIGN.md
+//! under "call-graph soundness".
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::lexer::TokenKind;
 use crate::model::SourceFile;
@@ -35,9 +32,6 @@ pub enum EdgeKind {
     Static,
     /// `recv.method(…)` with a recovered receiver type.
     Method,
-    /// Receiver type unknown — candidate set is every same-name,
-    /// same-arity method in the workspace.
-    Unknown,
 }
 
 /// One call edge.
@@ -60,8 +54,6 @@ pub struct CallGraph {
     pub fns: Vec<FnItem>,
     /// Outgoing edges per node.
     pub edges: Vec<Vec<Edge>>,
-    /// Incoming edge sources per node (deduplicated).
-    pub callers: Vec<Vec<FnId>>,
 }
 
 /// A call site classification before resolution.
@@ -94,7 +86,6 @@ impl CallGraph {
         // Resolution indexes.
         let mut methods: BTreeMap<(String, String), Vec<FnId>> = BTreeMap::new();
         let mut free: BTreeMap<String, Vec<FnId>> = BTreeMap::new();
-        let mut by_name: BTreeMap<String, Vec<FnId>> = BTreeMap::new();
         for (id, f) in fns.iter().enumerate() {
             match &f.self_ty {
                 Some(ty) => {
@@ -105,7 +96,6 @@ impl CallGraph {
                 }
                 None => free.entry(f.name.clone()).or_default().push(id),
             }
-            by_name.entry(f.name.clone()).or_default().push(id);
         }
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
         for (id, f) in fns.iter().enumerate() {
@@ -116,133 +106,11 @@ impl CallGraph {
             let locals = collect_local_types(file, f, open, close);
             let mut out = Vec::new();
             extract_calls(
-                file, f, open, close, &locals, &aliases, &fields, &methods, &free, &by_name, &fns,
-                &mut out,
+                file, f, open, close, &locals, &aliases, &fields, &methods, &free, &fns, &mut out,
             );
             edges[id] = out;
         }
-        let mut callers: Vec<Vec<FnId>> = vec![Vec::new(); fns.len()];
-        for (from, out) in edges.iter().enumerate() {
-            for e in out {
-                callers[e.to].push(from);
-            }
-        }
-        for c in &mut callers {
-            c.sort_unstable();
-            c.dedup();
-        }
-        CallGraph {
-            fns,
-            edges,
-            callers,
-        }
-    }
-
-    /// Forward BFS from `start`, following edges accepted by `follow` and
-    /// not expanding through nodes rejected by `expand`. Returns every
-    /// visited node (including `start`).
-    pub fn reachable(
-        &self,
-        start: FnId,
-        follow: impl Fn(&Edge) -> bool,
-        expand: impl Fn(FnId) -> bool,
-    ) -> BTreeSet<FnId> {
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(start);
-        queue.push_back(start);
-        while let Some(n) = queue.pop_front() {
-            if n != start && !expand(n) {
-                continue;
-            }
-            for e in &self.edges[n] {
-                if follow(e) && seen.insert(e.to) {
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Reverse BFS: every node that can reach a node in `sinks` through
-    /// edges accepted by `follow`, without the path passing *through* a
-    /// node rejected by `via` (sinks themselves are always included;
-    /// rejected nodes are not expanded backwards).
-    pub fn reaching(
-        &self,
-        sinks: &BTreeSet<FnId>,
-        follow: impl Fn(&Edge) -> bool,
-        via: impl Fn(FnId) -> bool,
-    ) -> BTreeSet<FnId> {
-        let mut seen: BTreeSet<FnId> = sinks.clone();
-        let mut queue: VecDeque<FnId> = sinks.iter().copied().collect();
-        while let Some(n) = queue.pop_front() {
-            for &from in &self.callers[n] {
-                if seen.contains(&from) {
-                    continue;
-                }
-                let has_edge = self.edges[from].iter().any(|e| e.to == n && follow(e));
-                if has_edge && via(from) && seen.insert(from) {
-                    queue.push_back(from);
-                }
-            }
-        }
-        seen
-    }
-
-    /// The node containing significant-token index `si` of file `file_idx`,
-    /// if any function body covers it.
-    pub fn fn_at(&self, file_idx: usize, si: usize) -> Option<FnId> {
-        self.fns
-            .iter()
-            .position(|f| f.file_idx == file_idx && f.body.is_some_and(|(o, c)| si >= o && si <= c))
-    }
-
-    /// One shortest call path (as function quals) from `from` to any node in
-    /// `targets`, following `follow`-accepted edges; used for diagnostics.
-    pub fn path_to(
-        &self,
-        from: FnId,
-        targets: &BTreeSet<FnId>,
-        follow: impl Fn(&Edge) -> bool,
-        expand: impl Fn(FnId) -> bool,
-    ) -> Vec<String> {
-        let mut prev: BTreeMap<FnId, FnId> = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
-        let mut hit = None;
-        'bfs: while let Some(n) = queue.pop_front() {
-            if n != from && !expand(n) {
-                continue;
-            }
-            for e in &self.edges[n] {
-                if !follow(e) || prev.contains_key(&e.to) || e.to == from {
-                    continue;
-                }
-                prev.insert(e.to, n);
-                if targets.contains(&e.to) {
-                    hit = Some(e.to);
-                    break 'bfs;
-                }
-                queue.push_back(e.to);
-            }
-        }
-        let Some(mut cur) = hit else {
-            return vec![self.fns[from].qual()];
-        };
-        let mut path = vec![self.fns[cur].qual()];
-        while let Some(&p) = prev.get(&cur) {
-            path.push(self.fns[p].qual());
-            cur = p;
-            if cur == from {
-                break;
-            }
-        }
-        if path.last().map(String::as_str) != Some(self.fns[from].qual().as_str()) {
-            path.push(self.fns[from].qual());
-        }
-        path.reverse();
-        path
+        CallGraph { fns, edges }
     }
 }
 
@@ -317,31 +185,6 @@ pub(crate) fn collect_local_types(
     map
 }
 
-/// Arity of a call: top-level commas in the argument group plus one (zero
-/// for an empty group).
-fn call_arity(file: &SourceFile, open: usize, close: usize) -> usize {
-    if close == open + 1 {
-        return 0;
-    }
-    let mut commas = 0usize;
-    let mut k = open + 1;
-    let mut angle = 0i32;
-    while k < close {
-        match file.stext(k) {
-            "(" | "[" | "{" => {
-                k = file.close_of.get(k).copied().flatten().unwrap_or(k) + 1;
-                continue;
-            }
-            "<" => angle += 1,
-            ">" if file.stext(k.wrapping_sub(1)) != "-" => angle -= 1,
-            "," if angle <= 0 => commas += 1,
-            _ => {}
-        }
-        k += 1;
-    }
-    commas + 1
-}
-
 const KEYWORDS: [&str; 14] = [
     "if", "while", "for", "match", "return", "loop", "let", "fn", "move", "in", "as", "else",
     "break", "continue",
@@ -361,7 +204,6 @@ fn extract_calls(
     fields: &BTreeMap<(String, String), String>,
     methods: &BTreeMap<(String, String), Vec<FnId>>,
     free: &BTreeMap<String, Vec<FnId>>,
-    by_name: &BTreeMap<String, Vec<FnId>>,
     fns: &[FnItem],
     out: &mut Vec<Edge>,
 ) {
@@ -373,10 +215,6 @@ fn extract_calls(
         {
             continue;
         }
-        let Some(args_close) = file.close_of.get(si + 1).copied().flatten() else {
-            continue;
-        };
-        let arity = call_arity(file, si + 1, args_close);
         let form = classify_call(file, caller, locals, fields, aliases, si);
         let line = file.stok(si).map(|t| t.line).unwrap_or(0);
         let mut push_edges = |ids: &[FnId], kind: EdgeKind| {
@@ -409,18 +247,7 @@ fn extract_calls(
                     }
                 }
             }
-            CallForm::UnknownMethod => {
-                if let Some(ids) = by_name.get(&name) {
-                    let cands: Vec<FnId> = ids
-                        .iter()
-                        .copied()
-                        .filter(|&id| {
-                            fns[id].self_ty.is_some() && fns[id].has_self && fns[id].arity == arity
-                        })
-                        .collect();
-                    push_edges(&cands, EdgeKind::Unknown);
-                }
-            }
+            CallForm::UnknownMethod => {}
             CallForm::Free => {
                 if let Some(ids) = free.get(&name) {
                     // Prefer same-crate definitions; fall back to the whole
@@ -598,17 +425,52 @@ mod tests {
     }
 
     #[test]
-    fn unknown_receivers_get_unknown_edges_with_arity_match() {
+    fn field_receivers_resolve_through_struct_fields() {
+        let g = graph(
+            "struct FileStore; impl FileStore { fn read_block(&self) {} }\n\
+             struct Cache { store: FileStore }\n\
+             impl Cache { fn load(&self) { self.store.read_block(); } }",
+        );
+        let e = &g.edges[id(&g, "load")];
+        assert!(
+            e.iter()
+                .any(|e| g.fns[e.to].name == "read_block" && e.kind == EdgeKind::Method),
+            "{e:?}"
+        );
+    }
+
+    #[test]
+    fn free_calls_prefer_the_callers_crate() {
+        let files = [
+            SourceFile::parse(
+                "crates/x/src/lib.rs",
+                "fn helper() {}\nfn a() { helper(); shared(); }",
+            ),
+            SourceFile::parse("crates/y/src/lib.rs", "fn helper() {}\nfn shared() {}"),
+        ];
+        let parsed: Vec<_> = files
+            .iter()
+            .enumerate()
+            .map(|(i, f)| parse_file(f, i))
+            .collect();
+        let g = CallGraph::build(&files, &parsed);
+        let mut tos: Vec<String> = g.edges[id(&g, "a")]
+            .iter()
+            .map(|e| g.fns[e.to].qual())
+            .collect();
+        tos.sort();
+        // `helper` stays inside crate x; `shared`, defined only in y,
+        // falls back to the workspace.
+        assert_eq!(tos, ["boxes-x::helper", "boxes-y::shared"]);
+    }
+
+    #[test]
+    fn unknown_receivers_get_no_edge() {
         let g = graph(
             "struct A; impl A { fn go(&self, x: u8) {} }\n\
-             struct B; impl B { fn go(&self, x: u8, y: u8) {} }\n\
              fn f(xs: &[A]) { xs[0].go(1); }",
         );
-        let e = &g.edges[id(&g, "f")];
-        // Arity 1 matches only A::go.
-        assert_eq!(e.len(), 1);
-        assert_eq!(e[0].kind, EdgeKind::Unknown);
-        assert_eq!(g.fns[e[0].to].self_ty.as_deref(), Some("A"));
+        assert!(g.edges[id(&g, "f")].is_empty());
     }
 
     #[test]
@@ -629,31 +491,5 @@ mod tests {
         assert!(e
             .iter()
             .any(|e| g.fns[e.to].name == "inner" && e.kind == EdgeKind::Method));
-    }
-
-    #[test]
-    fn reachability_and_blocking() {
-        let g = graph("fn a() { b(); }\nfn b() { c(); }\nfn c() { sink(); }\nfn sink() {}");
-        let (a, b, sink) = (id(&g, "a"), id(&g, "b"), id(&g, "sink"));
-        let r = g.reachable(a, |_| true, |_| true);
-        assert!(r.contains(&sink));
-        // Blocking expansion at b cuts the path.
-        let r = g.reachable(a, |_| true, |n| n != b);
-        assert!(!r.contains(&sink));
-        // Reverse: who reaches sink?
-        let sinks: BTreeSet<FnId> = [sink].into_iter().collect();
-        let up = g.reaching(&sinks, |_| true, |_| true);
-        assert!(up.contains(&a) && up.contains(&b));
-        let up = g.reaching(&sinks, |_| true, |n| n != b);
-        assert!(!up.contains(&a));
-    }
-
-    #[test]
-    fn path_to_reports_the_chain() {
-        let g = graph("fn a() { b(); }\nfn b() { c(); }\nfn c() {}");
-        let targets: BTreeSet<FnId> = [id(&g, "c")].into_iter().collect();
-        let path = g.path_to(id(&g, "a"), &targets, |_| true, |_| true);
-        assert_eq!(path.len(), 3);
-        assert!(path[0].ends_with("::a") && path[2].ends_with("::c"));
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! ```toml
 //! # Per-rule policy: paths where the rule simply does not apply.
-//! [rules.BX020]
-//! allow_paths = ["xtask/src"]
+//! [rules.BX001]
+//! allow_paths = ["crates/pager/src"]
 //!
 //! # Point suppressions: every entry must carry a justification and must
 //! # still match at least one finding, or the gate errors (stale baseline).
@@ -35,10 +35,12 @@
 
 use std::collections::BTreeMap;
 
+use crate::rules::RULE_IDS;
+
 /// One `[[allow]]` suppression entry.
 #[derive(Clone, Debug)]
 pub struct AllowEntry {
-    /// Rule ID, e.g. `BX020`.
+    /// Rule ID, e.g. `BX012`.
     pub rule: String,
     /// Workspace-relative file path the suppression applies to.
     pub path: String,
@@ -120,7 +122,9 @@ impl Config {
             if let Some(inner) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
                 let inner = inner.trim();
                 if let Some(rule) = inner.strip_prefix("rules.") {
-                    section = Section::Rule(rule.trim().to_string());
+                    let rule = rule.trim();
+                    known_rule(rule, line_no)?;
+                    section = Section::Rule(rule.to_string());
                 } else if inner == "limits" {
                     section = Section::Limits;
                 } else {
@@ -205,6 +209,7 @@ impl Config {
                     message: "[[allow]] entry needs both `rule` and `path`".to_string(),
                 });
             }
+            known_rule(&entry.rule, entry.line_no)?;
             if entry.justification.trim().is_empty() {
                 return Err(ConfigError {
                     line: entry.line_no,
@@ -225,6 +230,21 @@ impl Config {
             .get(rule)
             .is_some_and(|prefixes| prefixes.iter().any(|p| path.starts_with(p.as_str())))
     }
+}
+
+/// A policy or suppression naming a rule outside the catalog (a typo, or a
+/// retired rule) would silently do nothing, so it is an error.
+fn known_rule(rule: &str, line: usize) -> Result<(), ConfigError> {
+    if RULE_IDS.contains(&rule) {
+        return Ok(());
+    }
+    Err(ConfigError {
+        line,
+        message: format!(
+            "unknown rule `{rule}` — known rules: {}",
+            RULE_IDS.join(", ")
+        ),
+    })
 }
 
 /// Join physical lines into logical ones: a line whose `[` arrays are still
@@ -342,18 +362,18 @@ mod tests {
     fn parses_rules_and_allows() {
         let text = r#"
 # policy
-[rules.BX020]
+[rules.BX012]
 allow_paths = ["xtask/src", "crates/bench/src"]
 
 [[allow]]
-rule = "BX020"
+rule = "BX012"
 path = "crates/pager/src/lib.rs"
 contains = "let _ = f.write_torn"
 justification = "corruption injection: both outcomes are acceptable"
 "#;
         let cfg = Config::parse(text).expect("valid config");
-        assert!(cfg.rule_allows_path("BX020", "xtask/src/main.rs"));
-        assert!(!cfg.rule_allows_path("BX020", "crates/pager/src/lib.rs"));
+        assert!(cfg.rule_allows_path("BX012", "xtask/src/main.rs"));
+        assert!(!cfg.rule_allows_path("BX012", "crates/pager/src/lib.rs"));
         assert_eq!(cfg.allows.len(), 1);
         assert_eq!(
             cfg.allows[0].contains.as_deref(),
@@ -375,6 +395,21 @@ justification = "corruption injection: both outcomes are acceptable"
     }
 
     #[test]
+    fn a_rule_outside_the_catalog_is_an_error() {
+        // BX016 and BX020 are retired: their old policy and suppression
+        // entries must not linger as silent no-ops.
+        let err = Config::parse("# policy\n[rules.BX016]\nallow_paths = [\"crates/pager/src\"]\n")
+            .expect_err("must reject");
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("unknown rule `BX016`"), "{err}");
+        let text = "[[allow]]\nrule = \"BX020\"\npath = \"crates/x/src/lib.rs\"\n\
+                    justification = \"store writes\"\n";
+        let err = Config::parse(text).expect_err("must reject");
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("unknown rule `BX020`"), "{err}");
+    }
+
+    #[test]
     fn multi_line_arrays() {
         let text = "[rules.BX001]\nallow_paths = [\n  \"crates/pager/src\", # io\n  \"crates/lidf/src\",\n]\n";
         let cfg = Config::parse(text).expect("valid");
@@ -391,8 +426,8 @@ justification = "corruption injection: both outcomes are acceptable"
 
     #[test]
     fn comments_and_escapes() {
-        let text = "[rules.BX020] # io\nallow_paths = [\"a#b\"] # trailing\n";
+        let text = "[rules.BX019] # io\nallow_paths = [\"a#b\"] # trailing\n";
         let cfg = Config::parse(text).expect("valid");
-        assert_eq!(cfg.rule_allow_paths["BX020"], vec!["a#b".to_string()]);
+        assert_eq!(cfg.rule_allow_paths["BX019"], vec!["a#b".to_string()]);
     }
 }

@@ -16,7 +16,7 @@
 //!   opened after a `?`/`return` in the same body has early-return paths
 //!   on which the operation runs with no attribution window at all.
 
-use crate::callgraph::{CallGraph, EdgeKind};
+use crate::callgraph::CallGraph;
 use crate::lexer::TokenKind;
 use crate::model::SourceFile;
 
@@ -59,8 +59,7 @@ pub fn summarize(graph: &CallGraph, files: &[SourceFile]) -> Vec<FnSummary> {
         })
         .collect();
     // Fixpoint: a Result-returning fn that `?`-propagates an io_result call
-    // becomes io_result itself. Only resolved edges propagate — an unknown
-    // edge is too weak a signal to brand the caller's whole signature.
+    // becomes io_result itself.
     loop {
         let mut changed = false;
         for (id, f) in graph.fns.iter().enumerate() {
@@ -68,11 +67,9 @@ pub fn summarize(graph: &CallGraph, files: &[SourceFile]) -> Vec<FnSummary> {
                 continue;
             }
             let file = &files[f.file_idx];
-            let hit = graph.edges[id].iter().any(|e| {
-                e.kind != EdgeKind::Unknown
-                    && out[e.to].io_result
-                    && call_is_propagated(file, e.call_si)
-            });
+            let hit = graph.edges[id]
+                .iter()
+                .any(|e| out[e.to].io_result && call_is_propagated(file, e.call_si));
             if hit {
                 out[id].io_result = true;
                 changed = true;

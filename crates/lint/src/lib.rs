@@ -2,9 +2,9 @@
 //! BOXes workspace.
 //!
 //! The paper's contribution is measured in block I/Os, so correctness here
-//! means *discipline*: every disk touch flows through the accounted
-//! [`Pager`] entry points, no disk fault is swallowed, and locks are taken
-//! in one global order. Those invariants need this workspace's call graph
+//! means *discipline*: [`Pager`] I/O stays in the accounted storage
+//! modules, no disk fault is swallowed, and locks are taken in one global
+//! order. Those invariants need this workspace's call graph
 //! and names, so rustc and clippy cannot check them; this crate encodes
 //! them as the BX rule catalog (see [`rules`]) over a hand-rolled lexer
 //! ([`lexer`]) and a lightweight token-stream model ([`model`]). What the
@@ -14,14 +14,13 @@
 //!
 //! Three analysis tiers share that substrate:
 //!
-//! * **Token-stream rules** (BX001, BX020) are pure per-file
-//!   functions.
-//! * **Call-graph rules** (BX010, BX012, BX014) run over an [`Analysis`]:
-//!   an item-level parse ([`parser`]) of every file, a heuristic workspace
-//!   call graph ([`callgraph`]) with explicit unknown edges so reachability
-//!   stays sound-by-default, and per-function dataflow summaries
-//!   ([`dataflow`]). No rustc internals, no external dependencies.
-//! * **Lock-discipline rules** (BX015–BX017, BX019) run over the lock-set
+//! * **The token-stream rule** (BX001) is a pure per-file function.
+//! * **Call-graph rules** (BX012, BX014) run over an [`Analysis`]: an
+//!   item-level parse ([`parser`]) of every file, a heuristic workspace
+//!   call graph ([`callgraph`]) whose edges are the calls it can resolve,
+//!   and per-function dataflow summaries ([`dataflow`]). No rustc
+//!   internals, no external dependencies.
+//! * **Lock-discipline rules** (BX015, BX017, BX019) run over the lock-set
 //!   analysis ([`locks`]): per-function `Mutex`/`RwLock` acquisition
 //!   summaries with guard-liveness windows, solved to fixpoint over the
 //!   call graph. The resulting lock-order graph is exported to
@@ -58,7 +57,7 @@
     )
 )]
 
-/// The workspace call graph with explicit unknown edges.
+/// The workspace call graph over resolved call edges.
 pub mod callgraph;
 /// The `lint.toml` suppression baseline: parser and matching policy.
 pub mod config;
@@ -297,21 +296,25 @@ mod tests {
     #[test]
     fn baseline_suppresses_and_detects_stale() {
         let cfg = Config::parse(
-            "[[allow]]\nrule = \"BX020\"\npath = \"crates/a/src/lib.rs\"\n\
-             contains = \"injection\"\njustification = \"deliberate raw write\"\n\
-             [[allow]]\nrule = \"BX001\"\npath = \"crates/b/src/lib.rs\"\n\
+            "[[allow]]\nrule = \"BX001\"\npath = \"crates/a/src/lib.rs\"\n\
+             contains = \"injection\"\njustification = \"deliberate corruption\"\n\
+             [[allow]]\nrule = \"BX012\"\npath = \"crates/b/src/lib.rs\"\n\
              justification = \"never matches\"\n",
         )
         .expect("valid config");
         let diags = vec![
-            diag("BX020", "crates/a/src/lib.rs", "injection.write_all(buf)?;"),
-            diag("BX020", "crates/a/src/lib.rs", "file.write_all(buf)?;"),
+            diag(
+                "BX001",
+                "crates/a/src/lib.rs",
+                "injection.pager.write(id)?;",
+            ),
+            diag("BX001", "crates/a/src/lib.rs", "state.pager.write(id)?;"),
         ];
         let outcome = apply_baseline(diags, &cfg);
         assert_eq!(outcome.suppressed.len(), 1);
         assert_eq!(outcome.unsuppressed.len(), 1);
         assert_eq!(outcome.stale_allows.len(), 1);
-        assert!(outcome.stale_allows[0].contains("BX001"));
+        assert!(outcome.stale_allows[0].contains("BX012"));
         assert!(!outcome.is_clean());
     }
 

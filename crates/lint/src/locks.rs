@@ -23,9 +23,10 @@
 //!   `if` condition — the analysis errs toward reporting, like every rule
 //!   in the catalog.
 //! * **`may_acquire` summaries** close the per-function lock sets over
-//!   *resolved* call edges to fixpoint. Unknown edges do not propagate:
-//!   trait-object calls (`dyn Journal`) are invisible to the order graph,
-//!   which is the price of zero false cycles (caveat in DESIGN.md).
+//!   the call graph's resolved edges to fixpoint. A call with no recoverable
+//!   receiver type has no edge, so trait-object calls (`dyn Journal`) are
+//!   invisible to the order graph, which is the price of zero false cycles
+//!   (caveat in DESIGN.md).
 //!
 //! A lock-order edge `A → B` is recorded whenever a function acquires `B`
 //! (directly or via a callee's `may_acquire`) while a guard of `A` is live.
@@ -34,7 +35,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{collect_local_types, EdgeKind, FnId};
+use crate::callgraph::{collect_local_types, FnId};
 use crate::dataflow::borrow_live_end;
 use crate::lexer::TokenKind;
 use crate::model::SourceFile;
@@ -76,8 +77,8 @@ pub struct FnLocks {
     /// Acquisition events in source order (direct shapes plus calls to
     /// guard-returning helpers).
     pub acquires: Vec<Acquire>,
-    /// Locks this function may acquire, transitively over resolved call
-    /// edges (fixpoint; unknown edges do not propagate).
+    /// Locks this function may acquire, transitively over the call graph
+    /// (fixpoint).
     pub may_acquire: BTreeSet<String>,
     /// `Some(lock)` when the function returns a guard for exactly one lock
     /// (e.g. `Pager::lock`), making each call site an acquisition site.
@@ -202,7 +203,7 @@ impl LockAnalysis {
             let mut used: BTreeSet<usize> = fn_locks[id].acquires.iter().map(|e| e.si).collect();
             let mut extra: Vec<Acquire> = Vec::new();
             for e in &g.edges[id] {
-                if e.kind == EdgeKind::Unknown || used.contains(&e.call_si) {
+                if used.contains(&e.call_si) {
                     continue;
                 }
                 let Some(lock) = fn_locks[e.to].returns_guard.clone() else {
@@ -230,9 +231,6 @@ impl LockAnalysis {
             for id in 0..g.fns.len() {
                 let mut add: Vec<String> = Vec::new();
                 for e in &g.edges[id] {
-                    if e.kind == EdgeKind::Unknown {
-                        continue;
-                    }
                     for l in &fn_locks[e.to].may_acquire {
                         if !fn_locks[id].may_acquire.contains(l) {
                             add.push(l.clone());
@@ -290,8 +288,7 @@ impl LockAnalysis {
                     }
                 }
                 for c in &g.edges[id] {
-                    if c.kind == EdgeKind::Unknown
-                        || c.call_si <= e.si
+                    if c.call_si <= e.si
                         || c.call_si >= e.live_end
                         || event_sis.contains(&c.call_si)
                     {

@@ -31,10 +31,6 @@ pub struct FnItem {
     pub path: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Takes a `self` receiver.
-    pub has_self: bool,
-    /// Number of non-`self` parameters.
-    pub arity: usize,
     /// Base type ident of each non-`self` parameter, when recoverable
     /// (`&mut FileStore` → `FileStore`, `Vec<u8>` → `Vec`).
     pub param_names: Vec<String>,
@@ -449,7 +445,7 @@ fn parse_fn(
         .position(|&si| si > header[fn_pos + 1] && file.stext(si) == "(")?;
     let open = header[paren];
     let close = file.close_of.get(open).copied().flatten()?;
-    let (has_self, param_names, param_types, arity) = parse_params(file, open, close);
+    let (param_names, param_types) = parse_params(file, open, close);
     // Return tokens: header entries after the param group opener (the walker
     // skipped the group's interior, so these are exactly the `-> …` tokens).
     let mut ret_tokens = Vec::new();
@@ -470,8 +466,6 @@ fn parse_fn(
         file_idx,
         path: file.path.clone(),
         line: file.stok(fn_si).map(|tk| tk.line).unwrap_or(0),
-        has_self,
-        arity,
         param_names,
         param_types,
         ret_tokens,
@@ -481,13 +475,9 @@ fn parse_fn(
     })
 }
 
-/// Parse a parameter list `(…)`: `(has_self, names, base_types, arity)`.
-fn parse_params(
-    file: &SourceFile,
-    open: usize,
-    close: usize,
-) -> (bool, Vec<String>, Vec<String>, usize) {
-    let mut has_self = false;
+/// Parse a parameter list `(…)` into the non-`self` parameters'
+/// `(names, base_types)`.
+fn parse_params(file: &SourceFile, open: usize, close: usize) -> (Vec<String>, Vec<String>) {
     let mut names = Vec::new();
     let mut types = Vec::new();
     let mut start = open + 1;
@@ -502,9 +492,7 @@ fn parse_params(
             if k > start {
                 let colon = (start..k).find(|&j| file.stext(j) == ":");
                 let is_self_param = (start..colon.unwrap_or(k)).any(|j| file.stext(j) == "self");
-                if is_self_param {
-                    has_self = true;
-                } else {
+                if !is_self_param {
                     let name = (start..colon.unwrap_or(k))
                         .rev()
                         .map(|j| file.stext(j))
@@ -526,8 +514,7 @@ fn parse_params(
         }
         k += 1;
     }
-    let arity = names.len();
-    (has_self, names, types, arity)
+    (names, types)
 }
 
 /// Is the token at `k` a comma at angle-bracket depth 0 relative to the
@@ -587,11 +574,10 @@ mod tests {
         let p = parse(src);
         assert_eq!(p.fns.len(), 3);
         assert_eq!(p.fns[0].name, "free");
-        assert_eq!(p.fns[0].arity, 2);
+        assert_eq!(p.fns[0].param_names, vec!["a", "b"]);
         assert_eq!(p.fns[0].param_types, vec!["u32", "FileStore"]);
         assert_eq!(p.fns[1].self_ty.as_deref(), Some("Pager"));
-        assert!(p.fns[1].has_self);
-        assert_eq!(p.fns[1].arity, 1);
+        assert_eq!(p.fns[1].param_names, vec!["id"]);
         assert_eq!(p.fns[2].self_ty.as_deref(), Some("Wal"));
         assert_eq!(p.fns[2].trait_name.as_deref(), Some("Journal"));
     }

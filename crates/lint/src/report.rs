@@ -154,12 +154,12 @@ mod tests {
     fn json_escapes_and_structure() {
         let outcome = Outcome {
             unsuppressed: vec![Diagnostic {
-                rule: "BX020",
+                rule: "BX001",
                 path: "crates/x/src/lib.rs".to_string(),
                 line: 3,
                 col: 7,
-                message: "raw write in \"library\" code".to_string(),
-                snippet: "file.write_all(&b)?;".to_string(),
+                message: "pager write in \"library\" code".to_string(),
+                snippet: "state.pager.write(id, &b)?;".to_string(),
             }],
             suppressed: Vec::new(),
             stale_allows: vec!["lint.toml:12".to_string()],

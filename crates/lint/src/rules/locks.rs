@@ -1,16 +1,12 @@
-//! The lock-discipline rule family (BX015–BX017, BX019).
+//! The lock-discipline rule family (BX015, BX017, BX019).
 //!
-//! BX015–BX017 run over the workspace [`LockAnalysis`][crate::locks] —
+//! BX015 and BX017 run over the workspace [`LockAnalysis`][crate::locks] —
 //! per-function lock-set summaries solved to fixpoint over the call graph:
 //!
 //! * **BX015** — lock-order cycles: an edge `A → B` is recorded whenever
 //!   some path acquires `B` while a guard of `A` is live; any cycle in that
 //!   graph is a potential ABBA deadlock. The full graph (with witnesses) is
 //!   exported to `target/lock-order.json`.
-//! * **BX016** — guard held across disk I/O: a live guard window must not
-//!   contain a call that (transitively, over resolved edges) reaches the
-//!   raw store surface. Holding a hot lock across a disk round-trip
-//!   serializes every other thread behind the I/O latency.
 //! * **BX017** — same-lock re-acquisition on a path: `std` locks are not
 //!   reentrant, so overlapping acquisitions of one lock self-deadlock the
 //!   moment the code runs under a real second thread.
@@ -19,10 +15,7 @@
 //! standardizes on `SeqCst`; a weaker ordering needs a justified
 //! `[[allow]]`.
 
-use std::collections::BTreeSet;
-
-use super::{graph::RAW_STORE_TYPES, is_ident, preceded_by_path_sep, push};
-use crate::callgraph::{EdgeKind, FnId};
+use super::{is_ident, preceded_by_path_sep, push};
 use crate::locks::LockAnalysis;
 use crate::report::Diagnostic;
 use crate::Analysis;
@@ -30,7 +23,6 @@ use crate::Analysis;
 /// Run every lock-discipline rule.
 pub fn run_all(a: &Analysis, la: &LockAnalysis, out: &mut Vec<Diagnostic>) {
     bx015(a, la, out);
-    bx016(a, la, out);
     bx017(a, la, out);
     bx019(a, out);
 }
@@ -65,63 +57,6 @@ fn bx015(_a: &Analysis, la: &LockAnalysis, out: &mut Vec<Diagnostic>) {
             ),
             snippet: rendered.clone(),
         });
-    }
-}
-
-/// BX016: a live guard window contains a call reaching the raw disk surface.
-fn bx016(a: &Analysis, la: &LockAnalysis, out: &mut Vec<Diagnostic>) {
-    let g = &a.graph;
-    let sinks: BTreeSet<FnId> = g
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            f.self_ty
-                .as_deref()
-                .is_some_and(|t| RAW_STORE_TYPES.contains(&t))
-        })
-        .map(|(id, _)| id)
-        .collect();
-    if sinks.is_empty() {
-        return;
-    }
-    // Everything that can reach a sink over resolved edges: calling any of
-    // these inside a guard window holds the lock across disk I/O.
-    let io_fns = g.reaching(&sinks, |e| e.kind != EdgeKind::Unknown, |_| true);
-    for (id, f) in g.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let file = &a.files[f.file_idx];
-        let events = &la.fn_locks[id].acquires;
-        let event_sis: BTreeSet<usize> = events.iter().map(|e| e.si).collect();
-        let mut flagged: BTreeSet<usize> = BTreeSet::new();
-        for e in events {
-            for c in &g.edges[id] {
-                if c.kind == EdgeKind::Unknown
-                    || c.call_si <= e.si
-                    || c.call_si >= e.live_end
-                    || event_sis.contains(&c.call_si)
-                    || !io_fns.contains(&c.to)
-                    || !flagged.insert(c.call_si)
-                {
-                    continue;
-                }
-                let callee = g.fns[c.to].qual();
-                push(
-                    file,
-                    c.call_si,
-                    "BX016",
-                    format!(
-                        "guard of `{}` (taken line {}) held across `{}`, which reaches \
-                         the raw disk surface — drop the guard before I/O or every \
-                         thread queues behind the disk",
-                        e.lock, e.line, callee
-                    ),
-                    out,
-                );
-            }
-        }
     }
 }
 
@@ -229,38 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn bx016_fires_on_guard_across_io_direct_and_transitive() {
-        let a = analyze(&[(
-            "crates/x/src/lib.rs",
-            "pub struct FileStore;\n\
-             impl FileStore { pub fn read_block(&self) {} }\n\
-             pub struct Cache { map: Mutex<u8>, store: FileStore }\n\
-             impl Cache { fn journaled(&self) { self.store.read_block(); }\n\
-             pub fn hot(&self) { let g = self.map.lock(); self.journaled(); } }",
-        )]);
-        let mut out = Vec::new();
-        run_all(&a, &LockAnalysis::build(&a), &mut out);
-        let b = rules_of(&out, "BX016");
-        assert_eq!(b.len(), 1, "{b:?}");
-        assert!(b[0].contains("journaled"), "{b:?}");
-    }
-
-    #[test]
-    fn bx016_silent_after_drop() {
-        let a = analyze(&[(
-            "crates/x/src/lib.rs",
-            "pub struct FileStore;\n\
-             impl FileStore { pub fn read_block(&self) {} }\n\
-             pub struct Cache { map: Mutex<u8>, store: FileStore }\n\
-             impl Cache { pub fn cool(&self) { let g = self.map.lock(); drop(g); \
-             self.store.read_block(); } }",
-        )]);
-        let mut out = Vec::new();
-        run_all(&a, &LockAnalysis::build(&a), &mut out);
-        assert!(rules_of(&out, "BX016").is_empty(), "{out:?}");
-    }
-
-    #[test]
     fn bx017_fires_on_overlap() {
         let a = analyze(&[(
             "crates/x/src/lib.rs",
@@ -272,6 +175,33 @@ mod tests {
         let b = rules_of(&out, "BX017");
         assert_eq!(b.len(), 1, "{b:?}");
         assert!(b[0].contains("not reentrant"), "{b:?}");
+    }
+
+    #[test]
+    fn bx017_names_the_helper_that_re_acquires() {
+        let a = analyze(&[(
+            "crates/x/src/lib.rs",
+            "pub struct S { n: Mutex<u8> }\n\
+             impl S { fn bump(&self) { let g = self.n.lock(); }\n\
+             pub fn outer(&self) { let g = self.n.lock(); self.bump(); } }",
+        )]);
+        let mut out = Vec::new();
+        run_all(&a, &LockAnalysis::build(&a), &mut out);
+        let b = rules_of(&out, "BX017");
+        assert_eq!(b.len(), 1, "{b:?}");
+        assert!(b[0].contains("(inside `boxes-x::S::bump`)"), "{b:?}");
+    }
+
+    #[test]
+    fn bx017_silent_after_drop() {
+        let a = analyze(&[(
+            "crates/x/src/lib.rs",
+            "pub struct S { n: Mutex<u8> }\n\
+             impl S { pub fn twice(&self) { let g = self.n.lock(); drop(g); self.n.lock(); } }",
+        )]);
+        let mut out = Vec::new();
+        run_all(&a, &LockAnalysis::build(&a), &mut out);
+        assert!(rules_of(&out, "BX017").is_empty(), "{out:?}");
     }
 
     #[test]

@@ -3,24 +3,22 @@
 //!
 //! Three rule families share this module's helpers:
 //!
-//! * [`stream`] — BX001 and BX020, pure functions over one
-//!   [`SourceFile`]'s token stream (no cross-file knowledge).
-//! * [`graph`] — BX010, BX012 and BX014, functions over the
-//!   whole-workspace [`Analysis`](crate::Analysis): call graph plus
-//!   dataflow summaries.
-//! * [`locks`] — BX015–BX017 and BX019, lock-discipline rules over the
+//! * [`stream`] — BX001, a pure function over one [`SourceFile`]'s token
+//!   stream (no cross-file knowledge).
+//! * [`graph`] — BX012 and BX014, functions over the whole-workspace
+//!   [`Analysis`](crate::Analysis): call graph plus dataflow summaries.
+//! * [`locks`] — BX015, BX017 and BX019, lock-discipline rules over the
 //!   workspace lock-set analysis ([`crate::locks`]): lock-order cycles,
-//!   guards held across disk I/O, re-acquisition, and atomic-ordering
-//!   hygiene.
+//!   re-acquisition, and atomic-ordering hygiene.
 //!
 //! Every rule errs on the side of firing — a finding can be baselined with
 //! a justification; a silent miss cannot.
 
-/// BX010, BX012, BX014: call-graph and dataflow rules over the workspace.
+/// BX012, BX014: call-graph and dataflow rules over the workspace.
 pub mod graph;
-/// BX015–BX017, BX019: lock-discipline rules over the lock-set analysis.
+/// BX015, BX017, BX019: lock-discipline rules over the lock-set analysis.
 pub mod locks;
-/// BX001, BX020: per-file token-stream rules.
+/// BX001: per-file token-stream rules.
 pub mod stream;
 
 use crate::lexer::TokenKind;
@@ -28,9 +26,7 @@ use crate::model::SourceFile;
 use crate::report::Diagnostic;
 
 /// All stable rule IDs, in catalog order.
-pub const RULE_IDS: [&str; 9] = [
-    "BX001", "BX010", "BX012", "BX014", "BX015", "BX016", "BX017", "BX019", "BX020",
-];
+pub const RULE_IDS: [&str; 6] = ["BX001", "BX012", "BX014", "BX015", "BX017", "BX019"];
 
 /// Rationale and fix recipe for one rule, rendered by
 /// `cargo xtask analyze --explain BXnnn`.
@@ -46,7 +42,7 @@ pub struct RuleDoc {
 }
 
 /// The full rule documentation table.
-pub const RULE_DOCS: [RuleDoc; 9] = [
+pub const RULE_DOCS: [RuleDoc; 6] = [
     RuleDoc {
         id: "BX001",
         title: "pager I/O (`read/write/alloc/free`) only in designated I/O modules",
@@ -55,18 +51,6 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
                     measurements never see.",
         fix: "Route the access through the owning scheme's API. If the module genuinely is \
               a storage module, add it to [rules.BX001] allow_paths with a comment.",
-    },
-    RuleDoc {
-        id: "BX010",
-        title: "transitive pager-I/O discipline: no path to the raw disk surface that \
-                bypasses `Pager`",
-        rationale: "BX001 only sees direct calls. The call graph extends the same invariant \
-                    through helpers: a function outside the pager crate must not reach \
-                    `FileStore`/`DiskImage`/`DiskBlock` methods except through the blessed \
-                    `Pager` API, or block transfers escape accounting transitively.",
-        fix: "Insert the `Pager` surface between the helper chain and the raw store. \
-              Deliberate corruption injection (faultlib, chaos tooling) is policy-allowed \
-              via [rules.BX010] allow_paths.",
     },
     RuleDoc {
         id: "BX012",
@@ -103,19 +87,6 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
               target/lock-order.json show exactly which functions to fix.",
     },
     RuleDoc {
-        id: "BX016",
-        title: "no guard held across a call that reaches the raw disk surface",
-        rationale: "A mutex held across `FileStore`/`DiskImage`/`DiskBlock` I/O \
-                    serializes every other thread behind disk latency — the \
-                    concurrent-session throughput the BOX maintenance bounds promise \
-                    evaporates behind one hot lock. The pager crate itself is \
-                    policy-allowed: holding its own inner lock across its backend is \
-                    the design.",
-        fix: "Copy what the I/O needs out of the guarded state, drop the guard, then \
-              do the I/O (the WAL's commit path is the template). If the hold is \
-              deliberate, add the path to [rules.BX016] allow_paths with a comment.",
-    },
-    RuleDoc {
         id: "BX017",
         title: "no same-lock re-acquisition while the first guard is live",
         rationale: "std::sync locks are not reentrant: a path that re-locks a mutex it \
@@ -137,21 +108,6 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
         fix: "Use Ordering::SeqCst. If a profile shows the fence matters, weaken it \
               behind a justified [[allow]] citing the measurement.",
     },
-    RuleDoc {
-        id: "BX020",
-        title: "durable-file discipline: raw file writes only in blessed store modules; \
-                `fs::rename` publishes fsync first",
-        rationale: "The crash matrix proves durability only for bytes that flow through \
-                    `FileStore`/`FileLogStore` — a raw `write_all`/`write_at` elsewhere is \
-                    durable state the kill sweep never tears and the fsync poisoning rules \
-                    never guard. And a rename that publishes an unsynced file is the \
-                    classic atomic-replace bug: after power loss the new name can point at \
-                    torn or empty bytes.",
-        fix: "Route data through `FileStore`/`LogStore` (policy-allowed via \
-              [rules.BX020] allow_paths for the store modules themselves). For a \
-              durable replace, call `sync_all`/`sync_data` on the replacement (and \
-              sync the directory) before `fs::rename`, as `FileLogStore::rotate` does.",
-    },
 ];
 
 /// Look up a rule's documentation by ID.
@@ -159,13 +115,13 @@ pub fn rule_doc(id: &str) -> Option<&'static RuleDoc> {
     RULE_DOCS.iter().find(|d| d.id.eq_ignore_ascii_case(id))
 }
 
-/// Run the token-stream rules (BX001, BX020) against one file.
+/// Run the token-stream rule (BX001) against one file.
 pub fn run_all(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     stream::run_all(file, out);
 }
 
-/// Run the call-graph/dataflow rules (BX010, BX012, BX014) and the
-/// lock-discipline rules (BX015–BX017, BX019) against a whole analysis.
+/// Run the call-graph/dataflow rules (BX012, BX014) and the
+/// lock-discipline rules (BX015, BX017, BX019) against a whole analysis.
 pub fn run_graph(
     analysis: &crate::Analysis,
     lock_analysis: &crate::locks::LockAnalysis,

@@ -24,6 +24,10 @@
     clippy::disallowed_types,
     reason = "the pager's file backend owns disk access: it is the paper's disk model, under the accounted layer"
 )]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the pager's file backend owns disk access: its slot writes and truncation are what the crash matrix tears"
+)]
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -509,6 +513,33 @@ mod tests {
         );
         assert_eq!(pager.allocated_blocks(), 0, "no slot was allocated");
         assert_eq!(pager.alloc(), Ok(crate::BlockId(0)), "the slot is reused");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn eio_on_a_deallocation_fails_the_free_uncounted() {
+        let path = temp_path("eio-free");
+        // Writes 1-2 zero-fill the new slot; write 3 is the free's trailer.
+        let plan = FileFaultPlan {
+            eio_write_at: Some(3),
+            ..FileFaultPlan::default()
+        };
+        let pager = faulty_pager(&path, plan);
+        let id = pager.alloc().expect("alloc");
+        assert_eq!(
+            pager.free(id),
+            Err(crate::PagerError::Io {
+                block: id,
+                attempts: 1
+            })
+        );
+        assert_eq!(pager.stats().frees, 0, "a failed free is not counted");
+        assert_eq!(pager.trace().unattributed().frees, 0);
+        assert_eq!(pager.allocated_blocks(), 1, "the block stays allocated");
+        assert_eq!(pager.read(id).expect("read")[..], [0u8; 64]);
+        pager.free(id).expect("the second free lands");
+        assert_eq!(pager.stats().frees, 1);
+        assert_eq!(pager.trace().unattributed().frees, 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -1504,9 +1504,10 @@ impl Pager {
             // under it would break that promise, so it is a typed error.
             return Err(PagerError::Pinned { block: id });
         }
-        inner.stats.frees += 1;
-        self.trace.record(TraceCounter::Free, 1);
         if inner.journal.is_some() {
+            // Counted now; the deallocation itself is applied at commit.
+            inner.stats.frees += 1;
+            self.trace.record(TraceCounter::Free, 1);
             assert!(
                 inner.txn.depth > 0,
                 "journaled pager: free outside a TxnScope"
@@ -1530,6 +1531,8 @@ impl Pager {
                 attempts: 1,
             });
         }
+        inner.stats.frees += 1;
+        self.trace.record(TraceCounter::Free, 1);
         // Drop any cached copy (a journaled pager has no pool); a dirty
         // cached copy of a freed block is dead data, so it is discarded
         // without a write-back.
@@ -2567,6 +2570,28 @@ mod tests {
         let txn = p.txn().unwrap();
         assert_eq!(p.alloc().unwrap(), id);
         txn.commit();
+    }
+
+    #[test]
+    fn journaled_free_counts_at_free_and_deallocates_at_commit() {
+        let p = pager(64);
+        p.attach_journal(MockJournal::new(1));
+        let id = {
+            let txn = p.txn().unwrap();
+            let id = p.alloc().unwrap();
+            txn.commit();
+            id
+        };
+        let txn = p.txn().unwrap();
+        p.free(id).unwrap();
+        assert_eq!(p.stats().frees, 1, "counted when the free is logged");
+        assert_eq!(p.trace().unattributed().frees, 1);
+        assert!(!p.is_allocated(id));
+        assert_eq!(p.allocated_blocks(), 1, "the backend still holds it");
+        txn.commit();
+        assert_eq!(p.allocated_blocks(), 0, "the commit deallocates it");
+        assert_eq!(p.stats().frees, 1, "without counting it again");
+        assert_eq!(p.trace().unattributed().frees, 1);
     }
 
     #[test]

@@ -21,6 +21,10 @@
     clippy::disallowed_types,
     reason = "the fault-injection VFS is a blessed disk surface: it sits under the accounted layer"
 )]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the fault-injection VFS is a blessed disk surface: it forwards raw writes to the file it wraps"
+)]
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

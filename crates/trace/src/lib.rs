@@ -16,8 +16,8 @@
 //! * [`Counter`]: the event vocabulary — block reads/writes/allocs/frees,
 //!   retries/repairs/backoff ticks, buffer-pool cache hits, WAL
 //!   appends/syncs/checkpoints and log-image replays.
-//! * A bounded ring buffer of [`SpanEvent`]s (closed spans) plus
-//!   per-(scheme, op) aggregates with log2 I/O histograms.
+//! * Per-(scheme, op) and per-(scheme, phase) aggregates with log2 I/O
+//!   histograms.
 //! * [`TraceReport`]: a snapshot with human ([`TraceReport::render_text`])
 //!   and JSON ([`TraceReport::to_json`]) export. `cargo xtask analyze
 //!   --profile-only` writes one per traced pager to
@@ -75,7 +75,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 
@@ -309,44 +308,14 @@ fn log2_bucket(v: u64) -> usize {
     b
 }
 
-/// A closed span, as captured in the bounded event ring.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Unique id (1-based, allocation order).
-    pub id: u64,
-    /// Id of the enclosing span at open time, or 0 for a root span.
-    pub parent: u64,
-    /// Nesting depth at open time (0 = root).
-    pub depth: u64,
-    /// Scheme tag ("W-BOX", "B-BOX", "LIDF", …); phases inherit the
-    /// enclosing span's tag.
-    pub scheme: &'static str,
-    /// Op or phase label ("insert", "split", "lidf", …).
-    pub label: &'static str,
-    /// Whether this was a phase sub-span rather than a top-level op.
-    pub phase: bool,
-    /// Logical tick at open.
-    pub start_tick: u64,
-    /// Logical tick at close.
-    pub end_tick: u64,
-    /// Counter totals attributed to this span (children folded in).
-    pub counters: TraceCounters,
-}
-
 #[derive(Debug)]
 struct Frame {
     id: u64,
-    parent: u64,
-    depth: u64,
     scheme: &'static str,
     label: &'static str,
     phase: bool,
-    start_tick: u64,
     counters: TraceCounters,
 }
-
-/// Bound on each trace's ring buffer of closed-span events.
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// The state behind one [`Trace`]'s lock. Span stacks are keyed by
 /// `ThreadId` rather than living in `thread_local!` storage (a disallowed
@@ -358,8 +327,6 @@ struct Tracer {
     open_spans: u64,
     attributed: TraceCounters,
     unattributed: TraceCounters,
-    events: VecDeque<SpanEvent>,
-    dropped_events: u64,
     ops: BTreeMap<(&'static str, &'static str), OpAgg>,
     phases: BTreeMap<(&'static str, &'static str), OpAgg>,
     out_of_order_closes: u64,
@@ -375,30 +342,20 @@ impl Tracer {
 
     fn open(&mut self, scheme: &'static str, label: &'static str, phase: bool) -> u64 {
         let tid = std::thread::current().id();
-        let (parent, depth, scheme) = match self.stacks.get(&tid).and_then(|s| s.last()) {
-            // Phase sub-spans inherit the scheme tag they run under.
-            Some(top) => {
-                let s = if phase && scheme.is_empty() {
-                    top.scheme
-                } else {
-                    scheme
-                };
-                (top.id, top.depth.saturating_add(1), s)
-            }
-            None => (0, 0, scheme),
+        // Phase sub-spans inherit the scheme tag they run under.
+        let scheme = match self.stacks.get(&tid).and_then(|s| s.last()) {
+            Some(top) if phase && scheme.is_empty() => top.scheme,
+            _ => scheme,
         };
-        let start_tick = self.tick();
+        self.tick();
         self.next_id = self.next_id.saturating_add(1);
         self.open_spans = self.open_spans.saturating_add(1);
         let id = self.next_id;
         self.stacks.entry(tid).or_default().push(Frame {
             id,
-            parent,
-            depth,
             scheme,
             label,
             phase,
-            start_tick,
             counters: TraceCounters::default(),
         });
         id
@@ -424,7 +381,7 @@ impl Tracer {
         if stack.is_empty() {
             self.stacks.remove(&tid);
         }
-        let end_tick = self.tick();
+        self.tick();
         self.open_spans = self.open_spans.saturating_sub(1);
         if out_of_order {
             self.out_of_order_closes = self.out_of_order_closes.saturating_add(1);
@@ -437,21 +394,6 @@ impl Tracer {
         map.entry((frame.scheme, frame.label))
             .or_default()
             .absorb(&frame.counters);
-        if self.events.len() >= DEFAULT_EVENT_CAPACITY {
-            self.events.pop_front();
-            self.dropped_events = self.dropped_events.saturating_add(1);
-        }
-        self.events.push_back(SpanEvent {
-            id: frame.id,
-            parent: frame.parent,
-            depth: frame.depth,
-            scheme: frame.scheme,
-            label: frame.label,
-            phase: frame.phase,
-            start_tick: frame.start_tick,
-            end_tick,
-            counters: frame.counters,
-        });
     }
 
     fn record(&mut self, kind: Counter, n: u64) {
@@ -467,8 +409,8 @@ impl Tracer {
     }
 }
 
-/// One pager's trace: span stacks, attribution tallies, per-(scheme, op)
-/// and per-phase aggregates, and the bounded event ring. Each `Pager` owns
+/// One pager's trace: span stacks, attribution tallies, and per-(scheme,
+/// op) and per-phase aggregates. Each `Pager` owns
 /// one (shared as `Arc<Trace>` with the spans opened on it and with an
 /// attached WAL), so concurrent pagers never see each other's events.
 ///
@@ -485,9 +427,11 @@ impl Trace {
         Arc::default()
     }
 
-    /// Acquire the tracer state. Recovers from poisoning: crash injection
-    /// panics mid-workload by design, and every mutation of the state
-    /// completes before the panic sites in pager/wal code run.
+    /// Acquire the tracer state. Nothing panics while the guard is held
+    /// (every update is saturating arithmetic or a map or stack edit), so
+    /// the lock is never poisoned in practice; were it poisoned, the
+    /// counters would still be whole, so the guard is recovered instead of
+    /// turning a trace into a panic.
     fn lock(&self) -> MutexGuard<'_, Tracer> {
         match self.inner.lock() {
             Ok(guard) => guard,
@@ -531,7 +475,6 @@ impl Trace {
             ticks: t.ticks,
             open_spans: t.open_spans,
             out_of_order_closes: t.out_of_order_closes,
-            dropped_events: t.dropped_events,
             attributed: t.attributed,
             unattributed: t.unattributed,
             ops: t
@@ -544,7 +487,6 @@ impl Trace {
                 .iter()
                 .map(|(&(s, l), agg)| ((s.to_string(), l.to_string()), agg.clone()))
                 .collect(),
-            events: t.events.iter().cloned().collect(),
         }
     }
 }
@@ -590,8 +532,7 @@ impl Drop for OpSpan {
     }
 }
 
-/// Immutable snapshot of one trace: aggregates, attribution tallies, and
-/// the ring of recent closed spans.
+/// Immutable snapshot of one trace: aggregates and attribution tallies.
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// Logical tick at snapshot time.
@@ -600,8 +541,6 @@ pub struct TraceReport {
     pub open_spans: u64,
     /// Spans that closed out of LIFO order (should stay 0).
     pub out_of_order_closes: u64,
-    /// Ring events discarded because the buffer was full.
-    pub dropped_events: u64,
     /// Totals recorded under some span.
     pub attributed: TraceCounters,
     /// Totals recorded with no span open.
@@ -610,8 +549,6 @@ pub struct TraceReport {
     pub ops: Vec<((String, String), OpAgg)>,
     /// Per-(scheme, phase) aggregates over phase sub-spans.
     pub phases: Vec<((String, String), OpAgg)>,
-    /// Most recent closed spans, oldest first.
-    pub events: Vec<SpanEvent>,
 }
 
 fn json_escape_into(s: &str, out: &mut String) {
@@ -661,7 +598,7 @@ fn agg_json_into(scheme: &str, label: &str, agg: &OpAgg, out: &mut String) {
 
 impl TraceReport {
     /// Serialize the report as a stable single-line JSON object. The
-    /// profile gate writes one per traced pager into the `boxes-trace/3`
+    /// profile gate writes one per traced pager into the `boxes-trace/4`
     /// document documented in DESIGN.md ("Observability & tracing").
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -672,8 +609,6 @@ impl TraceReport {
         out.push_str(&self.open_spans.to_string());
         out.push_str(",\"out_of_order_closes\":");
         out.push_str(&self.out_of_order_closes.to_string());
-        out.push_str(",\"dropped_events\":");
-        out.push_str(&self.dropped_events.to_string());
         out.push_str(",\"attributed\":");
         self.attributed.json_into(&mut out);
         out.push_str(",\"unattributed\":");
@@ -691,31 +626,6 @@ impl TraceReport {
                 out.push(',');
             }
             agg_json_into(s, l, agg, &mut out);
-        }
-        out.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"id\":");
-            out.push_str(&e.id.to_string());
-            out.push_str(",\"parent\":");
-            out.push_str(&e.parent.to_string());
-            out.push_str(",\"depth\":");
-            out.push_str(&e.depth.to_string());
-            out.push_str(",\"scheme\":\"");
-            json_escape_into(e.scheme, &mut out);
-            out.push_str("\",\"label\":\"");
-            json_escape_into(e.label, &mut out);
-            out.push_str("\",\"phase\":");
-            out.push_str(if e.phase { "true" } else { "false" });
-            out.push_str(",\"start_tick\":");
-            out.push_str(&e.start_tick.to_string());
-            out.push_str(",\"end_tick\":");
-            out.push_str(&e.end_tick.to_string());
-            out.push_str(",\"counters\":");
-            e.counters.json_into(&mut out);
-            out.push('}');
         }
         out.push_str("]}");
         out
@@ -799,10 +709,35 @@ mod tests {
         let ((scheme, label), p_agg) = &r.phases[0];
         assert_eq!((scheme.as_str(), label.as_str()), ("W-BOX", "split"));
         assert_eq!(p_agg.totals, io(0, 3));
-        // Two closed spans in the ring, child first.
-        assert_eq!(r.events.len(), 2);
-        assert!(r.events[0].phase && !r.events[1].phase);
-        assert!(r.events[0].end_tick < r.events[1].end_tick);
+    }
+
+    #[test]
+    fn nested_phases_fold_into_every_ancestor() {
+        let trace = Trace::new();
+        {
+            let _op = OpSpan::op(&trace, "B-BOX", "insert");
+            let _outer = OpSpan::phase(&trace, "split");
+            trace.record(Counter::BlockRead, 1);
+            {
+                let _inner = OpSpan::phase(&trace, "relabel");
+                trace.record(Counter::BlockWrite, 2);
+            }
+        }
+        let r = trace.report();
+        assert_eq!(r.open_spans, 0);
+        assert_eq!(r.out_of_order_closes, 0);
+        assert_eq!(r.ops.len(), 1);
+        assert_eq!(r.ops[0].1.totals, io(1, 2));
+        // Both phases inherit the op's scheme; the outer one holds the
+        // inner one's counters too.
+        let phase = |label: &str| {
+            r.phases
+                .iter()
+                .find(|((_, l), _)| l == label)
+                .map(|((s, _), agg)| (s.clone(), agg.totals))
+        };
+        assert_eq!(phase("split"), Some(("B-BOX".to_string(), io(1, 2))));
+        assert_eq!(phase("relabel"), Some(("B-BOX".to_string(), io(0, 2))));
     }
 
     #[test]
@@ -824,18 +759,6 @@ mod tests {
             0,
             "the alloc ran outside any span"
         );
-    }
-
-    #[test]
-    fn ring_buffer_is_bounded() {
-        let trace = Trace::new();
-        for _ in 0..=DEFAULT_EVENT_CAPACITY {
-            let _s = OpSpan::op(&trace, "LIDF", "read");
-        }
-        let r = trace.report();
-        assert_eq!(r.events.len(), DEFAULT_EVENT_CAPACITY);
-        assert_eq!(r.dropped_events, 1);
-        assert_eq!(r.events[0].id, 2, "the oldest span was dropped");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub(crate) fn analyze(args: &[String]) -> i32 {
             "--explain" => match it.next() {
                 Some(id) => explain = Some(id.clone()),
                 None => {
-                    eprintln!("--explain needs a rule ID (e.g. --explain BX010)");
+                    eprintln!("--explain needs a rule ID (e.g. --explain BX012)");
                     return 2;
                 }
             },

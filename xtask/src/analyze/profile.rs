@@ -13,7 +13,7 @@
 //!
 //! The pass also writes two deterministic artifacts:
 //!
-//! * `target/trace-report.json` — the `boxes-trace/3` document: one
+//! * `target/trace-report.json` — the `boxes-trace/4` document: one
 //!   span/counter report per traced pager, labelled by leg and role
 //!   (per-op I/O histograms, phase totals, the attribution split);
 //! * `target/BENCH_boxes.json` — the `boxes-bench/2` perf trajectory for a
@@ -396,10 +396,10 @@ where
     Ok(legs)
 }
 
-/// Write `target/trace-report.json`: the `boxes-trace/3` document, one
+/// Write `target/trace-report.json`: the `boxes-trace/4` document, one
 /// report per traced pager labelled by leg and role.
 fn write_trace_report(root: &Path, traced: &[Traced]) -> Result<(), String> {
-    let mut json = String::from("{\"schema\":\"boxes-trace/3\",\"reports\":[");
+    let mut json = String::from("{\"schema\":\"boxes-trace/4\",\"reports\":[");
     for (i, t) in traced.iter().enumerate() {
         if i > 0 {
             json.push(',');

@@ -6,14 +6,17 @@
 //! reader holds one *long-lived* snapshot for the whole run (its labels
 //! must never move, however many epochs the writer publishes over it)
 //! while also churning short-lived snapshots (whose epochs must be
-//! monotone and never torn). The pass ends with a pager audit — dropping
-//! every session must leave no pinned epoch, no frozen version, and no
-//! pinned pool frame behind — and writes the machine-readable
-//! `target/session-report.json` artifact (schema `boxes-session/2`,
-//! including the per-seed shard-latch tallies).
+//! monotone and never torn). Whenever the writer publishes an epoch it
+//! waits until every reader has validated a snapshot at that epoch, so
+//! every reader must observe every epoch from the baseline to the final
+//! one, however the machine schedules the threads. The pass ends with a
+//! pager audit — dropping every session must leave no pinned epoch, no
+//! frozen version, and no pinned pool frame behind — and writes the
+//! machine-readable `target/session-report.json` artifact (schema
+//! `boxes-session/3`, including the per-seed shard-latch tallies).
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use boxes_audit::Auditable;
@@ -36,6 +39,8 @@ const STRESS_SEEDS: [u64; 2] = [0x5e55_1001, 0xbeef];
 /// What one reader thread observed.
 struct ReaderStats {
     snapshots: u64,
+    /// Distinct epochs among the validated snapshots.
+    epochs: u64,
     last_epoch: u64,
     reads: u64,
 }
@@ -43,6 +48,8 @@ struct ReaderStats {
 /// One seed's outcome.
 struct SeedStats {
     seed: u64,
+    /// The epoch the bulk load published, before any reader started.
+    baseline_epoch: u64,
     final_epoch: u64,
     readers: Vec<ReaderStats>,
     /// Page-table shard latch acquisitions across the whole run.
@@ -85,8 +92,13 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
         }
         lids
     };
+    let baseline_epoch = manager.pager().published_epoch();
 
     let done = Arc::new(AtomicBool::new(false));
+    // The epoch of each reader's latest validated snapshot: the writer's
+    // rendezvous after every publish.
+    let validated: Arc<Vec<AtomicU64>> =
+        Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
     // Open every long-lived snapshot *at the baseline epoch*, before the
     // writer streams: all probe lids are alive there, and the pager must
     // keep frozen pre-images of every block the writer later touches until
@@ -101,6 +113,7 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
         .map(|(r, held)| {
             let manager = Arc::clone(&manager);
             let done = Arc::clone(&done);
+            let validated = Arc::clone(&validated);
             // Disjoint quarters for readers 0–3; the full overlapping
             // range for 4–7 — both shard-access patterns stay covered.
             let quarter = lids.len() / DISJOINT_READERS;
@@ -118,6 +131,7 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
                 let held_len = held.len();
                 let mut last_epoch = 0u64;
                 let mut snapshots = 0u64;
+                let mut epochs = 0u64;
                 let mut reads = 0u64;
                 loop {
                     let finished = done.load(Ordering::SeqCst);
@@ -135,6 +149,9 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
                             snap.len()
                         ));
                     }
+                    if snap.epoch() != last_epoch {
+                        epochs += 1;
+                    }
                     last_epoch = snap.epoch();
                     snapshots += 1;
                     reads += snap.io().reads;
@@ -150,6 +167,7 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
                             held.epoch()
                         ));
                     }
+                    validated[r].store(last_epoch, Ordering::SeqCst);
                     if finished {
                         break;
                     }
@@ -157,12 +175,24 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
                 reads += held.io().reads;
                 Ok(ReaderStats {
                     snapshots,
+                    epochs,
                     last_epoch,
                     reads,
                 })
             })
         })
         .collect();
+
+    // After a publish, spin until every reader has validated a snapshot at
+    // `epoch`. A reader that exits before `done` has failed: stop waiting
+    // for it, so the join below reports its error.
+    let rendezvous = |epoch: u64| {
+        while validated.iter().any(|v| v.load(Ordering::SeqCst) < epoch)
+            && !readers.iter().any(std::thread::JoinHandle::is_finished)
+        {
+            std::thread::yield_now();
+        }
+    };
 
     // The writer streams a seeded insert/delete mix through the journaled
     // path; element pairs stay adjacent so live snapshots are always whole
@@ -172,6 +202,7 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
         let mut elements: Vec<(boxes_core::lidf::Lid, boxes_core::lidf::Lid)> =
             lids.chunks(2).map(|c| (c[0], c[1])).collect();
         let mut state = seed;
+        rendezvous(baseline_epoch);
         for _ in 0..OPS {
             state = splitmix64(state);
             let pick = usize::try_from(state >> 8).unwrap_or(0);
@@ -187,8 +218,10 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
                 writer.try_delete_subtree(start, end).map_err(io)?;
                 txn.commit();
             }
+            rendezvous(manager.pager().published_epoch());
         }
         writer.publish();
+        rendezvous(manager.pager().published_epoch());
     }
     done.store(true, Ordering::SeqCst);
 
@@ -214,21 +247,47 @@ fn stress(seed: u64) -> Result<SeedStats, String> {
         .shard_stats()
         .iter()
         .fold((0, 0), |(a, c), s| (a + s.acquisitions, c + s.contended));
-    Ok(SeedStats {
+    let seed_stats = SeedStats {
         seed,
+        baseline_epoch,
         final_epoch: manager.pager().published_epoch(),
         readers: stats,
         shard_acquisitions,
         shard_contended,
-    })
+    };
+    seed_stats.check_epoch_coverage()?;
+    Ok(seed_stats)
 }
 
-/// Render `session-report.json` (schema `boxes-session/2`). Snapshot and
+impl SeedStats {
+    /// The rendezvous makes every reader validate a snapshot at every epoch
+    /// from the baseline to the final one; a reader that saw fewer fails
+    /// the pass.
+    fn check_epoch_coverage(&self) -> Result<(), String> {
+        let want = self.final_epoch - self.baseline_epoch + 1;
+        match self
+            .readers
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r.epochs != want)
+        {
+            Some((i, r)) => Err(format!(
+                "reader {i} observed {} of the {want} epochs {}..={}",
+                r.epochs, self.baseline_epoch, self.final_epoch
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Render `session-report.json` (schema `boxes-session/3`). Snapshot and
 /// latch counts are timing-dependent by design — the artifact records what
-/// the stress actually exercised, not a deterministic trajectory.
+/// the stress actually exercised, not a deterministic trajectory. Each
+/// reader's `epochs` is not: the rendezvous makes it every epoch from
+/// `baseline_epoch` to `final_epoch`.
 fn render_report(seeds: &[SeedStats]) -> String {
     let mut out = String::with_capacity(1024);
-    out.push_str("{\"schema\":\"boxes-session/2\",\"scheme\":\"W-BOX\",\"readers\":");
+    out.push_str("{\"schema\":\"boxes-session/3\",\"scheme\":\"W-BOX\",\"readers\":");
     out.push_str(&READERS.to_string());
     out.push_str(",\"disjoint_readers\":");
     out.push_str(&DISJOINT_READERS.to_string());
@@ -241,6 +300,8 @@ fn render_report(seeds: &[SeedStats]) -> String {
         }
         out.push_str("{\"seed\":");
         out.push_str(&s.seed.to_string());
+        out.push_str(",\"baseline_epoch\":");
+        out.push_str(&s.baseline_epoch.to_string());
         out.push_str(",\"final_epoch\":");
         out.push_str(&s.final_epoch.to_string());
         out.push_str(",\"shard_acquisitions\":");
@@ -254,6 +315,8 @@ fn render_report(seeds: &[SeedStats]) -> String {
             }
             out.push_str("{\"snapshots\":");
             out.push_str(&r.snapshots.to_string());
+            out.push_str(",\"epochs\":");
+            out.push_str(&r.epochs.to_string());
             out.push_str(",\"last_epoch\":");
             out.push_str(&r.last_epoch.to_string());
             out.push_str(",\"reads\":");
@@ -277,8 +340,8 @@ pub(crate) fn sessions_lint(root: &Path) -> bool {
                 let validated: u64 = stats.readers.iter().map(|r| r.snapshots).sum();
                 println!(
                     "  sessions: seed {seed:#x} ok ({validated} snapshots validated, \
-                     final epoch {})",
-                    stats.final_epoch
+                     each of {READERS} readers saw epochs {}..={})",
+                    stats.baseline_epoch, stats.final_epoch
                 );
                 seeds.push(stats);
             }
@@ -301,4 +364,59 @@ pub(crate) fn sessions_lint(root: &Path) -> bool {
     }
     println!("  sessions: wrote {}", path.display());
     ok
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn reader(epochs: u64) -> ReaderStats {
+        ReaderStats {
+            snapshots: 3 * epochs,
+            epochs,
+            last_epoch: 7,
+            reads: 40,
+        }
+    }
+
+    fn seed_stats(readers: Vec<ReaderStats>) -> SeedStats {
+        SeedStats {
+            seed: 0xbeef,
+            baseline_epoch: 3,
+            final_epoch: 7,
+            readers,
+            shard_acquisitions: 90,
+            shard_contended: 2,
+        }
+    }
+
+    #[test]
+    fn a_reader_that_missed_an_epoch_fails_the_pass() {
+        assert_eq!(
+            seed_stats(vec![reader(5), reader(5)]).check_epoch_coverage(),
+            Ok(())
+        );
+        assert_eq!(
+            seed_stats(vec![reader(5), reader(4)]).check_epoch_coverage(),
+            Err("reader 1 observed 4 of the 5 epochs 3..=7".to_string())
+        );
+    }
+
+    #[test]
+    fn report_records_the_baseline_and_each_readers_epochs() {
+        let json = render_report(&[seed_stats(vec![reader(5)])]);
+        assert!(
+            json.starts_with("{\"schema\":\"boxes-session/3\""),
+            "{json}"
+        );
+        assert!(
+            json.contains("{\"seed\":48879,\"baseline_epoch\":3,\"final_epoch\":7,"),
+            "{json}"
+        );
+        assert!(
+            json.contains("[{\"snapshots\":15,\"epochs\":5,\"last_epoch\":7,\"reads\":40}]"),
+            "{json}"
+        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
 }
